@@ -8,13 +8,12 @@ a counter-based Monte-Carlo measurement protocol with Wilson confidence
 intervals.
 """
 
-from .classical import ClassicalVector, classical_score, classical_sweep_max
+from .classical import classical_score, classical_sweep_max
 from .linalg import (
     EigenDecomposition,
     assert_hermitian,
     binomial_exact,
     hermitian_eigendecompose,
-    kron,
     partial_trace,
 )
 from .noise import (
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition",
-    "ClassicalVector",
     "CollectiveOperator",
     "EigenDecomposition",
     "GeneralizedWitness",
@@ -96,7 +94,6 @@ __all__ = [
     "ghz_mixture",
     "grid_certify",
     "hermitian_eigendecompose",
-    "kron",
     "partial_trace",
     "phase_for_ghz",
     "pos_operator",

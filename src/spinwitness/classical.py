@@ -10,21 +10,9 @@ deterministic ones and cannot beat the deterministic maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ClassicalVector", "classical_score", "classical_sweep_max"]
-
-
-@dataclass(frozen=True)
-class ClassicalVector:
-    phi0: float
-    magnitude: float = 1.0
-
-    def __post_init__(self):
-        if self.magnitude <= 0:
-            raise ValueError("magnitude must be positive")
+__all__ = ["classical_score", "classical_sweep_max"]
 
 
 def classical_score(K: int, phi0: float) -> float:

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .classical import classical_score
 from .noise import NoiseModel, apply_depolarizing, detection_thresholds, noisy_score_global, noisy_score_local
 from .protocol import ProtocolConfig, run_protocol, run_protocol_subensembles
 from .seesaw import enumerate_bipartitions, seesaw_maximize
-from .spin import SpinEnsemble, collective_operator
+from .spin import SpinEnsemble, collective_operator, rotate_about_z
 from .states import ghz_like, ghz_mixture
 from .witness import (
     build_qk_closed_form,
@@ -43,9 +44,12 @@ from .witness import (
     score,
     witness_report,
 )
-from .spin import rotate_about_z
 
 SCHEMA_VERSION = 1
+
+# Largest ensemble dimension any command accepts: every path here is dense,
+# and one complex dim x dim matrix at 2048 already takes 64 MiB.
+MAX_DIM = 2048
 
 
 class UsageError(Exception):
@@ -68,9 +72,12 @@ def _parse_spins(text: str) -> SpinEnsemble:
     if not spins:
         raise UsageError("empty ensemble spec")
     try:
-        return SpinEnsemble(spins)
+        ensemble = SpinEnsemble(spins)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if ensemble.dim > MAX_DIM:
+        raise UsageError(f"ensemble dimension {ensemble.dim} exceeds the dense limit of {MAX_DIM}")
+    return ensemble
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -256,17 +263,12 @@ def cmd_noise_sweep(args) -> int:
         brute = score(noisy, witness)
         rows.append({"p": p, "closed_form_score": closed, "brute_force_score": brute,
                      "detected": bool(closed > rep.P_sep_float)})
-    json_rows = [
-        {"p": r["p"], "closed_form_score": r["closed_form_score"],
-         "brute_force_score": r["brute_force_score"], "detected": r["detected"]}
-        for r in rows
-    ]
     csv_rows = [[_fmt(r["p"]), _fmt(r["closed_form_score"]), _fmt(r["brute_force_score"]),
                  str(r["detected"]).lower()] for r in rows]
     _emit(
         args,
         json_obj={"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
-                  "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": json_rows},
+                  "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
         csv_header=["p", "closed_form_score", "brute_force_score", "detected"],
         csv_rows=csv_rows,
     )
@@ -279,6 +281,8 @@ def cmd_simulate(args) -> int:
     elif args.K:
         if args.K < 1 or args.K % 2 == 0:
             raise UsageError(f"--K must be a positive odd integer, got {args.K}")
+        if args.K > math.log2(MAX_DIM):
+            raise UsageError(f"--K {args.K} needs dimension 2^{args.K}, above the dense limit of {MAX_DIM}")
         ensemble = SpinEnsemble((0.5,) * args.K)
     else:
         raise UsageError("simulate needs --spins or --K")

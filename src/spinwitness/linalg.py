@@ -8,8 +8,7 @@ renderings only.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,15 +17,9 @@ __all__ = [
     "EigenDecomposition",
     "assert_hermitian",
     "hermitian_eigendecompose",
-    "kron",
     "partial_trace",
     "binomial_exact",
-    "ExactRational",
 ]
-
-# Convenience alias: exact rationals throughout the package are Fractions
-# (arbitrary precision, always reduced, denominator > 0).
-ExactRational = Fraction
 
 HERMITICITY_TOL = 1e-12
 
@@ -59,11 +52,6 @@ def hermitian_eigendecompose(op: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues, eigenvectors)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (dims multiply; slot a is the most significant)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all tensor slots not in `keep`; kept slots stay in their order.
 
@@ -75,7 +63,7 @@ def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> n
     op = np.asarray(op, dtype=complex)
     dims = [int(d) for d in dims]
     n = len(dims)
-    full = int(np.prod(dims))
+    full = math.prod(dims)
     if op.shape != (full, full):
         raise ValueError(f"operator shape {op.shape} does not match dims {dims}")
     keep = sorted(set(int(i) for i in keep))
@@ -88,7 +76,7 @@ def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> n
     for slot in sorted(traced, reverse=True):
         tensor = np.trace(tensor, axis1=slot, axis2=remaining + slot)
         remaining -= 1
-    d_keep = int(np.prod([dims[i] for i in keep]))
+    d_keep = math.prod(dims[i] for i in keep)
     return tensor.reshape(d_keep, d_keep)
 
 
@@ -98,4 +86,4 @@ def binomial_exact(n: int, k: int) -> int:
         raise ValueError(f"binomial_exact needs nonnegative arguments, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"binomial_exact requires k <= n, got n={n}, k={k}")
-    return comb(n, k)
+    return math.comb(n, k)

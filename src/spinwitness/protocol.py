@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitian_eigendecompose
-from .spin import SpinEnsemble, _embed, collective_operator, direction_operator, spin_matrices
+from .spin import SpinEnsemble, collective_matrices, collective_operator, direction_phases
 from .states import QuantumState
 from .witness import ZERO_EIGENVALUE_TOL, pos_operator, witness_report
 
@@ -45,7 +45,6 @@ class ProtocolConfig:
     seed: int
     theta_offset: float = 0.0
     subensembles: tuple[tuple[int, ...], ...] | None = None
-    omega: float | None = None
     stratified: bool = False  # equal trials per k; a variance-reduction deviation from the uniform draw
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class ProtocolConfig:
             if sorted(flat) != list(range(self.ensemble.N)):
                 raise ValueError(f"subensembles {groups} are not a partition of 0..{self.ensemble.N - 1}")
             object.__setattr__(self, "subensembles", groups)
-        if self.omega is not None and self.omega <= 0:
-            raise ValueError("omega must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,31 +101,20 @@ def _estimate(hits: np.ndarray, ks: np.ndarray, K: int, rounds: int) -> Protocol
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
-    """Simulate the single-shot sign measurement, one direction per round."""
+    """Simulate the single-shot sign measurement, one direction per round.
+
+    pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*), so with M = rho^T * pos(Jx) the
+    direction-k positive probability is ph_k . M . ph_k^*: one eigensolve in all.
+    """
     ensemble = config.ensemble
     K = ensemble.K
-    J = collective_operator(ensemble)
-    rho = config.state.density()
-    probs = np.empty(K)
-    for k in range(K):
-        effect = pos_operator(direction_operator(J, k, K, config.theta_offset))
-        probs[k] = np.real(np.trace(rho @ effect))
-    probs = np.clip(probs, 0.0, 1.0)
+    ph = direction_phases(ensemble, config.theta_offset)
+    weighted = config.state.density().T * pos_operator(collective_operator(ensemble).Jx)
+    probs = np.clip(((ph @ weighted) * ph.conj()).sum(axis=1).real, 0.0, 1.0)
     u = _uniforms(config.seed, config.rounds, 2)
     ks = _draw_directions(u[:, 0], K, config.stratified)
     hits = u[:, 1] < probs[ks]
     return _estimate(hits, ks, K, config.rounds)
-
-
-def _group_direction_operator(ensemble: SpinEnsemble, group: tuple[int, ...], angle: float) -> np.ndarray:
-    """cos(a) Jx + sin(a) Jy summed over the group's particles, on the group's own space."""
-    dims = [ensemble.local_dims[i] for i in group]
-    d = int(np.prod(dims))
-    op = np.zeros((d, d), dtype=complex)
-    for pos_in_group, slot in enumerate(group):
-        jx, jy, _ = spin_matrices(ensemble.spins[slot])
-        op += _embed(np.cos(angle) * jx + np.sin(angle) * jy, dims, pos_in_group)
-    return op
 
 
 def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
@@ -140,6 +126,13 @@ def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
     across groups — then adds the sampled components.  A zero total (possible
     only for integer group sums canceling) falls back to a fair coin,
     mirroring pos(0) = 1/2.
+
+    Group eigenbases are fixed: the direction-k group operators are the group
+    Jx's conjugated by the group factors of diag(ph_k) (see
+    `direction_phases`), and those factors multiply to diag(ph_k).  So each
+    group's Jx is eigensolved once, each direction only rotates the state by
+    diag(ph_k)^dag before the same Born contraction, and one grid of outcome
+    sums serves every k.
 
     Seed policy: the same Philox table layout as run_protocol (column 0 picks
     k, column 1 picks the outcome) plus a third column for the tie coin, so
@@ -153,44 +146,36 @@ def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
     dims = ensemble.local_dims
     n = ensemble.N
     rho_form = config.state.ket is None
-    state_tensor = (
-        config.state.rho.reshape(dims + dims) if rho_form else config.state.ket.reshape(dims)
-    )
+    state = config.state.rho if rho_form else config.state.ket
 
-    cum_by_k, sums_by_k = [], []
-    for k in range(K):
-        angle = 2 * np.pi * k / K + config.theta_offset
-        eigvecs, eigvals = [], []
-        for group in groups:
-            w, v = hermitian_eigendecompose(_group_direction_operator(ensemble, group, angle))
-            eigvals.append(w)
-            eigvecs.append(v)
-        # Born probabilities over the joint eigenbasis, slots contracted in place.
+    eigvals, v_tensors = [], []
+    for group in groups:
+        w, v = hermitian_eigendecompose(collective_matrices([ensemble.spins[i] for i in group])[0])
+        eigvals.append(w)
+        v_tensors.append(v.reshape([dims[i] for i in group] + [len(w)]))
+    # Born probabilities over the joint eigenbasis, slots contracted in place;
+    # state axes come first (rows, then columns for rho), outcome axes after.
+    first_out = 2 * n if rho_form else n
+    operands = [list(range(first_out))]
+    for s, (group, v) in enumerate(zip(groups, v_tensors)):
+        operands += [v.conj(), list(group) + [first_out + s]]
         if rho_form:
-            operands = [state_tensor, list(range(2 * n))]
-            for s, (group, v) in enumerate(zip(groups, eigvecs)):
-                v_tensor = v.reshape([dims[i] for i in group] + [v.shape[1]])
-                operands += [v_tensor.conj(), [i for i in group] + [2 * n + s]]
-                operands += [v_tensor, [n + i for i in group] + [2 * n + s]]
-            p = np.einsum(*operands, [2 * n + s for s in range(len(groups))]).real
+            operands += [v, [n + i for i in group] + [first_out + s]]
+    out_axes = [first_out + s for s in range(len(groups))]
+    sums = np.zeros(1)
+    for w in eigvals:
+        sums = (sums[:, None] + w[None, :]).reshape(-1)
+
+    cum_by_k = []
+    for ph in direction_phases(ensemble, config.theta_offset):
+        if rho_form:
+            rotated = (np.outer(ph.conj(), ph) * state).reshape(dims + dims)
+            p = np.einsum(rotated, *operands, out_axes).real
         else:
-            operands = [state_tensor, list(range(n))]
-            for s, (group, v) in enumerate(zip(groups, eigvecs)):
-                v_tensor = v.reshape([dims[i] for i in group] + [v.shape[1]])
-                operands += [v_tensor.conj(), [i for i in group] + [n + s]]
-            amps = np.einsum(*operands, [n + s for s in range(len(groups))])
-            p = np.abs(amps) ** 2
-        p = p.reshape(-1)
-        shape = [len(w) for w in eigvals]
-        grid = np.zeros(shape)
-        for s, w in enumerate(eigvals):
-            bshape = [1] * len(shape)
-            bshape[s] = len(w)
-            grid = grid + w.reshape(bshape)
-        cum = np.cumsum(p)
+            p = np.abs(np.einsum((ph.conj() * state).reshape(dims), *operands, out_axes)) ** 2
+        cum = np.cumsum(p.reshape(-1))
         cum[-1] = max(cum[-1], 1.0)  # guard the last bin against rounding shortfall
         cum_by_k.append(cum)
-        sums_by_k.append(grid.reshape(-1))
 
     u = _uniforms(config.seed, config.rounds, 3)
     ks = _draw_directions(u[:, 0], K, config.stratified)
@@ -200,8 +185,8 @@ def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
         if rows.size == 0:
             continue
         idx = np.searchsorted(cum_by_k[k], u[rows, 1], side="right")
-        idx = np.minimum(idx, len(cum_by_k[k]) - 1)
-        s = sums_by_k[k][idx]
+        idx = np.minimum(idx, len(sums) - 1)
+        s = sums[idx]
         hits[rows] = np.where(np.abs(s) <= ZERO_EIGENVALUE_TOL, u[rows, 2] < 0.5, s > 0)
     return _estimate(hits, ks, K, config.rounds)
 

@@ -16,6 +16,7 @@ starts there and lands on the bound in two iterations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,7 @@ class Bipartition:
         return self.ensemble.K / 2 - self.j_tilde
 
     def side_dim(self, slots) -> int:
-        return int(np.prod([self.ensemble.local_dims[i] for i in slots]))
+        return math.prod(self.ensemble.local_dims[i] for i in slots)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def _conditioned(q_tensor: np.ndarray, ensemble: SpinEnsemble, side, psi_other: 
     ]
     out_idx = [i for i in side] + [n + i for i in side]
     m = np.einsum(*operands, out_idx)
-    d = int(np.prod([dims[i] for i in side]))
+    d = math.prod(dims[i] for i in side)
     m = m.reshape(d, d)
     return (m + m.conj().T) / 2
 

@@ -9,6 +9,7 @@ ordering the fully stretched product states  (x)|j_n, j_n>  and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,8 +21,10 @@ __all__ = [
     "SpinEnsemble",
     "CollectiveOperator",
     "spin_matrices",
+    "collective_matrices",
     "collective_operator",
     "direction_operator",
+    "direction_phases",
     "rotate_about_z",
 ]
 
@@ -73,7 +76,7 @@ class SpinEnsemble:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.local_dims))
+        return math.prod(self.local_dims)
 
 
 def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,12 +97,6 @@ def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def _embed(mat: np.ndarray, local_dims: Sequence[int], slot: int) -> np.ndarray:
-    left = int(np.prod(local_dims[:slot], dtype=np.int64))
-    right = int(np.prod(local_dims[slot + 1 :], dtype=np.int64))
-    return np.kron(np.kron(np.eye(left), mat), np.eye(right))
-
-
 @dataclass(frozen=True)
 class CollectiveOperator:
     """Total angular momentum J = sum_n J^(j_n) on the full product space."""
@@ -110,15 +107,24 @@ class CollectiveOperator:
     Jz: np.ndarray = field(repr=False)
 
 
+def collective_matrices(spins: Sequence[float]) -> list[np.ndarray]:
+    """[Jx, Jy, Jz] summed over `spins` on their own product space, first spin most significant.
+
+    Any list of spins is allowed (a subensemble may have integer total spin).
+    """
+    dims = [round(2 * j + 1) for j in spins]
+    dim = math.prod(dims)
+    total = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
+    for slot, j in enumerate(spins):
+        left, right = np.eye(math.prod(dims[:slot])), np.eye(math.prod(dims[slot + 1 :]))
+        for comp, mat in enumerate(spin_matrices(j)):
+            total[comp] += np.kron(np.kron(left, mat), right)
+    return total
+
+
 def collective_operator(ensemble: SpinEnsemble) -> CollectiveOperator:
     """Sum of single-particle spin operators, each embedded at its slot."""
-    dims = ensemble.local_dims
-    dim = ensemble.dim
-    total = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
-    for slot, j in enumerate(ensemble.spins):
-        for comp, mat in enumerate(spin_matrices(j)):
-            total[comp] += _embed(mat, dims, slot)
-    return CollectiveOperator(ensemble, *total)
+    return CollectiveOperator(ensemble, *collective_matrices(ensemble.spins))
 
 
 def direction_operator(J: CollectiveOperator, k: int, K: int, theta_offset: float = 0.0) -> np.ndarray:
@@ -131,6 +137,21 @@ def direction_operator(J: CollectiveOperator, k: int, K: int, theta_offset: floa
         raise ValueError(f"direction index k={k} out of range [0, {K})")
     angle = 2 * np.pi * k / K + theta_offset
     return np.cos(angle) * J.Jx + np.sin(angle) * J.Jy
+
+
+def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.ndarray:
+    """The K diagonals ph_k = exp(-i a_k m), a_k = 2 pi k/K + theta, as a (K, dim) array.
+
+    m is the diagonal of the collective Jz (the total magnetic number of each
+    basis state), so diag(ph_k) = exp(-i a_k Jz) and the direction-k operator is
+    the diagonal conjugation  J_k = diag(ph_k) Jx diag(ph_k)^dag.  Any spectral
+    function then rotates the same way: f(J_k) = f(Jx) * outer(ph_k, ph_k^*).
+    """
+    m = np.zeros(1)
+    for j in ensemble.spins:
+        m = (m[:, None] + (j - np.arange(round(2 * j + 1)))[None, :]).reshape(-1)
+    angles = 2 * np.pi * np.arange(ensemble.K) / ensemble.K + theta_offset
+    return np.exp(-1j * np.outer(angles, m))
 
 
 def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:

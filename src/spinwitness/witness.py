@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import binomial_exact, hermitian_eigendecompose
-from .spin import CollectiveOperator, SpinEnsemble, collective_operator, direction_operator
+from .spin import SpinEnsemble, collective_operator, direction_phases
 from .states import QuantumState
 
 __all__ = [
@@ -73,13 +73,16 @@ class WitnessOperator:
 
 
 def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> WitnessOperator:
-    """Average pos(J_k) over the K directions, straight from the definition."""
+    """Average pos(J_k) over the K directions, straight from the definition.
+
+    Each J_k is a diagonal-phase conjugation of Jx (see `direction_phases`), so
+    pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*) and one eigensolve of Jx serves
+    every direction:  Q = pos(Jx) * sum_k outer(ph_k, ph_k^*) / K.
+    """
     K = ensemble.K
-    J = collective_operator(ensemble)
-    q = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
-    for k in range(K):
-        q += pos_operator(direction_operator(J, k, K, theta_offset))
-    return WitnessOperator(ensemble, K, theta_offset, q / K, DIRECT)
+    ph = direction_phases(ensemble, theta_offset)
+    q = pos_operator(collective_operator(ensemble).Jx) * (ph.T @ ph.conj()) / K
+    return WitnessOperator(ensemble, K, theta_offset, (q + q.conj().T) / 2, DIRECT)
 
 
 def _stretched_pair(ensemble: SpinEnsemble) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinwitness.classical import ClassicalVector, classical_score, classical_sweep_max
+from spinwitness.classical import classical_score, classical_sweep_max
 
 
 def brute_score(K, phi0):
@@ -56,10 +56,3 @@ def test_rejects_even_k():
         classical_score(4, 0.0)
     with pytest.raises(ValueError):
         classical_sweep_max(2)
-
-
-def test_classical_vector_validation():
-    v = ClassicalVector(0.3)
-    assert v.magnitude == 1.0
-    with pytest.raises(ValueError):
-        ClassicalVector(0.3, magnitude=0.0)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from spinwitness.cli import main
+from spinwitness.cli import MAX_DIM, _parse_spins, main
 
 GOLDEN_TABLE_CSV = """\
 K,P_max,P_max_float,P_sep,P_sep_float,P_classical,P_classical_float,gap,gap_float,error
@@ -167,6 +167,23 @@ def test_simulate_usage_errors(capsys):
     assert run(capsys, "simulate")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--subensembles", "1|2")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--p-list", "0.1,0.2")[0] == 2
+
+
+def test_simulate_rejects_k_above_dense_limit(capsys):
+    for k in ("21", "65"):
+        rc, out, err = run(capsys, "simulate", "--K", k, "--rounds", "10")
+        assert rc == 2
+        assert out == ""
+        assert f"limit of {MAX_DIM}" in err
+
+
+def test_spins_above_dense_limit_are_usage_errors(capsys):
+    thirteen = ",".join(["0.5"] * 13)
+    for command in ("verify", "simulate", "seesaw", "noise-sweep", "general-witness"):
+        rc, _, err = run(capsys, command, "--spins", thirteen)
+        assert rc == 2
+        assert "dimension 8192" in err and f"limit of {MAX_DIM}" in err
+    assert _parse_spins(",".join(["0.5"] * 11)).dim == 2048 == MAX_DIM
 
 
 # --- seesaw and general-witness ---

@@ -5,7 +5,6 @@ from spinwitness.linalg import (
     assert_hermitian,
     binomial_exact,
     hermitian_eigendecompose,
-    kron,
     partial_trace,
 )
 
@@ -117,8 +116,8 @@ def test_partial_trace_matches_reference(dims, keep):
 def test_partial_trace_kron_factorization():
     a = random_hermitian(2, 1)
     b = random_hermitian(3, 2)
-    np.testing.assert_allclose(partial_trace(kron(a, b), [2, 3], [0]), a * np.trace(b), atol=1e-13)
-    np.testing.assert_allclose(partial_trace(kron(a, b), [2, 3], [1]), b * np.trace(a), atol=1e-13)
+    np.testing.assert_allclose(partial_trace(np.kron(a, b), [2, 3], [0]), a * np.trace(b), atol=1e-13)
+    np.testing.assert_allclose(partial_trace(np.kron(a, b), [2, 3], [1]), b * np.trace(a), atol=1e-13)
 
 
 def test_partial_trace_composes():
@@ -147,9 +146,3 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(op, [2, 2], [2])
     with pytest.raises(ValueError):
         partial_trace(op, [2, 3], [0])  # dims mismatch with shape
-
-
-def test_kron_dimensions_and_associativity():
-    a, b, c = (random_hermitian(d, d) for d in (2, 3, 2))
-    assert kron(a, b).shape == (6, 6)
-    np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-13)

@@ -9,9 +9,9 @@ from spinwitness.protocol import (
     time_schedule,
     wilson_interval,
 )
-from spinwitness.spin import SpinEnsemble
-from spinwitness.states import ghz_like, ghz_mixture
-from spinwitness.witness import phase_for_ghz, witness_report
+from spinwitness.spin import SpinEnsemble, collective_operator, direction_operator
+from spinwitness.states import QuantumState, ghz_like, ghz_mixture, random_ket
+from spinwitness.witness import phase_for_ghz, pos_operator, witness_report
 
 E3 = SpinEnsemble((0.5, 0.5, 0.5))
 E_MIXED = SpinEnsemble((1, 0.5))
@@ -128,8 +128,6 @@ def test_config_validation():
         make_config(st, subensembles=((0,), (1,)))
     with pytest.raises(ValueError, match="partition"):
         make_config(st, subensembles=((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match="omega"):
-        make_config(st, omega=0.0)
 
 
 # --- subensemble variant ---
@@ -170,6 +168,38 @@ def test_subensembles_work_on_density_matrices():
     st = ghz_mixture(E3)
     est = run_protocol_subensembles(make_config(st, rounds=60_000, seed=13, subensembles=((0,), (1, 2))))
     assert abs(est.p_hat - 0.5) < 5 * np.sqrt(0.25 / 60_000)
+
+
+# --- per-direction statistics, both samplers ---
+
+
+@pytest.mark.parametrize("groups", [None, ((0,), (1, 2)), ((0, 2), (1,))])
+@pytest.mark.parametrize("form", ["ket", "rho"])
+def test_each_direction_matches_its_own_effect(groups, form):
+    # Totals alone would not see a k <-> -k mix-up; each direction's count must.
+    e = SpinEnsemble((0.5, 1, 1))
+    st = random_ket(e, 17)
+    if form == "rho":
+        st = QuantumState(e, rho=st.density())
+    theta = 0.37
+    rounds = 50_000
+    cfg = make_config(st, rounds=rounds, seed=31, theta_offset=theta, stratified=True, subensembles=groups)
+    est = run_protocol(cfg) if groups is None else run_protocol_subensembles(cfg)
+    J = collective_operator(e)
+    rho = st.density()
+    for k, (positives, trials) in enumerate(est.per_k_counts):
+        p = np.real(np.trace(rho @ pos_operator(direction_operator(J, k, e.K, theta))))
+        assert trials == rounds // e.K
+        assert abs(positives - p * trials) < 5 * np.sqrt(trials * p * (1 - p))
+
+
+def test_subensembles_eigensolve_once_per_group(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    st = ghz_like(SpinEnsemble((0.5, 1, 1)), phi=0.4)
+    run_protocol_subensembles(make_config(st, rounds=1_000, subensembles=((0,), (1, 2))))
+    assert calls == [(2, 2), (9, 9)]
 
 
 # --- scheduling helpers ---

@@ -3,8 +3,10 @@ import pytest
 
 from spinwitness.spin import (
     SpinEnsemble,
+    collective_matrices,
     collective_operator,
     direction_operator,
+    direction_phases,
     rotate_about_z,
     spin_matrices,
 )
@@ -75,6 +77,10 @@ class TestSpinEnsemble:
         e = SpinEnsemble((1.5,))
         assert e.K == 3 and e.dim == 4
 
+    def test_dimension_does_not_wrap(self):
+        assert SpinEnsemble((0.5,) * 63).dim == 2**63
+        assert SpinEnsemble((0.5,) * 65).dim == 2**65
+
     def test_frozen_and_hashable(self):
         e = SpinEnsemble((0.5, 0.5, 0.5))
         assert e == SpinEnsemble([0.5, 0.5, 0.5])
@@ -126,6 +132,28 @@ def test_direction_operator_equals_rotated_jx():
     for k in range(K):
         rotated = rotate_about_z(J.Jx, J.Jz, 2 * np.pi * k / K)
         np.testing.assert_allclose(direction_operator(J, k, K), rotated, atol=1e-13)
+
+
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5), (0.5, 1, 1), (1.5,)])
+def test_direction_phases_are_the_jz_rotation(spins):
+    e = SpinEnsemble(spins)
+    J = collective_operator(e)
+    theta = 0.61
+    ph = direction_phases(e, theta)
+    assert ph.shape == (e.K, e.dim)
+    m = np.real(np.diag(J.Jz))
+    for k in range(e.K):
+        angle = 2 * np.pi * k / e.K + theta
+        np.testing.assert_allclose(ph[k], np.exp(-1j * angle * m), atol=1e-15)
+        d = np.diag(ph[k])
+        np.testing.assert_allclose(d @ J.Jx @ d.conj().T, direction_operator(J, k, e.K, theta), atol=1e-13)
+
+
+def test_collective_matrices_accept_integer_total_spin():
+    # a subensemble need not be a valid SpinEnsemble
+    jx, jy, jz = collective_matrices([0.5, 0.5])
+    np.testing.assert_allclose(np.diag(jz).real, [1, 0, 0, -1], atol=0)
+    np.testing.assert_allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-14)
 
 
 def test_rotate_about_z_full_turn_and_unitarity():

@@ -2,9 +2,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwitness.linalg import binomial_exact
-from spinwitness.spin import SpinEnsemble, collective_operator, rotate_about_z, spin_matrices
+from spinwitness.spin import (
+    SpinEnsemble,
+    collective_operator,
+    direction_operator,
+    direction_phases,
+    rotate_about_z,
+    spin_matrices,
+)
 from spinwitness.states import ghz_like, ghz_mixture, product_state
 from spinwitness.witness import (
     build_qk_closed_form,
@@ -19,6 +28,21 @@ from spinwitness.witness import (
 E3 = SpinEnsemble((0.5, 0.5, 0.5))
 E_MIXED = SpinEnsemble((1, 0.5))
 E5 = SpinEnsemble((0.5,) * 5)
+
+
+def qk_reference(ensemble, theta):
+    """The definition as written: K direction operators, K eigensolves."""
+    J = collective_operator(ensemble)
+    K = ensemble.K
+    return sum(pos_operator(direction_operator(J, k, K, theta)) for k in range(K)) / K
+
+
+# Small ensembles with odd K and dim <= 64.
+small_ensembles = (
+    st.lists(st.sampled_from([0.5, 1, 1.5, 2, 2.5]), min_size=1, max_size=5)
+    .filter(lambda spins: round(2 * sum(spins)) % 2 == 1 and np.prod([2 * j + 1 for j in spins]) <= 64)
+    .map(SpinEnsemble)
+)
 
 
 # --- pos operator ---
@@ -52,13 +76,46 @@ def test_pos_is_projector_when_no_zero_modes():
 # --- operator constructions ---
 
 
-@pytest.mark.parametrize("ensemble", [E3, E_MIXED, SpinEnsemble((1.5,))])
+@pytest.mark.parametrize(
+    "ensemble",
+    [E3, E_MIXED, SpinEnsemble((1.5,)), SpinEnsemble((0.5,) * 9), SpinEnsemble((0.5, 1, 1, 1, 1, 1))],
+)
 @pytest.mark.parametrize("theta", [0.0, 0.41, 2.2])
 def test_direct_equals_closed_form(ensemble, theta):
     d = build_qk_direct(ensemble, theta)
     c = build_qk_closed_form(ensemble, theta)
     assert np.abs(d.Q - c.Q).max() < 1e-12
     assert d.K == c.K == ensemble.K
+
+
+@settings(max_examples=25, deadline=None)
+@given(ensemble=small_ensembles, theta=st.floats(0, 2 * np.pi))
+def test_pos_of_each_direction_is_phase_conjugated_pos_jx(ensemble, theta):
+    J = collective_operator(ensemble)
+    pos_jx = pos_operator(J.Jx)
+    ph = direction_phases(ensemble, theta)
+    for k in range(ensemble.K):
+        want = pos_operator(direction_operator(J, k, ensemble.K, theta))
+        np.testing.assert_allclose(pos_jx * np.outer(ph[k], ph[k].conj()), want, atol=1e-12)
+    np.testing.assert_allclose(build_qk_direct(ensemble, theta).Q, qk_reference(ensemble, theta), atol=1e-12)
+
+
+def test_direct_route_never_reads_the_binomial(monkeypatch):
+    def forbidden(n, k):
+        raise AssertionError("the direct route read the closed-form binomial")
+
+    monkeypatch.setattr("spinwitness.witness.binomial_exact", forbidden)
+    with pytest.raises(AssertionError):
+        build_qk_closed_form(E5)  # the patch is live
+    np.testing.assert_allclose(build_qk_direct(E5, 0.3).Q, qk_reference(E5, 0.3), atol=1e-12)
+
+
+def test_direct_route_eigensolves_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    build_qk_direct(E5, 0.3)
+    assert calls == [(E5.dim, E5.dim)]
 
 
 def test_witness_is_half_identity_plus_corner_coupling():
