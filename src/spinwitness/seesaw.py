@@ -90,39 +90,46 @@ def enumerate_bipartitions(ensemble: SpinEnsemble) -> list[Bipartition]:
     return out
 
 
-def _conditioned(q_tensor: np.ndarray, ensemble: SpinEnsemble, side, psi_other: np.ndarray) -> np.ndarray:
-    """<psi_other| Q |psi_other> taken over the *other* side's slots only.
+def _side_major(q: np.ndarray, bipartition: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """Q laid out as (d_J, d_C, d_J, d_C) and as its swap (d_C, d_J, d_C, d_J).
 
-    Returns the operator on `side`; slots never get physically permuted, the
-    contraction is pure index bookkeeping on the 2N-axis tensor.
+    Each side keeps its slots in sorted order, so a side ket is indexed the
+    way `best_kets` reports it.  Both layouts are C-contiguous: conditioning
+    on either side is then two BLAS products (`_conditioned`).
     """
+    ensemble = bipartition.ensemble
     n = ensemble.N
-    dims = ensemble.local_dims
-    other = [i for i in range(n) if i not in side]
-    psi = np.asarray(psi_other, dtype=complex).reshape([dims[i] for i in other])
-    operands = [
-        psi.conj(), [i for i in other],                      # row indices of the traced side
-        q_tensor, list(range(n)) + [n + i for i in range(n)],
-        psi, [n + i for i in other],                         # column indices
-    ]
-    out_idx = [i for i in side] + [n + i for i in side]
-    m = np.einsum(*operands, out_idx)
-    d = math.prod(dims[i] for i in side)
-    m = m.reshape(d, d)
+    order = bipartition.subset_J + bipartition.complement
+    d_j = bipartition.side_dim(bipartition.subset_J)
+    d_c = bipartition.side_dim(bipartition.complement)
+    tensor = q.reshape(ensemble.local_dims + ensemble.local_dims).transpose(order + tuple(n + i for i in order))
+    layout_j = np.ascontiguousarray(tensor).reshape(d_j, d_c, d_j, d_c)
+    layout_c = np.ascontiguousarray(layout_j.transpose(1, 0, 3, 2))
+    return layout_j, layout_c
+
+
+def _conditioned(layout: np.ndarray, psi_other: np.ndarray) -> np.ndarray:
+    """<psi_other| Q |psi_other> over the other side, for a side-major layout.
+
+    `layout` has shape (d_side, d_other, d_side, d_other); the result is the
+    Hermitian d_side x d_side operator on the side.
+    """
+    d, d_other = layout.shape[:2]
+    t = (layout.reshape(-1, d_other) @ psi_other).reshape(d, d_other, d)
+    m = psi_other.conj() @ t  # contracts the other side's row axis, one product per side row
     return (m + m.conj().T) / 2
 
 
 def conditioned_operator(witness: WitnessOperator, bipartition: Bipartition, psi_complement: np.ndarray) -> np.ndarray:
     """Reduce the witness onto subset_J given a fixed pure complement state."""
-    ensemble = bipartition.ensemble
     psi = np.asarray(psi_complement, dtype=complex).reshape(-1)
     d_comp = bipartition.side_dim(bipartition.complement)
     if psi.shape != (d_comp,):
         raise ValueError(f"complement ket has length {psi.shape[0]}, expected {d_comp}")
     if abs(np.linalg.norm(psi) - 1) > 1e-12:
         raise ValueError("complement ket must be unit norm")
-    q_tensor = witness.Q.reshape(ensemble.local_dims + ensemble.local_dims)
-    return _conditioned(q_tensor, ensemble, bipartition.subset_J, psi)
+    layout_j, _ = _side_major(witness.Q, bipartition)
+    return _conditioned(layout_j, psi)
 
 
 def _top_eigvec(m: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]:
@@ -140,18 +147,16 @@ def _balanced_seed(dim: int) -> np.ndarray:
     return ket
 
 
-def _seesaw_single(q_tensor, ensemble, bipartition, psi_j, psi_c, max_iters, tol):
-    """One restart.  Returns (value, psi_j, psi_c, iterations, converged, trajectory)."""
-    side_j = bipartition.subset_J
-    side_c = bipartition.complement
+def _seesaw_single(layout_j, layout_c, psi_j, psi_c, max_iters, tol):
+    """One restart on the `_side_major` layouts.  Returns (value, psi_j, psi_c, iterations, converged, trajectory)."""
     value_prev = -np.inf
     trajectory = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        m_j = _conditioned(q_tensor, ensemble, side_j, psi_c)
+        m_j = _conditioned(layout_j, psi_c)
         _, psi_j = _top_eigvec(m_j, psi_j)
-        m_c = _conditioned(q_tensor, ensemble, side_c, psi_j)
+        m_c = _conditioned(layout_c, psi_j)
         value, psi_c = _top_eigvec(m_c, psi_c)
         trajectory.append(value)
         if value - value_prev < tol:
@@ -179,10 +184,11 @@ def seesaw_maximize(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_iters < 1:
+        raise ValueError("need at least one iteration")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ensemble = bipartition.ensemble
-    q_tensor = witness.Q.reshape(ensemble.local_dims + ensemble.local_dims)
+    layout_j, layout_c = _side_major(witness.Q, bipartition)
     d_j = bipartition.side_dim(bipartition.subset_J)
     d_c = bipartition.side_dim(bipartition.complement)
     best = None
@@ -196,7 +202,7 @@ def seesaw_maximize(
             psi_j /= np.linalg.norm(psi_j)
             psi_c /= np.linalg.norm(psi_c)
         value, psi_j, psi_c, iterations, converged, _ = _seesaw_single(
-            q_tensor, ensemble, bipartition, psi_j, psi_c, max_iters, tol
+            layout_j, layout_c, psi_j, psi_c, max_iters, tol
         )
         if best is None or value > best[0]:
             best = (value, psi_j, psi_c, iterations, converged)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinwitness.seesaw import (
     Bipartition,
@@ -8,7 +11,7 @@ from spinwitness.seesaw import (
     grid_certify,
     seesaw_maximize,
 )
-from spinwitness.seesaw import _seesaw_single
+from spinwitness.seesaw import _conditioned, _seesaw_single, _side_major
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState
 from spinwitness.witness import build_qk_direct, score, witness_report
@@ -31,6 +34,27 @@ def basis_vector(dim, i):
     ket = np.zeros(dim, dtype=complex)
     ket[i] = 1
     return ket
+
+
+def conditioned_reference(q, ensemble, side, psi_other):
+    """<psi_other| Q |psi_other> over the other side's slots, as one 2N-axis einsum.
+
+    No slot is permuted: the contraction is index bookkeeping on Q viewed as a
+    tensor with one row and one column axis per particle.
+    """
+    n = ensemble.N
+    dims = ensemble.local_dims
+    other = [i for i in range(n) if i not in side]
+    psi = np.asarray(psi_other, dtype=complex).reshape([dims[i] for i in other])
+    operands = [
+        psi.conj(), other,
+        q.reshape(dims + dims), list(range(n)) + [n + i for i in range(n)],
+        psi, [n + i for i in other],
+    ]
+    m = np.einsum(*operands, list(side) + [n + i for i in side])
+    d = math.prod(dims[i] for i in side)
+    m = m.reshape(d, d)
+    return (m + m.conj().T) / 2
 
 
 # --- bipartition bookkeeping ---
@@ -127,6 +151,56 @@ def test_conditioned_expectation_matches_full_score_interleaved():
     assert score(full, W3) == pytest.approx(via_conditioning, abs=1e-12)
 
 
+@st.composite
+def split_ensembles(draw):
+    """A mixed-spin ensemble of dimension <= 64 and a canonical bipartition of it."""
+    two_j = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    while math.prod(t + 1 for t in two_j) > 64:
+        two_j.pop()
+    if sum(two_j) % 2 == 0:  # the ensemble needs half-integer total spin
+        if two_j[-1] > 1:
+            two_j[-1] -= 1
+        elif len(two_j) > 2:
+            two_j.pop()
+        else:
+            two_j[-1] = 2
+    ensemble = SpinEnsemble([t / 2 for t in two_j])
+    rest = draw(st.lists(st.integers(1, ensemble.N - 1), max_size=ensemble.N - 2, unique=True))
+    return Bipartition(ensemble, (0,) + tuple(rest))
+
+
+def unit_ket(rng, dim):
+    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return ket / np.linalg.norm(ket)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_ensembles(), st.integers(0, 2**32 - 1))
+def test_side_major_kernel_matches_einsum_reference(bip, seed):
+    ensemble = bip.ensemble
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((ensemble.dim,) * 2) + 1j * rng.standard_normal((ensemble.dim,) * 2)
+    q = (a + a.conj().T) / 2
+    d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
+    psi_j, psi_c = unit_ket(rng, d_j), unit_ket(rng, d_c)
+    layout_j, layout_c = _side_major(q, bip)
+    m_j = _conditioned(layout_j, psi_c)
+    m_c = _conditioned(layout_c, psi_j)
+    np.testing.assert_allclose(m_j, conditioned_reference(q, ensemble, bip.subset_J, psi_c), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m_c, conditioned_reference(q, ensemble, bip.complement, psi_j), rtol=0, atol=1e-12)
+    # each ket sits in its own (possibly interleaved) slots of the product state
+    n = ensemble.N
+    dims = ensemble.local_dims
+    full = np.einsum(
+        psi_j.reshape([dims[i] for i in bip.subset_J]), list(bip.subset_J),
+        psi_c.reshape([dims[i] for i in bip.complement]), list(bip.complement),
+        list(range(n)),
+    ).reshape(-1)
+    expectation = full.conj() @ q @ full
+    assert psi_j.conj() @ m_j @ psi_j == pytest.approx(expectation, abs=1e-12)
+    assert psi_c.conj() @ m_c @ psi_c == pytest.approx(expectation, abs=1e-12)
+
+
 def test_conditioned_operator_validation():
     bip = Bipartition(E3, (0,))
     with pytest.raises(ValueError, match="length"):
@@ -170,14 +244,14 @@ def test_seesaw_deterministic_given_seed():
 
 def test_seesaw_trajectory_is_monotone():
     bip = Bipartition(E3, (0, 1))
-    q_tensor = W3.Q.reshape(E3.local_dims + E3.local_dims)
+    layout_j, layout_c = _side_major(W3.Q, bip)
     rng = np.random.default_rng(17)
     for _ in range(5):
         psi_j = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi_c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi_j /= np.linalg.norm(psi_j)
         psi_c /= np.linalg.norm(psi_c)
-        *_, trajectory = _seesaw_single(q_tensor, E3, bip, psi_j, psi_c, 200, 1e-10)
+        *_, trajectory = _seesaw_single(layout_j, layout_c, psi_j, psi_c, 200, 1e-10)
         diffs = np.diff(trajectory)
         assert np.all(diffs > -1e-12)
 
@@ -201,6 +275,25 @@ def test_seesaw_validation():
         seesaw_maximize(W3, bip, restarts=0)
     with pytest.raises(ValueError):
         seesaw_maximize(W3, bip, tol=0.0)
+    with pytest.raises(ValueError, match="iteration"):
+        seesaw_maximize(W3, bip, max_iters=0)
+    with pytest.raises(ValueError, match="iteration"):
+        seesaw_maximize(W3, bip, max_iters=-3)
+
+
+def test_seesaw_runs_without_einsum(monkeypatch):
+    # the see-saw conditions through the side-major layouts and must not
+    # fall back to a 2N-axis einsum per step
+    w5 = build_qk_direct(E5)
+    sep5 = witness_report(5).P_sep_float
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("the see-saw called numpy.einsum")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    for bip in enumerate_bipartitions(E5):
+        r = seesaw_maximize(w5, bip, restarts=2, seed=0)
+        assert r.best_value == pytest.approx(sep5, abs=1e-9)
 
 
 # --- independent grid certification ---
