@@ -184,6 +184,11 @@ def cmd_table(args) -> int:
     return 0 if ok > 0 else 1
 
 
+def _deviation(x: float) -> str:
+    """A check's deviation for the verify report; rounding noise prints as one stable token."""
+    return "<1e-12" if x < 1e-12 else f"{x:.2e}"
+
+
 def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tuple[str, bool, str]]:
     checks = []
     rep = witness_report(ensemble.K)
@@ -191,17 +196,18 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     direct = build_qk_direct(ensemble)
     closed = build_qk_closed_form(ensemble)
     dev = float(np.abs(direct.Q - closed.Q).max())
-    checks.append(("cross-construction", dev < 1e-10, f"max entry deviation {dev:.2e}"))
+    checks.append(("cross-construction", dev < 1e-10, f"max entry deviation {_deviation(dev)}"))
 
     eigs = np.linalg.eigvalsh(closed.Q)
     expected = np.sort(np.concatenate([[rep.P_max_float, 1 - rep.P_max_float], np.full(ensemble.dim - 2, 0.5)]))
     spec_dev = float(np.abs(np.sort(eigs) - expected).max())
-    checks.append(("spectrum", spec_dev < 1e-10, f"eigenvalue deviation {spec_dev:.2e}"))
+    checks.append(("spectrum", spec_dev < 1e-10, f"eigenvalue deviation {_deviation(spec_dev)}"))
 
     J = collective_operator(ensemble)
     sym_x = float(np.abs(rotate_about_z(direct.Q, J.Jx, np.pi) - direct.Q).max())
     sym_z = float(np.abs(rotate_about_z(direct.Q, J.Jz, 2 * np.pi / ensemble.K) - direct.Q).max())
-    checks.append(("symmetry", max(sym_x, sym_z) < 1e-10, f"pi-about-x {sym_x:.2e}, 2pi/K-about-z {sym_z:.2e}"))
+    detail = f"pi-about-x {_deviation(sym_x)}, 2pi/K-about-z {_deviation(sym_z)}"
+    checks.append(("symmetry", max(sym_x, sym_z) < 1e-10, detail))
 
     if ensemble.N >= 2:
         values = [
@@ -212,9 +218,8 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
         overshoot = max(v - rep.P_sep_float for v in values)
         spread = max(values) - min(values)
         passed = dev_bound < 1e-6 and overshoot <= 1e-9 and spread < 1e-6
-        checks.append(
-            ("seesaw", passed, f"{len(values)} bipartitions, max |value - P_sep| {dev_bound:.2e}, spread {spread:.2e}")
-        )
+        detail = f"{len(values)} bipartitions, max |value - P_sep| {_deviation(dev_bound)}, spread {_deviation(spread)}"
+        checks.append(("seesaw", passed, detail))
     else:
         checks.append(("seesaw", True, "single particle: no bipartitions to check"))
 
@@ -225,7 +230,7 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
         worst = max(worst, abs(score(noisy, direct) - noisy_score_global(ensemble.K, p)))
         noisy = apply_depolarizing(state, NoiseModel("local", p_locals=(p,) * ensemble.N))
         worst = max(worst, abs(score(noisy, direct) - noisy_score_local(ensemble, (p,) * ensemble.N)))
-    checks.append(("noise-closed-form", worst < 1e-10, f"max closed-form vs channel deviation {worst:.2e}"))
+    checks.append(("noise-closed-form", worst < 1e-10, f"max closed-form vs channel deviation {_deviation(worst)}"))
     return checks
 
 

@@ -7,15 +7,24 @@ Wilson 95% interval with lower bound above the biseparable bound is the
 detection verdict (the decision rule is this package's choice — the math
 fixes the bound, not the statistics).
 
+Both samplers reduce the state to the K exact probabilities q_k of a
+positive round and share one round sampler (`_sample_signs`).  A round
+reports only a sign, so drawing it from q_k is the same per-round
+distribution as drawing the full measurement outcome and taking its sign.
+
 Determinism contract: the round stream comes from a counter-based generator
-(numpy Philox) keyed by the seed; round r consumes exactly row r of the
-pre-shaped uniform table, so every round's draws are a pure function of
-(seed, round index) and results are independent of evaluation order.
+(numpy Philox) keyed by the seed; round r consumes exactly row r of a
+two-column uniform table (column 0 picks k, column 1 is compared with q_k),
+so every round's draws are a pure function of (seed, round index) and
+results are independent of evaluation order.  The table is drawn in fixed
+blocks from one generator, which yields the same rows as a single draw.
+For one seed the two samplers give the same counts whenever their q_k agree
+to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +44,7 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_ROUND_BLOCK = 1 << 18  # rounds drawn and tallied at a time; bounds the sampler's memory
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,7 @@ class ProtocolEstimate:
     ci_low: float
     ci_high: float
     per_k_counts: tuple[tuple[int, int], ...]  # (positives, trials) for k = 0..K-1
+    per_k_probs: tuple[float, ...]  # exact positive probability each direction was sampled from
 
 
 def wilson_interval(positives: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -80,24 +91,24 @@ def wilson_interval(positives: int, trials: int, z: float = Z95) -> tuple[float,
     return float(center - half), float(center + half)
 
 
-def _uniforms(seed: int, rounds: int, columns: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((rounds, columns))
-
-
-def _draw_directions(u0: np.ndarray, K: int, stratified: bool) -> np.ndarray:
-    if stratified:
-        return np.arange(len(u0)) % K
-    return np.minimum((u0 * K).astype(np.int64), K - 1)
-
-
-def _estimate(hits: np.ndarray, ks: np.ndarray, K: int, rounds: int) -> ProtocolEstimate:
-    positives = int(hits.sum())
-    trials_k = np.bincount(ks, minlength=K)
-    pos_k = np.bincount(ks, weights=hits.astype(float), minlength=K)
-    low, high = wilson_interval(positives, rounds)
-    per_k = tuple((int(pos_k[k]), int(trials_k[k])) for k in range(K))
-    return ProtocolEstimate(positives / rounds, rounds, low, high, per_k)
+def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate:
+    """Draw the rounds against the per-direction positive probabilities and tally them."""
+    K = config.ensemble.K
+    probs = np.clip(probs, 0.0, 1.0)
+    gen = np.random.Generator(np.random.Philox(key=config.seed))
+    tally = np.zeros(2 * K, dtype=np.int64)  # entry 2k + hit counts direction k's rounds by outcome
+    for start in range(0, config.rounds, _ROUND_BLOCK):
+        u = gen.random((min(_ROUND_BLOCK, config.rounds - start), 2))
+        if config.stratified:
+            ks = np.arange(start, start + len(u)) % K
+        else:
+            ks = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
+        tally += np.bincount(2 * ks + (u[:, 1] < probs[ks]), minlength=2 * K)
+    positives, trials = tally[1::2], tally[0::2] + tally[1::2]
+    total = int(positives.sum())
+    low, high = wilson_interval(total, config.rounds)
+    per_k = tuple((int(positives[k]), int(trials[k])) for k in range(K))
+    return ProtocolEstimate(total / config.rounds, config.rounds, low, high, per_k, tuple(float(q) for q in probs))
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
@@ -106,89 +117,79 @@ def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
     pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*), so with M = rho^T * pos(Jx) the
     direction-k positive probability is ph_k . M . ph_k^*: one eigensolve in all.
     """
-    ensemble = config.ensemble
-    K = ensemble.K
-    ph = direction_phases(ensemble, config.theta_offset)
-    weighted = config.state.density().T * pos_operator(collective_operator(ensemble).Jx)
-    probs = np.clip(((ph @ weighted) * ph.conj()).sum(axis=1).real, 0.0, 1.0)
-    u = _uniforms(config.seed, config.rounds, 2)
-    ks = _draw_directions(u[:, 0], K, config.stratified)
-    hits = u[:, 1] < probs[ks]
-    return _estimate(hits, ks, K, config.rounds)
+    ph = direction_phases(config.ensemble, config.theta_offset)
+    weighted = config.state.density().T * pos_operator(collective_operator(config.ensemble).Jx)
+    return _sample_signs(config, ((ph @ weighted) * ph.conj()).sum(axis=1).real)
+
+
+def _apply_group_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
+    """Contract the leading axes of x, one group block each, with `bases` in turn.
+
+    Each step reshapes the first block to rows, multiplies by the group matrix
+    and leaves its outcome axis last, so after all steps the block order is
+    restored and any trailing axes have moved to the front.
+    """
+    for b in bases:
+        x = x.reshape(len(b), -1).T @ b
+    return x
 
 
 def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
     """Simulate per-group sign measurements postprocessed into the total sign.
 
-    The group observables along one direction commute; each round jointly
-    samples all of them in their common (product) eigenbasis from the full
-    state's Born distribution — correct even when the state is entangled
-    across groups — then adds the sampled components.  A zero total (possible
-    only for integer group sums canceling) falls back to a fair coin,
-    mirroring pos(0) = 1/2.
+    The group observables along one direction commute; a round jointly
+    measures all of them in their common (product) eigenbasis — correct even
+    when the state is entangled across groups — and reports the sign of the
+    summed outcome, with a fair coin on a zero sum (mirroring pos(0) = 1/2).
+    Only that sign is recorded, so the round is exactly a coin of bias
+    q_k = sum_o c(o) p_k(o), where p_k(o) is the Born probability of the joint
+    outcome o along direction k and c(o) is 1, 1/2 or 0 as the outcome sum is
+    positive, zero or negative.  The q_k go to the same round sampler as
+    `run_protocol`, so for one seed the counts match it whenever the two sets
+    of q_k agree to rounding; the sampled distribution is that of the
+    outcome-by-outcome experiment.
 
     Group eigenbases are fixed: the direction-k group operators are the group
     Jx's conjugated by the group factors of diag(ph_k) (see
     `direction_phases`), and those factors multiply to diag(ph_k).  So each
-    group's Jx is eigensolved once, each direction only rotates the state by
-    diag(ph_k)^dag before the same Born contraction, and one grid of outcome
-    sums serves every k.
-
-    Seed policy: the same Philox table layout as run_protocol (column 0 picks
-    k, column 1 picks the outcome) plus a third column for the tie coin, so
-    the two simulators agree in distribution but not bit-for-bit.
+    group's Jx is eigensolved once and each direction only rotates the state
+    by diag(ph_k)^dag.  The state's slots are put in group order once; each
+    group's V^dag is then applied along its own axes by reshape and matrix
+    product — all K rotated kets at once, or a density matrix one direction
+    at a time on both sides — and never as a dense product basis.
     """
     if config.subensembles is None:
         raise ValueError("config.subensembles is required here")
     ensemble = config.ensemble
-    K = ensemble.K
     groups = config.subensembles
     dims = ensemble.local_dims
-    n = ensemble.N
-    rho_form = config.state.ket is None
-    state = config.state.rho if rho_form else config.state.ket
+    order = [i for g in groups for i in g]
 
-    eigvals, v_tensors = [], []
+    bases, sums = [], np.zeros(1)
     for group in groups:
         w, v = hermitian_eigendecompose(collective_matrices([ensemble.spins[i] for i in group])[0])
-        eigvals.append(w)
-        v_tensors.append(v.reshape([dims[i] for i in group] + [len(w)]))
-    # Born probabilities over the joint eigenbasis, slots contracted in place;
-    # state axes come first (rows, then columns for rho), outcome axes after.
-    first_out = 2 * n if rho_form else n
-    operands = [list(range(first_out))]
-    for s, (group, v) in enumerate(zip(groups, v_tensors)):
-        operands += [v.conj(), list(group) + [first_out + s]]
-        if rho_form:
-            operands += [v, [n + i for i in group] + [first_out + s]]
-    out_axes = [first_out + s for s in range(len(groups))]
-    sums = np.zeros(1)
-    for w in eigvals:
+        bases.append(v)
         sums = (sums[:, None] + w[None, :]).reshape(-1)
+    c = np.where(np.abs(sums) <= ZERO_EIGENVALUE_TOL, 0.5, sums > 0)  # sign weight of each outcome sum
 
-    cum_by_k = []
-    for ph in direction_phases(ensemble, config.theta_offset):
-        if rho_form:
-            rotated = (np.outer(ph.conj(), ph) * state).reshape(dims + dims)
-            p = np.einsum(rotated, *operands, out_axes).real
-        else:
-            p = np.abs(np.einsum((ph.conj() * state).reshape(dims), *operands, out_axes)) ** 2
-        cum = np.cumsum(p.reshape(-1))
-        cum[-1] = max(cum[-1], 1.0)  # guard the last bin against rounding shortfall
-        cum_by_k.append(cum)
+    def grouped(a: np.ndarray) -> np.ndarray:  # slots of the last axis into group order
+        lead = a.shape[:-1]
+        axes = list(range(len(lead))) + [len(lead) + i for i in order]
+        return a.reshape(lead + dims).transpose(axes).reshape(lead + (-1,))
 
-    u = _uniforms(config.seed, config.rounds, 3)
-    ks = _draw_directions(u[:, 0], K, config.stratified)
-    hits = np.empty(config.rounds, dtype=bool)
-    for k in range(K):
-        rows = np.nonzero(ks == k)[0]
-        if rows.size == 0:
-            continue
-        idx = np.searchsorted(cum_by_k[k], u[rows, 1], side="right")
-        idx = np.minimum(idx, len(sums) - 1)
-        s = sums[idx]
-        hits[rows] = np.where(np.abs(s) <= ZERO_EIGENVALUE_TOL, u[rows, 2] < 0.5, s > 0)
-    return _estimate(hits, ks, K, config.rounds)
+    ph = grouped(direction_phases(ensemble, config.theta_offset)).conj()
+    row_bases = [v.conj() for v in bases]
+    if config.state.ket is not None:
+        kets = grouped(config.state.ket)[:, None] * ph.T  # (dim, K): slots first
+        p = np.abs(_apply_group_bases(kets, row_bases)) ** 2
+        return _sample_signs(config, p.reshape(ensemble.K, -1) @ c)
+    rho = grouped(grouped(config.state.rho).T).T
+    probs = np.empty(ensemble.K)
+    for k in range(ensemble.K):
+        rotated = np.outer(ph[k], ph[k].conj()) * rho
+        born = _apply_group_bases(rotated, row_bases + bases).reshape(len(sums), -1)
+        probs[k] = born.diagonal().real @ c
+    return _sample_signs(config, probs)
 
 
 def time_schedule(K: int, omega: float) -> list[float]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from spinwitness.cli import MAX_DIM, _parse_spins, main
+from spinwitness.cli import MAX_DIM, _deviation, _parse_spins, main
 
 GOLDEN_TABLE_CSV = """\
 K,P_max,P_max_float,P_sep,P_sep_float,P_classical,P_classical_float,gap,gap_float,error
@@ -66,6 +66,15 @@ def test_verify_passes_for_spin_half_triple(capsys):
     assert rc == 0
     assert "all checks passed" in out
     assert out.count("PASS") == 5
+
+
+def test_verify_prints_rounding_noise_as_a_stable_token(capsys):
+    # Deviations at the 1e-16 level move with any reordering of a float sum;
+    # the report must not, so its checksum stays put.
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5,0.5,0.5", "--restarts", "6")
+    assert rc == 0
+    assert "PASS  seesaw: 3 bipartitions, max |value - P_sep| <1e-12, spread <1e-12\n" in out
+    assert _deviation(3.2e-7) == "3.20e-07"
 
 
 def test_verify_mixed_ensemble(capsys):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinwitness import protocol
 from spinwitness.protocol import (
     ProtocolConfig,
     rounds_needed,
@@ -200,6 +203,78 @@ def test_subensembles_eigensolve_once_per_group(monkeypatch):
     st = ghz_like(SpinEnsemble((0.5, 1, 1)), phi=0.4)
     run_protocol_subensembles(make_config(st, rounds=1_000, subensembles=((0,), (1, 2))))
     assert calls == [(2, 2), (9, 9)]
+
+
+# Mixed-spin ensembles with odd K and dim <= 64, each with a partition of its
+# slots into groups (group labels drawn per slot, so groups may interleave).
+partitioned_ensembles = (
+    st.lists(st.sampled_from([0.5, 1, 1.5, 2, 2.5]), min_size=1, max_size=5)
+    .filter(lambda spins: round(2 * sum(spins)) % 2 == 1 and np.prod([2 * j + 1 for j in spins]) <= 64)
+    .flatmap(lambda spins: st.tuples(
+        st.just(SpinEnsemble(spins)), st.lists(st.integers(0, len(spins) - 1), min_size=len(spins), max_size=len(spins))
+    ))
+)
+
+
+def groups_from_labels(labels):
+    return tuple(tuple(i for i, lab in enumerate(labels) if lab == g) for g in sorted(set(labels)))
+
+
+def born_reference(state, theta):
+    J = collective_operator(state.ensemble)
+    K = state.ensemble.K
+    return [np.real(np.trace(state.density() @ pos_operator(direction_operator(J, k, K, theta)))) for k in range(K)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitioned_ensembles, st.floats(0, 2 * np.pi), st.sampled_from(["ket", "rho"]), st.integers(0, 2**32 - 1))
+def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
+    ensemble, labels = ensemble_labels
+    state = random_ket(ensemble, seed)
+    if form == "rho":
+        state = QuantumState(ensemble, rho=state.density())
+    cfg = make_config(state, rounds=10, theta_offset=theta, subensembles=groups_from_labels(labels))
+    split = run_protocol_subensembles(cfg).per_k_probs
+    whole = run_protocol(cfg).per_k_probs
+    ref = born_reference(state, theta)
+    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(split, ref, rtol=0, atol=1e-12)
+
+
+def test_split_sampler_shares_the_whole_round_stream():
+    # Same seed, q_k equal to rounding: the counts are the whole sampler's.
+    state = random_ket(SpinEnsemble((0.5, 1, 1)), 5)
+    cfg = make_config(state, rounds=20_000, seed=3, theta_offset=0.2, subensembles=((0, 2), (1,)))
+    assert run_protocol_subensembles(cfg).per_k_counts == run_protocol(cfg).per_k_counts
+
+
+def test_split_sampler_never_calls_einsum(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the split sampler called numpy.einsum")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    state = QuantumState(E3, rho=random_ket(E3, 8).density())
+    est = run_protocol_subensembles(make_config(state, rounds=1_000, subensembles=((0, 2), (1,))))
+    np.testing.assert_allclose(est.per_k_probs, born_reference(state, 0.0), rtol=0, atol=1e-12)
+
+
+def test_split_density_matrix_at_nine_spins():
+    e = SpinEnsemble((0.5,) * 9)
+    state = QuantumState(e, rho=0.9 * ghz_like(e, phi=0.3).density() + 0.1 * np.eye(e.dim) / e.dim)
+    cfg = make_config(state, rounds=1_000, theta_offset=0.1, subensembles=((0, 1, 2, 3), (4, 5, 6, 7, 8)))
+    split = run_protocol_subensembles(cfg)
+    np.testing.assert_allclose(split.per_k_probs, run_protocol(cfg).per_k_probs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+@pytest.mark.parametrize("groups", [None, ((0,), (1, 2))])
+def test_round_blocks_do_not_change_the_estimate(monkeypatch, groups, stratified):
+    state = random_ket(SpinEnsemble((0.5, 1, 1)), 2)
+    cfg = make_config(state, rounds=1_000, seed=6, theta_offset=0.4, subensembles=groups, stratified=stratified)
+    sample = run_protocol if groups is None else run_protocol_subensembles
+    whole_block = sample(cfg)
+    monkeypatch.setattr(protocol, "_ROUND_BLOCK", 7)
+    assert sample(cfg) == whole_block
 
 
 # --- scheduling helpers ---
