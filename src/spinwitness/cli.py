@@ -10,9 +10,11 @@ Subcommands
 
 Every command is deterministic given its flags (seeds included).  Rational
 quantities are printed both as "num/den" strings and as 17-significant-digit
-floats.  When --out is given, a sibling <out>.manifest.json records the
-command, parameters, package version, timestamp, and output checksum.
-Exit codes: 0 pass, 1 verification failure, 2 usage error.
+floats; table, noise-sweep, seesaw and general-witness take --format csv|json.
+When --out is given, a sibling <out>.manifest.json records the command,
+parameters, package version, timestamp, and output checksum.  Exit codes:
+0 pass, 1 verification failure, 2 bad command-line value (all are checked
+before any computation; an error from inside the library is a bug and raises).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .classical import classical_score
-from .noise import NoiseModel, apply_depolarizing, detection_thresholds, noisy_score_global, noisy_score_local
+from .noise import NoiseModel, apply_depolarizing, noisy_score_global, noisy_score_local
 from .protocol import ProtocolConfig, run_protocol, run_protocol_subensembles
 from .seesaw import enumerate_bipartitions, seesaw_maximize
 from .spin import SpinEnsemble, collective_operator, rotate_about_z
@@ -51,6 +52,13 @@ SCHEMA_VERSION = 1
 # and one complex dim x dim matrix at 2048 already takes 64 MiB.
 MAX_DIM = 2048
 
+# Most points a noise-sweep grid may have; each point runs one dense channel.
+MAX_GRID_POINTS = 10_001
+
+# Largest K whose exact table row prints: above it a numerator or denominator
+# has more than 4300 digits, Python's default limit on int-to-str conversion.
+MAX_TABLE_K = 14_291
+
 
 class UsageError(Exception):
     pass
@@ -62,6 +70,28 @@ def _fmt(x: float) -> str:
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _checked(parse, ok, what):
+    """An argparse type: text that does not parse, or parses to a value failing ok, exits 2 naming the flag."""
+
+    def convert(text):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return convert
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, lambda n: 0 <= n < 2**128, "an integer in [0, 2^128)")  # the Philox key range
+_finite = _checked(float, math.isfinite, "a finite number")
+_probability = _checked(float, lambda p: 0 <= p <= 1, "a probability in [0, 1]")
+_probability_list = _checked(lambda text: [float(p) for p in text.split(",")], lambda ps: all(0 <= p <= 1 for p in ps),
+                             "a comma-separated list of probabilities in [0, 1]")
 
 
 def _parse_spins(text: str) -> SpinEnsemble:
@@ -81,23 +111,23 @@ def _parse_spins(text: str) -> SpinEnsemble:
 
 
 def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"grid {text!r} must be start:stop:step or comma-separated values")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise UsageError(f"cannot parse grid {text!r}")
-        if step <= 0 or stop < start:
-            raise UsageError("grid needs step > 0 and stop >= start")
-        return [float(v) for v in np.arange(start, stop + step / 2, step)]
+    """--grid as start:stop:step (stop included) or comma-separated values, each in [0, 1]."""
+    ranged = ":" in text
     try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [float(p) for p in text.split(":" if ranged else ",") if ranged or p.strip() != ""]
     except ValueError:
-        raise UsageError(f"cannot parse grid {text!r}")
-    if not values:
-        raise UsageError("empty grid")
+        raise UsageError(f"cannot parse --grid {text!r}")
+    if ranged:
+        if len(values) != 3:
+            raise UsageError(f"--grid {text!r} must be start:stop:step or comma-separated values")
+        start, stop, step = values
+        if not all(map(math.isfinite, values)) or step <= 0 or stop < start:
+            raise UsageError("--grid needs finite values, step > 0 and stop >= start")
+        if (stop + step / 2 - start) / step > MAX_GRID_POINTS:  # np.arange's length before its ceil
+            raise UsageError(f"--grid {text!r} has more than the limit of {MAX_GRID_POINTS} points")
+        values = [float(v) for v in np.arange(start, stop + step / 2, step)]
+    if not values or not all(0 <= p <= 1 for p in values):
+        raise UsageError("--grid needs one or more values, each in [0, 1]")
     return values
 
 
@@ -107,26 +137,36 @@ def _parse_subensembles(text: str, n: int) -> tuple[tuple[int, ...], ...]:
         try:
             members = tuple(sorted(int(p) - 1 for p in chunk.split(",") if p.strip() != ""))
         except ValueError:
-            raise UsageError(f"cannot parse subensembles {text!r}; expected e.g. '1|2,3' (1-based)")
+            raise UsageError(f"cannot parse --subensembles {text!r}; expected e.g. '1|2,3' (1-based)")
+        if not members:
+            raise UsageError(f"--subensembles {text!r} has an empty group")
         groups.append(members)
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(n)):
-        raise UsageError(f"subensembles {text!r} do not partition particles 1..{n}")
+        raise UsageError(f"--subensembles {text!r} do not partition particles 1..{n}")
     return tuple(groups)
 
 
-def _emit(args, *, json_obj=None, csv_header=None, csv_rows=None, text=None) -> None:
-    fmt = getattr(args, "format", None)
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else str(value)
+
+
+def _emit(args, obj=None, header=None, *, text=None) -> None:
+    """Write text, or obj as JSON, or as CSV: header, then one line per obj["rows"] (or obj itself)."""
     if text is not None:
         payload = text
-    elif fmt == "csv":
+    elif getattr(args, "format", "json") == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows([_cell(row.get(name)) for name in header] for row in obj.get("rows", [obj]))
         payload = buf.getvalue()
     else:
-        payload = json.dumps(json_obj, indent=2) + "\n"
+        payload = json.dumps(obj, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -147,41 +187,24 @@ def _emit(args, *, json_obj=None, csv_header=None, csv_rows=None, text=None) -> 
         sys.stdout.write(payload)
 
 
+_BOUNDS = ("P_max", "P_sep", "P_classical", "gap")
+
+
 def cmd_table(args) -> int:
-    rows, ok = [], 0
+    if max(args.K) > MAX_TABLE_K:
+        raise UsageError(f"--K {max(args.K)} is above the limit of {MAX_TABLE_K} for exact printing")
+    rows = []
     for k in args.K:
         if k < 1 or k % 2 == 0:
             rows.append({"K": k, "error": f"K={k} is not a positive odd integer"})
             continue
-        rep = witness_report(k)
-        ok += 1
-        rows.append(
-            {
-                "K": k,
-                "P_max": _frac(rep.P_max),
-                "P_max_float": rep.P_max_float,
-                "P_sep": _frac(rep.P_sep),
-                "P_sep_float": rep.P_sep_float,
-                "P_classical": _frac(rep.P_classical),
-                "P_classical_float": rep.P_classical_float,
-                "gap": _frac(rep.gap),
-                "gap_float": rep.gap_float,
-            }
-        )
-    header = [
-        "K", "P_max", "P_max_float", "P_sep", "P_sep_float",
-        "P_classical", "P_classical_float", "gap", "gap_float", "error",
-    ]
-    csv_rows = [
-        [row.get("K"), row.get("P_max", ""), _fmt(row["P_max_float"]) if "P_max_float" in row else "",
-         row.get("P_sep", ""), _fmt(row["P_sep_float"]) if "P_sep_float" in row else "",
-         row.get("P_classical", ""), _fmt(row["P_classical_float"]) if "P_classical_float" in row else "",
-         row.get("gap", ""), _fmt(row["gap_float"]) if "gap_float" in row else "", row.get("error", "")]
-        for row in rows
-    ]
-    _emit(args, json_obj={"schema": SCHEMA_VERSION, "command": "table", "rows": rows},
-          csv_header=header, csv_rows=csv_rows)
-    return 0 if ok > 0 else 1
+        rep, row = witness_report(k), {"K": k}
+        for name in _BOUNDS:
+            row[name], row[f"{name}_float"] = _frac(getattr(rep, name)), float(getattr(rep, name))
+        rows.append(row)
+    header = ["K", *(f"{name}{suffix}" for name in _BOUNDS for suffix in ("", "_float")), "error"]
+    _emit(args, {"schema": SCHEMA_VERSION, "command": "table", "rows": rows}, header)
+    return 0 if any("error" not in row for row in rows) else 1
 
 
 def _deviation(x: float) -> str:
@@ -237,9 +260,7 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
 def cmd_verify(args) -> int:
     ensemble = _parse_spins(args.spins)
     checks = _verify_checks(ensemble, args.restarts, args.seed)
-    lines = [
-        f"ensemble {','.join(_fmt(j) for j in ensemble.spins)}  K={ensemble.K}  dim={ensemble.dim}",
-    ]
+    lines = [f"ensemble {','.join(_fmt(j) for j in ensemble.spins)}  K={ensemble.K}  dim={ensemble.dim}"]
     for name, passed, detail in checks:
         lines.append(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     all_pass = all(p for _, p, _ in checks)
@@ -251,8 +272,6 @@ def cmd_verify(args) -> int:
 def cmd_noise_sweep(args) -> int:
     ensemble = _parse_spins(args.spins)
     grid = _parse_grid(args.grid)
-    if any(not 0 <= p <= 1 for p in grid):
-        raise UsageError("noise grid values must lie in [0, 1]")
     rep = witness_report(ensemble.K)
     phi = np.pi * (ensemble.K - 1) / 2  # the state the zero-offset witness detects
     state = ghz_like(ensemble, phi=phi)
@@ -268,22 +287,16 @@ def cmd_noise_sweep(args) -> int:
         brute = score(noisy, witness)
         rows.append({"p": p, "closed_form_score": closed, "brute_force_score": brute,
                      "detected": bool(closed > rep.P_sep_float)})
-    csv_rows = [[_fmt(r["p"]), _fmt(r["closed_form_score"]), _fmt(r["brute_force_score"]),
-                 str(r["detected"]).lower()] for r in rows]
-    _emit(
-        args,
-        json_obj={"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
-                  "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
-        csv_header=["p", "closed_form_score", "brute_force_score", "detected"],
-        csv_rows=csv_rows,
-    )
+    _emit(args, {"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
+                 "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
+          ["p", "closed_form_score", "brute_force_score", "detected"])
     return 0
 
 
 def cmd_simulate(args) -> int:
     if args.spins:
         ensemble = _parse_spins(args.spins)
-    elif args.K:
+    elif args.K is not None:
         if args.K < 1 or args.K % 2 == 0:
             raise UsageError(f"--K must be a positive odd integer, got {args.K}")
         if args.K > math.log2(MAX_DIM):
@@ -291,19 +304,17 @@ def cmd_simulate(args) -> int:
         ensemble = SpinEnsemble((0.5,) * args.K)
     else:
         raise UsageError("simulate needs --spins or --K")
+    subensembles = _parse_subensembles(args.subensembles, ensemble.N) if args.subensembles else None
+    if args.p_list is not None and len(args.p_list) != ensemble.N:
+        raise UsageError(f"--p-list needs {ensemble.N} entries")
     K = ensemble.K
     phi = args.phi if args.phi is not None else np.pi * (K - 1) / 2
     theta = phase_for_ghz(phi, K)
     state = ghz_mixture(ensemble) if args.state == "mixture" else ghz_like(ensemble, phi=phi)
-    if args.p is not None or args.p_list is not None:
-        if args.model == "local" or args.p_list is not None:
-            ps = [float(x) for x in args.p_list.split(",")] if args.p_list else [args.p] * ensemble.N
-            if len(ps) != ensemble.N:
-                raise UsageError(f"--p-list needs {ensemble.N} entries")
-            state = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(ps)))
-        else:
-            state = apply_depolarizing(state, NoiseModel("global", p_global=args.p))
-    subensembles = _parse_subensembles(args.subensembles, ensemble.N) if args.subensembles else None
+    if args.p_list is not None or (args.p is not None and args.model == "local"):
+        state = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(args.p_list or [args.p] * ensemble.N)))
+    elif args.p is not None:
+        state = apply_depolarizing(state, NoiseModel("global", p_global=args.p))
     config = ProtocolConfig(
         ensemble=ensemble, state=state, rounds=args.rounds, seed=args.seed,
         theta_offset=theta, subensembles=subensembles,
@@ -330,7 +341,7 @@ def cmd_simulate(args) -> int:
         "sep_bound_float": rep.P_sep_float,
         "verdict": verdict,
     }
-    _emit(args, json_obj=obj)
+    _emit(args, obj)
     return 0
 
 
@@ -354,10 +365,7 @@ def cmd_seesaw(args) -> int:
         "sep_bound": _frac(rep.P_sep), "sep_bound_float": rep.P_sep_float,
         "spread": spread, "rows": rows,
     }
-    csv_rows = [[r["bipartition"], _fmt(r["best_value"]), r["iterations"], str(r["converged"]).lower()]
-                for r in rows]
-    _emit(args, json_obj=obj, csv_header=["bipartition", "best_value", "iterations", "converged"],
-          csv_rows=csv_rows)
+    _emit(args, obj, ["bipartition", "best_value", "iterations", "converged"])
     return 0 if all_ok else 1
 
 
@@ -378,9 +386,7 @@ def cmd_general_witness(args) -> int:
         "f0": args.f0, "f_odd": args.f_odd, "f_K": gw.f_K, "sep_bound": gw.sep_bound,
         "pos_witness_sep_bound_float": rep.P_sep_float,
     }
-    _emit(args, json_obj=obj,
-          csv_header=["f0", "f_odd", "f_K", "sep_bound"],
-          csv_rows=[[_fmt(args.f0), args.f_odd, _fmt(gw.f_K), _fmt(gw.sep_bound)]])
+    _emit(args, obj, ["f0", "f_odd", "f_K", "sep_bound"])
     return 0
 
 
@@ -389,55 +395,56 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
+    def output(p, fmt_default=None):
         p.add_argument("--out", help="write output here (plus a sibling .manifest.json)")
-        p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
+        if fmt_default:
+            p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
 
     p = sub.add_parser("table", help="exact bound table per K")
     p.add_argument("--K", type=int, nargs="+", required=True)
-    common(p, fmt_default="csv")
+    output(p, fmt_default="csv")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="self-verification suite for one ensemble")
     p.add_argument("--spins", required=True)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
+    p.add_argument("--restarts", type=_positive_int, default=32)
+    p.add_argument("--seed", type=_seed, default=0)
+    output(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("noise-sweep", help="noisy scores across a grid")
     p.add_argument("--spins", required=True)
     p.add_argument("--model", choices=["global", "local"], default="global")
     p.add_argument("--grid", default="0:1:0.05")
-    common(p, fmt_default="csv")
+    output(p, fmt_default="csv")
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("simulate", help="Monte-Carlo protocol run")
     p.add_argument("--spins")
     p.add_argument("--K", type=int)
-    p.add_argument("--phi", type=float, default=None)
+    p.add_argument("--phi", type=_finite, default=None)
     p.add_argument("--state", choices=["ghz", "mixture"], default="ghz")
-    p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rounds", type=_positive_int, default=100_000)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subensembles")
     p.add_argument("--model", choices=["global", "local"], default="global")
-    p.add_argument("--p", type=float)
-    p.add_argument("--p-list", dest="p_list")
-    common(p, fmt_default="json")
+    p.add_argument("--p", type=_probability)
+    p.add_argument("--p-list", dest="p_list", type=_probability_list)
+    output(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("seesaw", help="bipartition product-state maximization")
     p.add_argument("--spins", required=True)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    common(p, fmt_default="json")
+    p.add_argument("--restarts", type=_positive_int, default=32)
+    p.add_argument("--seed", type=_seed, default=0)
+    output(p, fmt_default="json")
     p.set_defaults(func=cmd_seesaw)
 
     p = sub.add_parser("general-witness", help="odd-function witness bound")
     p.add_argument("--spins", required=True)
-    p.add_argument("--f0", type=float, default=0.5)
+    p.add_argument("--f0", type=_finite, default=0.5)
     p.add_argument("--f-odd", dest="f_odd", choices=sorted(_F_ODD_CHOICES), default="half-sign")
-    common(p, fmt_default="json")
+    output(p, fmt_default="json")
     p.set_defaults(func=cmd_general_witness)
     return parser
 
@@ -448,9 +455,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ while prod(1 - p_n) > 1/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,39 +59,29 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
 
-def _depolarize_slot(tensor: np.ndarray, dims: tuple[int, ...], slot: int, p: float) -> np.ndarray:
-    """p * (1_slot / d) (x) tr_slot(rho) + (1 - p) * rho, on the 2N-axis tensor."""
-    n = len(dims)
-    reduced = np.trace(tensor, axis1=slot, axis2=n + slot)  # 2(N-1) axes, slot removed
-    refill = np.tensordot(reduced, np.eye(dims[slot]) / dims[slot], axes=0)
-    # refill axes: rows-without-slot, cols-without-slot, slot-row, slot-col;
-    # permute back to (r_0..r_{n-1}, c_0..c_{n-1}).
-    row_axes, col_axes, next_old = [], [], 0
-    for m in range(n):
-        if m == slot:
-            row_axes.append(2 * (n - 1))
-            col_axes.append(2 * (n - 1) + 1)
-        else:
-            row_axes.append(next_old)
-            col_axes.append(next_old + n - 1)
-            next_old += 1
-    return p * refill.transpose(row_axes + col_axes) + (1 - p) * tensor
+def _depolarize_slot(rho: np.ndarray, dims: tuple[int, ...], slot: int, p: float) -> np.ndarray:
+    """p * (1_slot / d) (x) tr_slot(rho) + (1 - p) * rho, on the dim x dim matrix.
+
+    rho is viewed as (left, d, right) x (left, d, right) blocks around the slot.
+    """
+    left, d, right = math.prod(dims[:slot]), dims[slot], math.prod(dims[slot + 1:])
+    blocks = rho.reshape(left, d, right, left, d, right)
+    reduced = np.trace(blocks, axis1=1, axis2=4)  # (left, right, left, right)
+    refill = reduced[:, None, :, :, None, :] * (np.eye(d) / d)[None, :, None, None, :, None]
+    return (p * refill + (1 - p) * blocks).reshape(rho.shape)
 
 
 def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
     """Return the noisy state as a density matrix (channels commute per slot)."""
     ensemble = state.ensemble
-    rho = state.density()
+    out = state.density()
     if model.kind == "global":
-        out = model.p_global * np.eye(ensemble.dim) / ensemble.dim + (1 - model.p_global) * rho
+        out = model.p_global * np.eye(ensemble.dim) / ensemble.dim + (1 - model.p_global) * out
     else:
         if len(model.p_locals) != ensemble.N:
             raise ValueError(f"local model has {len(model.p_locals)} entries for {ensemble.N} particles")
-        dims = ensemble.local_dims
-        tensor = rho.reshape(dims + dims)
         for slot, p in enumerate(model.p_locals):
-            tensor = _depolarize_slot(tensor, dims, slot, p)
-        out = tensor.reshape(ensemble.dim, ensemble.dim)
+            out = _depolarize_slot(out, ensemble.local_dims, slot, p)
     out = (out + out.conj().T) / 2
     return QuantumState(ensemble, rho=out)
 

@@ -31,7 +31,7 @@ __all__ = [
 
 def _check_half_integer(j) -> float:
     two_j = 2 * float(j)
-    if abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:
+    if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:
         raise ValueError(f"spin must be a nonnegative half-integer, got {j}")
     return round(two_j) / 2
 

@@ -28,6 +28,8 @@ class QuantumState:
     def __post_init__(self):
         if (self.ket is None) == (self.rho is None):
             raise ValueError("provide exactly one of ket or rho")
+        if not np.isfinite(self.ket if self.rho is None else self.rho).all():
+            raise ValueError("state has a non-finite (NaN or infinite) entry")
         dim = self.ensemble.dim
         if self.ket is not None:
             ket = np.asarray(self.ket, dtype=complex).reshape(-1)

@@ -186,7 +186,7 @@ def phase_for_ghz(phi: float, K: int) -> float:
     K directions); the returned value is reduced into [0, 2 pi/K).
     """
     period = 2 * np.pi / K
-    theta = (2 * phi - (K - 1) * np.pi) / (2 * K)
+    theta = (phi - (K - 1) * np.pi / 2) / K  # halved before dividing, so no finite phi overflows
     return float(theta % period)
 
 

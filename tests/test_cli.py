@@ -1,9 +1,13 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
 
-from spinwitness.cli import MAX_DIM, _deviation, _parse_spins, main
+from spinwitness.cli import (
+    MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, UsageError, _deviation, _parse_grid, _parse_spins, main,
+)
 
 GOLDEN_TABLE_CSV = """\
 K,P_max,P_max_float,P_sep,P_sep_float,P_classical,P_classical_float,gap,gap_float,error
@@ -48,6 +52,12 @@ def test_table_even_k_rows(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("3,")
     assert "not a positive odd integer" in lines[2]
+
+
+def test_table_prints_up_to_its_k_limit(capsys):
+    rc, out, _ = run(capsys, "table", "--K", str(MAX_TABLE_K), "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["rows"][0]["K"] == MAX_TABLE_K
 
 
 def test_table_large_k_scaling_row(capsys):
@@ -248,3 +258,113 @@ def test_out_manifest_records_seed(tmp_path, capsys):
     assert manifest["seed"] == 3
     payload = json.loads(out_path.read_text())
     assert payload["seed"] == 3
+
+# --- one renderer: CSV is the JSON rows ---
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--K", "3", "4", "19"),
+    ("noise-sweep", "--spins", "0.5,1,1", "--model", "local", "--grid", "0,0.3,1"),
+    ("seesaw", "--spins", "0.5,1,1", "--restarts", "3"),
+    ("general-witness", "--spins", "0.5,1,1", "--f-odd", "cubic", "--f0", "0.25"),
+])
+def test_csv_cells_equal_json_values(capsys, argv):
+    _, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    _, json_out, _ = run(capsys, *argv, "--format", "json")
+    obj = json.loads(json_out)
+    header, *lines = csv.reader(io.StringIO(csv_out))
+    rows = obj.get("rows", [obj])
+    assert len(lines) == len(rows) > 0
+    for line, row in zip(lines, rows):
+        assert len(line) == len(header)
+        for name, cell in zip(header, line):
+            value = row.get(name)
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == str(value).lower()
+            elif isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert cell == str(value)
+
+
+# --- one error path: only command-line mistakes exit 2 ---
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("simulate", "--K", "3", "--rounds", "0"), "--rounds"),
+    (("simulate", "--K", "3", "--rounds", "-5"), "--rounds"),
+    (("seesaw", "--spins", "0.5,1", "--restarts", "0"), "--restarts"),
+    (("verify", "--spins", "0.5,1", "--restarts", "0"), "--restarts"),
+    (("seesaw", "--spins", "0.5,1", "--restarts", "1", "--seed", "-1"), "--seed"),
+    (("verify", "--spins", "0.5,1", "--seed", "-1"), "--seed"),
+    (("simulate", "--K", "3", "--seed", str(2**128)), "--seed"),
+    (("simulate", "--K", "3", "--p", "1.5"), "--p"),
+    (("simulate", "--K", "3", "--p", "nan"), "--p"),
+    (("simulate", "--spins", "0.5,1,1", "--p-list", "0.1,x,0"), "--p-list"),
+    (("simulate", "--spins", "0.5,1,1", "--p-list", "0.1,1.2,0"), "--p-list"),
+    (("simulate", "--K", "3", "--phi", "nan"), "--phi"),
+    (("simulate", "--K", "3", "--phi", "inf"), "--phi"),
+    (("general-witness", "--spins", "0.5,1,1", "--f0", "inf"), "--f0"),
+    (("general-witness", "--spins", "0.5,1,1", "--f0", "nan"), "--f0"),
+    (("simulate", "--K", "3", "--format", "csv"), "--format"),
+])
+def test_argparse_rejects_bad_values(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert f"argument {flag}" in out.err or f"unrecognized arguments: {flag}" in out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--K", "3", "--subensembles", "1||2,3"), "--subensembles"),
+    (("simulate", "--K", "3", "--subensembles", "1|2,3|"), "--subensembles"),
+    (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0:1:1e-9"), f"limit of {MAX_GRID_POINTS} points"),
+    (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0:1:1e-320"), f"limit of {MAX_GRID_POINTS} points"),
+    (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0:inf:0.1"), "--grid"),
+    (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "nan:1:0.1"), "--grid"),
+    (("verify", "--spins", "inf"), "half-integer"),
+    (("simulate", "--K", "0"), "--K must be a positive odd integer"),
+    (("table", "--K", "3", str(MAX_TABLE_K + 2)), f"limit of {MAX_TABLE_K}"),
+])
+def test_usage_errors_name_the_input(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_simulate_checks_its_flags_before_building_the_state(capsys, monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("state built before the flags were checked")
+
+    monkeypatch.setattr("spinwitness.cli.ghz_like", no_state)
+    assert run(capsys, "simulate", "--spins", "0.5,1,1", "--subensembles", "1|2")[0] == 2
+    assert run(capsys, "simulate", "--spins", "0.5,1,1", "--p-list", "0.1,0.2")[0] == 2
+
+
+def test_grid_limit_counts_points_before_allocating():
+    assert len(_parse_grid("0:1:1e-4")) == MAX_GRID_POINTS
+    with pytest.raises(UsageError, match="limit"):
+        _parse_grid("0:1:0.99e-4")
+
+
+def test_library_errors_propagate(monkeypatch):
+    def broken(K):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr("spinwitness.cli.witness_report", broken)
+    with pytest.raises(ValueError, match="library fault"):
+        main(["table", "--K", "3"])
+
+
+def test_simulate_prints_strict_json_at_the_largest_phi(capsys):
+    def not_json(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    rc, out, _ = run(capsys, "simulate", "--K", "3", "--phi", "1e308", "--rounds", "100")
+    assert rc == 0
+    assert 0 <= json.loads(out, parse_constant=not_json)["theta_offset"] < 2.1

@@ -7,6 +7,8 @@ beyond basic state plumbing.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwitness.linalg import partial_trace
 from spinwitness.noise import (
@@ -74,6 +76,39 @@ def test_local_channels_commute():
     rho = depolarize_reference(st.density(), [2, 2, 2], 2, 0.5)
     rho = depolarize_reference(rho, [2, 2, 2], 0, 0.2)  # reversed application order
     np.testing.assert_allclose(a.rho, rho, atol=1e-13)
+
+
+# Mixed-spin ensembles of two or more particles (the reference traces out one
+# slot and keeps the rest) with odd K and dim <= 64, a state seed and one p per slot.
+noisy_cases = (
+    st.lists(st.sampled_from([0.5, 1, 1.5, 2, 2.5]), min_size=2, max_size=5)
+    .filter(lambda spins: round(2 * sum(spins)) % 2 == 1 and np.prod([2 * j + 1 for j in spins]) <= 64)
+    .flatmap(lambda spins: st.tuples(
+        st.just(SpinEnsemble(spins)), st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0, 1), min_size=len(spins), max_size=len(spins)),
+    ))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(noisy_cases, st.booleans())
+def test_local_channel_property(case, mixed):
+    ensemble, seed, ps = case
+    state = random_ket(ensemble, seed)
+    if mixed:  # a rank-2 mixture, so the input is not a projector
+        state = QuantumState(ensemble, rho=0.3 * state.density() + 0.7 * random_ket(ensemble, seed + 1).density())
+    noisy = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(ps))).rho
+    want = state.density()
+    for slot, p in enumerate(ps):
+        want = depolarize_reference(want, list(ensemble.local_dims), slot, p)
+    np.testing.assert_allclose(noisy, want, rtol=0, atol=1e-13)
+    assert np.trace(noisy).real == pytest.approx(1.0, abs=1e-12)
+    backward = state  # the same channels one slot at a time, last slot first
+    for slot in reversed(range(ensemble.N)):
+        single = [0.0] * ensemble.N
+        single[slot] = ps[slot]
+        backward = apply_depolarizing(backward, NoiseModel("local", p_locals=tuple(single)))
+    np.testing.assert_allclose(backward.rho, noisy, rtol=0, atol=1e-13)
 
 
 def test_channel_output_is_valid_state():

@@ -35,6 +35,22 @@ def test_quantum_state_validates_rho():
         QuantumState(E3, rho=np.triu(np.ones((8, 8))) / 8)
 
 
+def test_quantum_state_rejects_non_finite_entries():
+    # abs(x - 1) > tol is False for NaN, so the norm and trace checks alone let NaN through.
+    ket = np.zeros(8, dtype=complex)
+    ket[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState(E3, ket=ket)
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState(E3, ket=[np.inf] + [0] * 7)
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState(E3, rho=rho)
+    with pytest.raises(ValueError, match="non-finite"):
+        ghz_like(E3, phi=np.nan)
+
+
 def test_density_of_ket_is_projector():
     st = ghz_like(E3)
     rho = st.density()

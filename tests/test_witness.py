@@ -237,6 +237,16 @@ def test_phase_for_ghz_frozen_examples():
     assert phase_for_ghz(np.pi, 3) == pytest.approx(0.0, abs=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 40))
+def test_phase_for_ghz_is_finite_and_matches_the_doubled_formula(phi, half_k):
+    K = 2 * half_k + 1
+    theta = phase_for_ghz(phi, K)
+    assert 0 <= theta <= 2 * np.pi / K
+    if abs(phi) < 1e300:  # the doubled form overflows for |phi| near the float limit
+        assert theta == float(((2 * phi - (K - 1) * np.pi) / (2 * K)) % (2 * np.pi / K))
+
+
 @pytest.mark.parametrize("K", [3, 5])
 def test_phase_for_ghz_attains_maximum(K):
     ensemble = SpinEnsemble((0.5,) * K)
