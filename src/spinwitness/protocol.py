@@ -8,9 +8,14 @@ detection verdict (the decision rule is this package's choice — the math
 fixes the bound, not the statistics).
 
 Both samplers reduce the state to the K exact probabilities q_k of a
-positive round and share one round sampler (`_sample_signs`).  A round
-reports only a sign, so drawing it from q_k is the same per-round
-distribution as drawing the full measurement outcome and taking its sign.
+positive round with one kernel (`_positive_probabilities`) and share one
+round sampler (`_sample_signs`).  A round reports only a sign, so drawing it
+from q_k is the same per-round distribution as drawing the full measurement
+outcome and taking its sign.  The partition into subensembles cannot change
+q_k: along direction k the one-body components J_k^(n) commute and sum to
+J_k, so any group's outcome is the sum of its members' outcomes, and the
+recorded total sign has the same distribution for every partition,
+singletons and the whole ensemble included.
 
 Determinism contract: the round stream comes from a counter-based generator
 (numpy Philox) keyed by the seed; round r consumes exactly row r of a
@@ -18,8 +23,7 @@ two-column uniform table (column 0 picks k, column 1 is compared with q_k),
 so every round's draws are a pure function of (seed, round index) and
 results are independent of evaluation order.  The table is drawn in fixed
 blocks from one generator, which yields the same rows as a single draw.
-For one seed the two samplers give the same counts whenever their q_k agree
-to rounding.
+For one seed the two samplers give the same counts.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigendecompose
-from .spin import SpinEnsemble, collective_matrices, collective_operator, direction_phases
+from .spin import SpinEnsemble, direction_phases, spin_matrices
 from .states import QuantumState
-from .witness import ZERO_EIGENVALUE_TOL, pos_operator, witness_report
+from .witness import witness_report
 
 __all__ = [
     "ProtocolConfig",
@@ -111,21 +115,10 @@ def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate
     return ProtocolEstimate(total / config.rounds, config.rounds, low, high, per_k, tuple(float(q) for q in probs))
 
 
-def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
-    """Simulate the single-shot sign measurement, one direction per round.
+def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
+    """Contract the leading axes of x, one slot block each, with `bases` in turn.
 
-    pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*), so with M = rho^T * pos(Jx) the
-    direction-k positive probability is ph_k . M . ph_k^*: one eigensolve in all.
-    """
-    ph = direction_phases(config.ensemble, config.theta_offset)
-    weighted = config.state.density().T * pos_operator(collective_operator(config.ensemble).Jx)
-    return _sample_signs(config, ((ph @ weighted) * ph.conj()).sum(axis=1).real)
-
-
-def _apply_group_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
-    """Contract the leading axes of x, one group block each, with `bases` in turn.
-
-    Each step reshapes the first block to rows, multiplies by the group matrix
+    Each step reshapes the first block to rows, multiplies by the slot matrix
     and leaves its outcome axis last, so after all steps the block order is
     restored and any trailing axes have moved to the front.
     """
@@ -134,62 +127,60 @@ def _apply_group_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     return x
 
 
+def _positive_probabilities(config: ProtocolConfig) -> np.ndarray:
+    """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the per-particle eigenbases of Jx.
+
+    The eigenbasis of Jx is the product V = (x) V_n of the local ones and its
+    eigenvalues are sums of local ones; K is odd, so no sum is zero.  J_k is
+    the conjugation of Jx by diag(ph_k) (see `direction_phases`).  A ket is
+    rotated to all K directions at once and each V_n^dag applied along its
+    slot; for a density matrix pos(Jx) = V diag(positive) V^dag is built once,
+    slot by slot, and each direction is a phase product.  Nothing above one
+    particle's dimension is eigensolved.
+    """
+    ph = direction_phases(config.ensemble, config.theta_offset)
+    bases, sums = [], np.zeros(1)
+    for j in config.ensemble.spins:
+        w, v = hermitian_eigendecompose(spin_matrices(j)[0])
+        bases.append(v)
+        sums = (sums[:, None] + w[None, :]).reshape(-1)
+    positive = sums > 0
+    if config.state.ket is not None:
+        kets = config.state.ket[:, None] * ph.conj().T  # (dim, K): slots first
+        amplitudes = _apply_slot_bases(kets, [v.conj() for v in bases]).reshape(config.ensemble.K, -1)
+        return np.abs(amplitudes) ** 2 @ positive
+    pos_jx = _apply_slot_bases(np.diag(positive.astype(complex)), [v.T for v in bases] + [v.conj().T for v in bases])
+    weighted = config.state.rho.T * pos_jx.reshape(len(sums), -1)
+    return ((ph @ weighted) * ph.conj()).sum(axis=1).real
+
+
+def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
+    """Simulate the single-shot sign measurement of the total J_k, one direction per round.
+
+    The probabilities come from the per-particle kernel: measuring each
+    particle's component of J_k and summing the outcomes gives the same
+    distribution as measuring J_k, because the components commute and sum to
+    it.  So this and `run_protocol_subensembles` draw from the same q_k.
+    """
+    return _sample_signs(config, _positive_probabilities(config))
+
+
 def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
     """Simulate per-group sign measurements postprocessed into the total sign.
 
-    The group observables along one direction commute; a round jointly
-    measures all of them in their common (product) eigenbasis — correct even
-    when the state is entangled across groups — and reports the sign of the
-    summed outcome, with a fair coin on a zero sum (mirroring pos(0) = 1/2).
-    Only that sign is recorded, so the round is exactly a coin of bias
-    q_k = sum_o c(o) p_k(o), where p_k(o) is the Born probability of the joint
-    outcome o along direction k and c(o) is 1, 1/2 or 0 as the outcome sum is
-    positive, zero or negative.  The q_k go to the same round sampler as
-    `run_protocol`, so for one seed the counts match it whenever the two sets
-    of q_k agree to rounding; the sampled distribution is that of the
-    outcome-by-outcome experiment.
-
-    Group eigenbases are fixed: the direction-k group operators are the group
-    Jx's conjugated by the group factors of diag(ph_k) (see
-    `direction_phases`), and those factors multiply to diag(ph_k).  So each
-    group's Jx is eigensolved once and each direction only rotates the state
-    by diag(ph_k)^dag.  The state's slots are put in group order once; each
-    group's V^dag is then applied along its own axes by reshape and matrix
-    product — all K rotated kets at once, or a density matrix one direction
-    at a time on both sides — and never as a dense product basis.
+    The group components of J_k commute; a round jointly measures all of them
+    (correct even when the state is entangled across groups) and reports the
+    sign of the summed outcome.  Each group's component is itself the sum of
+    its particles' commuting components, so a group outcome is the sum of its
+    members' outcomes and the summed outcome has the distribution of one
+    measurement per particle, whatever the partition.  Only the sign is
+    recorded, so the round is a coin of bias q_k, the same q_k as
+    `run_protocol`; for one seed the two samplers give the same counts.  The
+    partition is checked but never enters the arithmetic.
     """
     if config.subensembles is None:
         raise ValueError("config.subensembles is required here")
-    ensemble = config.ensemble
-    groups = config.subensembles
-    dims = ensemble.local_dims
-    order = [i for g in groups for i in g]
-
-    bases, sums = [], np.zeros(1)
-    for group in groups:
-        w, v = hermitian_eigendecompose(collective_matrices([ensemble.spins[i] for i in group])[0])
-        bases.append(v)
-        sums = (sums[:, None] + w[None, :]).reshape(-1)
-    c = np.where(np.abs(sums) <= ZERO_EIGENVALUE_TOL, 0.5, sums > 0)  # sign weight of each outcome sum
-
-    def grouped(a: np.ndarray) -> np.ndarray:  # slots of the last axis into group order
-        lead = a.shape[:-1]
-        axes = list(range(len(lead))) + [len(lead) + i for i in order]
-        return a.reshape(lead + dims).transpose(axes).reshape(lead + (-1,))
-
-    ph = grouped(direction_phases(ensemble, config.theta_offset)).conj()
-    row_bases = [v.conj() for v in bases]
-    if config.state.ket is not None:
-        kets = grouped(config.state.ket)[:, None] * ph.T  # (dim, K): slots first
-        p = np.abs(_apply_group_bases(kets, row_bases)) ** 2
-        return _sample_signs(config, p.reshape(ensemble.K, -1) @ c)
-    rho = grouped(grouped(config.state.rho).T).T
-    probs = np.empty(ensemble.K)
-    for k in range(ensemble.K):
-        rotated = np.outer(ph[k], ph[k].conj()) * rho
-        born = _apply_group_bases(rotated, row_bases + bases).reshape(len(sums), -1)
-        probs[k] = born.diagonal().real @ c
-    return _sample_signs(config, probs)
+    return _sample_signs(config, _positive_probabilities(config))
 
 
 def time_schedule(K: int, omega: float) -> list[float]:

@@ -146,7 +146,10 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
     basis state), so diag(ph_k) = exp(-i a_k Jz) and the direction-k operator is
     the diagonal conjugation  J_k = diag(ph_k) Jx diag(ph_k)^dag.  Any spectral
     function then rotates the same way: f(J_k) = f(Jx) * outer(ph_k, ph_k^*).
+    A non-finite theta_offset is rejected, since every phase would be NaN.
     """
+    if not math.isfinite(theta_offset):
+        raise ValueError(f"theta_offset must be finite, got {theta_offset}")
     m = np.zeros(1)
     for j in ensemble.spins:
         m = (m[:, None] + (j - np.arange(round(2 * j + 1)))[None, :]).reshape(-1)

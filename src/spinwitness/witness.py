@@ -217,6 +217,5 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
         if abs(float(f_odd(-x)) + float(f_odd(x))) > 1e-12:
             raise ValueError(f"f_odd fails oddness at x = {x}")
     values = np.array([float(f_odd(x)) for x in w])
-    f_jx = (v * values) @ v.conj().T
-    f_k = abs(f_jx[0, -1])
+    f_k = abs((v[0] * values) @ v[-1].conj())  # the [0, -1] entry of f(Jx) = V diag(values) V^dag
     return GeneralizedWitness(f0=float(f0), f_odd=f_odd, f_K=float(f_k), sep_bound=float(f0) + float(f_k) / 2)

@@ -12,9 +12,9 @@ from spinwitness.protocol import (
     time_schedule,
     wilson_interval,
 )
-from spinwitness.spin import SpinEnsemble, collective_operator, direction_operator
+from spinwitness.spin import SpinEnsemble, collective_operator, direction_operator, direction_phases
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture, random_ket
-from spinwitness.witness import phase_for_ghz, pos_operator, witness_report
+from spinwitness.witness import build_qk_direct, phase_for_ghz, pos_operator, witness_report
 
 E3 = SpinEnsemble((0.5, 0.5, 0.5))
 E_MIXED = SpinEnsemble((1, 0.5))
@@ -196,13 +196,20 @@ def test_each_direction_matches_its_own_effect(groups, form):
         assert abs(positives - p * trials) < 5 * np.sqrt(trials * p * (1 - p))
 
 
-def test_subensembles_eigensolve_once_per_group(monkeypatch):
+SAMPLERS = pytest.mark.parametrize("sample", [run_protocol, run_protocol_subensembles], ids=["whole", "split"])
+
+
+@SAMPLERS
+@pytest.mark.parametrize("form", ["ket", "rho"])
+def test_samplers_eigensolve_single_particles_only(monkeypatch, sample, form):
+    st = ghz_like(SpinEnsemble((0.5, 1, 1)), phi=0.4)
+    if form == "rho":
+        st = QuantumState(st.ensemble, rho=st.density())
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    st = ghz_like(SpinEnsemble((0.5, 1, 1)), phi=0.4)
-    run_protocol_subensembles(make_config(st, rounds=1_000, subensembles=((0,), (1, 2))))
-    assert calls == [(2, 2), (9, 9)]
+    sample(make_config(st, rounds=1_000, subensembles=((0,), (1, 2))))
+    assert calls == [(2, 2), (3, 3), (3, 3)]
 
 
 # Mixed-spin ensembles with odd K and dim <= 64, each with a partition of its
@@ -220,6 +227,13 @@ def groups_from_labels(labels):
     return tuple(tuple(i for i, lab in enumerate(labels) if lab == g) for g in sorted(set(labels)))
 
 
+def dense_probabilities_reference(state, theta):
+    """q_k from the dense pos(Jx): pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*), one eigensolve at full dimension."""
+    ph = direction_phases(state.ensemble, theta)
+    weighted = state.density().T * pos_operator(collective_operator(state.ensemble).Jx)
+    return ((ph @ weighted) * ph.conj()).sum(axis=1).real
+
+
 def born_reference(state, theta):
     J = collective_operator(state.ensemble)
     K = state.ensemble.K
@@ -234,11 +248,9 @@ def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
     if form == "rho":
         state = QuantumState(ensemble, rho=state.density())
     cfg = make_config(state, rounds=10, theta_offset=theta, subensembles=groups_from_labels(labels))
-    split = run_protocol_subensembles(cfg).per_k_probs
-    whole = run_protocol(cfg).per_k_probs
     ref = born_reference(state, theta)
-    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(split, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
 
 
 def test_split_sampler_shares_the_whole_round_stream():
@@ -248,13 +260,17 @@ def test_split_sampler_shares_the_whole_round_stream():
     assert run_protocol_subensembles(cfg).per_k_counts == run_protocol(cfg).per_k_counts
 
 
-def test_split_sampler_never_calls_einsum(monkeypatch):
+@SAMPLERS
+@pytest.mark.parametrize("form", ["rho", "ket"])
+def test_split_sampler_never_calls_einsum(monkeypatch, sample, form):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the split sampler called numpy.einsum")
+        raise AssertionError("the sampler called numpy.einsum")
 
     monkeypatch.setattr(np, "einsum", forbidden)
-    state = QuantumState(E3, rho=random_ket(E3, 8).density())
-    est = run_protocol_subensembles(make_config(state, rounds=1_000, subensembles=((0, 2), (1,))))
+    state = random_ket(E3, 8)
+    if form == "rho":
+        state = QuantumState(E3, rho=state.density())
+    est = sample(make_config(state, rounds=1_000, subensembles=((0, 2), (1,))))
     np.testing.assert_allclose(est.per_k_probs, born_reference(state, 0.0), rtol=0, atol=1e-12)
 
 
@@ -262,8 +278,19 @@ def test_split_density_matrix_at_nine_spins():
     e = SpinEnsemble((0.5,) * 9)
     state = QuantumState(e, rho=0.9 * ghz_like(e, phi=0.3).density() + 0.1 * np.eye(e.dim) / e.dim)
     cfg = make_config(state, rounds=1_000, theta_offset=0.1, subensembles=((0, 1, 2, 3), (4, 5, 6, 7, 8)))
-    split = run_protocol_subensembles(cfg)
-    np.testing.assert_allclose(split.per_k_probs, run_protocol(cfg).per_k_probs, rtol=0, atol=1e-12)
+    ref = dense_probabilities_reference(state, 0.1)
+    np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_non_finite_offset_is_rejected(theta):
+    cfg = make_config(ghz_like(E3), rounds=10, theta_offset=theta, subensembles=((0,), (1, 2)))
+    for sample in (run_protocol, run_protocol_subensembles):
+        with pytest.raises(ValueError, match="theta_offset"):
+            sample(cfg)
+    with pytest.raises(ValueError, match="theta_offset"):
+        build_qk_direct(E3, theta)
 
 
 @pytest.mark.parametrize("stratified", [False, True])
