@@ -35,7 +35,7 @@ from . import __version__
 from .noise import NoiseModel, apply_depolarizing, noisy_score_global, noisy_score_local
 from .protocol import ProtocolConfig, run_protocol, run_protocol_subensembles
 from .seesaw import enumerate_bipartitions, seesaw_maximize
-from .spin import SpinEnsemble, collective_operator, rotate_about_z
+from .spin import SpinEnsemble, direction_phases
 from .states import ghz_like, ghz_mixture
 from .witness import (
     build_qk_closed_form,
@@ -226,9 +226,10 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     spec_dev = float(np.abs(np.sort(eigs) - expected).max())
     checks.append(("spectrum", spec_dev < 1e-10, f"eigenvalue deviation {_deviation(spec_dev)}"))
 
-    J = collective_operator(ensemble)
-    sym_x = float(np.abs(rotate_about_z(direct.Q, J.Jx, np.pi) - direct.Q).max())
-    sym_z = float(np.abs(rotate_about_z(direct.Q, J.Jz, 2 * np.pi / ensemble.K) - direct.Q).max())
+    # Exact maps: exp(-i pi Jx) is a phase times the basis reversal, the z-rotation a phase diagonal.
+    ph = direction_phases(ensemble, 2 * np.pi / ensemble.K)[0]
+    sym_x = float(np.abs(direct.Q[::-1, ::-1] - direct.Q).max())
+    sym_z = float(np.abs(direct.Q * np.outer(ph, ph.conj()) - direct.Q).max())
     detail = f"pi-about-x {_deviation(sym_x)}, 2pi/K-about-z {_deviation(sym_z)}"
     checks.append(("symmetry", max(sym_x, sym_z) < 1e-10, detail))
 

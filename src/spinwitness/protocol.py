@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigendecompose
-from .spin import SpinEnsemble, direction_phases, spin_matrices
+from .spin import SpinEnsemble, _apply_slot_bases, direction_phases, jx_eigenbases, jx_function, jz_diagonal
 from .states import QuantumState
 from .witness import witness_report
 
@@ -115,52 +114,29 @@ def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate
     return ProtocolEstimate(total / config.rounds, config.rounds, low, high, per_k, tuple(float(q) for q in probs))
 
 
-def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
-    """Contract the leading axes of x, one slot block each, with `bases` in turn.
-
-    Each step reshapes the first block to rows, multiplies by the slot matrix
-    and leaves its outcome axis last, so after all steps the block order is
-    restored and any trailing axes have moved to the front.
-    """
-    for b in bases:
-        x = x.reshape(len(b), -1).T @ b
-    return x
-
-
 def _positive_probabilities(config: ProtocolConfig) -> np.ndarray:
-    """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the per-particle eigenbases of Jx.
+    """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the factored Jx = V diag(m) V^dag in `spin`.
 
-    The eigenbasis of Jx is the product V = (x) V_n of the local ones and its
-    eigenvalues are sums of local ones; K is odd, so no sum is zero.  J_k is
-    the conjugation of Jx by diag(ph_k) (see `direction_phases`).  A ket is
-    rotated to all K directions at once and each V_n^dag applied along its
-    slot; for a density matrix pos(Jx) = V diag(positive) V^dag is built once,
-    slot by slot, and each direction is a phase product.  Nothing above one
-    particle's dimension is eigensolved.
+    K is odd, so pos picks m > 0.  A ket is rotated to all K directions (see
+    `direction_phases`) and each v_n^dag applied along its slot; for a density
+    matrix pos(Jx) is built once and each direction is a phase product.
     """
-    ph = direction_phases(config.ensemble, config.theta_offset)
-    bases, sums = [], np.zeros(1)
-    for j in config.ensemble.spins:
-        w, v = hermitian_eigendecompose(spin_matrices(j)[0])
-        bases.append(v)
-        sums = (sums[:, None] + w[None, :]).reshape(-1)
-    positive = sums > 0
+    ensemble = config.ensemble
+    ph = direction_phases(ensemble, config.theta_offset)
+    positive = jz_diagonal(ensemble) > 0
     if config.state.ket is not None:
         kets = config.state.ket[:, None] * ph.conj().T  # (dim, K): slots first
-        amplitudes = _apply_slot_bases(kets, [v.conj() for v in bases]).reshape(config.ensemble.K, -1)
+        amplitudes = _apply_slot_bases(kets, [v.conj() for v in jx_eigenbases(ensemble)]).reshape(ensemble.K, -1)
         return np.abs(amplitudes) ** 2 @ positive
-    pos_jx = _apply_slot_bases(np.diag(positive.astype(complex)), [v.T for v in bases] + [v.conj().T for v in bases])
-    weighted = config.state.rho.T * pos_jx.reshape(len(sums), -1)
+    weighted = config.state.rho.T * jx_function(ensemble, positive)
     return ((ph @ weighted) * ph.conj()).sum(axis=1).real
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
     """Simulate the single-shot sign measurement of the total J_k, one direction per round.
 
-    The probabilities come from the per-particle kernel: measuring each
-    particle's component of J_k and summing the outcomes gives the same
-    distribution as measuring J_k, because the components commute and sum to
-    it.  So this and `run_protocol_subensembles` draw from the same q_k.
+    The one-body components of J_k commute and sum to it, so the per-particle
+    kernel gives its distribution; `run_protocol_subensembles` draws the same q_k.
     """
     return _sample_signs(config, _positive_probabilities(config))
 
@@ -168,15 +144,11 @@ def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
 def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
     """Simulate per-group sign measurements postprocessed into the total sign.
 
-    The group components of J_k commute; a round jointly measures all of them
-    (correct even when the state is entangled across groups) and reports the
-    sign of the summed outcome.  Each group's component is itself the sum of
-    its particles' commuting components, so a group outcome is the sum of its
-    members' outcomes and the summed outcome has the distribution of one
-    measurement per particle, whatever the partition.  Only the sign is
-    recorded, so the round is a coin of bias q_k, the same q_k as
-    `run_protocol`; for one seed the two samplers give the same counts.  The
-    partition is checked but never enters the arithmetic.
+    A round jointly measures the commuting group components of J_k (correct
+    even when the state is entangled across groups) and reports the sign of
+    their sum.  A group outcome is the sum of its members' outcomes, so the
+    round is a coin of bias q_k, the same q_k as `run_protocol`, and for one
+    seed the counts are the same.  The partition is checked, never used.
     """
     if config.subensembles is None:
         raise ValueError("config.subensembles is required here")

@@ -5,12 +5,18 @@ spin-j particle is ordered by descending magnetic number, |j, j> first; the
 product basis puts particle 1 in the most significant slot.  With that
 ordering the fully stretched product states  (x)|j_n, j_n>  and
 (x)|j_n, -j_n>  are exactly the first and last basis vectors.
+
+Jx is a sum of one-body terms, so Jx = V diag(m) V^dag with V = (x) v_n
+(`jx_eigenbases`) and m the Jz diagonal (`jz_diagonal`): the library's only
+route to the spectrum of Jx.  The dense `collective_operator` and
+`rotate_about_z` are the references the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +27,11 @@ __all__ = [
     "SpinEnsemble",
     "CollectiveOperator",
     "spin_matrices",
-    "collective_matrices",
     "collective_operator",
     "direction_operator",
+    "jz_diagonal",
+    "jx_eigenbases",
+    "jx_function",
     "direction_phases",
     "rotate_about_z",
 ]
@@ -107,24 +115,15 @@ class CollectiveOperator:
     Jz: np.ndarray = field(repr=False)
 
 
-def collective_matrices(spins: Sequence[float]) -> list[np.ndarray]:
-    """[Jx, Jy, Jz] summed over `spins` on their own product space, first spin most significant.
-
-    Any list of spins is allowed (a subensemble may have integer total spin).
-    """
-    dims = [round(2 * j + 1) for j in spins]
-    dim = math.prod(dims)
-    total = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
-    for slot, j in enumerate(spins):
+def collective_operator(ensemble: SpinEnsemble) -> CollectiveOperator:
+    """Sum of single-particle spin operators, each embedded at its slot (dense)."""
+    dims = ensemble.local_dims
+    total = [np.zeros((ensemble.dim, ensemble.dim), dtype=complex) for _ in range(3)]
+    for slot, j in enumerate(ensemble.spins):
         left, right = np.eye(math.prod(dims[:slot])), np.eye(math.prod(dims[slot + 1 :]))
         for comp, mat in enumerate(spin_matrices(j)):
             total[comp] += np.kron(np.kron(left, mat), right)
-    return total
-
-
-def collective_operator(ensemble: SpinEnsemble) -> CollectiveOperator:
-    """Sum of single-particle spin operators, each embedded at its slot."""
-    return CollectiveOperator(ensemble, *collective_matrices(ensemble.spins))
+    return CollectiveOperator(ensemble, *total)
 
 
 def direction_operator(J: CollectiveOperator, k: int, K: int, theta_offset: float = 0.0) -> np.ndarray:
@@ -150,11 +149,36 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
     """
     if not math.isfinite(theta_offset):
         raise ValueError(f"theta_offset must be finite, got {theta_offset}")
-    m = np.zeros(1)
-    for j in ensemble.spins:
-        m = (m[:, None] + (j - np.arange(round(2 * j + 1)))[None, :]).reshape(-1)
     angles = 2 * np.pi * np.arange(ensemble.K) / ensemble.K + theta_offset
-    return np.exp(-1j * np.outer(angles, m))
+    return np.exp(-1j * np.outer(angles, jz_diagonal(ensemble)))
+
+
+def jz_diagonal(ensemble: SpinEnsemble) -> np.ndarray:
+    """The collective Jz diagonal m (exact half-integers, never 0): Jx's eigenvalues in `jx_eigenbases` order."""
+    return reduce(np.add.outer, [j - np.arange(round(2 * j + 1)) for j in ensemble.spins]).reshape(-1)
+
+
+def jx_eigenbases(ensemble: SpinEnsemble) -> list[np.ndarray]:
+    """Eigenbases v_n of each Jx^(j_n), column i for eigenvalue j_n - i, so Jx = V diag(m) V^dag."""
+    return [hermitian_eigendecompose(spin_matrices(j)[0]).eigenvectors[:, ::-1] for j in ensemble.spins]
+
+
+def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
+    """Contract the leading axes of x, one slot block each, with `bases` in turn.
+
+    Each step moves the slot's outcome axis last, so after all steps the block
+    order is restored and any trailing axes have moved to the front.
+    """
+    for b in bases:
+        x = x.reshape(len(b), -1).T @ b
+    return x
+
+
+def jx_function(ensemble: SpinEnsemble, values: np.ndarray) -> np.ndarray:
+    """Dense f(Jx) = V diag(values) V^dag for values[i] = f(m_i), V applied slot by slot from both sides."""
+    bases = jx_eigenbases(ensemble)
+    diag = np.diag(np.asarray(values, dtype=complex))
+    return _apply_slot_bases(diag, [v.T for v in bases] + [v.conj().T for v in bases]).reshape(len(diag), -1)
 
 
 def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:

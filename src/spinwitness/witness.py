@@ -8,20 +8,22 @@ indicator of a positive collective-spin component:
 For an ensemble with total spin K/2 (K odd) the operator collapses to a rank-2
 correction of 1/2 * identity supported on the two GHZ-like combinations of the
 stretched product states; `build_qk_direct` and `build_qk_closed_form` realize
-both routes independently.  All scalar bounds come from `witness_report` in
-exact rational arithmetic.
+both routes independently; the direct route and `generalized_witness` read
+Jx through the factored kernel in `spin`.  All scalar bounds come from
+`witness_report` in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from .linalg import binomial_exact, hermitian_eigendecompose
-from .spin import SpinEnsemble, collective_operator, direction_phases
+from .spin import SpinEnsemble, direction_phases, jx_eigenbases, jx_function, jz_diagonal
 from .states import QuantumState
 
 __all__ = [
@@ -38,9 +40,8 @@ __all__ = [
     "generalized_witness",
 ]
 
-# Eigenvalues this close to zero count as zero for pos() and for the spectral
-# calculus of odd functions.  Far above eigensolver jitter (~1e-14 at desk
-# dimensions), far below any genuine spacing that occurs here.
+# Eigenvalues this close to zero count as zero for the dense pos().  Far above
+# eigensolver jitter (~1e-14 at desk dimensions), far below any genuine spacing.
 ZERO_EIGENVALUE_TOL = 1e-9
 
 DIRECT = "direct"
@@ -76,12 +77,12 @@ def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> Witnes
     """Average pos(J_k) over the K directions, straight from the definition.
 
     Each J_k is a diagonal-phase conjugation of Jx (see `direction_phases`), so
-    pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*) and one eigensolve of Jx serves
-    every direction:  Q = pos(Jx) * sum_k outer(ph_k, ph_k^*) / K.
+    pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*) and one factored pos(Jx) = f(Jx),
+    f = [m > 0], serves every direction:  Q = pos(Jx) * sum_k outer(ph_k, ph_k^*) / K.
     """
     K = ensemble.K
     ph = direction_phases(ensemble, theta_offset)
-    q = pos_operator(collective_operator(ensemble).Jx) * (ph.T @ ph.conj()) / K
+    q = jx_function(ensemble, jz_diagonal(ensemble) > 0) * (ph.T @ ph.conj()) / K
     return WitnessOperator(ensemble, K, theta_offset, (q + q.conj().T) / 2, DIRECT)
 
 
@@ -203,19 +204,21 @@ class GeneralizedWitness:
 def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[float], float]) -> GeneralizedWitness:
     """Evaluate the stretched-state coupling f_K = |<up| f_odd(Jx) |down>|.
 
-    f_odd must be an odd real function on the spectrum of the collective Jx;
-    oddness is spot-checked on the positive eigenvalues (tolerance 1e-12).
-    Eigenvalues within the zero tolerance are evaluated at exactly 0, so step
-    functions like sign() stay well defined on integer-spin blocks.
+    f_odd must be a finite odd real function on 0 and the spectrum of Jx, the
+    K + 1 half-integers -K/2..K/2; it is evaluated and checked (tolerance
+    1e-12) once on each.  The entry is sum_o f(m_o) U_o D_o^*, with U and D the first
+    and last rows of V = (x) v_n: Kronecker products of local rows, O(dim).
     """
-    jx = collective_operator(ensemble).Jx
-    w, v = hermitian_eigendecompose(jx)
-    w = np.where(np.abs(w) < ZERO_EIGENVALUE_TOL, 0.0, w)
-    if abs(float(f_odd(0.0))) > 1e-12:
+    levels, index = np.unique(jz_diagonal(ensemble), return_inverse=True)
+    values = np.array([float(f_odd(x)) for x in (0.0, *levels)])
+    if not np.isfinite(values).all():
+        raise ValueError("f_odd returned a non-finite value")
+    if abs(values[0]) > 1e-12:
         raise ValueError("f_odd(0) != 0: not an odd function")
-    for x in np.unique(np.abs(w[w != 0.0])):
-        if abs(float(f_odd(-x)) + float(f_odd(x))) > 1e-12:
-            raise ValueError(f"f_odd fails oddness at x = {x}")
-    values = np.array([float(f_odd(x)) for x in w])
-    f_k = abs((v[0] * values) @ v[-1].conj())  # the [0, -1] entry of f(Jx) = V diag(values) V^dag
+    values = values[1:]
+    odd_dev = np.abs(values + values[::-1]) > 1e-12  # levels[::-1] == -levels exactly
+    if odd_dev.any():
+        raise ValueError(f"f_odd fails oddness at x = {np.abs(levels[odd_dev]).min()}")
+    corner = reduce(np.multiply.outer, [v[0] * v[-1].conj() for v in jx_eigenbases(ensemble)]).reshape(-1)
+    f_k = abs(values[index] @ corner)
     return GeneralizedWitness(f0=float(f0), f_odd=f_odd, f_K=float(f_k), sep_bound=float(f0) + float(f_k) / 2)

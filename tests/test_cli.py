@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
+from spinwitness import cli
 from spinwitness.cli import (
     MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, UsageError, _deviation, _parse_grid, _parse_spins, main,
 )
@@ -85,6 +87,26 @@ def test_verify_prints_rounding_noise_as_a_stable_token(capsys):
     assert rc == 0
     assert "PASS  seesaw: 3 bipartitions, max |value - P_sep| <1e-12, spread <1e-12\n" in out
     assert _deviation(3.2e-7) == "3.20e-07"
+
+
+@pytest.mark.parametrize("entries, detail", [
+    ([(0, 0)], "pi-about-x 1.00e-03, 2pi/K-about-z <1e-12"),  # breaks only the reversal symmetry
+    ([(0, 1), (1, 0), (-1, -2), (-2, -1)], "pi-about-x <1e-12, 2pi/K-about-z 1.73e-03"),  # only the z phases
+])
+def test_verify_symmetry_line_fails_on_a_broken_witness(capsys, monkeypatch, entries, detail):
+    build = cli.build_qk_direct
+
+    def perturbed(ensemble):
+        witness = build(ensemble)
+        q = witness.Q.copy()
+        for entry in entries:
+            q[entry] += 1e-3
+        return dataclasses.replace(witness, Q=q)
+
+    monkeypatch.setattr(cli, "build_qk_direct", perturbed)
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5,0.5,0.5", "--restarts", "2")
+    assert rc == 1
+    assert f"FAIL  symmetry: {detail}\n" in out
 
 
 def test_verify_mixed_ensemble(capsys):

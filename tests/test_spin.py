@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from spinwitness.linalg import hermitian_eigendecompose
 from spinwitness.spin import (
     SpinEnsemble,
-    collective_matrices,
     collective_operator,
     direction_operator,
     direction_phases,
@@ -149,13 +149,6 @@ def test_direction_phases_are_the_jz_rotation(spins):
         np.testing.assert_allclose(d @ J.Jx @ d.conj().T, direction_operator(J, k, e.K, theta), atol=1e-13)
 
 
-def test_collective_matrices_accept_integer_total_spin():
-    # a subensemble need not be a valid SpinEnsemble
-    jx, jy, jz = collective_matrices([0.5, 0.5])
-    np.testing.assert_allclose(np.diag(jz).real, [1, 0, 0, -1], atol=0)
-    np.testing.assert_allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-14)
-
-
 def test_rotate_about_z_full_turn_and_unitarity():
     e = SpinEnsemble((0.5, 1, 1))
     J = collective_operator(e)
@@ -172,3 +165,33 @@ def test_rotate_about_generic_generator():
     J = collective_operator(e)
     flipped = rotate_about_z(J.Jy, J.Jx, np.pi)
     np.testing.assert_allclose(flipped, -J.Jy, atol=1e-12)
+
+
+# --- exact symmetry maps (verify's symmetry line) ---
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 2.5, 3, 3.5])
+def test_pi_about_x_is_a_phase_times_reversal(j):
+    # exp(-i pi Jx) built spectrally, as rotate_about_z builds its unitary
+    w, v = hermitian_eigendecompose(spin_matrices(j)[0])
+    u = (v * np.exp(-1j * np.pi * w)) @ v.conj().T
+    d = round(2 * j + 1)
+    np.testing.assert_allclose(u, np.exp(-1j * np.pi * j) * np.eye(d)[::-1], atol=1e-13)
+    op = np.arange(d * d).reshape(d, d) * (1 + 0.5j)
+    op = op + op.conj().T
+    np.testing.assert_allclose(rotate_about_z(op, spin_matrices(j)[0], np.pi), op[::-1, ::-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5), (0.5, 1, 1), (1.5, 1)])
+def test_exact_symmetry_maps_equal_the_spectral_rotations(spins):
+    e = SpinEnsemble(spins)
+    J = collective_operator(e)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(e.dim, e.dim)) + 1j * rng.normal(size=(e.dim, e.dim))
+    h = a + a.conj().T  # invariant under neither map
+    reversed_h = h[::-1, ::-1]
+    ph = direction_phases(e, 2 * np.pi / e.K)[0]
+    phased_h = h * np.outer(ph, ph.conj())
+    assert np.abs(reversed_h - h).max() > 0.1 and np.abs(phased_h - h).max() > 0.1
+    np.testing.assert_allclose(rotate_about_z(h, J.Jx, np.pi), reversed_h, atol=1e-12)
+    np.testing.assert_allclose(rotate_about_z(h, J.Jz, 2 * np.pi / e.K), phased_h, atol=1e-12)

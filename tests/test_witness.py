@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwitness.linalg import binomial_exact
+from spinwitness.cli import _F_ODD_CHOICES
+from spinwitness.linalg import binomial_exact, hermitian_eigendecompose
 from spinwitness.spin import (
     SpinEnsemble,
     collective_operator,
     direction_operator,
     direction_phases,
+    jx_function,
+    jz_diagonal,
     rotate_about_z,
     spin_matrices,
 )
 from spinwitness.states import ghz_like, ghz_mixture, product_state
 from spinwitness.witness import (
+    ZERO_EIGENVALUE_TOL,
     build_qk_closed_form,
     build_qk_direct,
     generalized_witness,
@@ -110,12 +114,16 @@ def test_direct_route_never_reads_the_binomial(monkeypatch):
     np.testing.assert_allclose(build_qk_direct(E5, 0.3).Q, qk_reference(E5, 0.3), atol=1e-12)
 
 
-def test_direct_route_eigensolves_once(monkeypatch):
+@pytest.mark.parametrize(
+    "route", [lambda e: build_qk_direct(e, 0.3), lambda e: generalized_witness(e, 0.5, _F_ODD_CHOICES["sign"])],
+    ids=["direct", "generalized"],
+)
+def test_witness_routes_eigensolve_single_particles_only(monkeypatch, route):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    build_qk_direct(E5, 0.3)
-    assert calls == [(E5.dim, E5.dim)]
+    route(SpinEnsemble((0.5, 1, 1)))
+    assert calls == [(2, 2), (3, 3), (3, 3)]
 
 
 def test_witness_is_half_identity_plus_corner_coupling():
@@ -290,3 +298,31 @@ def test_generalized_rejects_non_odd_functions():
         generalized_witness(E3, 0.0, lambda x: x * x)
     with pytest.raises(ValueError, match="odd"):
         generalized_witness(E3, 0.0, lambda x: np.cos(x))
+
+
+def dense_generalized_reference(ensemble, f_odd):
+    """f_K = |f(Jx)[0, -1]| from one dense eigensolve of the collective Jx."""
+    w, v = hermitian_eigendecompose(collective_operator(ensemble).Jx)
+    w = np.where(np.abs(w) < ZERO_EIGENVALUE_TOL, 0.0, w)
+    values = np.array([float(f_odd(x)) for x in w])
+    return abs((v[0] * values) @ v[-1].conj())
+
+
+@settings(max_examples=25, deadline=None)
+@given(ensemble=small_ensembles, name=st.sampled_from(sorted(_F_ODD_CHOICES)))
+def test_factored_kernel_matches_the_dense_eigensolve(ensemble, name):
+    f_odd = _F_ODD_CHOICES[name]
+    gw = generalized_witness(ensemble, 0.5, f_odd)
+    assert abs(gw.f_K - dense_generalized_reference(ensemble, f_odd)) < 1e-12
+    w, v = hermitian_eigendecompose(collective_operator(ensemble).Jx)
+    dense = (v * np.array([f_odd(x) for x in w])) @ v.conj().T
+    factored = jx_function(ensemble, [f_odd(x) for x in jz_diagonal(ensemble)])
+    np.testing.assert_allclose(factored, dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generalized_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        generalized_witness(E3, 0.5, lambda x: bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        generalized_witness(E5, 0.5, lambda x: bad * x if abs(x) > 2 else x)  # bad only at the largest |m|
