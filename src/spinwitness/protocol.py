@@ -84,14 +84,21 @@ class ProtocolEstimate:
 
 
 def wilson_interval(positives: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval — correct coverage where Wald collapses."""
+    """Wilson score interval — correct coverage where Wald collapses.
+
+    The interval always lies in [0, 1] and contains positives / trials; the
+    clamps only undo rounding at p_hat = 0 or 1, where an edge lands an ulp
+    off.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= positives <= trials:
+        raise ValueError(f"positives={positives} must lie in [0, trials={trials}]")
     p_hat = positives / trials
     denom = 1 + z**2 / trials
     center = (p_hat + z**2 / (2 * trials)) / denom
     half = z * np.sqrt(p_hat * (1 - p_hat) / trials + z**2 / (4 * trials**2)) / denom
-    return float(center - half), float(center + half)
+    return float(max(0.0, min(center - half, p_hat))), float(min(1.0, max(center + half, p_hat)))
 
 
 def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate:

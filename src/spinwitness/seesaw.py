@@ -12,6 +12,12 @@ either stretched state of its side flattens the operator to exactly
 1/2 * identity, where the iteration has nothing to climb.  The value-moving
 seeds are balanced superpositions of the side's stretched states — restart 0
 starts there and lands on the bound in two iterations.
+
+The witness is laid out once per bipartition as a pair-major matrix, and all
+restarts run in lockstep as stacks of a fixed number of entries
+(`_STACK_ENTRIES`): each half-step conditions the whole stack with one GEMM
+and takes its top eigenvectors with one stacked `eigh`.  A restart leaves the
+stack when it converges, so every restart keeps its own iteration count.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-9
+_STACK_ENTRIES = 2**15  # entries of one (restarts, d, d) stack: 512 KiB of complex
 
 
 @dataclass(frozen=True)
@@ -90,34 +97,38 @@ def enumerate_bipartitions(ensemble: SpinEnsemble) -> list[Bipartition]:
     return out
 
 
-def _side_major(q: np.ndarray, bipartition: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """Q laid out as (d_J, d_C, d_J, d_C) and as its swap (d_C, d_J, d_C, d_J).
+def _pair_major(q: np.ndarray, bipartition: Bipartition) -> np.ndarray:
+    """Q laid out as the (d_J^2, d_C^2) matrix P[(a, b), (c, c')] = <a c| Q |b c'>.
 
     Each side keeps its slots in sorted order, so a side ket is indexed the
-    way `best_kets` reports it.  Both layouts are C-contiguous: conditioning
-    on either side is then two BLAS products (`_conditioned`).
+    way `best_kets` reports it.  P is the pair-major layout of subset_J and
+    its transpose that of the complement: conditioning either side on a stack
+    of kets is one GEMM against it (`_conditioned_stack`).
     """
     ensemble = bipartition.ensemble
     n = ensemble.N
-    order = bipartition.subset_J + bipartition.complement
-    d_j = bipartition.side_dim(bipartition.subset_J)
-    d_c = bipartition.side_dim(bipartition.complement)
-    tensor = q.reshape(ensemble.local_dims + ensemble.local_dims).transpose(order + tuple(n + i for i in order))
-    layout_j = np.ascontiguousarray(tensor).reshape(d_j, d_c, d_j, d_c)
-    layout_c = np.ascontiguousarray(layout_j.transpose(1, 0, 3, 2))
-    return layout_j, layout_c
+    rows_j, rows_c = bipartition.subset_J, bipartition.complement
+    axes = rows_j + tuple(n + i for i in rows_j) + rows_c + tuple(n + i for i in rows_c)
+    d_j = bipartition.side_dim(rows_j)
+    d_c = bipartition.side_dim(rows_c)
+    tensor = q.reshape(ensemble.local_dims + ensemble.local_dims).transpose(axes)
+    return np.ascontiguousarray(tensor).reshape(d_j * d_j, d_c * d_c)
 
 
-def _conditioned(layout: np.ndarray, psi_other: np.ndarray) -> np.ndarray:
-    """<psi_other| Q |psi_other> over the other side, for a side-major layout.
+def _conditioned_stack(layout: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """<psi_r| Q |psi_r> over the other side, for each row psi_r of `kets`.
 
-    `layout` has shape (d_side, d_other, d_side, d_other); the result is the
-    Hermitian d_side x d_side operator on the side.
+    `layout` is the side's pair-major (d_side^2, d_other^2) matrix and `kets`
+    an (R, d_other) stack; the result is the (R, d_side, d_side) stack of
+    Hermitian operators on the side.
     """
-    d, d_other = layout.shape[:2]
-    t = (layout.reshape(-1, d_other) @ psi_other).reshape(d, d_other, d)
-    m = psi_other.conj() @ t  # contracts the other side's row axis, one product per side row
-    return (m + m.conj().T) / 2
+    r, d_other = kets.shape
+    d = math.isqrt(layout.shape[0])
+    w = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(r, d_other * d_other)
+    m = (w @ layout.T).reshape(r, d, d)
+    m += m.conj().transpose(0, 2, 1)
+    m /= 2
+    return m
 
 
 def conditioned_operator(witness: WitnessOperator, bipartition: Bipartition, psi_complement: np.ndarray) -> np.ndarray:
@@ -128,17 +139,47 @@ def conditioned_operator(witness: WitnessOperator, bipartition: Bipartition, psi
         raise ValueError(f"complement ket has length {psi.shape[0]}, expected {d_comp}")
     if abs(np.linalg.norm(psi) - 1) > 1e-12:
         raise ValueError("complement ket must be unit norm")
-    layout_j, _ = _side_major(witness.Q, bipartition)
-    return _conditioned(layout_j, psi)
+    return _conditioned_stack(_pair_major(witness.Q, bipartition), psi[None])[0]
 
 
-def _top_eigvec(m: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair; inside a degenerate top cluster, prefer overlap with the previous ket."""
+def _top_eigvecs(m: np.ndarray, previous: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpair of each matrix in the stack; inside a degenerate top
+    cluster, prefer overlap with that row's previous ket."""
     w, v = np.linalg.eigh(m)
-    cluster = np.nonzero(w >= w[-1] - DEGENERACY_TOL)[0]
-    overlaps = np.abs(v[:, cluster].conj().T @ previous)
-    pick = cluster[int(np.argmax(overlaps))]  # argmax takes the lowest index on ties
-    return float(w[-1]), v[:, pick]
+    cluster = w >= w[:, -1:] - DEGENERACY_TOL
+    overlaps = np.abs(previous.conj()[:, None, :] @ v)[:, 0, :]
+    pick = np.argmax(np.where(cluster, overlaps, -1.0), axis=1)  # argmax takes the lowest index on ties
+    return w[:, -1], v[np.arange(len(v)), :, pick]
+
+
+def _seesaw_stack(layout, psi_j, psi_c, max_iters, tol):
+    """Run a stack of restarts in lockstep on the `_pair_major` layout.
+
+    `psi_j` (R, d_J) and `psi_c` (R, d_C) hold the starting kets and are
+    overwritten with the final ones.  A restart leaves the active set when
+    its value gains less than `tol` or at `max_iters`.  Returns per-restart
+    (values, iterations, converged) and the (steps, R) trajectory, NaN once a
+    restart has left.
+    """
+    n = len(psi_j)
+    values = np.full(n, -np.inf)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    trajectory = []
+    active = np.arange(n)
+    for step in range(1, max_iters + 1):
+        _, psi_j[active] = _top_eigvecs(_conditioned_stack(layout, psi_c[active]), psi_j[active])
+        value, psi_c[active] = _top_eigvecs(_conditioned_stack(layout.T, psi_j[active]), psi_c[active])
+        done = value - values[active] < tol
+        values[active] = value
+        iterations[active] = step
+        converged[active[done]] = True
+        trajectory.append(np.full(n, np.nan))
+        trajectory[-1][active] = value
+        active = active[~done]
+        if not active.size:
+            break
+    return values, iterations, converged, np.array(trajectory)
 
 
 def _balanced_seed(dim: int) -> np.ndarray:
@@ -147,23 +188,38 @@ def _balanced_seed(dim: int) -> np.ndarray:
     return ket
 
 
-def _seesaw_single(layout_j, layout_c, psi_j, psi_c, max_iters, tol):
-    """One restart on the `_side_major` layouts.  Returns (value, psi_j, psi_c, iterations, converged, trajectory)."""
-    value_prev = -np.inf
-    trajectory = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        m_j = _conditioned(layout_j, psi_c)
-        _, psi_j = _top_eigvec(m_j, psi_j)
-        m_c = _conditioned(layout_c, psi_j)
-        value, psi_c = _top_eigvec(m_c, psi_c)
-        trajectory.append(value)
-        if value - value_prev < tol:
-            converged = True
-            break
-        value_prev = value
-    return trajectory[-1], psi_j, psi_c, iterations, converged, trajectory
+def _start_kets(seed: int, restart: int, d_j: int, d_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Restart 0: the balanced stretched superposition on each side; restart
+    r > 0: both kets drawn from the substream default_rng([seed, r])."""
+    if restart == 0:
+        return _balanced_seed(d_j), _balanced_seed(d_c)
+    rng = np.random.default_rng([seed, restart])
+    psi_j = rng.standard_normal(d_j) + 1j * rng.standard_normal(d_j)
+    psi_c = rng.standard_normal(d_c) + 1j * rng.standard_normal(d_c)
+    return psi_j / np.linalg.norm(psi_j), psi_c / np.linalg.norm(psi_c)
+
+
+def _run_restarts(layout, d_j, d_c, restarts, max_iters, tol, seed):
+    """Every restart, as stacks of at most `_STACK_ENTRIES // max(d_J, d_C)**2` rows.
+
+    Returns per-restart (values, iterations, converged), the index of the
+    first maximum in restart order and that restart's kets.
+    """
+    block = max(1, _STACK_ENTRIES // max(d_j, d_c) ** 2)
+    values = np.empty(restarts)
+    iterations = np.empty(restarts, dtype=int)
+    converged = np.empty(restarts, dtype=bool)
+    best = 0
+    for start in range(0, restarts, block):
+        rows = slice(start, min(start + block, restarts))
+        kets = [_start_kets(seed, r, d_j, d_c) for r in range(rows.start, rows.stop)]
+        psi_j = np.array([k[0] for k in kets])
+        psi_c = np.array([k[1] for k in kets])
+        values[rows], iterations[rows], converged[rows], _ = _seesaw_stack(layout, psi_j, psi_c, max_iters, tol)
+        top = int(np.argmax(values[rows]))  # argmax takes the first maximum
+        if start == 0 or values[start + top] > values[best]:
+            best, best_kets = start + top, (psi_j[top], psi_c[top])
+    return values, iterations, converged, best, best_kets
 
 
 def seesaw_maximize(
@@ -179,35 +235,23 @@ def seesaw_maximize(
     Restart 0 seeds both sides with the balanced stretched superposition (the
     saturating point); restart r > 0 draws both kets from the substream
     default_rng([seed, r]), so results are identical for identical
-    (seed, restarts) regardless of evaluation order.  The returned value is a
-    certified lower bound on the true bipartition maximum.
+    (seed, restarts) regardless of evaluation order.  The restarts run in
+    lockstep as stacks of a fixed number of entries; the winner is the first
+    maximum in restart order.  The returned value is a certified lower bound
+    on the true bipartition maximum.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     if max_iters < 1:
         raise ValueError("need at least one iteration")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    layout_j, layout_c = _side_major(witness.Q, bipartition)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     d_j = bipartition.side_dim(bipartition.subset_J)
     d_c = bipartition.side_dim(bipartition.complement)
-    best = None
-    for restart in range(restarts):
-        if restart == 0:
-            psi_j, psi_c = _balanced_seed(d_j), _balanced_seed(d_c)
-        else:
-            rng = np.random.default_rng([seed, restart])
-            psi_j = rng.standard_normal(d_j) + 1j * rng.standard_normal(d_j)
-            psi_c = rng.standard_normal(d_c) + 1j * rng.standard_normal(d_c)
-            psi_j /= np.linalg.norm(psi_j)
-            psi_c /= np.linalg.norm(psi_c)
-        value, psi_j, psi_c, iterations, converged, _ = _seesaw_single(
-            layout_j, layout_c, psi_j, psi_c, max_iters, tol
-        )
-        if best is None or value > best[0]:
-            best = (value, psi_j, psi_c, iterations, converged)
-    value, psi_j, psi_c, iterations, converged = best
-    return SeeSawResult(bipartition, value, (psi_j, psi_c), iterations, restarts, converged)
+    values, iterations, converged, best, best_kets = _run_restarts(
+        _pair_major(witness.Q, bipartition), d_j, d_c, restarts, max_iters, tol, seed
+    )
+    return SeeSawResult(bipartition, float(values[best]), best_kets, int(iterations[best]), restarts, bool(converged[best]))
 
 
 def _bloch_family(dim: int, resolution: int) -> np.ndarray:

@@ -204,11 +204,13 @@ class GeneralizedWitness:
 def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[float], float]) -> GeneralizedWitness:
     """Evaluate the stretched-state coupling f_K = |<up| f_odd(Jx) |down>|.
 
-    f_odd must be a finite odd real function on 0 and the spectrum of Jx, the
-    K + 1 half-integers -K/2..K/2; it is evaluated and checked (tolerance
-    1e-12) once on each.  The entry is sum_o f(m_o) U_o D_o^*, with U and D the first
+    f0 must be finite.  f_odd must be a finite odd real function on 0 and the
+    spectrum of Jx, the K + 1 half-integers -K/2..K/2; it is evaluated and
+    checked (tolerance 1e-12) once on each.  The entry is sum_o f(m_o) U_o D_o^*, with U and D the first
     and last rows of V = (x) v_n: Kronecker products of local rows, O(dim).
     """
+    if not np.isfinite(f0):
+        raise ValueError(f"f0 must be finite, got {f0}")
     levels, index = np.unique(jz_diagonal(ensemble), return_inverse=True)
     values = np.array([float(f_odd(x)) for x in (0.0, *levels)])
     if not np.isfinite(values).all():

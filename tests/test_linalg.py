@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinwitness.linalg import (
     assert_hermitian,
@@ -111,6 +114,22 @@ def test_partial_trace_matches_reference(dims, keep):
     got = partial_trace(op, dims, keep)
     want = partial_trace_reference(op, dims, keep)
     np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+@st.composite
+def slot_splits(draw):
+    """Local dimensions of 2-4 slots (product <= 64) and a nonempty proper subset to keep."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4).filter(lambda d: math.prod(d) <= 64))
+    keep = draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1, unique=True))
+    return dims, keep
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_splits(), st.integers(0, 2**32 - 1))
+def test_partial_trace_matches_reference_on_random_splits(split, seed):
+    dims, keep = split
+    op = random_hermitian(math.prod(dims), seed)
+    np.testing.assert_allclose(partial_trace(op, dims, keep), partial_trace_reference(op, dims, keep), rtol=0, atol=1e-12)
 
 
 def test_partial_trace_kron_factorization():

@@ -67,6 +67,23 @@ def test_wilson_rejects_zero_trials():
         wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize("positives,trials", [(5, 3), (-1, 10)])
+def test_wilson_rejects_positives_outside_trials(positives, trials):
+    with pytest.raises(ValueError, match="positives"):
+        wilson_interval(positives, trials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_wilson_contains_estimate_and_shrinks_with_trials(counts):
+    positives, trials = counts
+    p_hat = positives / trials
+    low, high = wilson_interval(positives, trials)
+    assert 0.0 <= low <= p_hat <= high <= 1.0
+    low4, high4 = wilson_interval(4 * positives, 4 * trials)  # same p_hat, four times the trials
+    assert high4 - low4 < high - low
+
+
 # --- monolithic protocol ---
 
 

@@ -1,9 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinwitness import seesaw
 from spinwitness.seesaw import (
     Bipartition,
     conditioned_operator,
@@ -11,7 +13,7 @@ from spinwitness.seesaw import (
     grid_certify,
     seesaw_maximize,
 )
-from spinwitness.seesaw import _conditioned, _seesaw_single, _side_major
+from spinwitness.seesaw import _conditioned_stack, _pair_major, _run_restarts, _seesaw_stack
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState
 from spinwitness.witness import build_qk_direct, score, witness_report
@@ -175,30 +177,35 @@ def unit_ket(rng, dim):
 
 
 @settings(max_examples=60, deadline=None)
-@given(split_ensembles(), st.integers(0, 2**32 - 1))
-def test_side_major_kernel_matches_einsum_reference(bip, seed):
+@given(split_ensembles(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_side_major_kernel_matches_einsum_reference(bip, seed, rows):
+    # one GEMM conditions a whole stack of kets; each row must match the einsum
     ensemble = bip.ensemble
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((ensemble.dim,) * 2) + 1j * rng.standard_normal((ensemble.dim,) * 2)
     q = (a + a.conj().T) / 2
     d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
-    psi_j, psi_c = unit_ket(rng, d_j), unit_ket(rng, d_c)
-    layout_j, layout_c = _side_major(q, bip)
-    m_j = _conditioned(layout_j, psi_c)
-    m_c = _conditioned(layout_c, psi_j)
-    np.testing.assert_allclose(m_j, conditioned_reference(q, ensemble, bip.subset_J, psi_c), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(m_c, conditioned_reference(q, ensemble, bip.complement, psi_j), rtol=0, atol=1e-12)
-    # each ket sits in its own (possibly interleaved) slots of the product state
+    kets_j = np.array([unit_ket(rng, d_j) for _ in range(rows)])
+    kets_c = np.array([unit_ket(rng, d_c) for _ in range(rows)])
+    layout = _pair_major(q, bip)
+    stack_j = _conditioned_stack(layout, kets_c)
+    stack_c = _conditioned_stack(layout.T, kets_j)
+    for stack in (stack_j, stack_c):
+        np.testing.assert_array_equal(stack, stack.conj().transpose(0, 2, 1))  # exactly Hermitian for eigh
     n = ensemble.N
     dims = ensemble.local_dims
-    full = np.einsum(
-        psi_j.reshape([dims[i] for i in bip.subset_J]), list(bip.subset_J),
-        psi_c.reshape([dims[i] for i in bip.complement]), list(bip.complement),
-        list(range(n)),
-    ).reshape(-1)
-    expectation = full.conj() @ q @ full
-    assert psi_j.conj() @ m_j @ psi_j == pytest.approx(expectation, abs=1e-12)
-    assert psi_c.conj() @ m_c @ psi_c == pytest.approx(expectation, abs=1e-12)
+    for psi_j, psi_c, m_j, m_c in zip(kets_j, kets_c, stack_j, stack_c):
+        np.testing.assert_allclose(m_j, conditioned_reference(q, ensemble, bip.subset_J, psi_c), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m_c, conditioned_reference(q, ensemble, bip.complement, psi_j), rtol=0, atol=1e-12)
+        # each ket sits in its own (possibly interleaved) slots of the product state
+        full = np.einsum(
+            psi_j.reshape([dims[i] for i in bip.subset_J]), list(bip.subset_J),
+            psi_c.reshape([dims[i] for i in bip.complement]), list(bip.complement),
+            list(range(n)),
+        ).reshape(-1)
+        expectation = full.conj() @ q @ full
+        assert psi_j.conj() @ m_j @ psi_j == pytest.approx(expectation, abs=1e-12)
+        assert psi_c.conj() @ m_c @ psi_c == pytest.approx(expectation, abs=1e-12)
 
 
 def test_conditioned_operator_validation():
@@ -244,15 +251,20 @@ def test_seesaw_deterministic_given_seed():
 
 def test_seesaw_trajectory_is_monotone():
     bip = Bipartition(E3, (0, 1))
-    layout_j, layout_c = _side_major(W3.Q, bip)
     rng = np.random.default_rng(17)
+    starts_j, starts_c = [], []
     for _ in range(5):
         psi_j = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi_c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi_j /= np.linalg.norm(psi_j)
-        psi_c /= np.linalg.norm(psi_c)
-        *_, trajectory = _seesaw_single(layout_j, layout_c, psi_j, psi_c, 200, 1e-10)
-        diffs = np.diff(trajectory)
+        starts_j.append(psi_j / np.linalg.norm(psi_j))
+        starts_c.append(psi_c / np.linalg.norm(psi_c))
+    # the five starts run as one stack; each row keeps its own trajectory
+    _, iterations, _, trajectory = _seesaw_stack(
+        _pair_major(W3.Q, bip), np.array(starts_j), np.array(starts_c), 200, 1e-10
+    )
+    for row, steps in zip(trajectory.T, iterations):
+        assert np.isfinite(row[:steps]).all() and np.isnan(row[steps:]).all()
+        diffs = np.diff(row[:steps])
         assert np.all(diffs > -1e-12)
 
 
@@ -275,10 +287,163 @@ def test_seesaw_validation():
         seesaw_maximize(W3, bip, restarts=0)
     with pytest.raises(ValueError):
         seesaw_maximize(W3, bip, tol=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        seesaw_maximize(W3, bip, tol=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        seesaw_maximize(W3, bip, tol=float("inf"))
     with pytest.raises(ValueError, match="iteration"):
         seesaw_maximize(W3, bip, max_iters=0)
     with pytest.raises(ValueError, match="iteration"):
         seesaw_maximize(W3, bip, max_iters=-3)
+
+
+def top_eigvec_reference(m, previous):
+    """Top eigenpair of one matrix; inside a degenerate top cluster, prefer overlap with the previous ket."""
+    w, v = np.linalg.eigh(m)
+    cluster = np.nonzero(w >= w[-1] - seesaw.DEGENERACY_TOL)[0]
+    overlaps = np.abs(v[:, cluster].conj().T @ previous)
+    pick = cluster[int(np.argmax(overlaps))]  # argmax takes the lowest index on ties
+    return float(w[-1]), v[:, pick]
+
+
+def reference_restart(q, bip, psi_j, psi_c, max_iters, tol):
+    """One restart, one eigh per half-step, conditioned through the einsum reference.
+
+    Returns (value, psi_j, psi_c, iterations, converged).
+    """
+    ensemble = bip.ensemble
+    value_prev = -np.inf
+    for step in range(1, max_iters + 1):
+        _, psi_j = top_eigvec_reference(conditioned_reference(q, ensemble, bip.subset_J, psi_c), psi_j)
+        value, psi_c = top_eigvec_reference(conditioned_reference(q, ensemble, bip.complement, psi_j), psi_c)
+        if value - value_prev < tol:
+            return value, psi_j, psi_c, step, True
+        value_prev = value
+    return value, psi_j, psi_c, max_iters, False
+
+
+def sequential_seesaw_reference(q, bip, restarts, max_iters, tol, seed):
+    """The restarts one at a time, seeded as `seesaw_maximize` seeds them.
+
+    Returns the per-restart values, iteration counts, converged flags and final kets.
+    """
+    d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
+    runs = []
+    for restart in range(restarts):
+        if restart == 0:
+            psi_j, psi_c = balanced(d_j), balanced(d_c)
+        else:
+            rng = np.random.default_rng([seed, restart])
+            psi_j = rng.standard_normal(d_j) + 1j * rng.standard_normal(d_j)
+            psi_c = rng.standard_normal(d_c) + 1j * rng.standard_normal(d_c)
+            psi_j /= np.linalg.norm(psi_j)
+            psi_c /= np.linalg.norm(psi_c)
+        runs.append(reference_restart(q, bip, psi_j, psi_c, max_iters, tol))
+    values, kets_j, kets_c, iterations, converged = zip(*runs)
+    return np.array(values), np.array(iterations), np.array(converged), list(zip(kets_j, kets_c))
+
+
+def assert_same_ket_up_to_phase(got, want):
+    assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-10)
+
+
+REFERENCE_ENSEMBLES = [E_MIXED, SpinEnsemble((0.5, 1, 1)), SpinEnsemble((1.5, 1, 1)), E5]
+
+
+@pytest.mark.parametrize("max_iters", [1, 200])  # after one step the values still depend on the seeds
+@pytest.mark.parametrize("rows", [1, 3, 8])  # blocks of one, uneven blocks (3, 3, 2), one block of all
+def test_stacked_seesaw_matches_sequential_reference(monkeypatch, rows, max_iters):
+    rng = np.random.default_rng(23)
+    for ensemble in REFERENCE_ENSEMBLES:
+        w = build_qk_direct(ensemble, theta_offset=rng.uniform(0, 2 * np.pi))
+        for bip in enumerate_bipartitions(ensemble):
+            d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
+            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", rows * max(d_j, d_c) ** 2)
+            values, iterations, converged, _ = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=5)
+            got = _run_restarts(_pair_major(w.Q, bip), d_j, d_c, 8, max_iters, 1e-10, 5)
+            np.testing.assert_allclose(got[0], values, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got[1], iterations)
+            np.testing.assert_array_equal(got[2], converged)
+            r = seesaw_maximize(w, bip, restarts=8, max_iters=max_iters, seed=5)
+            assert r.best_value == pytest.approx(values.max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("max_iters", [1, 200])
+def test_stacked_seesaw_matches_reference_on_a_random_operator(monkeypatch, max_iters):
+    # a random Hermitian Q has seed-dependent local maxima, so every restart
+    # ends at its own value and kets, after its own number of steps; at 200
+    # steps, seed 3 puts the best restart 0.73 above the next
+    bip = Bipartition(E5, (0, 2))
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    q = (a + a.conj().T) / 2
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", 3 * 8**2)
+    values, iterations, converged, kets = sequential_seesaw_reference(q, bip, 8, max_iters, 1e-10, seed=3)
+    got_values, got_iterations, got_converged, best, (psi_j, psi_c) = _run_restarts(
+        _pair_major(q, bip), 4, 8, 8, max_iters, 1e-10, 3
+    )
+    np.testing.assert_allclose(got_values, values, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got_iterations, iterations)
+    np.testing.assert_array_equal(got_converged, converged)
+    assert best == int(np.argmax(values))
+    assert_same_ket_up_to_phase(psi_j, kets[best][0])
+    assert_same_ket_up_to_phase(psi_c, kets[best][1])
+
+
+def test_stacked_tie_break_matches_reference():
+    # a diagonal Q whose top level on subset_J is threefold degenerate within
+    # DEGENERACY_TOL: each row keeps the cluster member closest to its own
+    # previous ket, and the balanced first row ties between two members
+    bip = Bipartition(E3, (0, 1))
+    q = np.diag(np.repeat([1.0 - 1e-11, 1.0, 0.0, 1.0 - 2e-11], 2)).astype(complex)
+    rng = np.random.default_rng(29)
+    starts_j = [balanced(4)] + [unit_ket(rng, 4) for _ in range(7)]
+    starts_c = [balanced(2)] + [unit_ket(rng, 2) for _ in range(7)]
+    psi_j, psi_c = np.array(starts_j), np.array(starts_c)
+    values, iterations, converged, _ = _seesaw_stack(_pair_major(q, bip), psi_j, psi_c, 200, 1e-10)
+    for row in range(8):
+        value, want_j, want_c, steps, done = reference_restart(q, bip, starts_j[row], starts_c[row], 200, 1e-10)
+        assert values[row] == pytest.approx(value, abs=1e-12)
+        assert (iterations[row], converged[row]) == (steps, done)
+        assert_same_ket_up_to_phase(psi_j[row], want_j)
+        assert_same_ket_up_to_phase(psi_c[row], want_c)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_seesaw_winner_is_first_maximum(monkeypatch, rows):
+    # Q = 0 ties every restart at exactly 0, so restart 0 must win
+    bip = Bipartition(E3, (0,))
+    zero = types.SimpleNamespace(Q=np.zeros((8, 8), dtype=complex))
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", rows * 4**2)
+    r = seesaw_maximize(zero, bip, restarts=5, seed=3)
+    _, want_j, want_c, steps, done = reference_restart(zero.Q, bip, balanced(2), balanced(4), 200, 1e-10)
+    assert (r.best_value, r.iterations, r.converged) == (0.0, steps, done)
+    assert_same_ket_up_to_phase(r.best_kets[0], want_j)
+    assert_same_ket_up_to_phase(r.best_kets[1], want_c)
+
+
+def test_seesaw_does_not_depend_on_block_size(monkeypatch):
+    # a one-row stack takes BLAS's matrix-vector path, so values may move in
+    # the last digit; counts, flags and the attained maximum may not
+    ensemble = SpinEnsemble((0.5, 1, 1.5, 1.5))
+    w = build_qk_direct(ensemble, theta_offset=1.3)
+    for bip in enumerate_bipartitions(ensemble):
+        d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
+        layout = _pair_major(w.Q, bip)
+        runs = []
+        for rows in (1, 2, 5, 13):
+            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", rows * max(d_j, d_c) ** 2)
+            runs.append((_run_restarts(layout, d_j, d_c, 13, 200, 1e-10, 4), seesaw_maximize(w, bip, restarts=13, seed=4)))
+        (values, iterations, converged, *_), first = runs[0]
+        for (other_values, other_iterations, other_converged, *_), result in runs[1:]:
+            np.testing.assert_allclose(other_values, values, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(other_iterations, iterations)
+            np.testing.assert_array_equal(other_converged, converged)
+            assert result.best_value == pytest.approx(first.best_value, abs=1e-12)
+            assert (result.iterations, result.converged) == (first.iterations, first.converged)
+            psi_j, psi_c = result.best_kets
+            m = conditioned_operator(w, bip, psi_c)
+            assert np.real(psi_j.conj() @ m @ psi_j) == pytest.approx(result.best_value, abs=1e-10)
 
 
 def test_seesaw_runs_without_einsum(monkeypatch):

@@ -326,3 +326,5 @@ def test_generalized_rejects_non_finite_values(bad):
         generalized_witness(E3, 0.5, lambda x: bad)
     with pytest.raises(ValueError, match="non-finite"):
         generalized_witness(E5, 0.5, lambda x: bad * x if abs(x) > 2 else x)  # bad only at the largest |m|
+    with pytest.raises(ValueError, match="f0 must be finite"):
+        generalized_witness(E3, bad, np.sign)
