@@ -87,6 +87,7 @@ def _checked(parse, ok, what):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_rounds = _checked(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")  # the protocol's int64 tallies
 _seed = _checked(int, lambda n: 0 <= n < 2**128, "an integer in [0, 2^128)")  # the Philox key range
 _finite = _checked(float, math.isfinite, "a finite number")
 _probability = _checked(float, lambda p: 0 <= p <= 1, "a probability in [0, 1]")
@@ -210,6 +211,14 @@ def cmd_table(args) -> int:
 def _deviation(x: float) -> str:
     """A check's deviation for the verify report; rounding noise prints as one stable token."""
     return "<1e-12" if x < 1e-12 else f"{x:.2e}"
+
+
+def _round12(x: float) -> float:
+    """A see-saw value as `seesaw` prints it: noise below 1e-12 must not move stdout, as in verify.
+
+    Best values lie in [1/2, 1], so 12 decimals are 12 significant digits.
+    """
+    return round(x, 12)
 
 
 def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tuple[str, bool, str]]:
@@ -352,19 +361,18 @@ def cmd_seesaw(args) -> int:
         raise UsageError("seesaw needs at least two particles")
     rep = witness_report(ensemble.K)
     witness = build_qk_direct(ensemble)
-    rows = []
+    rows, values = [], []
     for bip in enumerate_bipartitions(ensemble):
         result = seesaw_maximize(witness, bip, restarts=args.restarts, seed=args.seed)
         label = ",".join(str(i + 1) for i in bip.subset_J) + "|" + ",".join(str(i + 1) for i in bip.complement)
-        rows.append({"bipartition": label, "best_value": result.best_value,
+        values.append(result.best_value)
+        rows.append({"bipartition": label, "best_value": _round12(result.best_value),
                      "iterations": result.iterations, "converged": result.converged})
-    values = [r["best_value"] for r in rows]
-    spread = max(values) - min(values)
     all_ok = all(abs(v - rep.P_sep_float) < 1e-6 and v <= rep.P_sep_float + 1e-9 for v in values)
     obj = {
         "schema": SCHEMA_VERSION, "command": "seesaw", "spins": list(ensemble.spins),
         "sep_bound": _frac(rep.P_sep), "sep_bound_float": rep.P_sep_float,
-        "spread": spread, "rows": rows,
+        "spread": _round12(max(values) - min(values)), "rows": rows,
     }
     _emit(args, obj, ["bipartition", "best_value", "iterations", "converged"])
     return 0 if all_ok else 1
@@ -425,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int)
     p.add_argument("--phi", type=_finite, default=None)
     p.add_argument("--state", choices=["ghz", "mixture"], default="ghz")
-    p.add_argument("--rounds", type=_positive_int, default=100_000)
+    p.add_argument("--rounds", type=_rounds, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subensembles")
     p.add_argument("--model", choices=["global", "local"], default="global")

@@ -9,7 +9,7 @@ fixes the bound, not the statistics).
 
 Both samplers reduce the state to the K exact probabilities q_k of a
 positive round with one kernel (`_positive_probabilities`) and share one
-round sampler (`_sample_signs`).  A round reports only a sign, so drawing it
+tally sampler (`_sample_signs`).  A round reports only a sign, so drawing it
 from q_k is the same per-round distribution as drawing the full measurement
 outcome and taking its sign.  The partition into subensembles cannot change
 q_k: along direction k the one-body components J_k^(n) commute and sum to
@@ -17,17 +17,20 @@ J_k, so any group's outcome is the sum of its members' outcomes, and the
 recorded total sign has the same distribution for every partition,
 singletons and the whole ensemble included.
 
-Determinism contract: the round stream comes from a counter-based generator
-(numpy Philox) keyed by the seed; round r consumes exactly row r of a
-two-column uniform table (column 0 picks k, column 1 is compared with q_k),
-so every round's draws are a pure function of (seed, round index) and
-results are independent of evaluation order.  The table is drawn in fixed
-blocks from one generator, which yields the same rows as a single draw.
+Determinism contract: only the K pairs (positives, trials) are kept, so the
+samplers draw those tallies from their exact joint law instead of round by
+round.  Each round picks k uniformly and is then a Bernoulli(q_k) coin, so the
+trials are multinomial(rounds, 1/K each) (in stratified mode, exactly
+rounds // K plus one for the first rounds % K directions) and, given them,
+direction k's positives are binomial(trials_k, q_k).  The draws come from one
+counter-based generator (numpy Philox) keyed by the seed, so the counts are a
+pure function of (seed, rounds, q) and cost O(K) whatever the round count.
 For one seed the two samplers give the same counts.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +50,6 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_ROUND_BLOCK = 1 << 18  # rounds drawn and tallied at a time; bounds the sampler's memory
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,11 @@ class ProtocolConfig:
     stratified: bool = False  # equal trials per k; a variance-reduction deviation from the uniform draw
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be positive")
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
+            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
+        if not 1 <= self.rounds < 2**63:  # the tallies are int64
+            raise ValueError(f"rounds must lie in [1, 2^63), got {self.rounds}")
+        object.__setattr__(self, "rounds", int(self.rounds))
         if self.state.ensemble != self.ensemble:
             raise ValueError("state was built for a different ensemble")
         if self.subensembles is not None:
@@ -102,19 +107,15 @@ def wilson_interval(positives: int, trials: int, z: float = Z95) -> tuple[float,
 
 
 def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate:
-    """Draw the rounds against the per-direction positive probabilities and tally them."""
+    """Draw the per-direction tallies from their exact law given the positive probabilities."""
     K = config.ensemble.K
     probs = np.clip(probs, 0.0, 1.0)
     gen = np.random.Generator(np.random.Philox(key=config.seed))
-    tally = np.zeros(2 * K, dtype=np.int64)  # entry 2k + hit counts direction k's rounds by outcome
-    for start in range(0, config.rounds, _ROUND_BLOCK):
-        u = gen.random((min(_ROUND_BLOCK, config.rounds - start), 2))
-        if config.stratified:
-            ks = np.arange(start, start + len(u)) % K
-        else:
-            ks = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
-        tally += np.bincount(2 * ks + (u[:, 1] < probs[ks]), minlength=2 * K)
-    positives, trials = tally[1::2], tally[0::2] + tally[1::2]
+    if config.stratified:
+        trials = config.rounds // K + (np.arange(K) < config.rounds % K)
+    else:
+        trials = gen.multinomial(config.rounds, np.full(K, 1 / K))
+    positives = gen.binomial(trials, probs)
     total = int(positives.sum())
     low, high = wilson_interval(total, config.rounds)
     per_k = tuple((int(positives[k]), int(trials[k])) for k in range(K))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from spinwitness import cli
@@ -203,6 +204,14 @@ def test_simulate_subensembles_and_noise(capsys):
     assert obj["verdict"] == "GME-detected"  # p = 0.2 < 1/2 keeps detection alive
 
 
+def test_simulate_reaches_a_trillion_rounds(capsys):
+    rc, out, _ = run(capsys, "simulate", "--K", "3", "--rounds", str(10**12), "--seed", "2")
+    assert rc == 0
+    obj = json.loads(out)
+    assert sum(trials for _, trials in obj["per_k_counts"]) == 10**12
+    assert abs(obj["p_hat"] - 0.75) < 5 * (0.75 * 0.25 / 10**12) ** 0.5
+
+
 def test_simulate_usage_errors(capsys):
     assert run(capsys, "simulate", "--K", "4")[0] == 2
     assert run(capsys, "simulate")[0] == 2
@@ -246,6 +255,35 @@ def test_seesaw_cli_json(capsys):
     assert len(obj["rows"]) == 3
     assert obj["spread"] < 1e-6
     assert {r["bipartition"] for r in obj["rows"]} == {"1|2,3", "1,2|3", "1,3|2"}
+
+
+def test_seesaw_output_ignores_a_one_ulp_change(capsys, monkeypatch):
+    # A reordered floating-point sum moves a best value by an ulp; stdout must not move.
+    argv = ("seesaw", "--spins", "0.5,1,1", "--restarts", "3")
+    _, before, _ = run(capsys, *argv)
+    maximize = cli.seesaw_maximize
+    calls = []
+
+    def nudged(*args, **kwargs):
+        result = maximize(*args, **kwargs)
+        calls.append(result)
+        step = np.nextafter(result.best_value, 1.0) if len(calls) == 1 else result.best_value
+        return dataclasses.replace(result, best_value=float(step))
+
+    monkeypatch.setattr(cli, "seesaw_maximize", nudged)
+    rc, after, _ = run(capsys, *argv)
+    assert rc == 0 and len(calls) == 3
+    assert after == before
+
+
+def test_seesaw_verdict_reads_unrounded_values(capsys, monkeypatch):
+    # 4e-13 past the 1e-9 overshoot allowance: the printed value rounds back inside it, the verdict must not.
+    maximize = cli.seesaw_maximize
+    value = 0.625 + 1e-9 + 4e-13
+    monkeypatch.setattr(cli, "seesaw_maximize", lambda *a, **k: dataclasses.replace(maximize(*a, **k), best_value=value))
+    rc, out, _ = run(capsys, "seesaw", "--spins", "0.5,0.5,0.5", "--restarts", "2")
+    assert rc == 1
+    assert {row["best_value"] for row in json.loads(out)["rows"]} == {round(value, 12)}
 
 
 def test_general_witness_cli(capsys):
@@ -331,6 +369,8 @@ def test_csv_cells_equal_json_values(capsys, argv):
     (("general-witness", "--spins", "0.5,1,1", "--f0", "inf"), "--f0"),
     (("general-witness", "--spins", "0.5,1,1", "--f0", "nan"), "--f0"),
     (("simulate", "--K", "3", "--format", "csv"), "--format"),
+    (("simulate", "--K", "3", "--rounds", str(2**63)), "--rounds"),
+    (("simulate", "--K", "3", "--rounds", "1e6"), "--rounds"),
 ])
 def test_argparse_rejects_bad_values(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

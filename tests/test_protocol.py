@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinwitness import protocol
 from spinwitness.protocol import (
     ProtocolConfig,
     rounds_needed,
@@ -19,13 +18,13 @@ from spinwitness.witness import build_qk_direct, phase_for_ghz, pos_operator, wi
 E3 = SpinEnsemble((0.5, 0.5, 0.5))
 E_MIXED = SpinEnsemble((1, 0.5))
 
-# 1% critical value of chi-square with one degree of freedom
-CHI2_1DF_99 = 6.634896601021215
+# 1% critical values of chi-square by degrees of freedom (scipy.stats.chi2.ppf(0.99, df))
+CHI2_99 = {1: 6.634896601021215, 2: 9.21034037197618, 4: 13.276704135987622, 9: 21.665994333461924}
 
 
-def chi2_homogeneity(pos_a, n_a, pos_b, n_b):
-    """Pearson chi-square for two binomial samples sharing one rate."""
-    table = np.array([[pos_a, n_a - pos_a], [pos_b, n_b - pos_b]], dtype=float)
+def chi2_homogeneity(counts_a, counts_b):
+    """Pearson chi-square that two samples over the same cells share one distribution (df = cells - 1)."""
+    table = np.array([counts_a, counts_b], dtype=float)
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
     expected = row @ col / table.sum()
@@ -140,8 +139,11 @@ def test_theta_offset_matches_phase():
 
 def test_config_validation():
     st = ghz_like(E3)
-    with pytest.raises(ValueError, match="rounds"):
-        make_config(st, rounds=0)
+    for rounds in (0, -1, 2**63, 1e6, 10.0, True, "10"):
+        with pytest.raises(ValueError, match="rounds"):
+            make_config(st, rounds=rounds)
+    assert make_config(st, rounds=2**63 - 1).rounds == 2**63 - 1
+    assert type(make_config(st, rounds=np.int64(10)).rounds) is int
     with pytest.raises(ValueError, match="different ensemble"):
         ProtocolConfig(ensemble=E_MIXED, state=st, rounds=10, seed=0)
     with pytest.raises(ValueError, match="partition"):
@@ -165,7 +167,7 @@ def test_subensembles_agree_with_monolithic(groups):
     split = run_protocol_subensembles(make_config(st, rounds=100_000, seed=22, subensembles=groups))
     pos_a = round(mono.p_hat * mono.rounds)
     pos_b = round(split.p_hat * split.rounds)
-    assert chi2_homogeneity(pos_a, mono.rounds, pos_b, split.rounds) < CHI2_1DF_99
+    assert chi2_homogeneity([pos_a, mono.rounds - pos_a], [pos_b, split.rounds - pos_b]) < CHI2_99[1]
 
 
 def test_subensembles_on_mixed_spins():
@@ -270,10 +272,14 @@ def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
     np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
 
 
-def test_split_sampler_shares_the_whole_round_stream():
-    # Same seed, q_k equal to rounding: the counts are the whole sampler's.
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**128 - 1), st.integers(1, 10**9), st.booleans())
+@example(3, 20_000, False)
+def test_split_sampler_shares_the_whole_round_stream(seed, rounds, stratified):
+    # Same seed, same q_k: the counts are the whole sampler's.
     state = random_ket(SpinEnsemble((0.5, 1, 1)), 5)
-    cfg = make_config(state, rounds=20_000, seed=3, theta_offset=0.2, subensembles=((0, 2), (1,)))
+    cfg = make_config(state, rounds=rounds, seed=seed, theta_offset=0.2, subensembles=((0, 2), (1,)),
+                      stratified=stratified)
     assert run_protocol_subensembles(cfg).per_k_counts == run_protocol(cfg).per_k_counts
 
 
@@ -310,15 +316,58 @@ def test_non_finite_offset_is_rejected(theta):
         build_qk_direct(E3, theta)
 
 
-@pytest.mark.parametrize("stratified", [False, True])
-@pytest.mark.parametrize("groups", [None, ((0,), (1, 2))])
-def test_round_blocks_do_not_change_the_estimate(monkeypatch, groups, stratified):
-    state = random_ket(SpinEnsemble((0.5, 1, 1)), 2)
-    cfg = make_config(state, rounds=1_000, seed=6, theta_offset=0.4, subensembles=groups, stratified=stratified)
-    sample = run_protocol if groups is None else run_protocol_subensembles
-    whole_block = sample(cfg)
-    monkeypatch.setattr(protocol, "_ROUND_BLOCK", 7)
-    assert sample(cfg) == whole_block
+def per_round_reference(config, probs):
+    """Round-by-round sampler: row r of a two-column uniform table picks k (or r % K when stratified)
+    and compares with q_k.  Returns the per-direction (positives, trials)."""
+    K = config.ensemble.K
+    probs = np.clip(probs, 0.0, 1.0)
+    gen = np.random.Generator(np.random.Philox(key=config.seed))
+    tally = np.zeros(2 * K, dtype=np.int64)  # entry 2k + hit counts direction k's rounds by outcome
+    block = 1 << 18
+    for start in range(0, config.rounds, block):
+        u = gen.random((min(block, config.rounds - start), 2))
+        if config.stratified:
+            ks = np.arange(start, start + len(u)) % K
+        else:
+            ks = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
+        tally += np.bincount(2 * ks + (u[:, 1] < probs[ks]), minlength=2 * K)
+    positives, trials = tally[1::2], tally[0::2] + tally[1::2]
+    return tuple((int(positives[k]), int(trials[k])) for k in range(K))
+
+
+def test_tallies_have_the_per_round_law():
+    # All 2K cells (direction, sign) at once: trials and positives both enter.
+    state = random_ket(SpinEnsemble((0.5, 1, 1)), 23)
+    cfg = make_config(state, rounds=200_000, seed=41, theta_offset=0.3)
+    est = run_protocol(cfg)
+    ref = per_round_reference(make_config(state, rounds=200_000, seed=42, theta_offset=0.3), np.array(est.per_k_probs))
+    cells = [[c for pos, n in counts for c in (pos, n - pos)] for counts in (est.per_k_counts, ref)]
+    assert chi2_homogeneity(*cells) < CHI2_99[2 * state.ensemble.K - 1]
+
+
+def test_trials_fit_a_uniform_direction():
+    state = random_ket(SpinEnsemble((0.5, 1, 1)), 23)
+    rounds = 200_000
+    trials = np.array([n for _, n in run_protocol(make_config(state, rounds=rounds, seed=43)).per_k_counts])
+    expected = rounds / len(trials)
+    assert trials.sum() == rounds
+    assert float(((trials - expected) ** 2 / expected).sum()) < CHI2_99[len(trials) - 1]
+
+
+@SAMPLERS
+def test_stratified_trials_equal_the_per_round_split(sample):
+    state = random_ket(E3, 4)
+    cfg = make_config(state, rounds=1_000, seed=5, stratified=True, subensembles=((0,), (1, 2)))
+    trials = [n for _, n in sample(cfg).per_k_counts]
+    assert trials == [n for _, n in per_round_reference(cfg, np.full(E3.K, 0.5))] == [334, 333, 333]
+
+
+def test_largest_round_count_is_sampled():
+    # The per-round table would need hours here; the tallies' law takes microseconds.
+    est = run_protocol(make_config(ghz_like(E3, phi=np.pi), rounds=2**63 - 1, seed=1))
+    assert sum(n for _, n in est.per_k_counts) == 2**63 - 1
+    assert all(0 <= pos <= n for pos, n in est.per_k_counts)
+    assert abs(est.p_hat - 0.75) < 1e-6
 
 
 # --- scheduling helpers ---
