@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -54,6 +55,10 @@ MAX_DIM = 2048
 
 # Most points a noise-sweep grid may have; each point runs one dense channel.
 MAX_GRID_POINTS = 10_001
+
+# Most see-saw restarts per bipartition.  All start kets are one (restarts, 2, d_J + d_C) draw:
+# at MAX_DIM, d_J + d_C <= 1026, so it stays near 17 MB, below the 64 MiB of Q.
+MAX_RESTARTS = 1024
 
 # Largest K whose exact table row prints: above it a numerator or denominator
 # has more than 4300 digits, Python's default limit on int-to-str conversion.
@@ -86,7 +91,7 @@ def _checked(parse, ok, what):
     return convert
 
 
-_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_restarts = _checked(int, lambda n: 1 <= n <= MAX_RESTARTS, f"an integer in [1, {MAX_RESTARTS}]")
 _rounds = _checked(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")  # the protocol's int64 tallies
 _seed = _checked(int, lambda n: 0 <= n < 2**128, "an integer in [0, 2^128)")  # the Philox key range
 _finite = _checked(float, math.isfinite, "a finite number")
@@ -95,13 +100,19 @@ _probability_list = _checked(lambda text: [float(p) for p in text.split(",")], l
                              "a comma-separated list of probabilities in [0, 1]")
 
 
+def _writable(path: str) -> bool:
+    parent = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(parent) and os.access(parent, os.W_OK) and not os.path.isdir(path)
+
+
+_out_path = _checked(str, _writable, "a file path in an existing, writable directory")
+
+
 def _parse_spins(text: str) -> SpinEnsemble:
     try:
         spins = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise UsageError(f"cannot parse ensemble spec {text!r}; expected e.g. '0.5,0.5,0.5'")
-    if not spins:
-        raise UsageError("empty ensemble spec")
     try:
         ensemble = SpinEnsemble(spins)
     except ValueError as exc:
@@ -213,12 +224,19 @@ def _deviation(x: float) -> str:
     return "<1e-12" if x < 1e-12 else f"{x:.2e}"
 
 
-def _round12(x: float) -> float:
-    """A see-saw value as `seesaw` prints it: noise below 1e-12 must not move stdout, as in verify.
+def _seesaw_sweep(witness, p_sep: float, restarts: int, seed: int):
+    """See-saw every bipartition; return the results, the verdict, max |value - P_sep| and the spread.
 
-    Best values lie in [1/2, 1], so 12 decimals are 12 significant digits.
+    The verdict passes if every value is within 1e-6 of P_sep and at most 1e-9
+    above it, and the spread is below 1e-6.
     """
-    return round(x, 12)
+    results = [seesaw_maximize(witness, bip, restarts=restarts, seed=seed)
+               for bip in enumerate_bipartitions(witness.ensemble)]
+    values = [r.best_value for r in results]
+    deviation = max(abs(v - p_sep) for v in values)
+    spread = max(values) - min(values)
+    passed = deviation < 1e-6 and max(values) - p_sep <= 1e-9 and spread < 1e-6
+    return results, passed, deviation, spread
 
 
 def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tuple[str, bool, str]]:
@@ -243,15 +261,8 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     checks.append(("symmetry", max(sym_x, sym_z) < 1e-10, detail))
 
     if ensemble.N >= 2:
-        values = [
-            seesaw_maximize(direct, bip, restarts=restarts, seed=seed).best_value
-            for bip in enumerate_bipartitions(ensemble)
-        ]
-        dev_bound = max(abs(v - rep.P_sep_float) for v in values)
-        overshoot = max(v - rep.P_sep_float for v in values)
-        spread = max(values) - min(values)
-        passed = dev_bound < 1e-6 and overshoot <= 1e-9 and spread < 1e-6
-        detail = f"{len(values)} bipartitions, max |value - P_sep| {_deviation(dev_bound)}, spread {_deviation(spread)}"
+        results, passed, dev_bound, spread = _seesaw_sweep(direct, rep.P_sep_float, restarts, seed)
+        detail = f"{len(results)} bipartitions, max |value - P_sep| {_deviation(dev_bound)}, spread {_deviation(spread)}"
         checks.append(("seesaw", passed, detail))
     else:
         checks.append(("seesaw", True, "single particle: no bipartitions to check"))
@@ -304,16 +315,16 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.spins:
+    if args.spins is not None:
         ensemble = _parse_spins(args.spins)
-    elif args.K is not None:
+    else:
         if args.K < 1 or args.K % 2 == 0:
             raise UsageError(f"--K must be a positive odd integer, got {args.K}")
         if args.K > math.log2(MAX_DIM):
             raise UsageError(f"--K {args.K} needs dimension 2^{args.K}, above the dense limit of {MAX_DIM}")
         ensemble = SpinEnsemble((0.5,) * args.K)
-    else:
-        raise UsageError("simulate needs --spins or --K")
+    if args.p_list is not None and args.model == "global":
+        raise UsageError("--p-list sets per-particle (local) noise and cannot go with --model global")
     subensembles = _parse_subensembles(args.subensembles, ensemble.N) if args.subensembles else None
     if args.p_list is not None and len(args.p_list) != ensemble.N:
         raise UsageError(f"--p-list needs {ensemble.N} entries")
@@ -360,22 +371,20 @@ def cmd_seesaw(args) -> int:
     if ensemble.N < 2:
         raise UsageError("seesaw needs at least two particles")
     rep = witness_report(ensemble.K)
-    witness = build_qk_direct(ensemble)
-    rows, values = [], []
-    for bip in enumerate_bipartitions(ensemble):
-        result = seesaw_maximize(witness, bip, restarts=args.restarts, seed=args.seed)
-        label = ",".join(str(i + 1) for i in bip.subset_J) + "|" + ",".join(str(i + 1) for i in bip.complement)
-        values.append(result.best_value)
-        rows.append({"bipartition": label, "best_value": _round12(result.best_value),
-                     "iterations": result.iterations, "converged": result.converged})
-    all_ok = all(abs(v - rep.P_sep_float) < 1e-6 and v <= rep.P_sep_float + 1e-9 for v in values)
+    results, passed, _, spread = _seesaw_sweep(build_qk_direct(ensemble), rep.P_sep_float, args.restarts, args.seed)
+    # Values print to 12 decimals (12 digits on [1/2, 1]), so noise below 1e-12 does not move stdout;
+    # the verdict reads the unrounded values.
+    rows = [{"bipartition": "|".join(",".join(str(i + 1) for i in side)
+                                     for side in (r.bipartition.subset_J, r.bipartition.complement)),
+             "best_value": round(r.best_value, 12), "iterations": r.iterations, "converged": r.converged}
+            for r in results]
     obj = {
         "schema": SCHEMA_VERSION, "command": "seesaw", "spins": list(ensemble.spins),
         "sep_bound": _frac(rep.P_sep), "sep_bound_float": rep.P_sep_float,
-        "spread": _round12(max(values) - min(values)), "rows": rows,
+        "spread": round(spread, 12), "rows": rows,
     }
     _emit(args, obj, ["bipartition", "best_value", "iterations", "converged"])
-    return 0 if all_ok else 1
+    return 0 if passed else 1
 
 
 _F_ODD_CHOICES = {
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def output(p, fmt_default=None):
-        p.add_argument("--out", help="write output here (plus a sibling .manifest.json)")
+        p.add_argument("--out", type=_out_path, help="write output here (plus a sibling .manifest.json)")
         if fmt_default:
             p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
 
@@ -416,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="self-verification suite for one ensemble")
     p.add_argument("--spins", required=True)
-    p.add_argument("--restarts", type=_positive_int, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32)
     p.add_argument("--seed", type=_seed, default=0)
     output(p)
     p.set_defaults(func=cmd_verify)
@@ -429,22 +438,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("simulate", help="Monte-Carlo protocol run")
-    p.add_argument("--spins")
-    p.add_argument("--K", type=int)
+    ensemble = p.add_mutually_exclusive_group(required=True)
+    ensemble.add_argument("--spins")
+    ensemble.add_argument("--K", type=int)
     p.add_argument("--phi", type=_finite, default=None)
     p.add_argument("--state", choices=["ghz", "mixture"], default="ghz")
     p.add_argument("--rounds", type=_rounds, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subensembles")
-    p.add_argument("--model", choices=["global", "local"], default="global")
-    p.add_argument("--p", type=_probability)
-    p.add_argument("--p-list", dest="p_list", type=_probability_list)
+    p.add_argument("--model", choices=["global", "local"], help="noise model for --p (default global)")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--p", type=_probability)
+    noise.add_argument("--p-list", dest="p_list", type=_probability_list, help="per-particle local noise")
     output(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("seesaw", help="bipartition product-state maximization")
     p.add_argument("--spins", required=True)
-    p.add_argument("--restarts", type=_positive_int, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32)
     p.add_argument("--seed", type=_seed, default=0)
     output(p, fmt_default="json")
     p.set_defaults(func=cmd_seesaw)
@@ -459,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

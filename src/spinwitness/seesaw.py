@@ -13,11 +13,13 @@ either stretched state of its side flattens the operator to exactly
 seeds are balanced superpositions of the side's stretched states — restart 0
 starts there and lands on the bound in two iterations.
 
-The witness is laid out once per bipartition as a pair-major matrix, and all
-restarts run in lockstep as stacks of a fixed number of entries
-(`_STACK_ENTRIES`): each half-step conditions the whole stack with one GEMM
-and takes its top eigenvectors with one stacked `eigh`.  A restart leaves the
-stack when it converges, so every restart keeps its own iteration count.
+The start kets of restarts r > 0 are row r of one standard-normal draw from
+default_rng(seed), filled row by row, so restart r depends only on
+(seed, r).  The witness is laid out once per bipartition as a pair-major
+matrix, and all restarts run in lockstep as stacks of a fixed number of
+entries (`_STACK_ENTRIES`): each half-step conditions the whole stack with one
+GEMM and takes its top eigenvectors with one stacked `eigh`.  A restart leaves
+the stack when it converges, so every restart keeps its own iteration count.
 """
 
 from __future__ import annotations
@@ -63,14 +65,6 @@ class Bipartition:
     def complement(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.ensemble.N) if i not in self.subset_J)
 
-    @property
-    def j_tilde(self) -> float:
-        return sum(self.ensemble.spins[i] for i in self.subset_J)
-
-    @property
-    def j_tilde_prime(self) -> float:
-        return self.ensemble.K / 2 - self.j_tilde
-
     def side_dim(self, slots) -> int:
         return math.prod(self.ensemble.local_dims[i] for i in slots)
 
@@ -81,7 +75,6 @@ class SeeSawResult:
     best_value: float
     best_kets: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (subset_J side, complement side)
     iterations: int
-    restarts_used: int
     converged: bool
 
 
@@ -182,21 +175,22 @@ def _seesaw_stack(layout, psi_j, psi_c, max_iters, tol):
     return values, iterations, converged, np.array(trajectory)
 
 
-def _balanced_seed(dim: int) -> np.ndarray:
-    ket = np.zeros(dim, dtype=complex)
-    ket[0] = ket[-1] = 1 / np.sqrt(2)
-    return ket
+def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (restarts, d_J) and (restarts, d_C) stacks of unit start kets.
 
-
-def _start_kets(seed: int, restart: int, d_j: int, d_c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Restart 0: the balanced stretched superposition on each side; restart
-    r > 0: both kets drawn from the substream default_rng([seed, r])."""
-    if restart == 0:
-        return _balanced_seed(d_j), _balanced_seed(d_c)
-    rng = np.random.default_rng([seed, restart])
-    psi_j = rng.standard_normal(d_j) + 1j * rng.standard_normal(d_j)
-    psi_c = rng.standard_normal(d_c) + 1j * rng.standard_normal(d_c)
-    return psi_j / np.linalg.norm(psi_j), psi_c / np.linalg.norm(psi_c)
+    Row 0 is the balanced stretched superposition on each side.  Row r > 0 is
+    row r of one default_rng(seed) standard-normal draw of shape
+    (restarts, 2, d_J + d_C), real and imaginary parts along axis 1, split
+    between the sides.  The draw fills row by row, so restart r depends only
+    on (seed, r), whatever the restart count or block size.
+    """
+    draw = np.random.default_rng(seed).standard_normal((restarts, 2, d_j + d_c))
+    kets = draw[:, 0] + 1j * draw[:, 1]
+    psi_j, psi_c = (side / np.linalg.norm(side, axis=1, keepdims=True) for side in (kets[:, :d_j], kets[:, d_j:]))
+    for side in (psi_j, psi_c):
+        side[0] = 0
+        side[0, [0, -1]] = 1 / np.sqrt(2)
+    return psi_j, psi_c
 
 
 def _run_restarts(layout, d_j, d_c, restarts, max_iters, tol, seed):
@@ -206,20 +200,14 @@ def _run_restarts(layout, d_j, d_c, restarts, max_iters, tol, seed):
     first maximum in restart order and that restart's kets.
     """
     block = max(1, _STACK_ENTRIES // max(d_j, d_c) ** 2)
-    values = np.empty(restarts)
-    iterations = np.empty(restarts, dtype=int)
-    converged = np.empty(restarts, dtype=bool)
-    best = 0
-    for start in range(0, restarts, block):
-        rows = slice(start, min(start + block, restarts))
-        kets = [_start_kets(seed, r, d_j, d_c) for r in range(rows.start, rows.stop)]
-        psi_j = np.array([k[0] for k in kets])
-        psi_c = np.array([k[1] for k in kets])
-        values[rows], iterations[rows], converged[rows], _ = _seesaw_stack(layout, psi_j, psi_c, max_iters, tol)
-        top = int(np.argmax(values[rows]))  # argmax takes the first maximum
-        if start == 0 or values[start + top] > values[best]:
-            best, best_kets = start + top, (psi_j[top], psi_c[top])
-    return values, iterations, converged, best, best_kets
+    psi_j, psi_c = _start_kets(seed, restarts, d_j, d_c)
+    runs = [  # each block's kets are views, overwritten in place with the final ones
+        _seesaw_stack(layout, psi_j[start : start + block], psi_c[start : start + block], max_iters, tol)[:3]
+        for start in range(0, restarts, block)
+    ]
+    values, iterations, converged = map(np.concatenate, zip(*runs))
+    best = int(np.argmax(values))  # argmax takes the first maximum
+    return values, iterations, converged, best, (psi_j[best], psi_c[best])
 
 
 def seesaw_maximize(
@@ -233,12 +221,12 @@ def seesaw_maximize(
     """Best product-state witness value over the bipartition, maxed over restarts.
 
     Restart 0 seeds both sides with the balanced stretched superposition (the
-    saturating point); restart r > 0 draws both kets from the substream
-    default_rng([seed, r]), so results are identical for identical
-    (seed, restarts) regardless of evaluation order.  The restarts run in
-    lockstep as stacks of a fixed number of entries; the winner is the first
-    maximum in restart order.  The returned value is a certified lower bound
-    on the true bipartition maximum.
+    saturating point); restart r > 0 takes row r of one standard-normal draw
+    from default_rng(seed), filled row by row, so restart r depends only on
+    (seed, r) and a run with more restarts repeats the first ones.  The
+    restarts run in lockstep as stacks of a fixed number of entries; the
+    winner is the first maximum in restart order.  The returned value is a
+    certified lower bound on the true bipartition maximum.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -251,7 +239,7 @@ def seesaw_maximize(
     values, iterations, converged, best, best_kets = _run_restarts(
         _pair_major(witness.Q, bipartition), d_j, d_c, restarts, max_iters, tol, seed
     )
-    return SeeSawResult(bipartition, float(values[best]), best_kets, int(iterations[best]), restarts, bool(converged[best]))
+    return SeeSawResult(bipartition, float(values[best]), best_kets, int(iterations[best]), bool(converged[best]))
 
 
 def _bloch_family(dim: int, resolution: int) -> np.ndarray:

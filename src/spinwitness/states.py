@@ -105,7 +105,7 @@ def random_ket(dim_or_ensemble, seed) -> QuantumState | np.ndarray:
     seeded with `seed`; entries are standard normals drawn as one real vector
     followed by one imaginary vector, then normalized.  Given an ensemble the
     result is wrapped as a QuantumState; given a bare dimension it is a plain
-    ndarray (used for see-saw restarts on subsystem factors).
+    ndarray.
     """
     rng = np.random.default_rng(seed)
     if isinstance(dim_or_ensemble, SpinEnsemble):

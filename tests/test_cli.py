@@ -214,7 +214,9 @@ def test_simulate_reaches_a_trillion_rounds(capsys):
 
 def test_simulate_usage_errors(capsys):
     assert run(capsys, "simulate", "--K", "4")[0] == 2
-    assert run(capsys, "simulate")[0] == 2
+    with pytest.raises(SystemExit) as exc:  # neither --spins nor --K: argparse's own usage error
+        main(["simulate"])
+    assert exc.value.code == 2
     assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--subensembles", "1|2")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--p-list", "0.1,0.2")[0] == 2
 
@@ -371,6 +373,11 @@ def test_csv_cells_equal_json_values(capsys, argv):
     (("simulate", "--K", "3", "--format", "csv"), "--format"),
     (("simulate", "--K", "3", "--rounds", str(2**63)), "--rounds"),
     (("simulate", "--K", "3", "--rounds", "1e6"), "--rounds"),
+    (("verify", "--spins", "0.5,0.5,0.5", "--restarts", "1025"), "--restarts"),
+    (("seesaw", "--spins", "0.5,0.5,0.5", "--restarts", "1025"), "--restarts"),
+    (("simulate", "--spins", "0.5,0.5,0.5", "--K", "5"), "--K"),
+    (("simulate", "--K", "3", "--p", "0.1", "--p-list", "0.1,0.1,0.1"), "--p-list"),
+    (("table", "--K", "3", "--out", "."), "--out"),
 ])
 def test_argparse_rejects_bad_values(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -391,6 +398,7 @@ def test_argparse_rejects_bad_values(capsys, argv, flag):
     (("verify", "--spins", "inf"), "half-integer"),
     (("simulate", "--K", "0"), "--K must be a positive odd integer"),
     (("table", "--K", "3", str(MAX_TABLE_K + 2)), f"limit of {MAX_TABLE_K}"),
+    (("simulate", "--K", "3", "--model", "global", "--p-list", "0.1,0.1,0.1"), "--p-list"),
 ])
 def test_usage_errors_name_the_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -406,6 +414,47 @@ def test_simulate_checks_its_flags_before_building_the_state(capsys, monkeypatch
     monkeypatch.setattr("spinwitness.cli.ghz_like", no_state)
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--subensembles", "1|2")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--p-list", "0.1,0.2")[0] == 2
+
+
+def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_table(K):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "witness_report", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--K", "3", "--out", str(tmp_path / "missing" / "x.csv")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --out" in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_p_list_is_local_noise(capsys):
+    base = ("simulate", "--spins", "0.5,0.5,0.5", "--rounds", "20000", "--seed", "4")
+    rc, listed, _ = run(capsys, *base, "--p-list", "0.2,0.2,0.2")
+    assert rc == 0
+    assert listed == run(capsys, *base, "--model", "local", "--p", "0.2")[1]
+    assert listed == run(capsys, *base, "--model", "local", "--p-list", "0.2,0.2,0.2")[1]
+    assert listed != run(capsys, *base, "--p", "0.2")[1]  # global noise at the same p scores differently
+
+
+@pytest.mark.parametrize("command", ["verify", "seesaw"])
+def test_verify_and_seesaw_share_one_verdict(capsys, monkeypatch, command):
+    # every value passes on its own, but the spread is 1.0007e-6 > 1e-6
+    p_sep = 0.625
+    maximize = cli.seesaw_maximize
+    calls = []
+
+    def spread_out(*args, **kwargs):
+        calls.append(None)
+        value = p_sep - 9.998e-7 if len(calls) == 1 else p_sep + 9e-10
+        return dataclasses.replace(maximize(*args, **kwargs), best_value=value)
+
+    monkeypatch.setattr(cli, "seesaw_maximize", spread_out)
+    rc, out, _ = run(capsys, command, "--spins", "0.5,0.5,0.5", "--restarts", "2")
+    assert rc == 1 and len(calls) == 3
+    if command == "verify":
+        assert "FAIL  seesaw: 3 bipartitions, max |value - P_sep| 1.00e-06, spread 1.00e-06\n" in out
 
 
 def test_grid_limit_counts_points_before_allocating():
