@@ -35,7 +35,6 @@ from .protocol import (
 from .seesaw import (
     Bipartition,
     SeeSawResult,
-    conditioned_operator,
     enumerate_bipartitions,
     grid_certify,
     seesaw_maximize,
@@ -85,7 +84,6 @@ __all__ = [
     "classical_score",
     "classical_sweep_max",
     "collective_operator",
-    "conditioned_operator",
     "detection_thresholds",
     "direction_operator",
     "enumerate_bipartitions",

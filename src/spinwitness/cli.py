@@ -323,6 +323,8 @@ def cmd_simulate(args) -> int:
         if args.K > math.log2(MAX_DIM):
             raise UsageError(f"--K {args.K} needs dimension 2^{args.K}, above the dense limit of {MAX_DIM}")
         ensemble = SpinEnsemble((0.5,) * args.K)
+    if args.model is not None and args.p is None and args.p_list is None:
+        raise UsageError(f"--model {args.model} needs a noise level: give --p (or --p-list for local noise)")
     if args.p_list is not None and args.model == "global":
         raise UsageError("--p-list sets per-particle (local) noise and cannot go with --model global")
     subensembles = _parse_subensembles(args.subensembles, ensemble.N) if args.subensembles else None

@@ -8,18 +8,28 @@ maximization, so the value sequence is monotone nondecreasing; random
 restarts guard against starting in a flat region.
 
 The landscape detail worth knowing: conditioning on a ket with no overlap on
-either stretched state of its side flattens the operator to exactly
-1/2 * identity, where the iteration has nothing to climb.  The value-moving
-seeds are balanced superpositions of the side's stretched states — restart 0
-starts there and lands on the bound in two iterations.
+either stretched state of its side, or on a stretched state itself, flattens
+the operator to 1/2 * identity, where the iteration has nothing to climb.
+The value-moving seeds are balanced superpositions of the side's stretched
+states — restart 0 starts there and lands on the bound in two iterations.
+
+The iteration never forms a conditioned operator.  It reads the witness
+through its factors Q - 1/2 = sum_s w_s |P_s><P_s| (`WitnessOperator.factors`,
+rank 2 for the sign witness) and refuses a witness those factors miss by a
+Frobenius residual above RESIDUAL_TOL.  Laid out per bipartition as matrices
+A_s[a, c] = <a c|P_s>, they give the operator conditioned on a ket c as
+1/2 + sum_s w_s u_s u_s^dag with u_s = A_s c^*, whose top eigenvectors lie in
+span{previous ket, u_1 .. u_r}.  So a half-step is one GEMM for the u_s, one
+stacked QR and one stacked (r+1)x(r+1) eigh, for every restart of a block in
+lockstep; the next ket is the previous one projected on the top eigenvalue
+cluster.  The winner's kets are rescored against the dense Q, so the
+reported value is a product-state value of Q itself.
 
 The start kets of restarts r > 0 are row r of one standard-normal draw from
 default_rng(seed), filled row by row, so restart r depends only on
-(seed, r).  The witness is laid out once per bipartition as a pair-major
-matrix, and all restarts run in lockstep as stacks of a fixed number of
-entries (`_STACK_ENTRIES`): each half-step conditions the whole stack with one
-GEMM and takes its top eigenvectors with one stacked `eigh`.  A restart leaves
-the stack when it converges, so every restart keeps its own iteration count.
+(seed, r).  The restarts run as stacks of a fixed number of entries
+(`_STACK_ENTRIES`); a restart leaves its stack when it converges, so every
+restart keeps its own iteration count.
 """
 
 from __future__ import annotations
@@ -36,13 +46,13 @@ __all__ = [
     "Bipartition",
     "SeeSawResult",
     "enumerate_bipartitions",
-    "conditioned_operator",
     "seesaw_maximize",
     "grid_certify",
 ]
 
 DEGENERACY_TOL = 1e-9
-_STACK_ENTRIES = 2**15  # entries of one (restarts, d, d) stack: 512 KiB of complex
+RESIDUAL_TOL = 1e-9  # largest Frobenius residual of the witness factors the see-saw accepts
+_STACK_ENTRIES = 2**15  # entries of one (rows, max(d_J, d_C), r + 1) basis stack: 512 KiB of complex
 
 
 @dataclass(frozen=True)
@@ -90,63 +100,61 @@ def enumerate_bipartitions(ensemble: SpinEnsemble) -> list[Bipartition]:
     return out
 
 
-def _pair_major(q: np.ndarray, bipartition: Bipartition) -> np.ndarray:
-    """Q laid out as the (d_J^2, d_C^2) matrix P[(a, b), (c, c')] = <a c| Q |b c'>.
+def _side_layouts(vectors: np.ndarray, bipartition: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """The factor vectors as (r, d_J, d_C) matrices A_s[a, c] = <a c|P_s>, and their transposes.
 
     Each side keeps its slots in sorted order, so a side ket is indexed the
-    way `best_kets` reports it.  P is the pair-major layout of subset_J and
-    its transpose that of the complement: conditioning either side on a stack
-    of kets is one GEMM against it (`_conditioned_stack`).
+    way `best_kets` reports it.  For a product ket a (x) c the witness reads
+    1/2 + sum_s w_s |a^dag A_s c^*|^2, so conditioning either side on a stack
+    of kets is one GEMM against that side's matrices (`_half_step`).
     """
     ensemble = bipartition.ensemble
-    n = ensemble.N
-    rows_j, rows_c = bipartition.subset_J, bipartition.complement
-    axes = rows_j + tuple(n + i for i in rows_j) + rows_c + tuple(n + i for i in rows_c)
-    d_j = bipartition.side_dim(rows_j)
-    d_c = bipartition.side_dim(rows_c)
-    tensor = q.reshape(ensemble.local_dims + ensemble.local_dims).transpose(axes)
-    return np.ascontiguousarray(tensor).reshape(d_j * d_j, d_c * d_c)
+    order = bipartition.subset_J + bipartition.complement
+    d_j = bipartition.side_dim(bipartition.subset_J)
+    d_c = bipartition.side_dim(bipartition.complement)
+    tensor = vectors.T.reshape((vectors.shape[1],) + ensemble.local_dims).transpose((0,) + tuple(1 + i for i in order))
+    layout_j = np.ascontiguousarray(tensor).reshape(-1, d_j, d_c)
+    return layout_j, np.ascontiguousarray(layout_j.transpose(0, 2, 1))
 
 
-def _conditioned_stack(layout: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """<psi_r| Q |psi_r> over the other side, for each row psi_r of `kets`.
+def _product_ket(psi_j: np.ndarray, psi_c: np.ndarray, bipartition: Bipartition) -> np.ndarray:
+    """psi_J (x) psi_C with each side's factors moved back into its own (possibly interleaved) slots."""
+    dims = bipartition.ensemble.local_dims
+    order = bipartition.subset_J + bipartition.complement
+    tensor = np.multiply.outer(psi_j, psi_c).reshape(tuple(dims[i] for i in order))
+    return tensor.transpose(np.argsort(order)).reshape(-1)
 
-    `layout` is the side's pair-major (d_side^2, d_other^2) matrix and `kets`
-    an (R, d_other) stack; the result is the (R, d_side, d_side) stack of
-    Hermitian operators on the side.
+
+def _half_step(layout: np.ndarray, weights: np.ndarray, kets: np.ndarray, previous: np.ndarray):
+    """Top eigenvalue and next ket of 1/2 + sum_s w_s u_s u_s^dag, u_s = A_s kets^*, for each row.
+
+    `layout` is the side's (r, d, d_other) stack of A_s, `kets` the (R, d_other)
+    kets of the other side and `previous` the side's (R, d) kets.  The
+    operator maps span{previous, u_1 .. u_r} into itself and is 1/2 outside
+    span{u_s}, so one stacked QR of [previous, u_1 .. u_r] and one stacked
+    (r+1)x(r+1) eigh give its top eigenpairs.  The next ket is the previous
+    ket projected on the top cluster (eigenvalues within DEGENERACY_TOL of the
+    top), normalized: the top eigenvector when the cluster has one member,
+    and the previous ket itself when the cluster is the whole span, as when
+    every u_s vanishes or their terms cancel.  A previous ket orthogonal to
+    the cluster gives way to the top eigenvector.
     """
-    r, d_other = kets.shape
-    d = math.isqrt(layout.shape[0])
-    w = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(r, d_other * d_other)
-    m = (w @ layout.T).reshape(r, d, d)
-    m += m.conj().transpose(0, 2, 1)
-    m /= 2
-    return m
+    r, d, d_other = layout.shape
+    u = (layout.reshape(r * d, d_other) @ kets.conj().T).reshape(r, d, len(kets)).transpose(2, 1, 0)
+    basis, _ = np.linalg.qr(np.concatenate((previous[:, :, None], u), axis=2))
+    coords = basis.conj().transpose(0, 2, 1) @ u
+    # eigh of the rank-r part alone: a vanishing part then reads exactly 1/2 once shifted
+    w, v = np.linalg.eigh((coords * weights) @ coords.conj().transpose(0, 2, 1))
+    # the previous ket is the first basis vector (up to phase), so its overlaps are v's first row
+    overlaps = np.where(w >= w[:, -1:] - DEGENERACY_TOL, v[:, 0, :].conj(), 0)
+    projected = (v @ overlaps[:, :, None])[:, :, 0]
+    norm = np.linalg.norm(projected, axis=1, keepdims=True)
+    top = np.where(norm > 0, projected / np.where(norm > 0, norm, 1), v[:, :, -1])
+    return 0.5 + w[:, -1], (basis @ top[:, :, None])[:, :, 0]
 
 
-def conditioned_operator(witness: WitnessOperator, bipartition: Bipartition, psi_complement: np.ndarray) -> np.ndarray:
-    """Reduce the witness onto subset_J given a fixed pure complement state."""
-    psi = np.asarray(psi_complement, dtype=complex).reshape(-1)
-    d_comp = bipartition.side_dim(bipartition.complement)
-    if psi.shape != (d_comp,):
-        raise ValueError(f"complement ket has length {psi.shape[0]}, expected {d_comp}")
-    if abs(np.linalg.norm(psi) - 1) > 1e-12:
-        raise ValueError("complement ket must be unit norm")
-    return _conditioned_stack(_pair_major(witness.Q, bipartition), psi[None])[0]
-
-
-def _top_eigvecs(m: np.ndarray, previous: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenpair of each matrix in the stack; inside a degenerate top
-    cluster, prefer overlap with that row's previous ket."""
-    w, v = np.linalg.eigh(m)
-    cluster = w >= w[:, -1:] - DEGENERACY_TOL
-    overlaps = np.abs(previous.conj()[:, None, :] @ v)[:, 0, :]
-    pick = np.argmax(np.where(cluster, overlaps, -1.0), axis=1)  # argmax takes the lowest index on ties
-    return w[:, -1], v[np.arange(len(v)), :, pick]
-
-
-def _seesaw_stack(layout, psi_j, psi_c, max_iters, tol):
-    """Run a stack of restarts in lockstep on the `_pair_major` layout.
+def _seesaw_stack(layouts, weights, psi_j, psi_c, max_iters, tol):
+    """Run a stack of restarts in lockstep on a bipartition's `_side_layouts`.
 
     `psi_j` (R, d_J) and `psi_c` (R, d_C) hold the starting kets and are
     overwritten with the final ones.  A restart leaves the active set when
@@ -154,6 +162,7 @@ def _seesaw_stack(layout, psi_j, psi_c, max_iters, tol):
     (values, iterations, converged) and the (steps, R) trajectory, NaN once a
     restart has left.
     """
+    layout_j, layout_c = layouts
     n = len(psi_j)
     values = np.full(n, -np.inf)
     iterations = np.zeros(n, dtype=int)
@@ -161,8 +170,8 @@ def _seesaw_stack(layout, psi_j, psi_c, max_iters, tol):
     trajectory = []
     active = np.arange(n)
     for step in range(1, max_iters + 1):
-        _, psi_j[active] = _top_eigvecs(_conditioned_stack(layout, psi_c[active]), psi_j[active])
-        value, psi_c[active] = _top_eigvecs(_conditioned_stack(layout.T, psi_j[active]), psi_c[active])
+        _, psi_j[active] = _half_step(layout_j, weights, psi_c[active], psi_j[active])
+        value, psi_c[active] = _half_step(layout_c, weights, psi_j[active], psi_c[active])
         done = value - values[active] < tol
         values[active] = value
         iterations[active] = step
@@ -193,16 +202,17 @@ def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarra
     return psi_j, psi_c
 
 
-def _run_restarts(layout, d_j, d_c, restarts, max_iters, tol, seed):
-    """Every restart, as stacks of at most `_STACK_ENTRIES // max(d_J, d_C)**2` rows.
+def _run_restarts(layouts, weights, restarts, max_iters, tol, seed):
+    """Every restart, as stacks of at most `_STACK_ENTRIES // (max(d_J, d_C) * (r + 1))` rows.
 
     Returns per-restart (values, iterations, converged), the index of the
     first maximum in restart order and that restart's kets.
     """
-    block = max(1, _STACK_ENTRIES // max(d_j, d_c) ** 2)
+    _, d_j, d_c = layouts[0].shape
+    block = max(1, _STACK_ENTRIES // (max(d_j, d_c) * (len(weights) + 1)))
     psi_j, psi_c = _start_kets(seed, restarts, d_j, d_c)
     runs = [  # each block's kets are views, overwritten in place with the final ones
-        _seesaw_stack(layout, psi_j[start : start + block], psi_c[start : start + block], max_iters, tol)[:3]
+        _seesaw_stack(layouts, weights, psi_j[start : start + block], psi_c[start : start + block], max_iters, tol)[:3]
         for start in range(0, restarts, block)
     ]
     values, iterations, converged = map(np.concatenate, zip(*runs))
@@ -224,9 +234,11 @@ def seesaw_maximize(
     saturating point); restart r > 0 takes row r of one standard-normal draw
     from default_rng(seed), filled row by row, so restart r depends only on
     (seed, r) and a run with more restarts repeats the first ones.  The
-    restarts run in lockstep as stacks of a fixed number of entries; the
-    winner is the first maximum in restart order.  The returned value is a
-    certified lower bound on the true bipartition maximum.
+    restarts run in lockstep as stacks of a fixed number of entries on the
+    witness factors; the winner is the first maximum in restart order.  Its
+    product ket is scored against the dense Q, so the returned value is a
+    certified lower bound on the true bipartition maximum.  A witness whose
+    factors leave a Frobenius residual above RESIDUAL_TOL is a ValueError.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -234,12 +246,15 @@ def seesaw_maximize(
         raise ValueError("need at least one iteration")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    d_j = bipartition.side_dim(bipartition.subset_J)
-    d_c = bipartition.side_dim(bipartition.complement)
-    values, iterations, converged, best, best_kets = _run_restarts(
-        _pair_major(witness.Q, bipartition), d_j, d_c, restarts, max_iters, tol, seed
-    )
-    return SeeSawResult(bipartition, float(values[best]), best_kets, int(iterations[best]), bool(converged[best]))
+    factors = witness.factors
+    if factors.residual > RESIDUAL_TOL:
+        raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "
+                         f"of {factors.residual:.3e} > {RESIDUAL_TOL:.0e}")
+    layouts = _side_layouts(factors.vectors, bipartition)
+    _, iterations, converged, best, best_kets = _run_restarts(layouts, factors.values, restarts, max_iters, tol, seed)
+    product = _product_ket(*best_kets, bipartition)
+    value = float(np.vdot(product, witness.Q @ product).real)
+    return SeeSawResult(bipartition, value, best_kets, int(iterations[best]), bool(converged[best]))
 
 
 def _bloch_family(dim: int, resolution: int) -> np.ndarray:

@@ -9,16 +9,17 @@ For an ensemble with total spin K/2 (K odd) the operator collapses to a rank-2
 correction of 1/2 * identity supported on the two GHZ-like combinations of the
 stretched product states; `build_qk_direct` and `build_qk_closed_form` realize
 both routes independently; the direct route and `generalized_witness` read
-Jx through the factored kernel in `spin`.  All scalar bounds come from
-`witness_report` in exact rational arithmetic.
+Jx through the factored kernel in `spin`.  `WitnessOperator.factors` reads the
+low-rank part of Q - 1/2 back from Q itself, for the see-saw.  All scalar
+bounds come from `witness_report` in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Callable
+from functools import cached_property, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .states import QuantumState
 
 __all__ = [
     "ZERO_EIGENVALUE_TOL",
+    "WitnessFactors",
     "WitnessOperator",
     "WitnessReport",
     "GeneralizedWitness",
@@ -43,6 +45,9 @@ __all__ = [
 # Eigenvalues this close to zero count as zero for the dense pos().  Far above
 # eigensolver jitter (~1e-14 at desk dimensions), far below any genuine spacing.
 ZERO_EIGENVALUE_TOL = 1e-9
+
+# Eigenvalues of the projected Q - 1/2 at or below this size are dropped from its factors.
+FACTOR_TOL = 1e-8
 
 DIRECT = "direct"
 CLOSED_FORM = "closed-form"
@@ -60,6 +65,14 @@ def pos_operator(op: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+class WitnessFactors(NamedTuple):
+    """Q - 1/2 as vectors @ diag(values) @ vectors^dag, up to a Frobenius residual."""
+
+    vectors: np.ndarray  # (dim, r), orthonormal columns
+    values: np.ndarray  # (r,), real, none within FACTOR_TOL of zero
+    residual: float  # ||Q - 1/2 - vectors diag(values) vectors^dag||_F
+
+
 @dataclass(frozen=True)
 class WitnessOperator:
     ensemble: SpinEnsemble
@@ -71,6 +84,27 @@ class WitnessOperator:
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
+
+    @cached_property
+    def factors(self) -> WitnessFactors:
+        """Low-rank factors of Q - 1/2, read from Q itself and computed once per witness.
+
+        Q - 1/2 is applied to a seeded Gaussian (dim, min(6, dim)) block; a QR of
+        the image gives a basis, and the eigenpairs of Q - 1/2 projected on it with
+        |w| > FACTOR_TOL are kept.  Six columns hold the rank-2 witness with room to
+        spare; a Q - 1/2 of higher rank shows as a large residual, never as silently
+        wrong factors.  The residual comes from the dense difference, since
+        sqrt(||Q - 1/2||^2 - sum w^2) cancels to about 1e-8.
+        """
+        block = np.random.default_rng(0).standard_normal((self.dim, min(6, self.dim)))
+        basis, _ = np.linalg.qr(self.Q @ block - block / 2)
+        w, v = np.linalg.eigh(basis.conj().T @ (self.Q @ basis) - np.eye(basis.shape[1]) / 2)
+        keep = np.abs(w) > FACTOR_TOL
+        vectors, values = basis @ v[:, keep], w[keep]
+        remainder = (vectors * values) @ vectors.conj().T
+        remainder -= self.Q
+        remainder[np.diag_indices(self.dim)] += 0.5
+        return WitnessFactors(vectors, values, float(np.linalg.norm(remainder)))
 
 
 def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> WitnessOperator:

@@ -399,6 +399,8 @@ def test_argparse_rejects_bad_values(capsys, argv, flag):
     (("simulate", "--K", "0"), "--K must be a positive odd integer"),
     (("table", "--K", "3", str(MAX_TABLE_K + 2)), f"limit of {MAX_TABLE_K}"),
     (("simulate", "--K", "3", "--model", "global", "--p-list", "0.1,0.1,0.1"), "--p-list"),
+    (("simulate", "--K", "3", "--model", "local"), "--model"),
+    (("simulate", "--spins", "0.5,1,1", "--model", "global"), "--model"),
 ])
 def test_usage_errors_name_the_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -414,6 +416,7 @@ def test_simulate_checks_its_flags_before_building_the_state(capsys, monkeypatch
     monkeypatch.setattr("spinwitness.cli.ghz_like", no_state)
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--subensembles", "1|2")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--p-list", "0.1,0.2")[0] == 2
+    assert run(capsys, "simulate", "--spins", "0.5,1,1", "--model", "local")[0] == 2
 
 
 def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):

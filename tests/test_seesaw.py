@@ -1,5 +1,7 @@
+import dataclasses
+import functools
 import math
-import types
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +10,14 @@ from hypothesis import given, settings, strategies as st
 from spinwitness import seesaw
 from spinwitness.seesaw import (
     Bipartition,
-    conditioned_operator,
     enumerate_bipartitions,
     grid_certify,
     seesaw_maximize,
 )
-from spinwitness.seesaw import _conditioned_stack, _pair_major, _run_restarts, _seesaw_stack
+from spinwitness.seesaw import _half_step, _run_restarts, _seesaw_stack, _side_layouts
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState
-from spinwitness.witness import build_qk_direct, score, witness_report
+from spinwitness.witness import WitnessOperator, build_qk_direct, score, witness_report
 
 E3 = SpinEnsemble((0.5, 0.5, 0.5))
 E_MIXED = SpinEnsemble((1, 0.5))
@@ -57,6 +58,76 @@ def conditioned_reference(q, ensemble, side, psi_other):
     d = math.prod(dims[i] for i in side)
     m = m.reshape(d, d)
     return (m + m.conj().T) / 2
+
+
+# --- the dense reference: a pair-major layout of Q, one GEMM per conditioning, a d x d eigh ---
+
+
+def _pair_major(q, bipartition):
+    """Q laid out as the (d_J^2, d_C^2) matrix P[(a, b), (c, c')] = <a c| Q |b c'>.
+
+    Each side keeps its slots in sorted order, so a side ket is indexed the
+    way `best_kets` reports it.  P is the pair-major layout of subset_J and
+    its transpose that of the complement: conditioning either side on a stack
+    of kets is one GEMM against it (`_conditioned_stack`).
+    """
+    ensemble = bipartition.ensemble
+    n = ensemble.N
+    rows_j, rows_c = bipartition.subset_J, bipartition.complement
+    axes = rows_j + tuple(n + i for i in rows_j) + rows_c + tuple(n + i for i in rows_c)
+    d_j = bipartition.side_dim(rows_j)
+    d_c = bipartition.side_dim(rows_c)
+    tensor = q.reshape(ensemble.local_dims + ensemble.local_dims).transpose(axes)
+    return np.ascontiguousarray(tensor).reshape(d_j * d_j, d_c * d_c)
+
+
+def _conditioned_stack(layout, kets):
+    """<psi_r| Q |psi_r> over the other side, for each row psi_r of `kets`.
+
+    `layout` is the side's pair-major (d_side^2, d_other^2) matrix and `kets`
+    an (R, d_other) stack; the result is the (R, d_side, d_side) stack of
+    Hermitian operators on the side.
+    """
+    r, d_other = kets.shape
+    d = math.isqrt(layout.shape[0])
+    w = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(r, d_other * d_other)
+    m = (w @ layout.T).reshape(r, d, d)
+    m += m.conj().transpose(0, 2, 1)
+    m /= 2
+    return m
+
+
+def conditioned_operator(witness, bipartition, psi_complement):
+    """Reduce the witness onto subset_J given a fixed pure complement state."""
+    psi = np.asarray(psi_complement, dtype=complex).reshape(-1)
+    d_comp = bipartition.side_dim(bipartition.complement)
+    if psi.shape != (d_comp,):
+        raise ValueError(f"complement ket has length {psi.shape[0]}, expected {d_comp}")
+    if abs(np.linalg.norm(psi) - 1) > 1e-12:
+        raise ValueError("complement ket must be unit norm")
+    return _conditioned_stack(_pair_major(witness.Q, bipartition), psi[None])[0]
+
+
+def _top_eigvecs(m, previous):
+    """Top eigenvalue of each d x d matrix in the stack, and the next ket.
+
+    The next ket is that row's previous ket projected on the top cluster
+    (eigenvalues within DEGENERACY_TOL of the top), normalized; the top
+    eigenvector if the projection vanishes.
+    """
+    w, v = np.linalg.eigh(m)
+    cluster = w >= w[:, -1:] - seesaw.DEGENERACY_TOL
+    overlaps = np.where(cluster, (v.conj().transpose(0, 2, 1) @ previous[:, :, None])[:, :, 0], 0)
+    kets = []
+    for row, projected in enumerate(v @ overlaps[:, :, None]):
+        norm = np.linalg.norm(projected)
+        kets.append(projected[:, 0] / norm if norm > 0 else v[row, :, -1])
+    return w[:, -1], np.array(kets)
+
+
+def layouts_of(witness, bip):
+    """The library's per-bipartition input: the side layouts of the witness factors and their weights."""
+    return _side_layouts(witness.factors.vectors, bip), witness.factors.values
 
 
 # --- bipartition bookkeeping ---
@@ -239,6 +310,19 @@ def test_seesaw_value_is_attained_by_returned_kets():
     assert np.real(psi_j.conj() @ m @ psi_j) == pytest.approx(r.best_value, abs=1e-10)
 
 
+def test_seesaw_value_is_scored_against_q_itself():
+    # a full-rank perturbation below the residual gate: the factors miss it,
+    # the reported value of the winning product ket does not
+    noise = random_hermitian(43, 8)
+    w = dataclasses.replace(W3, Q=W3.Q + 4e-10 * noise / np.linalg.norm(noise))
+    assert 1e-10 < w.factors.residual < seesaw.RESIDUAL_TOL
+    r = seesaw_maximize(w, Bipartition(E3, (0, 2)), restarts=4, seed=0)
+    psi_j, psi_c = r.best_kets
+    full = QuantumState(E3, ket=np.einsum("ac,b->abc", psi_j.reshape(2, 2), psi_c).reshape(-1))
+    assert r.best_value == pytest.approx(score(full, w), abs=1e-15)
+    assert abs(r.best_value - score(full, W3)) > 1e-12
+
+
 def test_seesaw_deterministic_given_seed():
     bip = Bipartition(E3, (0,))
     a = seesaw_maximize(W3, bip, restarts=8, seed=42)
@@ -257,9 +341,8 @@ def test_seesaw_trajectory_is_monotone():
         starts_j.append(psi_j / np.linalg.norm(psi_j))
         starts_c.append(psi_c / np.linalg.norm(psi_c))
     # the five starts run as one stack; each row keeps its own trajectory
-    _, iterations, _, trajectory = _seesaw_stack(
-        _pair_major(W3.Q, bip), np.array(starts_j), np.array(starts_c), 200, 1e-10
-    )
+    starts = np.array(starts_j), np.array(starts_c)
+    _, iterations, _, trajectory = _seesaw_stack(*layouts_of(W3, bip), *starts, 200, 1e-10)
     for row, steps in zip(trajectory.T, iterations):
         assert np.isfinite(row[:steps]).all() and np.isnan(row[steps:]).all()
         diffs = np.diff(row[:steps])
@@ -295,25 +378,16 @@ def test_seesaw_validation():
         seesaw_maximize(W3, bip, max_iters=-3)
 
 
-def top_eigvec_reference(m, previous):
-    """Top eigenpair of one matrix; inside a degenerate top cluster, prefer overlap with the previous ket."""
-    w, v = np.linalg.eigh(m)
-    cluster = np.nonzero(w >= w[-1] - seesaw.DEGENERACY_TOL)[0]
-    overlaps = np.abs(v[:, cluster].conj().T @ previous)
-    pick = cluster[int(np.argmax(overlaps))]  # argmax takes the lowest index on ties
-    return float(w[-1]), v[:, pick]
-
-
 def reference_restart(q, bip, psi_j, psi_c, max_iters, tol):
-    """One restart, one eigh per half-step, conditioned through the einsum reference.
+    """One restart on the dense reference, one d x d eigh per half-step.
 
     Returns (value, psi_j, psi_c, iterations, converged).
     """
-    ensemble = bip.ensemble
+    layout = _pair_major(q, bip)
     value_prev = -np.inf
     for step in range(1, max_iters + 1):
-        _, psi_j = top_eigvec_reference(conditioned_reference(q, ensemble, bip.subset_J, psi_c), psi_j)
-        value, psi_c = top_eigvec_reference(conditioned_reference(q, ensemble, bip.complement, psi_j), psi_c)
+        _, (psi_j,) = _top_eigvecs(_conditioned_stack(layout, psi_c[None]), psi_j[None])
+        (value,), (psi_c,) = _top_eigvecs(_conditioned_stack(layout.T, psi_j[None]), psi_c[None])
         if value - value_prev < tol:
             return value, psi_j, psi_c, step, True
         value_prev = value
@@ -352,7 +426,26 @@ def random_hermitian(seed, dim):
     return (a + a.conj().T) / 2
 
 
+def low_rank_witness(ensemble, q):
+    return WitnessOperator(ensemble, ensemble.K, 0.0, q, "test")
+
+
+def random_low_rank_witness(seed, ensemble, rank=6):
+    """1/2 + sum_s w_s p_s p_s^dag with random orthonormal p_s and weights in [0, 1/2]."""
+    rng = np.random.default_rng(seed)
+    dim = ensemble.dim
+    p, _ = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
+    q = np.eye(dim) / 2 + (p * rng.uniform(0, 0.5, rank)) @ p.conj().T
+    return low_rank_witness(ensemble, (q + q.conj().T) / 2)
+
+
 REFERENCE_ENSEMBLES = [E_MIXED, SpinEnsemble((0.5, 1, 1)), SpinEnsemble((1.5, 1, 1)), E5]
+
+
+def stack_entries(rows, witness, bip):
+    """The `_STACK_ENTRIES` that makes blocks of `rows` restarts on this bipartition."""
+    d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
+    return rows * max(d_j, d_c) * (len(witness.factors.values) + 1)
 
 
 @pytest.mark.parametrize("max_iters", [1, 200])  # after one step the values still depend on the seeds
@@ -362,10 +455,9 @@ def test_stacked_seesaw_matches_sequential_reference(monkeypatch, rows, max_iter
     for ensemble in REFERENCE_ENSEMBLES:
         w = build_qk_direct(ensemble, theta_offset=rng.uniform(0, 2 * np.pi))
         for bip in enumerate_bipartitions(ensemble):
-            d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
-            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", rows * max(d_j, d_c) ** 2)
+            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
             values, iterations, converged, _ = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=5)
-            got = _run_restarts(_pair_major(w.Q, bip), d_j, d_c, 8, max_iters, 1e-10, 5)
+            got = _run_restarts(*layouts_of(w, bip), 8, max_iters, 1e-10, 5)
             np.testing.assert_allclose(got[0], values, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got[1], iterations)
             np.testing.assert_array_equal(got[2], converged)
@@ -375,15 +467,15 @@ def test_stacked_seesaw_matches_sequential_reference(monkeypatch, rows, max_iter
 
 @pytest.mark.parametrize("max_iters", [1, 200])
 def test_stacked_seesaw_matches_reference_on_a_random_operator(monkeypatch, max_iters):
-    # a random Hermitian Q has seed-dependent local maxima, so every restart
-    # ends at its own value and kets, after its own number of steps; at 200
-    # steps, seed 11 puts the best restart 0.054 above the next
+    # a random rank-6 Q - 1/2 has seed-dependent local maxima, so the restarts
+    # end at their own values and kets, after their own numbers of steps; at
+    # 200 steps, seed 11 puts the best restart 0.015 above the next
     bip = Bipartition(E5, (0, 2))
-    q = random_hermitian(31, 32)
-    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", 3 * 8**2)
-    values, iterations, converged, kets = sequential_seesaw_reference(q, bip, 8, max_iters, 1e-10, seed=11)
+    w = random_low_rank_witness(57, E5)
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(3, w, bip))
+    values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=11)
     got_values, got_iterations, got_converged, best, (psi_j, psi_c) = _run_restarts(
-        _pair_major(q, bip), 4, 8, 8, max_iters, 1e-10, 11
+        *layouts_of(w, bip), 8, max_iters, 1e-10, 11
     )
     np.testing.assert_allclose(got_values, values, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(got_iterations, iterations)
@@ -394,35 +486,40 @@ def test_stacked_seesaw_matches_reference_on_a_random_operator(monkeypatch, max_
 
 
 def test_stacked_tie_break_matches_reference():
-    # a diagonal Q whose top level on subset_J is threefold degenerate within
-    # DEGENERACY_TOL: each row keeps the cluster member closest to its own
-    # previous ket, and the balanced first row ties between two members
+    # a diagonal Q of rank 6 above 1/2 whose top level on subset_J is
+    # threefold degenerate within DEGENERACY_TOL: each row moves to its own
+    # previous ket's projection on that cluster, so the balanced first row
+    # keeps its two members
     bip = Bipartition(E3, (0, 1))
-    q = np.diag(np.repeat([1.0 - 1e-11, 1.0, 0.0, 1.0 - 2e-11], 2)).astype(complex)
+    w = low_rank_witness(E3, np.diag(np.repeat([1.0 - 1e-11, 1.0, 0.5, 1.0 - 2e-11], 2)).astype(complex))
     rng = np.random.default_rng(29)
     starts_j = [balanced(4)] + [unit_ket(rng, 4) for _ in range(7)]
     starts_c = [balanced(2)] + [unit_ket(rng, 2) for _ in range(7)]
     psi_j, psi_c = np.array(starts_j), np.array(starts_c)
-    values, iterations, converged, _ = _seesaw_stack(_pair_major(q, bip), psi_j, psi_c, 200, 1e-10)
+    values, iterations, converged, _ = _seesaw_stack(*layouts_of(w, bip), psi_j, psi_c, 200, 1e-10)
     for row in range(8):
-        value, want_j, want_c, steps, done = reference_restart(q, bip, starts_j[row], starts_c[row], 200, 1e-10)
+        value, want_j, want_c, steps, done = reference_restart(w.Q, bip, starts_j[row], starts_c[row], 200, 1e-10)
         assert values[row] == pytest.approx(value, abs=1e-12)
         assert (iterations[row], converged[row]) == (steps, done)
         assert_same_ket_up_to_phase(psi_j[row], want_j)
         assert_same_ket_up_to_phase(psi_c[row], want_c)
+    assert_same_ket_up_to_phase(psi_j[0], balanced(4))
 
 
 @pytest.mark.parametrize("rows", [1, 5])
 def test_seesaw_winner_is_first_maximum(monkeypatch, rows):
-    # Q = 0 ties every restart at exactly 0, so restart 0 must win
+    # Q = 1/2 ties every restart at 1/2 and keeps every start ket, so restart
+    # 0 must win with its balanced kets
     bip = Bipartition(E3, (0,))
-    zero = types.SimpleNamespace(Q=np.zeros((8, 8), dtype=complex))
-    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", rows * 4**2)
-    r = seesaw_maximize(zero, bip, restarts=5, seed=3)
-    _, want_j, want_c, steps, done = reference_restart(zero.Q, bip, balanced(2), balanced(4), 200, 1e-10)
-    assert (r.best_value, r.iterations, r.converged) == (0.0, steps, done)
+    flat = low_rank_witness(E3, np.eye(8, dtype=complex) / 2)
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, flat, bip))
+    r = seesaw_maximize(flat, bip, restarts=5, seed=3)
+    _, want_j, want_c, steps, done = reference_restart(flat.Q, bip, balanced(2), balanced(4), 200, 1e-10)
+    assert (r.iterations, r.converged) == (steps, done)
+    assert r.best_value == pytest.approx(0.5, abs=1e-15)
     assert_same_ket_up_to_phase(r.best_kets[0], want_j)
     assert_same_ket_up_to_phase(r.best_kets[1], want_c)
+    assert_same_ket_up_to_phase(r.best_kets[0], balanced(2))
 
 
 def test_seesaw_does_not_depend_on_block_size(monkeypatch):
@@ -431,12 +528,11 @@ def test_seesaw_does_not_depend_on_block_size(monkeypatch):
     ensemble = SpinEnsemble((0.5, 1, 1.5, 1.5))
     w = build_qk_direct(ensemble, theta_offset=1.3)
     for bip in enumerate_bipartitions(ensemble):
-        d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
-        layout = _pair_major(w.Q, bip)
         runs = []
         for rows in (1, 2, 5, 13):
-            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", rows * max(d_j, d_c) ** 2)
-            runs.append((_run_restarts(layout, d_j, d_c, 13, 200, 1e-10, 4), seesaw_maximize(w, bip, restarts=13, seed=4)))
+            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
+            runs.append((_run_restarts(*layouts_of(w, bip), 13, 200, 1e-10, 4),
+                         seesaw_maximize(w, bip, restarts=13, seed=4)))
         (values, iterations, converged, *_), first = runs[0]
         for (other_values, other_iterations, other_converged, *_), result in runs[1:]:
             np.testing.assert_allclose(other_values, values, rtol=0, atol=1e-12)
@@ -453,10 +549,10 @@ def test_seesaw_does_not_depend_on_block_size(monkeypatch):
 def test_fewer_restarts_repeat_the_first_ones(monkeypatch, rows):
     # restart r depends only on (seed, r): 5 restarts are the first 5 of 13
     bip = Bipartition(E5, (0, 2))
-    layout = _pair_major(random_hermitian(37, 32), bip)
-    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", rows * 8**2)
-    five = _run_restarts(layout, 4, 8, 5, 200, 1e-10, 11)
-    thirteen = _run_restarts(layout, 4, 8, 13, 200, 1e-10, 11)
+    w = random_low_rank_witness(57, E5)
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
+    five = _run_restarts(*layouts_of(w, bip), 5, 200, 1e-10, 11)
+    thirteen = _run_restarts(*layouts_of(w, bip), 13, 200, 1e-10, 11)
     assert len(set(np.round(thirteen[0], 6))) > 2  # the restarts end at different local maxima
     np.testing.assert_allclose(five[0], thirteen[0][:5], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(five[1], thirteen[1][:5])
@@ -471,6 +567,7 @@ def test_one_generator_per_call(monkeypatch):
         made.append(args)
         return default_rng(*args, **kwargs)
 
+    W3.factors  # drawn once per witness, not per call (see test_factors_are_computed_once_per_witness)
     monkeypatch.setattr(np.random, "default_rng", counting)
     seesaw_maximize(W3, Bipartition(E3, (0,)), restarts=32, seed=9)
     assert made == [(9,)]
@@ -489,6 +586,85 @@ def test_seesaw_runs_without_einsum(monkeypatch):
     for bip in enumerate_bipartitions(E5):
         r = seesaw_maximize(w5, bip, restarts=2, seed=0)
         assert r.best_value == pytest.approx(sep5, abs=1e-9)
+
+
+# --- the witness factors behind the see-saw ---
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_ensembles(), st.floats(0, 2 * np.pi))
+def test_direct_witness_factors_are_the_two_ghz_like_levels(bip, offset):
+    # Q - 1/2 = (P_max - 1/2)(|P+><P+| - |P-><P-|), read from the direct route
+    w = build_qk_direct(bip.ensemble, offset)
+    vectors, values, residual = w.factors
+    level = witness_report(bip.ensemble.K).P_max_float - 0.5
+    np.testing.assert_allclose(values, [-level, level], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(2), rtol=0, atol=1e-12)
+    assert residual < 1e-12
+
+
+def test_seesaw_rejects_a_witness_that_is_not_low_rank():
+    w = low_rank_witness(E5, random_hermitian(31, 32))
+    assert w.factors.residual > 1
+    with pytest.raises(ValueError, match=r"residual of \d\.\d+e\+01 > 1e-09"):
+        seesaw_maximize(w, Bipartition(E5, (0, 2)))
+
+
+@pytest.mark.parametrize("index, atol", [(0, 2e-16), (7, 2e-16), (3, 0)])  # all up, all down, neither
+def test_flat_conditioning_keeps_the_previous_ket(index, atol):
+    # a stretched complement cancels the two GHZ-like terms (to the rounding of
+    # their weights), and a complement orthogonal to both stretched states
+    # removes them: the conditioned operator is 1/2 on the whole span, so each
+    # row keeps its previous ket
+    bip = Bipartition(E5, (0, 2))
+    (layout_j, _), weights = layouts_of(build_qk_direct(E5, 0.7), bip)
+    rng = np.random.default_rng(41)
+    previous = np.array([unit_ket(rng, 4) for _ in range(6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, kets = _half_step(layout_j, weights, np.tile(basis_vector(8, index), (6, 1)), previous)
+    np.testing.assert_allclose(values, 0.5, rtol=0, atol=atol)
+    for got, want in zip(kets, previous):
+        assert_same_ket_up_to_phase(got, want)
+
+
+def test_seesaw_eigensolves_are_at_most_seven_by_seven(monkeypatch):
+    # (r + 1) x (r + 1) projections for rank r <= 6, and the 6 x 6 factorisation;
+    # the dense half-step solved up to 64 x 64 here
+    witnesses = [build_qk_direct(SpinEnsemble((0.5,) * 7), 0.3), random_low_rank_witness(57, E5)]
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for w in witnesses:
+        for bip in enumerate_bipartitions(w.ensemble):
+            seesaw_maximize(w, bip, restarts=4, seed=0)
+    assert {(6, 6), (3, 3), (7, 7)} <= set(shapes)
+    assert max(max(shape) for shape in shapes) <= 7
+
+
+def test_factors_are_computed_once_per_witness(monkeypatch):
+    calls = []
+    factorize = WitnessOperator.factors.func
+
+    def counting(witness):
+        calls.append(witness)
+        return factorize(witness)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(WitnessOperator, "factors")
+    monkeypatch.setattr(WitnessOperator, "factors", counted)
+    w5 = build_qk_direct(E5)
+    for bip in enumerate_bipartitions(E5):
+        seesaw_maximize(w5, bip, restarts=2, seed=0)
+    assert len(calls) == 1 and calls[0] is w5
+    other = build_qk_direct(E5, 0.4)  # a new witness gets its own factors
+    seesaw_maximize(other, Bipartition(E5, (0,)), restarts=2, seed=0)
+    assert len(calls) == 2 and calls[1] is other
 
 
 # --- independent grid certification ---

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinwitness.cli import _F_ODD_CHOICES
@@ -75,6 +75,35 @@ def test_pos_is_projector_when_no_zero_modes():
     J = collective_operator(E_MIXED)
     p = pos_operator(J.Jy)
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
+
+
+def hermitian_with_spectrum(eigenvalues, seed):
+    rng = np.random.default_rng(seed)
+    dim = len(eigenvalues)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    a = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+# Zero, or at least 1e-2 from it: eigensolver error (~1e-15 here) stays far below
+# ZERO_EIGENVALUE_TOL, and the gap around zero keeps the projectors to ~1e-13.
+clear_of_zero = st.one_of(st.just(0.0), st.floats(1e-2, 10), st.floats(-10, -1e-2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(clear_of_zero, min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_pos_of_the_negated_operator_is_the_complement(eigenvalues, seed):
+    a = hermitian_with_spectrum(eigenvalues, seed)
+    np.testing.assert_allclose(pos_operator(-a), np.eye(len(eigenvalues)) - pos_operator(a), rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(1e-2, 10), max_size=6), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_pos_has_half_trace_on_a_symmetric_spectrum(positive, zeros, seed):
+    eigenvalues = positive + [-x for x in positive] + [0.0] * zeros
+    assume(eigenvalues)
+    a = hermitian_with_spectrum(eigenvalues, seed)
+    assert np.trace(pos_operator(a)).real == pytest.approx(len(eigenvalues) / 2, abs=1e-10)
 
 
 # --- operator constructions ---
