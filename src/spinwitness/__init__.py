@@ -3,9 +3,9 @@
 The package builds a collective sign-measurement witness from K equally
 spaced transverse directions, provides exact detection bounds as rationals,
 closed-form noise robustness, a classical (measure-and-prepare) baseline,
-a see-saw certification of the separable bound over every bipartition, and
-a counter-based Monte-Carlo measurement protocol with Wilson confidence
-intervals.
+a two-sided (see-saw and Schmidt bound) check of the separable bound on
+every bipartition, and a counter-based Monte-Carlo measurement protocol with
+Wilson confidence intervals.
 """
 
 from .classical import classical_score, classical_sweep_max
@@ -36,7 +36,6 @@ from .seesaw import (
     Bipartition,
     SeeSawResult,
     enumerate_bipartitions,
-    grid_certify,
     seesaw_maximize,
 )
 from .spin import (
@@ -90,7 +89,6 @@ __all__ = [
     "generalized_witness",
     "ghz_like",
     "ghz_mixture",
-    "grid_certify",
     "hermitian_eigendecompose",
     "partial_trace",
     "phase_for_ghz",

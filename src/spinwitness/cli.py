@@ -225,18 +225,20 @@ def _deviation(x: float) -> str:
 
 
 def _seesaw_sweep(witness, p_sep: float, restarts: int, seed: int):
-    """See-saw every bipartition; return the results, the verdict, max |value - P_sep| and the spread.
+    """See-saw every bipartition; return results, verdict, max |value - P_sep|, max bound - P_sep, spread.
 
     The verdict passes if every value is within 1e-6 of P_sep and at most 1e-9
-    above it, and the spread is below 1e-6.
+    above it, no upper bound is more than 1e-9 above P_sep, and the spread is
+    below 1e-6.
     """
     results = [seesaw_maximize(witness, bip, restarts=restarts, seed=seed)
                for bip in enumerate_bipartitions(witness.ensemble)]
     values = [r.best_value for r in results]
     deviation = max(abs(v - p_sep) for v in values)
+    excess = max(r.upper_bound for r in results) - p_sep
     spread = max(values) - min(values)
-    passed = deviation < 1e-6 and max(values) - p_sep <= 1e-9 and spread < 1e-6
-    return results, passed, deviation, spread
+    passed = deviation < 1e-6 and max(values) - p_sep <= 1e-9 and excess <= 1e-9 and spread < 1e-6
+    return results, passed, deviation, excess, spread
 
 
 def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tuple[str, bool, str]]:
@@ -261,8 +263,9 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     checks.append(("symmetry", max(sym_x, sym_z) < 1e-10, detail))
 
     if ensemble.N >= 2:
-        results, passed, dev_bound, spread = _seesaw_sweep(direct, rep.P_sep_float, restarts, seed)
-        detail = f"{len(results)} bipartitions, max |value - P_sep| {_deviation(dev_bound)}, spread {_deviation(spread)}"
+        results, passed, deviation, excess, spread = _seesaw_sweep(direct, rep.P_sep_float, restarts, seed)
+        detail = (f"{len(results)} bipartitions, max |value - P_sep| {_deviation(deviation)}, "
+                  f"max bound - P_sep {_deviation(excess)}, spread {_deviation(spread)}")
         checks.append(("seesaw", passed, detail))
     else:
         checks.append(("seesaw", True, "single particle: no bipartitions to check"))
@@ -373,19 +376,21 @@ def cmd_seesaw(args) -> int:
     if ensemble.N < 2:
         raise UsageError("seesaw needs at least two particles")
     rep = witness_report(ensemble.K)
-    results, passed, _, spread = _seesaw_sweep(build_qk_direct(ensemble), rep.P_sep_float, args.restarts, args.seed)
+    witness = build_qk_direct(ensemble)
+    results, passed, _, _, spread = _seesaw_sweep(witness, rep.P_sep_float, args.restarts, args.seed)
     # Values print to 12 decimals (12 digits on [1/2, 1]), so noise below 1e-12 does not move stdout;
     # the verdict reads the unrounded values.
     rows = [{"bipartition": "|".join(",".join(str(i + 1) for i in side)
                                      for side in (r.bipartition.subset_J, r.bipartition.complement)),
-             "best_value": round(r.best_value, 12), "iterations": r.iterations, "converged": r.converged}
+             "best_value": round(r.best_value, 12), "upper_bound": round(r.upper_bound, 12),
+             "iterations": r.iterations, "converged": r.converged}
             for r in results]
     obj = {
         "schema": SCHEMA_VERSION, "command": "seesaw", "spins": list(ensemble.spins),
         "sep_bound": _frac(rep.P_sep), "sep_bound_float": rep.P_sep_float,
         "spread": round(spread, 12), "rows": rows,
     }
-    _emit(args, obj, ["bipartition", "best_value", "iterations", "converged"])
+    _emit(args, obj, ["bipartition", "best_value", "upper_bound", "iterations", "converged"])
     return 0 if passed else 1
 
 

@@ -25,6 +25,15 @@ lockstep; the next ket is the previous one projected on the top eigenvalue
 cluster.  The winner's kets are rescored against the dense Q, so the
 reported value is a product-state value of Q itself.
 
+The same matrices bound the bipartition from above.  For unit kets a and c,
+|a^dag A_s c^*|^2 <= sigma_max(A_s)^2, the largest Schmidt coefficient of P_s
+across the split, the negative-weight terms are <= 0, and what the factors
+miss moves a product-state value by at most their residual, so
+
+    <a c|Q|a c> <= 1/2 + sum_{w_s > 0} w_s sigma_max(A_s)^2 + residual.
+
+By convexity the bound holds for every state separable across the split.
+
 The start kets of restarts r > 0 are row r of one standard-normal draw from
 default_rng(seed), filled row by row, so restart r depends only on
 (seed, r).  The restarts run as stacks of a fixed number of entries
@@ -47,7 +56,6 @@ __all__ = [
     "SeeSawResult",
     "enumerate_bipartitions",
     "seesaw_maximize",
-    "grid_certify",
 ]
 
 DEGENERACY_TOL = 1e-9
@@ -83,6 +91,7 @@ class Bipartition:
 class SeeSawResult:
     bipartition: Bipartition
     best_value: float
+    upper_bound: float  # no state separable across the bipartition scores above it
     best_kets: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (subset_J side, complement side)
     iterations: int
     converged: bool
@@ -237,8 +246,10 @@ def seesaw_maximize(
     restarts run in lockstep as stacks of a fixed number of entries on the
     witness factors; the winner is the first maximum in restart order.  Its
     product ket is scored against the dense Q, so the returned value is a
-    certified lower bound on the true bipartition maximum.  A witness whose
-    factors leave a Frobenius residual above RESIDUAL_TOL is a ValueError.
+    certified lower bound on the true bipartition maximum; `upper_bound` is
+    the Schmidt bound of the module docstring, one batched singular-value
+    solve of the factor layouts.  A witness whose factors leave a Frobenius
+    residual above RESIDUAL_TOL is a ValueError.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -254,57 +265,6 @@ def seesaw_maximize(
     _, iterations, converged, best, best_kets = _run_restarts(layouts, factors.values, restarts, max_iters, tol, seed)
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)
-    return SeeSawResult(bipartition, value, best_kets, int(iterations[best]), bool(converged[best]))
-
-
-def _bloch_family(dim: int, resolution: int) -> np.ndarray:
-    """Kets cos(t/2) |first> + e^{i f} sin(t/2) |last> on a nested angular grid.
-
-    The sweep covers the span of the side's two stretched states: any
-    component outside it contributes exactly 1/2 to the witness value, so
-    these are the only directions that can move the maximum.  Grid nodes at
-    resolution R are a subset of those at 2R (refinement containment).
-    """
-    thetas = np.pi * np.arange(resolution + 1) / resolution
-    phis = 2 * np.pi * np.arange(resolution) / resolution
-    t, f = np.meshgrid(thetas, phis, indexing="ij")
-    kets = np.zeros((t.size, dim), dtype=complex)
-    kets[:, 0] = np.cos(t.ravel() / 2)
-    kets[:, -1] = np.exp(1j * f.ravel()) * np.sin(t.ravel() / 2)
-    return kets
-
-
-def grid_certify(witness: WitnessOperator, bipartition: Bipartition, resolution: int) -> float:
-    """Exhaustive product-state sweep at the given angular resolution.
-
-    Independent of the see-saw: expectation values are evaluated against the
-    actual witness matrix for every grid pair.  Only feasible for small sides
-    (both side dimensions must be at most 4).
-    """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    ensemble = bipartition.ensemble
-    d_j = bipartition.side_dim(bipartition.subset_J)
-    d_c = bipartition.side_dim(bipartition.complement)
-    if d_j > 4 or d_c > 4:
-        raise ValueError(f"grid sweep limited to side dims <= 4, got {d_j} and {d_c}")
-    q_tensor = witness.Q.reshape(ensemble.local_dims + ensemble.local_dims)
-    kets_j = _bloch_family(d_j, resolution)
-    kets_c = _bloch_family(d_c, resolution)
-    best = -np.inf
-    chunk = 512
-    for start in range(0, kets_c.shape[0], chunk):
-        block = kets_c[start : start + chunk]
-        n = ensemble.N
-        other = [i for i in range(n) if i not in bipartition.subset_J]
-        psi = block.reshape((block.shape[0],) + tuple(ensemble.local_dims[i] for i in other))
-        operands = [
-            psi.conj(), [2 * n] + [i for i in other],
-            q_tensor, list(range(n)) + [n + i for i in range(n)],
-            psi, [2 * n] + [n + i for i in other],
-        ]
-        out_idx = [2 * n] + [i for i in bipartition.subset_J] + [n + i for i in bipartition.subset_J]
-        conditioned = np.einsum(*operands, out_idx).reshape(block.shape[0], d_j, d_j)
-        values = np.einsum("ai,bij,aj->ab", kets_j.conj(), conditioned, kets_j).real
-        best = max(best, float(values.max()))
-    return best
+    schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
+    upper_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt) + factors.residual
+    return SeeSawResult(bipartition, value, upper_bound, best_kets, int(iterations[best]), bool(converged[best]))

@@ -203,12 +203,15 @@ def witness_report(K: int) -> WitnessReport:
 
 
 def score(state: QuantumState, witness: WitnessOperator) -> float:
-    """Expected fraction of positive outcomes, tr(rho Q) (raw, unclamped)."""
+    """Expected fraction of positive outcomes, tr(rho Q) (raw, unclamped).
+
+    The trace is the entrywise sum of rho * Q^T: O(dim^2), with no matrix product.
+    """
     if state.dim != witness.dim:
         raise ValueError(f"state dim {state.dim} does not match witness dim {witness.dim}")
     if state.ket is not None:
         return float(np.real(state.ket.conj() @ witness.Q @ state.ket))
-    return float(np.real(np.trace(state.rho @ witness.Q)))
+    return float(np.real(np.sum(state.rho * witness.Q.T)))
 
 
 def phase_for_ghz(phi: float, K: int) -> float:

@@ -88,17 +88,20 @@ SEESAW_ENSEMBLES = [(0.5, 0.5, 0.5), (0.5,) * 5, (1, 0.5), (0.5, 1, 1)]
 
 def test_criterion_03_seesaw_separable_bound():
     """See-saw hits P_sep within 1e-6 on every bipartition, never exceeding it
-    by more than 1e-9; per-ensemble spread < 1e-6; < 2 min."""
+    by more than 1e-9; every Schmidt upper bound within 1e-9 of P_sep;
+    per-ensemble spread < 1e-6; < 2 min."""
     t0 = time.perf_counter()
     for spins in SEESAW_ENSEMBLES:
         e = SpinEnsemble(spins)
         sep = witness_report(e.K).P_sep_float
         w = build_qk_direct(e)
-        values = [seesaw_maximize(w, bip, restarts=32, seed=0).best_value
-                  for bip in enumerate_bipartitions(e)]
+        results = [seesaw_maximize(w, bip, restarts=32, seed=0) for bip in enumerate_bipartitions(e)]
+        values = [r.best_value for r in results]
         for v in values:
             assert abs(v - sep) < 1e-6, f"{spins}: value {v!r} vs bound {sep!r}"
             assert v <= sep + 1e-9, f"{spins}: exceeded the separable bound by {v - sep:.2e}"
+        for r in results:
+            assert r.upper_bound <= sep + 1e-9, f"{spins}: upper bound {r.upper_bound - sep:.2e} above P_sep"
         assert max(values) - min(values) < 1e-6, f"{spins}: spread {max(values) - min(values):.2e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"see-saw sweep took {elapsed:.2f}s"

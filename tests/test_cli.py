@@ -86,7 +86,7 @@ def test_verify_prints_rounding_noise_as_a_stable_token(capsys):
     # the report must not, so its checksum stays put.
     rc, out, _ = run(capsys, "verify", "--spins", "0.5,0.5,0.5", "--restarts", "6")
     assert rc == 0
-    assert "PASS  seesaw: 3 bipartitions, max |value - P_sep| <1e-12, spread <1e-12\n" in out
+    assert "PASS  seesaw: 3 bipartitions, max |value - P_sep| <1e-12, max bound - P_sep <1e-12, spread <1e-12\n" in out
     assert _deviation(3.2e-7) == "3.20e-07"
 
 
@@ -245,10 +245,11 @@ def test_seesaw_cli(capsys):
     rc, out, _ = run(capsys, "seesaw", "--spins", "1,0.5", "--restarts", "6", "--format", "csv")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "bipartition,best_value,iterations,converged"
+    assert lines[0] == "bipartition,best_value,upper_bound,iterations,converged"
     cols = lines[1].split(",")
     assert cols[0] == "1|2"
     assert abs(float(cols[1]) - 0.625) < 1e-6
+    assert abs(float(cols[2]) - 0.625) < 1e-12
 
 
 def test_seesaw_cli_json(capsys):
@@ -336,6 +337,7 @@ def test_csv_cells_equal_json_values(capsys, argv):
     obj = json.loads(json_out)
     header, *lines = csv.reader(io.StringIO(csv_out))
     rows = obj.get("rows", [obj])
+    assert argv[0] != "seesaw" or "upper_bound" in header
     assert len(lines) == len(rows) > 0
     for line, row in zip(lines, rows):
         assert len(line) == len(header)
@@ -457,7 +459,52 @@ def test_verify_and_seesaw_share_one_verdict(capsys, monkeypatch, command):
     rc, out, _ = run(capsys, command, "--spins", "0.5,0.5,0.5", "--restarts", "2")
     assert rc == 1 and len(calls) == 3
     if command == "verify":
-        assert "FAIL  seesaw: 3 bipartitions, max |value - P_sep| 1.00e-06, spread 1.00e-06\n" in out
+        assert ("FAIL  seesaw: 3 bipartitions, max |value - P_sep| 1.00e-06, max bound - P_sep <1e-12, "
+                "spread 1.00e-06\n") in out
+
+
+@pytest.mark.parametrize("command", ["verify", "seesaw"])
+def test_an_upper_bound_above_p_sep_fails_both_commands(capsys, monkeypatch, command):
+    # every value sits exactly on P_sep, but one bound is 2e-9 above it
+    p_sep = 0.625
+    maximize = cli.seesaw_maximize
+    calls = []
+
+    def loose(*args, **kwargs):
+        calls.append(None)
+        bound = p_sep + 2e-9 if len(calls) == 2 else p_sep
+        return dataclasses.replace(maximize(*args, **kwargs), best_value=p_sep, upper_bound=bound)
+
+    monkeypatch.setattr(cli, "seesaw_maximize", loose)
+    rc, out, _ = run(capsys, command, "--spins", "0.5,0.5,0.5", "--restarts", "2")
+    assert rc == 1 and len(calls) == 3
+    if command == "verify":
+        assert ("FAIL  seesaw: 3 bipartitions, max |value - P_sep| <1e-12, max bound - P_sep 2.00e-09, "
+                "spread <1e-12\n") in out
+    else:
+        assert [row["upper_bound"] for row in json.loads(out)["rows"]] == [p_sep, round(p_sep + 2e-9, 12), p_sep]
+
+
+@pytest.mark.parametrize("command", ["verify", "seesaw"])
+def test_a_less_entangled_positive_factor_fails_the_seesaw_line(capsys, monkeypatch, command):
+    # Q = 1/2 + (1/4)(|P'><P'| - |P-><P-|) with P' = |+> (x) (|00> + |11>)/sqrt(2): P' is orthogonal
+    # to P- = (|000> - |111>)/sqrt(2) and a product across 1|2,3, so that split reaches P_max = 3/4
+    def product_factor(ensemble):
+        bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        p_prime = np.kron(np.array([1, 1]) / np.sqrt(2), bell)
+        p_minus = np.zeros(8)
+        p_minus[[0, -1]] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        q = np.eye(8) / 2 + (np.outer(p_prime, p_prime) - np.outer(p_minus, p_minus)) / 4
+        return dataclasses.replace(cli.build_qk_closed_form(ensemble), Q=q.astype(complex))
+
+    monkeypatch.setattr(cli, "build_qk_direct", product_factor)
+    rc, out, _ = run(capsys, command, "--spins", "0.5,0.5,0.5", "--restarts", "8")
+    assert rc == 1
+    if command == "verify":
+        assert "FAIL  seesaw: 3 bipartitions, max |value - P_sep| 1.25e-01, max bound - P_sep 1.25e-01" in out
+    else:
+        bounds = {row["bipartition"]: row["upper_bound"] for row in json.loads(out)["rows"]}
+        assert bounds == {"1|2,3": 0.75, "1,2|3": 0.625, "1,3|2": 0.625}
 
 
 def test_grid_limit_counts_points_before_allocating():

@@ -11,7 +11,6 @@ from spinwitness import seesaw
 from spinwitness.seesaw import (
     Bipartition,
     enumerate_bipartitions,
-    grid_certify,
     seesaw_maximize,
 )
 from spinwitness.seesaw import _half_step, _run_restarts, _seesaw_stack, _side_layouts
@@ -293,6 +292,7 @@ def test_seesaw_reaches_sep_bound_on_all_bipartitions():
         r = seesaw_maximize(W3, bip, restarts=8, seed=0)
         assert r.best_value == pytest.approx(SEP3, abs=1e-9)
         assert r.best_value <= SEP3 + 1e-9
+        assert r.upper_bound == pytest.approx(SEP3, abs=1e-12)  # the Schmidt bound is tight
         assert r.converged
 
 
@@ -430,12 +430,12 @@ def low_rank_witness(ensemble, q):
     return WitnessOperator(ensemble, ensemble.K, 0.0, q, "test")
 
 
-def random_low_rank_witness(seed, ensemble, rank=6):
-    """1/2 + sum_s w_s p_s p_s^dag with random orthonormal p_s and weights in [0, 1/2]."""
+def random_low_rank_witness(seed, ensemble, rank=6, low=0.0):
+    """1/2 + sum_s w_s p_s p_s^dag with random orthonormal p_s and weights in [low, 1/2]."""
     rng = np.random.default_rng(seed)
     dim = ensemble.dim
     p, _ = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
-    q = np.eye(dim) / 2 + (p * rng.uniform(0, 0.5, rank)) @ p.conj().T
+    q = np.eye(dim) / 2 + (p * rng.uniform(low, 0.5, rank)) @ p.conj().T
     return low_rank_witness(ensemble, (q + q.conj().T) / 2)
 
 
@@ -667,26 +667,46 @@ def test_factors_are_computed_once_per_witness(monkeypatch):
     assert len(calls) == 2 and calls[1] is other
 
 
-# --- independent grid certification ---
+# --- the Schmidt upper bound ---
 
 
-def test_grid_certify_agrees_with_seesaw():
+@settings(max_examples=40, deadline=None)
+@given(split_ensembles(), st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_no_product_state_exceeds_the_upper_bound(bip, seed, rank):
+    # rank 0 draws the sign witness at a random offset, rank r a random Q - 1/2
+    # of rank r with weights of both signs
+    ensemble = bip.ensemble
+    rng = np.random.default_rng(seed)
+    if rank:
+        w = random_low_rank_witness(seed, ensemble, rank, low=-0.5)
+    else:
+        w = build_qk_direct(ensemble, rng.uniform(0, 2 * np.pi))
+    r = seesaw_maximize(w, bip, restarts=4, seed=seed)
+    dims = ensemble.local_dims
+    kets_j = [unit_ket(rng, bip.side_dim(bip.subset_J)) for _ in range(16)] + [r.best_kets[0]]
+    kets_c = [unit_ket(rng, bip.side_dim(bip.complement)) for _ in range(16)] + [r.best_kets[1]]
+    for psi_j, psi_c in zip(kets_j, kets_c):
+        full = np.einsum(
+            psi_j.reshape([dims[i] for i in bip.subset_J]), list(bip.subset_J),
+            psi_c.reshape([dims[i] for i in bip.complement]), list(bip.complement),
+            list(range(ensemble.N)),
+        ).reshape(-1)
+        # 1e-12 covers rounding only: a tight bound and a value on it agree to about 1e-15
+        assert np.real(full.conj() @ w.Q @ full) <= r.upper_bound + 1e-12
+    assert r.best_value <= r.upper_bound + 1e-12
+
+
+def test_upper_bound_covers_what_the_factors_miss():
+    # a 5e-10 bump on |000> is below FACTOR_TOL, so the factors drop it and
+    # only the residual term keeps |000> (x) |00> under the bound
     bip = Bipartition(E3, (0,))
-    got = grid_certify(W3, bip, resolution=24)
-    assert got == pytest.approx(SEP3, abs=1e-10)
-    assert got <= SEP3 + 1e-9
-
-
-def test_grid_certify_refinement_is_monotone():
-    bip = Bipartition(E3, (0,))
-    coarse = grid_certify(W3, bip, resolution=12)
-    fine = grid_certify(W3, bip, resolution=24)
-    assert fine >= coarse - 1e-13  # nodes at R are a subset of nodes at 2R
-
-
-def test_grid_certify_rejects_large_sides():
-    bip = Bipartition(E5, (0,))
-    with pytest.raises(ValueError, match="side dims"):
-        grid_certify(build_qk_direct(E5), bip, resolution=8)
-    with pytest.raises(ValueError):
-        grid_certify(W3, Bipartition(E3, (0,)), resolution=1)
+    ghz = balanced(8)
+    q = np.eye(8, dtype=complex) / 2 + np.outer(ghz, ghz) / 4
+    q[0, 0] += 5e-10
+    w = low_rank_witness(E3, q)
+    assert 1e-10 < w.factors.residual < seesaw.RESIDUAL_TOL
+    r = seesaw_maximize(w, bip, restarts=4, seed=0)
+    value = np.real(q[0, 0])  # the product state |0> (x) |00>
+    assert value <= r.upper_bound
+    assert value > r.upper_bound - w.factors.residual + 1e-11  # the bound fails without its residual term
+    assert r.best_value <= r.upper_bound

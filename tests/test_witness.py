@@ -17,7 +17,7 @@ from spinwitness.spin import (
     rotate_about_z,
     spin_matrices,
 )
-from spinwitness.states import ghz_like, ghz_mixture, product_state
+from spinwitness.states import QuantumState, ghz_like, ghz_mixture, product_state
 from spinwitness.witness import (
     ZERO_EIGENVALUE_TOL,
     build_qk_closed_form,
@@ -248,16 +248,18 @@ def test_mixture_scores_exactly_half_at_any_offset():
 
 @pytest.mark.parametrize("ensemble", [E3, E5, E_MIXED])
 def test_score_follows_cosine_law(ensemble):
-    # <ghz(phi)| Q(theta) |ghz(phi)> = 1/2 + 2 gap s cos(phi - K theta), s = (-1)^((K-1)/2)
+    # <ghz(phi)| Q(theta) |ghz(phi)> = 1/2 + 2 gap s cos(phi - K theta), s = (-1)^((K-1)/2),
+    # for the ket and for its density matrix (tr(rho Q^T) would flip the sign of phi)
     K = ensemble.K
     rep = witness_report(K)
     s = (-1) ** ((K - 1) // 2)
     theta = 0.213
     w = build_qk_direct(ensemble, theta)
     for phi in np.linspace(0, 2 * np.pi, 9):
-        got = score(ghz_like(ensemble, phi), w)
+        ket = ghz_like(ensemble, phi)
         want = 0.5 + 2 * rep.gap_float * s * np.cos(phi - K * theta)
-        assert got == pytest.approx(want, abs=1e-12)
+        for state in (ket, QuantumState(ensemble, rho=np.outer(ket.ket, ket.ket.conj()))):
+            assert score(state, w) == pytest.approx(want, abs=1e-12)
 
 
 def test_score_rejects_dim_mismatch():
