@@ -30,12 +30,18 @@ class EigenDecomposition(NamedTuple):
 
 
 def assert_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity (max-entry norm) and return the operator as complex."""
+    """Validate Hermiticity (max-entry norm) and return the operator as complex.
+
+    A non-finite entry is rejected: it makes the deviation NaN or infinite.
+    """
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    dev = np.abs(op - op.conj().T).max()
-    if dev > tol:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported below
+        dev = np.abs(op - op.conj().T).max()
+    if not dev <= tol:  # a NaN deviation compares False both ways
+        if not np.isfinite(dev):
+            raise ValueError("matrix has a non-finite (NaN or infinite) entry")
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.0e}")
     return op
 

@@ -62,13 +62,18 @@ class NoiseModel:
 def _depolarize_slot(rho: np.ndarray, dims: tuple[int, ...], slot: int, p: float) -> np.ndarray:
     """p * (1_slot / d) (x) tr_slot(rho) + (1 - p) * rho, on the dim x dim matrix.
 
-    rho is viewed as (left, d, right) x (left, d, right) blocks around the slot.
+    rho is viewed as (left, d, right) x (left, d, right) blocks around the slot;
+    the identity at the slot touches only its d diagonal blocks, so the cost is
+    O(dim^2) with one dim x dim output and no dim x dim temporary.
     """
     left, d, right = math.prod(dims[:slot]), dims[slot], math.prod(dims[slot + 1:])
     blocks = rho.reshape(left, d, right, left, d, right)
     reduced = np.trace(blocks, axis1=1, axis2=4)  # (left, right, left, right)
-    refill = reduced[:, None, :, :, None, :] * (np.eye(d) / d)[None, :, None, None, :, None]
-    return (p * refill + (1 - p) * blocks).reshape(rho.shape)
+    refill = p * (reduced * (1 / d))
+    out = (1 - p) * blocks
+    for i in range(d):
+        out[:, i, :, :, i, :] += refill
+    return out.reshape(rho.shape)
 
 
 def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
@@ -76,7 +81,8 @@ def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
     ensemble = state.ensemble
     out = state.density()
     if model.kind == "global":
-        out = model.p_global * np.eye(ensemble.dim) / ensemble.dim + (1 - model.p_global) * out
+        out = (1 - model.p_global) * out
+        out.flat[:: ensemble.dim + 1] += model.p_global / ensemble.dim
     else:
         if len(model.p_locals) != ensemble.N:
             raise ValueError(f"local model has {len(model.p_locals)} entries for {ensemble.N} particles")

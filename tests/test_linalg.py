@@ -65,6 +65,18 @@ def test_assert_hermitian_accepts_and_rejects():
         assert_hermitian(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("fn", [assert_hermitian, hermitian_eigendecompose])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)])
+def test_hermitian_guard_rejects_non_finite(fn, entry):
+    # a NaN deviation fails `dev > tol` as well as `dev <= tol`
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(np.full((2, 2), np.nan))
+    h = random_hermitian(3, 1)
+    h[1, 1] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(h)
+
+
 @pytest.mark.parametrize("dim", [2, 7, 64])
 def test_eigendecompose_reconstructs(dim):
     h = random_hermitian(dim, dim)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spinwitness.linalg import partial_trace
 from spinwitness.noise import (
     NoiseModel,
+    _depolarize_slot,
     apply_depolarizing,
     detection_thresholds,
     noisy_score_global,
@@ -50,6 +51,45 @@ def depolarize_reference(rho, dims, slot, p):
     full = full.transpose(order[:n] + order[n:])
     dim = int(np.prod(dims))
     return p * full.reshape(dim, dim) + (1 - p) * rho
+
+
+def dense_depolarize_slot(rho, dims, slot, p):
+    """The dense channel kernel: a dim x dim refill from an eye(d) broadcast."""
+    left, d, right = int(np.prod(dims[:slot])), dims[slot], int(np.prod(dims[slot + 1:]))
+    blocks = rho.reshape(left, d, right, left, d, right)
+    reduced = np.trace(blocks, axis1=1, axis2=4)
+    refill = reduced[:, None, :, :, None, :] * (np.eye(d) / d)[None, :, None, None, :, None]
+    return (p * refill + (1 - p) * blocks).reshape(rho.shape)
+
+
+def dense_depolarizing(rho, ensemble, model):
+    """`apply_depolarizing` with the dense kernels, on a bare density matrix."""
+    if model.kind == "global":
+        out = model.p_global * np.eye(ensemble.dim) / ensemble.dim + (1 - model.p_global) * rho
+    else:
+        out = rho
+        for slot, p in enumerate(model.p_locals):
+            out = dense_depolarize_slot(out, ensemble.local_dims, slot, p)
+    return (out + out.conj().T) / 2
+
+
+@pytest.mark.parametrize("spins", [(1, 0.5), (0.5, 1, 1), (1.5, 1.5, 1.5)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_channels_are_bit_identical_to_dense_reference(spins, seed):
+    ensemble = SpinEnsemble(spins)
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(3))
+    rho = sum(w * random_ket(ensemble, seed=10 * seed + i).density() for i, w in enumerate(weights))
+    state = QuantumState(ensemble, rho=(rho + rho.conj().T) / 2)
+    before = state.rho.copy()
+    for model in (NoiseModel("global", p_global=rng.uniform()),
+                  NoiseModel("local", p_locals=tuple(rng.uniform(size=ensemble.N)))):
+        got = apply_depolarizing(state, model).rho
+        np.testing.assert_array_equal(got, dense_depolarizing(state.rho, ensemble, model))
+    for slot, p in enumerate(rng.uniform(size=ensemble.N)):
+        got = _depolarize_slot(state.rho, ensemble.local_dims, slot, p)
+        np.testing.assert_array_equal(got, dense_depolarize_slot(state.rho, ensemble.local_dims, slot, p))
+    np.testing.assert_array_equal(state.rho, before)  # the input state is not written to
 
 
 def test_global_channel_mixes_toward_maximally_mixed():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwitness.linalg import partial_trace
 from spinwitness.spin import SpinEnsemble
@@ -33,6 +35,56 @@ def test_quantum_state_validates_rho():
         QuantumState(E3, rho=neg)
     with pytest.raises(ValueError, match="Hermitian"):
         QuantumState(E3, rho=np.triu(np.ones((8, 8))) / 8)
+
+
+def conjugated_spectrum(spectrum, seed):
+    """U diag(spectrum) U^dag for a seeded random unitary U."""
+    rng = np.random.default_rng(seed)
+    dim = len(spectrum)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rho = (u * spectrum) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def assert_psd_verdict(ensemble, rho, accepted):
+    if accepted:
+        QuantumState(ensemble, rho=rho)
+    else:
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            QuantumState(ensemble, rho=rho)
+
+
+# The PSD verdict is decided by a Cholesky of rho + 1e-10 I; the reference is the
+# smallest eigenvalue itself.  Spectra keep 1e-12 clear of the -1e-10 boundary,
+# where both routes are at the mercy of rounding.
+psd_cases = st.tuples(
+    st.sampled_from([SpinEnsemble((0.5,)), E_MIXED, E3, SpinEnsemble((0.5, 1, 1))]),
+    st.floats(-1e-8, 1e-8).filter(lambda low: abs(low + 1e-10) >= 1e-12),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_cases)
+def test_psd_verdict_matches_smallest_eigenvalue(case):
+    ensemble, low, seed = case
+    weights = np.random.default_rng(seed).uniform(0.01, 1, ensemble.dim - 1)
+    spectrum = np.concatenate([[low], weights / weights.sum() * (1 - low)])
+    rho = conjugated_spectrum(spectrum, seed)
+    assert_psd_verdict(ensemble, rho, np.linalg.eigvalsh(rho).min() >= -1e-10)
+
+
+@pytest.mark.parametrize("low,accepted", [(-1.1e-10, False), (-0.9e-10, True)])
+def test_psd_verdict_pinned_near_the_threshold(low, accepted):
+    rho = conjugated_spectrum(np.array([low] + [1 / 7] * 6 + [1 / 7 - low]), 3)
+    assert_psd_verdict(E3, rho, accepted)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_rank_one_rho_is_accepted(n):
+    # a pure state's rho is singular: every eigenvalue but one is zero up to rounding
+    ensemble = SpinEnsemble((0.5,) * n)
+    QuantumState(ensemble, rho=random_ket(ensemble, seed=n).density())
 
 
 def test_quantum_state_rejects_non_finite_entries():
