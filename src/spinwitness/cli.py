@@ -59,6 +59,7 @@ MAX_GRID_POINTS = 10_001
 # Most see-saw restarts per bipartition.  All start kets are one (restarts, 2, d_J + d_C) draw:
 # at MAX_DIM, d_J + d_C <= 1026, so it stays near 17 MB, below the 64 MiB of Q.
 MAX_RESTARTS = 1024
+RESTARTS_HELP = "see-saw restarts per bipartition: at most this many; stops once restart 0 meets the Schmidt bound"
 
 # Largest K whose exact table row prints: above it a numerator or denominator
 # has more than 4300 digits, Python's default limit on int-to-str conversion.
@@ -371,6 +372,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _round12(x: float) -> float:
+    """x to 12 decimals for the seesaw report, so that noise of a few ulps does not move stdout.
+
+    Rounding to 14 significant digits first absorbs noise of up to about
+    5e-15 even where x sits on a 12-decimal tie: P_sep = 4525/8192 at K = 15
+    ends in ...0625, and a few ulps either way would otherwise flip its last
+    printed digit.  The verdict reads the unrounded values.
+    """
+    return round(float(f"{x:.14g}"), 12)
+
+
 def cmd_seesaw(args) -> int:
     ensemble = _parse_spins(args.spins)
     if ensemble.N < 2:
@@ -378,17 +390,15 @@ def cmd_seesaw(args) -> int:
     rep = witness_report(ensemble.K)
     witness = build_qk_direct(ensemble)
     results, passed, _, _, spread = _seesaw_sweep(witness, rep.P_sep_float, args.restarts, args.seed)
-    # Values print to 12 decimals (12 digits on [1/2, 1]), so noise below 1e-12 does not move stdout;
-    # the verdict reads the unrounded values.
     rows = [{"bipartition": "|".join(",".join(str(i + 1) for i in side)
                                      for side in (r.bipartition.subset_J, r.bipartition.complement)),
-             "best_value": round(r.best_value, 12), "upper_bound": round(r.upper_bound, 12),
+             "best_value": _round12(r.best_value), "upper_bound": _round12(r.upper_bound),
              "iterations": r.iterations, "converged": r.converged}
             for r in results]
     obj = {
         "schema": SCHEMA_VERSION, "command": "seesaw", "spins": list(ensemble.spins),
         "sep_bound": _frac(rep.P_sep), "sep_bound_float": rep.P_sep_float,
-        "spread": round(spread, 12), "rows": rows,
+        "spread": _round12(spread), "rows": rows,
     }
     _emit(args, obj, ["bipartition", "best_value", "upper_bound", "iterations", "converged"])
     return 0 if passed else 1
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="self-verification suite for one ensemble")
     p.add_argument("--spins", required=True)
-    p.add_argument("--restarts", type=_restarts, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p)
     p.set_defaults(func=cmd_verify)
@@ -462,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seesaw", help="bipartition product-state maximization")
     p.add_argument("--spins", required=True)
-    p.add_argument("--restarts", type=_restarts, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p, fmt_default="json")
     p.set_defaults(func=cmd_seesaw)

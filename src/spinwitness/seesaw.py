@@ -34,11 +34,18 @@ miss moves a product-state value by at most their residual, so
 
 By convexity the bound holds for every state separable across the split.
 
-The start kets of restarts r > 0 are row r of one standard-normal draw from
-default_rng(seed), filled row by row, so restart r depends only on
-(seed, r).  The restarts run as stacks of a fixed number of entries
-(`_STACK_ENTRIES`); a restart leaves its stack when it converges, so every
-restart keeps its own iteration count.
+Restart 0 runs first, from the balanced stretched superpositions.  The
+Schmidt bound without its residual term, 1/2 + sum_{w_s > 0} w_s
+sigma_max(A_s)^2, bounds every restart's iterated value, since every restart
+iterates in the same factor model.  So once restart 0's value is within the
+convergence tolerance of it, no other restart can beat restart 0 by more than
+that tolerance: the call stops there, and restart 0 is the winner.  Only
+while that gap is open do restarts 1 .. R-1 run.  Their start kets are rows
+1 .. R-1 of one standard-normal draw from default_rng(seed), filled row by
+row, so restart r depends only on (seed, r); the draw is made on this path
+alone.  They run as stacks of a fixed number of entries (`_STACK_ENTRIES`);
+a restart leaves its stack when it converges, so every restart keeps its own
+iteration count.  The winner is the first maximum in restart order.
 """
 
 from __future__ import annotations
@@ -95,6 +102,7 @@ class SeeSawResult:
     best_kets: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (subset_J side, complement side)
     iterations: int
     converged: bool
+    restarts_run: int  # 1 when restart 0 met the Schmidt bound, else the call's restart count
 
 
 def enumerate_bipartitions(ensemble: SpinEnsemble) -> list[Bipartition]:
@@ -193,37 +201,47 @@ def _seesaw_stack(layouts, weights, psi_j, psi_c, max_iters, tol):
     return values, iterations, converged, np.array(trajectory)
 
 
-def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (restarts, d_J) and (restarts, d_C) stacks of unit start kets.
+def _balanced(dim: int) -> np.ndarray:
+    """The (1, dim) stack holding the balanced superposition of a side's two stretched states."""
+    ket = np.zeros((1, dim), dtype=complex)
+    ket[0, [0, -1]] = 1 / np.sqrt(2)
+    return ket
 
-    Row 0 is the balanced stretched superposition on each side.  Row r > 0 is
-    row r of one default_rng(seed) standard-normal draw of shape
-    (restarts, 2, d_J + d_C), real and imaginary parts along axis 1, split
-    between the sides.  The draw fills row by row, so restart r depends only
+
+def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (restarts - 1, d_J) and (restarts - 1, d_C) unit start kets of restarts 1 .. R-1.
+
+    Restart r takes row r of one default_rng(seed) standard-normal draw of
+    shape (restarts, 2, d_J + d_C), real and imaginary parts along axis 1,
+    split between the sides; row 0 belongs to restart 0, which starts from
+    `_balanced` instead.  The draw fills row by row, so restart r depends only
     on (seed, r), whatever the restart count or block size.
     """
-    draw = np.random.default_rng(seed).standard_normal((restarts, 2, d_j + d_c))
+    draw = np.random.default_rng(seed).standard_normal((restarts, 2, d_j + d_c))[1:]
     kets = draw[:, 0] + 1j * draw[:, 1]
     psi_j, psi_c = (side / np.linalg.norm(side, axis=1, keepdims=True) for side in (kets[:, :d_j], kets[:, d_j:]))
-    for side in (psi_j, psi_c):
-        side[0] = 0
-        side[0, [0, -1]] = 1 / np.sqrt(2)
     return psi_j, psi_c
 
 
-def _run_restarts(layouts, weights, restarts, max_iters, tol, seed):
-    """Every restart, as stacks of at most `_STACK_ENTRIES // (max(d_J, d_C) * (r + 1))` rows.
+def _run_restarts(layouts, weights, restarts, max_iters, tol, seed, stop_at=np.inf):
+    """Restart 0 alone, then, unless its value reaches `stop_at`, restarts 1 .. R-1.
 
-    Returns per-restart (values, iterations, converged), the index of the
+    Restarts 1 .. R-1 run as stacks of at most
+    `_STACK_ENTRIES // (max(d_J, d_C) * (r + 1))` rows.  Returns per-restart
+    (values, iterations, converged) of the restarts that ran, the index of the
     first maximum in restart order and that restart's kets.
     """
     _, d_j, d_c = layouts[0].shape
-    block = max(1, _STACK_ENTRIES // (max(d_j, d_c) * (len(weights) + 1)))
-    psi_j, psi_c = _start_kets(seed, restarts, d_j, d_c)
-    runs = [  # each block's kets are views, overwritten in place with the final ones
-        _seesaw_stack(layouts, weights, psi_j[start : start + block], psi_c[start : start + block], max_iters, tol)[:3]
-        for start in range(0, restarts, block)
-    ]
+    psi_j, psi_c = _balanced(d_j), _balanced(d_c)
+    runs = [_seesaw_stack(layouts, weights, psi_j, psi_c, max_iters, tol)[:3]]
+    if restarts > 1 and runs[0][0][0] < stop_at:
+        block = max(1, _STACK_ENTRIES // (max(d_j, d_c) * (len(weights) + 1)))
+        rest_j, rest_c = _start_kets(seed, restarts, d_j, d_c)
+        runs += [  # each block's kets are views, overwritten in place with the final ones
+            _seesaw_stack(layouts, weights, rest_j[start : start + block], rest_c[start : start + block], max_iters, tol)[:3]
+            for start in range(0, restarts - 1, block)
+        ]
+        psi_j, psi_c = np.concatenate((psi_j, rest_j)), np.concatenate((psi_c, rest_c))
     values, iterations, converged = map(np.concatenate, zip(*runs))
     best = int(np.argmax(values))  # argmax takes the first maximum
     return values, iterations, converged, best, (psi_j[best], psi_c[best])
@@ -239,17 +257,20 @@ def seesaw_maximize(
 ) -> SeeSawResult:
     """Best product-state witness value over the bipartition, maxed over restarts.
 
-    Restart 0 seeds both sides with the balanced stretched superposition (the
-    saturating point); restart r > 0 takes row r of one standard-normal draw
-    from default_rng(seed), filled row by row, so restart r depends only on
-    (seed, r) and a run with more restarts repeats the first ones.  The
-    restarts run in lockstep as stacks of a fixed number of entries on the
-    witness factors; the winner is the first maximum in restart order.  Its
-    product ket is scored against the dense Q, so the returned value is a
-    certified lower bound on the true bipartition maximum; `upper_bound` is
-    the Schmidt bound of the module docstring, one batched singular-value
-    solve of the factor layouts.  A witness whose factors leave a Frobenius
-    residual above RESIDUAL_TOL is a ValueError.
+    `upper_bound` is the Schmidt bound of the module docstring, from one
+    batched singular-value solve of the factor layouts, and is computed
+    first.  Restart 0 seeds both sides with the balanced stretched
+    superposition (the saturating point) and runs alone.  If its value comes
+    within `tol` of that bound less its residual term, no restart can beat it
+    by more than `tol`, so it wins and `restarts_run` is 1.  Otherwise
+    restarts 1 .. R-1 run too, in lockstep as stacks of a fixed number of
+    entries on the witness factors: restart r takes row r of one
+    standard-normal draw from default_rng(seed), filled row by row, so it
+    depends only on (seed, r) and a run with more restarts repeats the first
+    ones.  The winner is the first maximum in restart order.  Its product ket
+    is scored against the dense Q, so the returned value is a certified lower
+    bound on the true bipartition maximum.  A witness whose factors leave a
+    Frobenius residual above RESIDUAL_TOL is a ValueError.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -262,9 +283,12 @@ def seesaw_maximize(
         raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "
                          f"of {factors.residual:.3e} > {RESIDUAL_TOL:.0e}")
     layouts = _side_layouts(factors.vectors, bipartition)
-    _, iterations, converged, best, best_kets = _run_restarts(layouts, factors.values, restarts, max_iters, tol, seed)
+    schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
+    factor_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt)
+    values, iterations, converged, best, best_kets = _run_restarts(
+        layouts, factors.values, restarts, max_iters, tol, seed, stop_at=factor_bound - tol
+    )
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)
-    schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
-    upper_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt) + factors.residual
-    return SeeSawResult(bipartition, value, upper_bound, best_kets, int(iterations[best]), bool(converged[best]))
+    return SeeSawResult(bipartition, value, factor_bound + factors.residual, best_kets,
+                        int(iterations[best]), bool(converged[best]), len(values))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -78,11 +78,13 @@ class SpinEnsemble:
         """Odd integer with sum(j_n) = K/2."""
         return round(2 * sum(self.spins))
 
-    @property
+    # computed once per ensemble: cached_property writes the instance __dict__, which the frozen
+    # dataclass's __setattr__ does not guard, and equality and hashing read `spins` alone
+    @cached_property
     def local_dims(self) -> tuple[int, ...]:
         return tuple(round(2 * j + 1) for j in self.spins)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return math.prod(self.local_dims)
 

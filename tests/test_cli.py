@@ -261,22 +261,29 @@ def test_seesaw_cli_json(capsys):
 
 
 def test_seesaw_output_ignores_a_one_ulp_change(capsys, monkeypatch):
-    # A reordered floating-point sum moves a best value by an ulp; stdout must not move.
-    argv = ("seesaw", "--spins", "0.5,1,1", "--restarts", "3")
-    _, before, _ = run(capsys, *argv)
+    # A reordered floating-point sum moves a best value by an ulp; stdout must not move.  At K = 15,
+    # P_sep = 4525/8192 is a tie at 12 decimals: a value on it must print as both its neighbours do.
     maximize = cli.seesaw_maximize
-    calls = []
+    for spins, pinned in [("0.5,1,1", None), ("2.5,2.5,2.5", 4525 / 8192)]:
+        outputs = set()
+        for toward in (None, 1.0, 0.0):  # as computed (or pinned), one ulp up, one ulp down
+            calls = []
 
-    def nudged(*args, **kwargs):
-        result = maximize(*args, **kwargs)
-        calls.append(result)
-        step = np.nextafter(result.best_value, 1.0) if len(calls) == 1 else result.best_value
-        return dataclasses.replace(result, best_value=float(step))
+            def nudged(*args, **kwargs):
+                result = maximize(*args, **kwargs)
+                calls.append(result)
+                if len(calls) > 1:
+                    return result
+                value = result.best_value if pinned is None else pinned
+                if toward is not None:
+                    value = np.nextafter(value, toward)
+                return dataclasses.replace(result, best_value=float(value))
 
-    monkeypatch.setattr(cli, "seesaw_maximize", nudged)
-    rc, after, _ = run(capsys, *argv)
-    assert rc == 0 and len(calls) == 3
-    assert after == before
+            monkeypatch.setattr(cli, "seesaw_maximize", nudged)
+            rc, out, _ = run(capsys, "seesaw", "--spins", spins, "--restarts", "3")
+            assert rc == 0 and len(calls) == 3
+            outputs.add(out)
+        assert len(outputs) == 1, spins
 
 
 def test_seesaw_verdict_reads_unrounded_values(capsys, monkeypatch):

@@ -560,6 +560,8 @@ def test_fewer_restarts_repeat_the_first_ones(monkeypatch, rows):
 
 
 def test_one_generator_per_call(monkeypatch):
+    # restart 0 starts from the balanced kets; the random start kets of the
+    # other restarts are one draw, made only when restart 0 leaves a gap
     made = []
     default_rng = np.random.default_rng
 
@@ -567,10 +569,69 @@ def test_one_generator_per_call(monkeypatch):
         made.append(args)
         return default_rng(*args, **kwargs)
 
-    W3.factors  # drawn once per witness, not per call (see test_factors_are_computed_once_per_witness)
+    gap = random_low_rank_witness(57, E5)
+    W3.factors, gap.factors  # drawn once per witness, not per call (see test_factors_are_computed_once_per_witness)
     monkeypatch.setattr(np.random, "default_rng", counting)
-    seesaw_maximize(W3, Bipartition(E3, (0,)), restarts=32, seed=9)
+    assert seesaw_maximize(W3, Bipartition(E3, (0,)), restarts=32, seed=9).restarts_run == 1
+    assert made == []
+    assert seesaw_maximize(gap, Bipartition(E5, (0, 2)), restarts=32, seed=9).restarts_run == 32
     assert made == [(9,)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_ensembles(), st.floats(0, 2 * np.pi), st.integers(2, 64))
+def test_sign_witness_stops_after_restart_0(bip, offset, restarts):
+    # restart 0 meets the Schmidt bound on every bipartition, so the other
+    # restarts cannot beat it and do not run
+    w = build_qk_direct(bip.ensemble, offset)
+    r = seesaw_maximize(w, bip, restarts=restarts, seed=0)
+    assert r.restarts_run == 1
+    assert r.best_value == pytest.approx(witness_report(bip.ensemble.K).P_sep_float, abs=1e-12)
+    assert r.best_value <= r.upper_bound
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])  # blocks of one, uneven blocks of restarts 1 .. 7, one block of all
+def test_gap_path_runs_every_restart_once(monkeypatch, rows):
+    # restart 0 of the random rank-6 witness ends below the factor bound, so
+    # restarts 1 .. 7 run too: the winner is the full-restart reference's, and
+    # the half-steps take each restart's rows for its own iterations only,
+    # restart 0's among them once
+    bip = Bipartition(E5, (0, 2))
+    w = random_low_rank_witness(57, E5)
+    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
+    values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, 8, 200, 1e-10, seed=11)
+    rows_stepped = []
+    half_step = seesaw._half_step
+
+    def counting(layout, weights, kets, previous):
+        rows_stepped.append(len(kets))
+        return half_step(layout, weights, kets, previous)
+
+    monkeypatch.setattr(seesaw, "_half_step", counting)
+    r = seesaw_maximize(w, bip, restarts=8, seed=11)
+    best = int(np.argmax(values))
+    assert best != 0 and r.restarts_run == 8
+    assert r.best_value == pytest.approx(values[best], abs=1e-12)
+    assert (r.iterations, r.converged) == (iterations[best], converged[best])
+    assert_same_ket_up_to_phase(r.best_kets[0], kets[best][0])
+    assert_same_ket_up_to_phase(r.best_kets[1], kets[best][1])
+    assert sum(rows_stepped) == 2 * iterations.sum()
+
+
+def test_a_loose_bound_leaves_the_gap_open():
+    # 1/2 + |GHZ><GHZ|/4 + 1e-7 |011><011|: the Schmidt bound adds both
+    # factors' maxima, which no product ket attains together, so restart 0
+    # ends about 7.5e-8 below the bound, far above tol, and every restart runs
+    bip = Bipartition(E3, (0,))
+    ghz = balanced(8)
+    q = np.eye(8, dtype=complex) / 2 + np.outer(ghz, ghz) / 4
+    q[3, 3] += 1e-7
+    w = low_rank_witness(E3, q)
+    assert len(w.factors.values) == 2
+    r = seesaw_maximize(w, bip, restarts=5, seed=0)
+    assert r.restarts_run == 5
+    assert 1e-8 < r.upper_bound - r.best_value < 1e-6
+    assert r.best_value == pytest.approx(0.625 + 0.25e-7, abs=1e-12)
 
 
 def test_seesaw_runs_without_einsum(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,15 @@ class TestSpinEnsemble:
         e = SpinEnsemble((0.5, 0.5, 0.5))
         assert e == SpinEnsemble([0.5, 0.5, 0.5])
         assert hash(e) == hash(SpinEnsemble([0.5, 0.5, 0.5]))
+
+    def test_dimensions_are_computed_once(self):
+        # cached on the instance; equality, hashing and immutability read the spins alone
+        e = SpinEnsemble((1.5, 1, 1))
+        assert e.local_dims is e.local_dims and e.dim == 36
+        fresh = SpinEnsemble((1.5, 1, 1))
+        assert e == fresh and hash(e) == hash(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.spins = (0.5,)
 
 
 def test_collective_operator_is_sum_of_embeddings():
