@@ -20,8 +20,7 @@ from .noise import (
     NoiseModel,
     apply_depolarizing,
     detection_thresholds,
-    noisy_score_global,
-    noisy_score_local,
+    noisy_score,
 )
 from .protocol import (
     ProtocolConfig,
@@ -90,6 +89,7 @@ __all__ = [
     "ghz_like",
     "ghz_mixture",
     "hermitian_eigendecompose",
+    "noisy_score",
     "partial_trace",
     "phase_for_ghz",
     "pos_operator",

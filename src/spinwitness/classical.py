@@ -14,21 +14,25 @@ import numpy as np
 
 __all__ = ["classical_score", "classical_sweep_max"]
 
+SWEEP_SAMPLES = 100_000  # equally spaced phi0 values in classical_sweep_max
+
+
+def _scores(K: int, phi0: np.ndarray) -> np.ndarray:
+    """classical_score at each angle of phi0: one (K, len(phi0)) table of projections."""
+    if K < 1 or K % 2 == 0:
+        raise ValueError(f"K must be a positive odd integer, got {K}")
+    if not np.isfinite(phi0).all():
+        raise ValueError("phi0 must be finite")
+    proj = np.cos(2 * np.pi * np.arange(K)[:, None] / K - phi0[None, :])
+    weights = np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5))
+    return weights.mean(axis=0)
+
 
 def classical_score(K: int, phi0: float) -> float:
     """Fraction of the K directions with positive projection (ties count 1/2)."""
-    if K < 1 or K % 2 == 0:
-        raise ValueError(f"K must be a positive odd integer, got {K}")
-    proj = np.cos(2 * np.pi * np.arange(K) / K - phi0)
-    weights = np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5))
-    return float(weights.mean())
+    return float(_scores(K, np.array([float(phi0)]))[0])
 
 
-def classical_sweep_max(K: int, samples: int = 100_000) -> float:
-    """Max of classical_score over a dense phi0 sweep of [0, 2 pi)."""
-    if K < 1 or K % 2 == 0:
-        raise ValueError(f"K must be a positive odd integer, got {K}")
-    phi0 = 2 * np.pi * np.arange(samples) / samples
-    proj = np.cos(2 * np.pi * np.arange(K)[:, None] / K - phi0[None, :])
-    weights = np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5))
-    return float(weights.mean(axis=0).max())
+def classical_sweep_max(K: int) -> float:
+    """Max of classical_score over SWEEP_SAMPLES equally spaced phi0 in [0, 2 pi)."""
+    return float(_scores(K, 2 * np.pi * np.arange(SWEEP_SAMPLES) / SWEEP_SAMPLES).max())

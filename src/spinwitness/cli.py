@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .noise import NoiseModel, apply_depolarizing, noisy_score_global, noisy_score_local
+from .noise import NoiseModel, apply_depolarizing, noisy_score
 from .protocol import ProtocolConfig, run_protocol, run_protocol_subensembles
 from .seesaw import enumerate_bipartitions, seesaw_maximize
 from .spin import SpinEnsemble, direction_phases
@@ -220,6 +220,11 @@ def cmd_table(args) -> int:
     return 0 if any("error" not in row for row in rows) else 1
 
 
+def _uniform_model(kind: str, p: float, n: int) -> NoiseModel:
+    """The global channel at p, or one local channel at p on each of n particles."""
+    return NoiseModel("global", p_global=p) if kind == "global" else NoiseModel("local", p_locals=(p,) * n)
+
+
 def _deviation(x: float) -> str:
     """A check's deviation for the verify report; rounding noise prints as one stable token."""
     return "<1e-12" if x < 1e-12 else f"{x:.2e}"
@@ -274,10 +279,9 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     state = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)
     worst = 0.0
     for p in (0.0, 0.1, 0.25, 0.5, 0.9):
-        noisy = apply_depolarizing(state, NoiseModel("global", p_global=p))
-        worst = max(worst, abs(score(noisy, direct) - noisy_score_global(ensemble.K, p)))
-        noisy = apply_depolarizing(state, NoiseModel("local", p_locals=(p,) * ensemble.N))
-        worst = max(worst, abs(score(noisy, direct) - noisy_score_local(ensemble, (p,) * ensemble.N)))
+        for kind in ("global", "local"):
+            model = _uniform_model(kind, p, ensemble.N)
+            worst = max(worst, abs(score(apply_depolarizing(state, model), direct) - noisy_score(ensemble, model)))
     checks.append(("noise-closed-form", worst < 1e-10, f"max closed-form vs channel deviation {_deviation(worst)}"))
     return checks
 
@@ -303,13 +307,9 @@ def cmd_noise_sweep(args) -> int:
     witness = build_qk_direct(ensemble)
     rows = []
     for p in grid:
-        if args.model == "global":
-            closed = noisy_score_global(ensemble.K, p)
-            noisy = apply_depolarizing(state, NoiseModel("global", p_global=p))
-        else:
-            closed = noisy_score_local(ensemble, (p,) * ensemble.N)
-            noisy = apply_depolarizing(state, NoiseModel("local", p_locals=(p,) * ensemble.N))
-        brute = score(noisy, witness)
+        model = _uniform_model(args.model, p, ensemble.N)
+        closed = noisy_score(ensemble, model)
+        brute = score(apply_depolarizing(state, model), witness)
         rows.append({"p": p, "closed_form_score": closed, "brute_force_score": brute,
                      "detected": bool(closed > rep.P_sep_float)})
     _emit(args, {"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
@@ -338,10 +338,10 @@ def cmd_simulate(args) -> int:
     phi = args.phi if args.phi is not None else np.pi * (K - 1) / 2
     theta = phase_for_ghz(phi, K)
     state = ghz_mixture(ensemble) if args.state == "mixture" else ghz_like(ensemble, phi=phi)
-    if args.p_list is not None or (args.p is not None and args.model == "local"):
-        state = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(args.p_list or [args.p] * ensemble.N)))
+    if args.p_list is not None:
+        state = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(args.p_list)))
     elif args.p is not None:
-        state = apply_depolarizing(state, NoiseModel("global", p_global=args.p))
+        state = apply_depolarizing(state, _uniform_model(args.model or "global", args.p, ensemble.N))
     config = ProtocolConfig(
         ensemble=ensemble, state=state, rounds=args.rounds, seed=args.seed,
         theta_offset=theta, subensembles=subensembles,

@@ -1,7 +1,8 @@
-"""Depolarizing noise: channels, closed-form noisy scores, detection thresholds.
+"""Depolarizing noise: channels, their closed-form noisy score, detection thresholds.
 
 Both channel flavors shrink the witness score linearly toward 1/2, the value
-of featureless states.  Acting on the optimal GHZ-like input:
+of featureless states.  Acting on the optimal GHZ-like input, the score that
+`noisy_score` returns for the `NoiseModel` that `apply_depolarizing` applies is
 
     global:  score = 1/2 + 2 (1 - p)        (P_sep - 1/2)
     local:   score = 1/2 + 2 prod(1 - p_n)  (P_sep - 1/2)
@@ -24,8 +25,7 @@ from .witness import witness_report
 __all__ = [
     "NoiseModel",
     "apply_depolarizing",
-    "noisy_score_global",
-    "noisy_score_local",
+    "noisy_score",
     "detection_thresholds",
 ]
 
@@ -59,6 +59,11 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
 
+def _check_fits(model: NoiseModel, ensemble: SpinEnsemble) -> None:
+    if model.kind == "local" and len(model.p_locals) != ensemble.N:
+        raise ValueError(f"local model has {len(model.p_locals)} entries for {ensemble.N} particles")
+
+
 def _depolarize_slot(rho: np.ndarray, dims: tuple[int, ...], slot: int, p: float) -> np.ndarray:
     """p * (1_slot / d) (x) tr_slot(rho) + (1 - p) * rho, on the dim x dim matrix.
 
@@ -79,34 +84,30 @@ def _depolarize_slot(rho: np.ndarray, dims: tuple[int, ...], slot: int, p: float
 def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
     """Return the noisy state as a density matrix (channels commute per slot)."""
     ensemble = state.ensemble
+    _check_fits(model, ensemble)
     out = state.density()
     if model.kind == "global":
         out = (1 - model.p_global) * out
         out.flat[:: ensemble.dim + 1] += model.p_global / ensemble.dim
     else:
-        if len(model.p_locals) != ensemble.N:
-            raise ValueError(f"local model has {len(model.p_locals)} entries for {ensemble.N} particles")
         for slot, p in enumerate(model.p_locals):
             out = _depolarize_slot(out, ensemble.local_dims, slot, p)
     out = (out + out.conj().T) / 2
     return QuantumState(ensemble, rho=out)
 
 
-def noisy_score_global(K: int, p_global: float) -> float:
-    """Closed-form witness score of the optimal state under global depolarizing."""
-    p = _check_prob(p_global, "p_global")
-    report = witness_report(K)
-    return 0.5 + 2 * (1 - p) * (report.P_sep_float - 0.5)
+def noisy_score(ensemble: SpinEnsemble, model: NoiseModel) -> float:
+    """Closed-form witness score of the phase-matched GHZ-like state after the model's channel.
 
-
-def noisy_score_local(ensemble: SpinEnsemble, p_locals) -> float:
-    """Closed-form score under one depolarizing channel per particle."""
-    if len(p_locals) != ensemble.N:
-        raise ValueError(f"expected {ensemble.N} local probabilities, got {len(p_locals)}")
-    ps = [_check_prob(p, f"p_locals[{i}]") for i, p in enumerate(p_locals)]
-    report = witness_report(ensemble.K)
-    survival = float(np.prod([1 - p for p in ps]))
-    return 0.5 + 2 * survival * (report.P_sep_float - 0.5)
+    score = 1/2 + 2 survival (P_sep - 1/2), with survival 1 - p globally and
+    prod(1 - p_n) for one channel per particle.
+    """
+    _check_fits(model, ensemble)
+    if model.kind == "global":
+        survival = 1 - model.p_global
+    else:
+        survival = float(np.prod([1 - p for p in model.p_locals]))
+    return 0.5 + 2 * survival * (witness_report(ensemble.K).P_sep_float - 0.5)
 
 
 def detection_thresholds(ensemble: SpinEnsemble) -> tuple[float, float, float]:

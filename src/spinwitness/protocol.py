@@ -20,9 +20,8 @@ singletons and the whole ensemble included.
 Determinism contract: only the K pairs (positives, trials) are kept, so the
 samplers draw those tallies from their exact joint law instead of round by
 round.  Each round picks k uniformly and is then a Bernoulli(q_k) coin, so the
-trials are multinomial(rounds, 1/K each) (in stratified mode, exactly
-rounds // K plus one for the first rounds % K directions) and, given them,
-direction k's positives are binomial(trials_k, q_k).  The draws come from one
+trials are multinomial(rounds, 1/K each) and, given them, direction k's
+positives are binomial(trials_k, q_k).  The draws come from one
 counter-based generator (numpy Philox) keyed by the seed, so the counts are a
 pure function of (seed, rounds, q) and cost O(K) whatever the round count.
 For one seed the two samplers give the same counts.
@@ -30,12 +29,12 @@ For one seed the two samplers give the same counts.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinEnsemble, _apply_slot_bases, direction_phases, jx_eigenbases, jx_function, jz_diagonal
+from .spin import SpinEnsemble, _apply_slot_bases, _is_integer, direction_phases, jx_eigenbases, jx_function, jz_diagonal
 from .states import QuantumState
 from .witness import witness_report
 
@@ -60,10 +59,9 @@ class ProtocolConfig:
     seed: int
     theta_offset: float = 0.0
     subensembles: tuple[tuple[int, ...], ...] | None = None
-    stratified: bool = False  # equal trials per k; a variance-reduction deviation from the uniform draw
 
     def __post_init__(self):
-        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
+        if not _is_integer(self.rounds):
             raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if not 1 <= self.rounds < 2**63:  # the tallies are int64
             raise ValueError(f"rounds must lie in [1, 2^63), got {self.rounds}")
@@ -71,6 +69,8 @@ class ProtocolConfig:
         if self.state.ensemble != self.ensemble:
             raise ValueError("state was built for a different ensemble")
         if self.subensembles is not None:
+            if not all(_is_integer(i) for g in self.subensembles for i in g):
+                raise ValueError(f"subensembles {self.subensembles!r} must hold integer particle indices")
             groups = tuple(tuple(sorted(int(i) for i in g)) for g in self.subensembles)
             flat = [i for g in groups for i in g]
             if sorted(flat) != list(range(self.ensemble.N)):
@@ -88,8 +88,13 @@ class ProtocolEstimate:
     per_k_probs: tuple[float, ...]  # exact positive probability each direction was sampled from
 
 
-def wilson_interval(positives: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval — correct coverage where Wald collapses.
+def _wilson_half_width(p_hat: float, trials: int) -> float:
+    """Half-width of the Wilson 95% interval at success fraction p_hat over the trials."""
+    return Z95 * np.sqrt(p_hat * (1 - p_hat) / trials + Z95**2 / (4 * trials**2)) / (1 + Z95**2 / trials)
+
+
+def wilson_interval(positives: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval — correct coverage where Wald collapses.
 
     The interval always lies in [0, 1] and contains positives / trials; the
     clamps only undo rounding at p_hat = 0 or 1, where an edge lands an ulp
@@ -100,9 +105,8 @@ def wilson_interval(positives: int, trials: int, z: float = Z95) -> tuple[float,
     if not 0 <= positives <= trials:
         raise ValueError(f"positives={positives} must lie in [0, trials={trials}]")
     p_hat = positives / trials
-    denom = 1 + z**2 / trials
-    center = (p_hat + z**2 / (2 * trials)) / denom
-    half = z * np.sqrt(p_hat * (1 - p_hat) / trials + z**2 / (4 * trials**2)) / denom
+    center = (p_hat + Z95**2 / (2 * trials)) / (1 + Z95**2 / trials)
+    half = _wilson_half_width(p_hat, trials)
     return float(max(0.0, min(center - half, p_hat))), float(min(1.0, max(center + half, p_hat)))
 
 
@@ -111,10 +115,7 @@ def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate
     K = config.ensemble.K
     probs = np.clip(probs, 0.0, 1.0)
     gen = np.random.Generator(np.random.Philox(key=config.seed))
-    if config.stratified:
-        trials = config.rounds // K + (np.arange(K) < config.rounds % K)
-    else:
-        trials = gen.multinomial(config.rounds, np.full(K, 1 / K))
+    trials = gen.multinomial(config.rounds, np.full(K, 1 / K))
     positives = gen.binomial(trials, probs)
     total = int(positives.sum())
     low, high = wilson_interval(total, config.rounds)
@@ -169,8 +170,8 @@ def time_schedule(K: int, omega: float) -> list[float]:
     Measuring the fixed x-component at t_k under H = -omega Jz reproduces the
     direction-k statistics, turning K directions into K wait times.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     return [2 * np.pi / omega * k / K for k in range(K)]
 
 
@@ -185,17 +186,12 @@ def rounds_needed(K: int, power_margin: float) -> int:
     report = witness_report(K)
     p_mid = float(report.P_sep + report.gap / 2)
     target = report.gap_float * power_margin / 2
-
-    def half_width(n: int) -> float:
-        denom = 1 + Z95**2 / n
-        return Z95 * np.sqrt(p_mid * (1 - p_mid) / n + Z95**2 / (4 * n**2)) / denom
-
     lo, hi = 1, 1
-    while half_width(hi) >= target:
+    while _wilson_half_width(p_mid, hi) >= target:
         hi *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if half_width(mid) < target:
+        if _wilson_half_width(p_mid, mid) < target:
             hi = mid
         else:
             lo = mid + 1

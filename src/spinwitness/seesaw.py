@@ -38,8 +38,8 @@ Restart 0 runs first, from the balanced stretched superpositions.  The
 Schmidt bound without its residual term, 1/2 + sum_{w_s > 0} w_s
 sigma_max(A_s)^2, bounds every restart's iterated value, since every restart
 iterates in the same factor model.  So once restart 0's value is within the
-convergence tolerance of it, no other restart can beat restart 0 by more than
-that tolerance: the call stops there, and restart 0 is the winner.  Only
+convergence tolerance TOL of it, no other restart can beat restart 0 by
+more than TOL: the call stops there, and restart 0 is the winner.  Only
 while that gap is open do restarts 1 .. R-1 run.  Their start kets are rows
 1 .. R-1 of one standard-normal draw from default_rng(seed), filled row by
 row, so restart r depends only on (seed, r); the draw is made on this path
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .witness import WitnessOperator
-from .spin import SpinEnsemble
+from .spin import SpinEnsemble, _is_integer
 
 __all__ = [
     "Bipartition",
@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-9
+MAX_ITERS = 200  # most iterations one restart runs
+TOL = 1e-10  # a restart converges once an iteration gains less than this
 RESIDUAL_TOL = 1e-9  # largest Frobenius residual of the witness factors the see-saw accepts
 _STACK_ENTRIES = 2**15  # entries of one (rows, max(d_J, d_C), r + 1) basis stack: 512 KiB of complex
 
@@ -79,6 +81,8 @@ class Bipartition:
 
     def __post_init__(self):
         n = self.ensemble.N
+        if not all(map(_is_integer, self.subset_J)):
+            raise ValueError(f"subset_J={self.subset_J!r} must hold integer particle indices")
         subset = tuple(sorted(set(int(i) for i in self.subset_J)))
         if not subset or len(subset) >= n or any(i < 0 or i >= n for i in subset):
             raise ValueError(f"subset_J={subset} must be a proper nonempty subset of 0..{n - 1}")
@@ -251,8 +255,6 @@ def seesaw_maximize(
     witness: WitnessOperator,
     bipartition: Bipartition,
     restarts: int = 32,
-    max_iters: int = 200,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SeeSawResult:
     """Best product-state witness value over the bipartition, maxed over restarts.
@@ -261,8 +263,8 @@ def seesaw_maximize(
     batched singular-value solve of the factor layouts, and is computed
     first.  Restart 0 seeds both sides with the balanced stretched
     superposition (the saturating point) and runs alone.  If its value comes
-    within `tol` of that bound less its residual term, no restart can beat it
-    by more than `tol`, so it wins and `restarts_run` is 1.  Otherwise
+    within `TOL` of that bound less its residual term, no restart can beat it
+    by more than `TOL`, so it wins and `restarts_run` is 1.  Otherwise
     restarts 1 .. R-1 run too, in lockstep as stacks of a fixed number of
     entries on the witness factors: restart r takes row r of one
     standard-normal draw from default_rng(seed), filled row by row, so it
@@ -274,10 +276,6 @@ def seesaw_maximize(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if max_iters < 1:
-        raise ValueError("need at least one iteration")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
     factors = witness.factors
     if factors.residual > RESIDUAL_TOL:
         raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "
@@ -286,7 +284,7 @@ def seesaw_maximize(
     schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
     factor_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt)
     values, iterations, converged, best, best_kets = _run_restarts(
-        layouts, factors.values, restarts, max_iters, tol, seed, stop_at=factor_bound - tol
+        layouts, factors.values, restarts, MAX_ITERS, TOL, seed, stop_at=factor_bound - TOL
     )
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)

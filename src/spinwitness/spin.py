@@ -15,6 +15,7 @@ route to the spectrum of Jx.  The dense `collective_operator` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Sequence
@@ -35,6 +36,11 @@ __all__ = [
     "direction_phases",
     "rotate_about_z",
 ]
+
+
+def _is_integer(x) -> bool:
+    """True for an int or numpy integer; False for a bool, a float (even 2.0) and anything else."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_half_integer(j) -> float:

@@ -105,24 +105,13 @@ def product_state(ensemble: SpinEnsemble, local_kets) -> QuantumState:
     return QuantumState(ensemble, ket=full)
 
 
-def random_ket(dim_or_ensemble, seed) -> QuantumState | np.ndarray:
-    """Haar-random unit vector, deterministic under the 64-bit seed.
+def random_ket(ensemble: SpinEnsemble, seed) -> QuantumState:
+    """Haar-random unit ket on the ensemble, deterministic under the 64-bit seed.
 
     Generator contract (stable across releases): numpy default_rng (PCG64)
     seeded with `seed`; entries are standard normals drawn as one real vector
-    followed by one imaginary vector, then normalized.  Given an ensemble the
-    result is wrapped as a QuantumState; given a bare dimension it is a plain
-    ndarray.
+    followed by one imaginary vector, then normalized.
     """
     rng = np.random.default_rng(seed)
-    if isinstance(dim_or_ensemble, SpinEnsemble):
-        dim = dim_or_ensemble.dim
-    else:
-        dim = int(dim_or_ensemble)
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    ket /= np.linalg.norm(ket)
-    if isinstance(dim_or_ensemble, SpinEnsemble):
-        return QuantumState(dim_or_ensemble, ket=ket)
-    return ket
+    ket = rng.standard_normal(ensemble.dim) + 1j * rng.standard_normal(ensemble.dim)
+    return QuantumState(ensemble, ket=ket / np.linalg.norm(ket))

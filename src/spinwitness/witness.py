@@ -49,9 +49,6 @@ ZERO_EIGENVALUE_TOL = 1e-9
 # Eigenvalues of the projected Q - 1/2 at or below this size are dropped from its factors.
 FACTOR_TOL = 1e-8
 
-DIRECT = "direct"
-CLOSED_FORM = "closed-form"
-
 
 def pos_operator(op: np.ndarray) -> np.ndarray:
     """Spectral step function: projector on the positive eigenspace + half the zero one.
@@ -76,10 +73,7 @@ class WitnessFactors(NamedTuple):
 @dataclass(frozen=True)
 class WitnessOperator:
     ensemble: SpinEnsemble
-    K: int
-    theta_offset: float
     Q: np.ndarray = field(repr=False)
-    construction: str
 
     @property
     def dim(self) -> int:
@@ -114,10 +108,9 @@ def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> Witnes
     pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*) and one factored pos(Jx) = f(Jx),
     f = [m > 0], serves every direction:  Q = pos(Jx) * sum_k outer(ph_k, ph_k^*) / K.
     """
-    K = ensemble.K
     ph = direction_phases(ensemble, theta_offset)
-    q = jx_function(ensemble, jz_diagonal(ensemble) > 0) * (ph.T @ ph.conj()) / K
-    return WitnessOperator(ensemble, K, theta_offset, (q + q.conj().T) / 2, DIRECT)
+    q = jx_function(ensemble, jz_diagonal(ensemble) > 0) * (ph.T @ ph.conj()) / ensemble.K
+    return WitnessOperator(ensemble, (q + q.conj().T) / 2)
 
 
 def _stretched_pair(ensemble: SpinEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +141,7 @@ def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> W
     p_minus = (up - c * down) / np.sqrt(2)
     weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
     q = 0.5 * (np.eye(dim) + weight * (np.outer(p_plus, p_plus.conj()) - np.outer(p_minus, p_minus.conj())))
-    return WitnessOperator(ensemble, K, theta_offset, q, CLOSED_FORM)
+    return WitnessOperator(ensemble, q)
 
 
 @dataclass(frozen=True)
@@ -232,8 +225,6 @@ def phase_for_ghz(phi: float, K: int) -> float:
 class GeneralizedWitness:
     """Sign-free variant f0 * 1 + f_odd(J_x) with separable bound f0 + f_K/2."""
 
-    f0: float
-    f_odd: Callable[[float], float] = field(repr=False)
     f_K: float
     sep_bound: float
 
@@ -260,4 +251,4 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
         raise ValueError(f"f_odd fails oddness at x = {np.abs(levels[odd_dev]).min()}")
     corner = reduce(np.multiply.outer, [v[0] * v[-1].conj() for v in jx_eigenbases(ensemble)]).reshape(-1)
     f_k = abs(values[index] @ corner)
-    return GeneralizedWitness(f0=float(f0), f_odd=f_odd, f_K=float(f_k), sep_bound=float(f0) + float(f_k) / 2)
+    return GeneralizedWitness(f_K=float(f_k), sep_bound=float(f0) + float(f_k) / 2)

@@ -17,8 +17,7 @@ from spinwitness.noise import (
     NoiseModel,
     apply_depolarizing,
     detection_thresholds,
-    noisy_score_global,
-    noisy_score_local,
+    noisy_score,
 )
 from spinwitness.protocol import ProtocolConfig, run_protocol, run_protocol_subensembles
 from spinwitness.seesaw import enumerate_bipartitions, seesaw_maximize
@@ -149,15 +148,13 @@ def test_criterion_06_noise_closed_forms_and_thresholds():
         w = build_qk_direct(e)
         st = ghz_like(e, phi=np.pi * (K - 1) / 2)
         for p in NOISE_GRID:
-            brute = score(apply_depolarizing(st, NoiseModel("global", p_global=p)), w)
-            assert abs(brute - noisy_score_global(K, p)) < 1e-10
-            brute = score(apply_depolarizing(st, NoiseModel("local", p_locals=(p,) * K)), w)
-            assert abs(brute - noisy_score_local(e, (p,) * K)) < 1e-10
+            for model in (NoiseModel("global", p_global=p), NoiseModel("local", p_locals=(p,) * K)):
+                assert abs(score(apply_depolarizing(st, model), w) - noisy_score(e, model)) < 1e-10
     # boundary cases are dyadic: equality is exact, not approximate
     e3 = SpinEnsemble((0.5, 0.5, 0.5))
     sep3 = witness_report(3).P_sep_float
-    assert noisy_score_global(3, 0.5) == sep3
-    assert noisy_score_local(e3, (0.5, 0.0, 0.0)) == sep3
+    assert noisy_score(e3, NoiseModel("global", p_global=0.5)) == sep3
+    assert noisy_score(e3, NoiseModel("local", p_locals=(0.5, 0.0, 0.0))) == sep3
     g, loc, limit = detection_thresholds(e3)
     assert g == 0.5
     assert abs(loc - 0.206299) < 1e-6

@@ -56,3 +56,10 @@ def test_rejects_even_k():
         classical_score(4, 0.0)
     with pytest.raises(ValueError):
         classical_sweep_max(2)
+
+
+@pytest.mark.parametrize("phi0", [float("nan"), float("inf"), -float("inf")])
+def test_rejects_non_finite_angle(phi0):
+    # unchecked, NaN would score 0.5: every comparison with NaN is false, so each direction reads as a tie
+    with pytest.raises(ValueError, match="finite"):
+        classical_score(3, phi0)

@@ -18,6 +18,27 @@ K,P_max,P_max_float,P_sep,P_sep_float,P_classical,P_classical_float,gap,gap_floa
 5,11/16,0.6875,19/32,0.59375,3/5,0.59999999999999998,3/32,0.09375,
 """
 
+# noise-sweep --spins 0.5,1,1.5,1.5 --grid 0:1:0.25 per --model: the closed form and
+# the channel on every row, to the 17th significant digit.
+GOLDEN_NOISE_SWEEP_CSV = {
+    "global": """\
+p,closed_form_score,brute_force_score,detected
+0,0.63671875,0.63671875000000011,true
+0.25,0.6025390625,0.60253906250000011,true
+0.5,0.568359375,0.56835937500000011,false
+0.75,0.5341796875,0.53417968750000022,false
+1,0.5,0.50000000000000011,false
+""",
+    "local": """\
+p,closed_form_score,brute_force_score,detected
+0,0.63671875,0.63671875000000011,true
+0.25,0.5432586669921875,0.5432586669921875,false
+0.5,0.508544921875,0.50854492187500011,false
+0.75,0.5005340576171875,0.5005340576171875,false
+1,0.5,0.5,false
+""",
+}
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -160,6 +181,13 @@ def test_noise_sweep_json_and_explicit_grid(capsys):
     assert obj["sep_bound"] == "5/8"
     assert [r["p"] for r in obj["rows"]] == [0.0, 0.5, 1.0]
     assert obj["rows"][2]["closed_form_score"] == 0.5
+
+
+@pytest.mark.parametrize("model", ["global", "local"])
+def test_noise_sweep_csv_golden(capsys, model):
+    rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,1,1.5,1.5", "--model", model, "--grid", "0:1:0.25")
+    assert rc == 0
+    assert out == GOLDEN_NOISE_SWEEP_CSV[model]
 
 
 def test_noise_sweep_rejects_bad_grid(capsys):

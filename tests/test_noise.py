@@ -7,7 +7,7 @@ beyond basic state plumbing.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinwitness.linalg import partial_trace
@@ -16,8 +16,7 @@ from spinwitness.noise import (
     _depolarize_slot,
     apply_depolarizing,
     detection_thresholds,
-    noisy_score_global,
-    noisy_score_local,
+    noisy_score,
 )
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState, ghz_like, random_ket
@@ -158,46 +157,54 @@ def test_channel_output_is_valid_state():
     assert np.trace(noisy.rho).real == pytest.approx(1.0, abs=1e-12)
 
 
-GRID = [0.0, 0.1, 0.25, 0.5, 0.9]
+# Half-integer ensembles of one to six particles, mixed spins included, with
+# dim <= 128, each under a global channel or one local channel per particle.
+closed_form_cases = (
+    st.lists(st.sampled_from([0.5, 1, 1.5, 2, 2.5]), min_size=1, max_size=6)
+    .filter(lambda spins: round(2 * sum(spins)) % 2 == 1 and np.prod([2 * j + 1 for j in spins]) <= 128)
+    .map(SpinEnsemble)
+    .flatmap(lambda ensemble: st.tuples(st.just(ensemble), st.one_of(
+        st.floats(0, 1).map(lambda p: NoiseModel("global", p_global=p)),
+        st.lists(st.floats(0, 1), min_size=ensemble.N, max_size=ensemble.N)
+        .map(lambda ps: NoiseModel("local", p_locals=tuple(ps))),
+    )))
+)
 
 
-@pytest.mark.parametrize("ensemble", [E3, SpinEnsemble((0.5,) * 5)])
-def test_global_closed_form_matches_brute_force(ensemble):
-    K = ensemble.K
-    w = build_qk_direct(ensemble)
-    st = ghz_like(ensemble, phi=np.pi * (K - 1) / 2)  # the state this witness detects
-    for p in GRID:
-        noisy = apply_depolarizing(st, NoiseModel("global", p_global=p))
-        assert score(noisy, w) == pytest.approx(noisy_score_global(K, p), abs=1e-10)
+@settings(max_examples=80, deadline=None)
+@given(closed_form_cases)
+@example((E3, NoiseModel("global", p_global=0.5)))
+@example((SpinEnsemble((0.5,) * 5), NoiseModel("local", p_locals=(0.1, 0.9, 0.25, 0.0, 1.0))))
+def test_closed_form_matches_the_channel(case):
+    ensemble, model = case
+    state = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)  # the state the zero-offset witness detects
+    brute = score(apply_depolarizing(state, model), build_qk_direct(ensemble))
+    assert abs(noisy_score(ensemble, model) - brute) <= 1e-12
 
 
-@pytest.mark.parametrize("ensemble", [E3, SpinEnsemble((0.5,) * 5)])
-def test_local_closed_form_matches_brute_force(ensemble):
-    K = ensemble.K
-    w = build_qk_direct(ensemble)
-    st = ghz_like(ensemble, phi=np.pi * (K - 1) / 2)
-    rng = np.random.default_rng(0)
-    grids = [tuple([p] * ensemble.N) for p in GRID] + [tuple(rng.uniform(0, 1, ensemble.N)) for _ in range(3)]
-    for ps in grids:
-        noisy = apply_depolarizing(st, NoiseModel("local", p_locals=ps))
-        assert score(noisy, w) == pytest.approx(noisy_score_local(ensemble, ps), abs=1e-10)
+def global_model(p):
+    return NoiseModel("global", p_global=p)
+
+
+def local_model(*ps):
+    return NoiseModel("local", p_locals=ps)
 
 
 def test_detection_flips_exactly_at_half_global():
     # dyadic arithmetic: at p = 1/2 the score equals P_sep to the last bit
     rep = witness_report(3)
-    assert noisy_score_global(3, 0.5) == rep.P_sep_float
-    assert noisy_score_global(3, 0.5 - 1e-12) > rep.P_sep_float
-    assert noisy_score_global(3, 0.5 + 1e-12) < rep.P_sep_float
+    assert noisy_score(E3, global_model(0.5)) == rep.P_sep_float
+    assert noisy_score(E3, global_model(0.5 - 1e-12)) > rep.P_sep_float
+    assert noisy_score(E3, global_model(0.5 + 1e-12)) < rep.P_sep_float
 
 
 def test_detection_flips_exactly_at_half_survival_local():
     rep = witness_report(3)
-    assert noisy_score_local(E3, (0.5, 0.0, 0.0)) == rep.P_sep_float
-    assert noisy_score_local(E3, (0.0, 0.5, 0.0)) == rep.P_sep_float
+    assert noisy_score(E3, local_model(0.5, 0.0, 0.0)) == rep.P_sep_float
+    assert noisy_score(E3, local_model(0.0, 0.5, 0.0)) == rep.P_sep_float
     # survival prod(1-p) = 0.5 split across particles: 1 - sqrt(2)/2 each on two
     p = 1 - np.sqrt(0.5)
-    assert noisy_score_local(E3, (p, p, 0.0)) == pytest.approx(rep.P_sep_float, abs=1e-12)
+    assert noisy_score(E3, local_model(p, p, 0.0)) == pytest.approx(rep.P_sep_float, abs=1e-12)
 
 
 def test_thresholds_frozen_values():
@@ -211,8 +218,8 @@ def test_threshold_is_consistent_with_scores():
     _, loc, _ = detection_thresholds(E3)
     rep = witness_report(3)
     eps = 1e-6
-    assert noisy_score_local(E3, (loc - eps,) * 3) > rep.P_sep_float
-    assert noisy_score_local(E3, (loc + eps,) * 3) < rep.P_sep_float
+    assert noisy_score(E3, local_model(*(loc - eps,) * 3)) > rep.P_sep_float
+    assert noisy_score(E3, local_model(*(loc + eps,) * 3)) < rep.P_sep_float
 
 
 def test_noise_model_validation():
@@ -226,3 +233,5 @@ def test_noise_model_validation():
         NoiseModel("thermal", p_global=0.1)
     with pytest.raises(ValueError, match="local model has"):
         apply_depolarizing(ghz_like(E3), NoiseModel("local", p_locals=(0.1, 0.2)))
+    with pytest.raises(ValueError, match="local model has"):
+        noisy_score(E3, NoiseModel("local", p_locals=(0.1, 0.2)))

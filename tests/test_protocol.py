@@ -118,12 +118,6 @@ def test_protocol_counts_are_consistent():
     assert len(est.per_k_counts) == E3.K
 
 
-def test_stratified_splits_rounds_evenly():
-    st = ghz_like(E3, phi=np.pi)
-    est = run_protocol(make_config(st, rounds=999, seed=0, stratified=True))
-    assert all(t == 333 for _, t in est.per_k_counts)
-
-
 def test_mixture_hovers_at_half():
     est = run_protocol(make_config(ghz_mixture(E3), rounds=100_000, seed=2))
     assert abs(est.p_hat - 0.5) < 5 * np.sqrt(0.25 / 100_000)
@@ -150,6 +144,14 @@ def test_config_validation():
         make_config(st, subensembles=((0,), (1,)))
     with pytest.raises(ValueError, match="partition"):
         make_config(st, subensembles=((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("index", [1.9, 1.0, True, "1"])
+def test_subensembles_reject_non_integer_indices(index):
+    # int() would quietly store ((0,), (1.9, 2)) as ((0,), (1, 2))
+    with pytest.raises(ValueError, match="integer particle indices"):
+        make_config(ghz_like(E3), subensembles=((0,), (index, 2)))
+    assert make_config(ghz_like(E3), subensembles=((0,), (np.int64(1), 2))).subensembles == ((0,), (1, 2))
 
 
 # --- subensemble variant ---
@@ -205,13 +207,13 @@ def test_each_direction_matches_its_own_effect(groups, form):
         st = QuantumState(e, rho=st.density())
     theta = 0.37
     rounds = 50_000
-    cfg = make_config(st, rounds=rounds, seed=31, theta_offset=theta, stratified=True, subensembles=groups)
+    cfg = make_config(st, rounds=rounds, seed=31, theta_offset=theta, subensembles=groups)
     est = run_protocol(cfg) if groups is None else run_protocol_subensembles(cfg)
     J = collective_operator(e)
     rho = st.density()
+    assert sum(trials for _, trials in est.per_k_counts) == rounds
     for k, (positives, trials) in enumerate(est.per_k_counts):
         p = np.real(np.trace(rho @ pos_operator(direction_operator(J, k, e.K, theta))))
-        assert trials == rounds // e.K
         assert abs(positives - p * trials) < 5 * np.sqrt(trials * p * (1 - p))
 
 
@@ -273,13 +275,12 @@ def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**128 - 1), st.integers(1, 10**9), st.booleans())
-@example(3, 20_000, False)
-def test_split_sampler_shares_the_whole_round_stream(seed, rounds, stratified):
+@given(st.integers(0, 2**128 - 1), st.integers(1, 10**9))
+@example(3, 20_000)
+def test_split_sampler_shares_the_whole_round_stream(seed, rounds):
     # Same seed, same q_k: the counts are the whole sampler's.
     state = random_ket(SpinEnsemble((0.5, 1, 1)), 5)
-    cfg = make_config(state, rounds=rounds, seed=seed, theta_offset=0.2, subensembles=((0, 2), (1,)),
-                      stratified=stratified)
+    cfg = make_config(state, rounds=rounds, seed=seed, theta_offset=0.2, subensembles=((0, 2), (1,)))
     assert run_protocol_subensembles(cfg).per_k_counts == run_protocol(cfg).per_k_counts
 
 
@@ -317,8 +318,8 @@ def test_non_finite_offset_is_rejected(theta):
 
 
 def per_round_reference(config, probs):
-    """Round-by-round sampler: row r of a two-column uniform table picks k (or r % K when stratified)
-    and compares with q_k.  Returns the per-direction (positives, trials)."""
+    """Round-by-round sampler: row r of a two-column uniform table picks k and compares with q_k.
+    Returns the per-direction (positives, trials)."""
     K = config.ensemble.K
     probs = np.clip(probs, 0.0, 1.0)
     gen = np.random.Generator(np.random.Philox(key=config.seed))
@@ -326,10 +327,7 @@ def per_round_reference(config, probs):
     block = 1 << 18
     for start in range(0, config.rounds, block):
         u = gen.random((min(block, config.rounds - start), 2))
-        if config.stratified:
-            ks = np.arange(start, start + len(u)) % K
-        else:
-            ks = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
+        ks = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
         tally += np.bincount(2 * ks + (u[:, 1] < probs[ks]), minlength=2 * K)
     positives, trials = tally[1::2], tally[0::2] + tally[1::2]
     return tuple((int(positives[k]), int(trials[k])) for k in range(K))
@@ -354,14 +352,6 @@ def test_trials_fit_a_uniform_direction():
     assert float(((trials - expected) ** 2 / expected).sum()) < CHI2_99[len(trials) - 1]
 
 
-@SAMPLERS
-def test_stratified_trials_equal_the_per_round_split(sample):
-    state = random_ket(E3, 4)
-    cfg = make_config(state, rounds=1_000, seed=5, stratified=True, subensembles=((0,), (1, 2)))
-    trials = [n for _, n in sample(cfg).per_k_counts]
-    assert trials == [n for _, n in per_round_reference(cfg, np.full(E3.K, 0.5))] == [334, 333, 333]
-
-
 def test_largest_round_count_is_sampled():
     # The per-round table would need hours here; the tallies' law takes microseconds.
     est = run_protocol(make_config(ghz_like(E3, phi=np.pi), rounds=2**63 - 1, seed=1))
@@ -380,6 +370,13 @@ def test_time_schedule_spacing():
     np.testing.assert_allclose(np.diff(ts), 1 / 5, atol=1e-15)
     with pytest.raises(ValueError):
         time_schedule(5, omega=0.0)
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+def test_time_schedule_rejects_non_finite_omega(omega):
+    # unchecked, NaN gives K NaN times and +inf K zeros
+    with pytest.raises(ValueError, match="finite"):
+        time_schedule(3, omega)
 
 
 def test_rounds_needed_is_tight():

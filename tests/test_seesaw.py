@@ -166,6 +166,14 @@ def test_bipartition_validation():
         enumerate_bipartitions(SpinEnsemble((1.5,)))
 
 
+@pytest.mark.parametrize("index", [1.7, 1.0, True, "1"])
+def test_bipartition_rejects_non_integer_indices(index):
+    # int() would quietly make (0, 1.7) the subset (0, 1)
+    with pytest.raises(ValueError, match="integer particle indices"):
+        Bipartition(E3, (0, index))
+    assert Bipartition(E3, (0, np.int64(1))).subset_J == (0, 1)
+
+
 # --- conditioning ---
 
 
@@ -366,16 +374,6 @@ def test_seesaw_validation():
     bip = Bipartition(E3, (0,))
     with pytest.raises(ValueError):
         seesaw_maximize(W3, bip, restarts=0)
-    with pytest.raises(ValueError):
-        seesaw_maximize(W3, bip, tol=0.0)
-    with pytest.raises(ValueError, match="finite"):
-        seesaw_maximize(W3, bip, tol=float("nan"))
-    with pytest.raises(ValueError, match="finite"):
-        seesaw_maximize(W3, bip, tol=float("inf"))
-    with pytest.raises(ValueError, match="iteration"):
-        seesaw_maximize(W3, bip, max_iters=0)
-    with pytest.raises(ValueError, match="iteration"):
-        seesaw_maximize(W3, bip, max_iters=-3)
 
 
 def reference_restart(q, bip, psi_j, psi_c, max_iters, tol):
@@ -427,7 +425,7 @@ def random_hermitian(seed, dim):
 
 
 def low_rank_witness(ensemble, q):
-    return WitnessOperator(ensemble, ensemble.K, 0.0, q, "test")
+    return WitnessOperator(ensemble, q)
 
 
 def random_low_rank_witness(seed, ensemble, rank=6, low=0.0):
@@ -448,7 +446,7 @@ def stack_entries(rows, witness, bip):
     return rows * max(d_j, d_c) * (len(witness.factors.values) + 1)
 
 
-@pytest.mark.parametrize("max_iters", [1, 200])  # after one step the values still depend on the seeds
+@pytest.mark.parametrize("max_iters", [1, seesaw.MAX_ITERS])  # after one step the values still depend on the seeds
 @pytest.mark.parametrize("rows", [1, 3, 8])  # blocks of one, uneven blocks (3, 3, 2), one block of all
 def test_stacked_seesaw_matches_sequential_reference(monkeypatch, rows, max_iters):
     rng = np.random.default_rng(23)
@@ -461,8 +459,9 @@ def test_stacked_seesaw_matches_sequential_reference(monkeypatch, rows, max_iter
             np.testing.assert_allclose(got[0], values, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got[1], iterations)
             np.testing.assert_array_equal(got[2], converged)
-            r = seesaw_maximize(w, bip, restarts=8, max_iters=max_iters, seed=5)
-            assert r.best_value == pytest.approx(values.max(), abs=1e-12)
+            if max_iters == seesaw.MAX_ITERS:  # the public call always runs at the default
+                r = seesaw_maximize(w, bip, restarts=8, seed=5)
+                assert r.best_value == pytest.approx(values.max(), abs=1e-12)
 
 
 @pytest.mark.parametrize("max_iters", [1, 200])
