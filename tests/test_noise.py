@@ -182,6 +182,29 @@ def test_closed_form_matches_the_channel(case):
     assert abs(noisy_score(ensemble, model) - brute) <= 1e-12
 
 
+GRID = [0.0, 0.1, 0.25, 0.5, 0.9]
+
+
+@pytest.mark.parametrize("ensemble", [E3, SpinEnsemble((0.5,) * 5)])
+def test_global_closed_form_matches_brute_force(ensemble):
+    w = build_qk_direct(ensemble)
+    st = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)  # the state this witness detects
+    for p in GRID:
+        model = NoiseModel("global", p_global=p)
+        assert score(apply_depolarizing(st, model), w) == pytest.approx(noisy_score(ensemble, model), abs=1e-10)
+
+
+@pytest.mark.parametrize("ensemble", [E3, SpinEnsemble((0.5,) * 5)])
+def test_local_closed_form_matches_brute_force(ensemble):
+    w = build_qk_direct(ensemble)
+    st = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)
+    rng = np.random.default_rng(0)
+    grids = [tuple([p] * ensemble.N) for p in GRID] + [tuple(rng.uniform(0, 1, ensemble.N)) for _ in range(3)]
+    for ps in grids:
+        model = NoiseModel("local", p_locals=ps)
+        assert score(apply_depolarizing(st, model), w) == pytest.approx(noisy_score(ensemble, model), abs=1e-10)
+
+
 def global_model(p):
     return NoiseModel("global", p_global=p)
 
