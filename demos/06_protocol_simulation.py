@@ -30,14 +30,14 @@ print()
 for label, state in [("superposition", ghz_like(e, phi=np.pi)), ("mixture", ghz_mixture(e))]:
     print(f"{label}:")
     for seed in range(4):
-        est = run_protocol(ProtocolConfig(ensemble=e, state=state, rounds=rounds, seed=seed))
+        est = run_protocol(ProtocolConfig(state=state, rounds=rounds, seed=seed))
         verdict = "GME detected" if est.ci_low > sep else "inconclusive"
         print(f"  seed {seed}: p_hat = {est.p_hat:.4f}  ci = [{est.ci_low:.4f}, {est.ci_high:.4f}]  {verdict}")
     print()
 
 print("splitting into subensembles measured separately, signs added afterwards:")
 est = run_protocol_subensembles(
-    ProtocolConfig(ensemble=e, state=ghz_like(e, phi=np.pi), rounds=rounds, seed=0,
+    ProtocolConfig(state=ghz_like(e, phi=np.pi), rounds=rounds, seed=0,
                    subensembles=((0,), (1, 2)))
 )
 print(f"  groups (1) and (2,3): p_hat = {est.p_hat:.4f}  ci = [{est.ci_low:.4f}, {est.ci_high:.4f}]")

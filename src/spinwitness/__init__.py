@@ -9,13 +9,7 @@ Wilson confidence intervals.
 """
 
 from .classical import classical_score, classical_sweep_max
-from .linalg import (
-    EigenDecomposition,
-    assert_hermitian,
-    binomial_exact,
-    hermitian_eigendecompose,
-    partial_trace,
-)
+from .linalg import assert_hermitian, binomial_exact, partial_trace
 from .noise import (
     NoiseModel,
     apply_depolarizing,
@@ -64,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "CollectiveOperator",
-    "EigenDecomposition",
     "GeneralizedWitness",
     "NoiseModel",
     "ProtocolConfig",
@@ -88,7 +81,6 @@ __all__ = [
     "generalized_witness",
     "ghz_like",
     "ghz_mixture",
-    "hermitian_eigendecompose",
     "noisy_score",
     "partial_trace",
     "phase_for_ghz",

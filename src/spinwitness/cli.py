@@ -256,9 +256,12 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     dev = float(np.abs(direct.Q - closed.Q).max())
     checks.append(("cross-construction", dev < 1e-10, f"max entry deviation {_deviation(dev)}"))
 
-    eigs = np.linalg.eigvalsh(closed.Q)
-    expected = np.sort(np.concatenate([[rep.P_max_float, 1 - rep.P_max_float], np.full(ensemble.dim - 2, 0.5)]))
-    spec_dev = float(np.abs(np.sort(eigs) - expected).max())
+    # Q - 1/2 is the factored part plus a remainder of norm <= residual, so by Weyl's inequality
+    # each sorted eigenvalue of Q is within residual of 1/2 or of 1/2 + one factor value: this
+    # bounds max |eig(Q) - (1 - P_max, 1/2, ..., 1/2, P_max)| with no dense eigensolve.
+    _, values, residual = direct.factors
+    lam = float(rep.P_max - Fraction(1, 2))
+    spec_dev = float(np.abs(np.sort(values) - [-lam, lam]).max()) + residual if len(values) == 2 else math.inf
     checks.append(("spectrum", spec_dev < 1e-10, f"eigenvalue deviation {_deviation(spec_dev)}"))
 
     # Exact maps: exp(-i pi Jx) is a phase times the basis reversal, the z-rotation a phase diagonal.
@@ -342,10 +345,8 @@ def cmd_simulate(args) -> int:
         state = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(args.p_list)))
     elif args.p is not None:
         state = apply_depolarizing(state, _uniform_model(args.model or "global", args.p, ensemble.N))
-    config = ProtocolConfig(
-        ensemble=ensemble, state=state, rounds=args.rounds, seed=args.seed,
-        theta_offset=theta, subensembles=subensembles,
-    )
+    config = ProtocolConfig(state=state, rounds=args.rounds, seed=args.seed, theta_offset=theta,
+                            subensembles=subensembles)
     estimate = run_protocol_subensembles(config) if subensembles else run_protocol(config)
     rep = witness_report(K)
     verdict = "GME-detected" if estimate.ci_low > rep.P_sep_float else "inconclusive"

@@ -1,32 +1,27 @@
 """Dense complex linear algebra shared by every module.
 
 Operators are plain complex ndarrays; states are 1-d kets or square density
-matrices.  Everything here is a pure function.  Exact arithmetic (the bound
-table) goes through `fractions.Fraction` and `binomial_exact`; floats are
-renderings only.
+matrices.  Everything here is a pure function.  Eigensolves call
+`np.linalg.eigh` directly, after `assert_hermitian` where the matrix comes
+from a caller; the witness's spectrum is read from its rank-2 factors
+(`WitnessOperator.factors`), never eigensolved densely.  Exact arithmetic (the bound table) goes through
+`fractions.Fraction` and `binomial_exact`; floats are renderings only.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "assert_hermitian",
-    "hermitian_eigendecompose",
     "partial_trace",
     "binomial_exact",
 ]
 
 HERMITICITY_TOL = 1e-12
-
-
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # orthonormal columns, eigenvectors[:, i] <-> eigenvalues[i]
 
 
 def assert_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -44,18 +39,6 @@ def assert_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
             raise ValueError("matrix has a non-finite (NaN or infinite) entry")
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.0e}")
     return op
-
-
-def hermitian_eigendecompose(op: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Rejects non-Hermitian input.  Degenerate subspaces come back with an
-    arbitrary orthonormal basis; downstream code builds spectral projectors,
-    never relying on individual degenerate eigenvectors.
-    """
-    op = assert_hermitian(op)
-    eigenvalues, eigenvectors = np.linalg.eigh(op)
-    return EigenDecomposition(eigenvalues, eigenvectors)
 
 
 def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

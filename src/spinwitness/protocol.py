@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinEnsemble, _apply_slot_bases, _is_integer, direction_phases, jx_eigenbases, jx_function, jz_diagonal
+from .spin import _apply_slot_bases, _is_integer, direction_phases, jx_eigenbases, jx_function, jz_diagonal
 from .states import QuantumState
 from .witness import witness_report
 
@@ -53,7 +53,6 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    ensemble: SpinEnsemble
     state: QuantumState
     rounds: int
     seed: int
@@ -66,15 +65,14 @@ class ProtocolConfig:
         if not 1 <= self.rounds < 2**63:  # the tallies are int64
             raise ValueError(f"rounds must lie in [1, 2^63), got {self.rounds}")
         object.__setattr__(self, "rounds", int(self.rounds))
-        if self.state.ensemble != self.ensemble:
-            raise ValueError("state was built for a different ensemble")
         if self.subensembles is not None:
             if not all(_is_integer(i) for g in self.subensembles for i in g):
                 raise ValueError(f"subensembles {self.subensembles!r} must hold integer particle indices")
             groups = tuple(tuple(sorted(int(i) for i in g)) for g in self.subensembles)
             flat = [i for g in groups for i in g]
-            if sorted(flat) != list(range(self.ensemble.N)):
-                raise ValueError(f"subensembles {groups} are not a partition of 0..{self.ensemble.N - 1}")
+            n = self.state.ensemble.N
+            if sorted(flat) != list(range(n)):
+                raise ValueError(f"subensembles {groups} are not a partition of 0..{n - 1}")
             object.__setattr__(self, "subensembles", groups)
 
 
@@ -100,6 +98,8 @@ def wilson_interval(positives: int, trials: int) -> tuple[float, float]:
     clamps only undo rounding at p_hat = 0 or 1, where an edge lands an ulp
     off.
     """
+    if not (_is_integer(positives) and _is_integer(trials)):
+        raise ValueError(f"positives and trials must be integers, got {positives!r} and {trials!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= positives <= trials:
@@ -112,7 +112,7 @@ def wilson_interval(positives: int, trials: int) -> tuple[float, float]:
 
 def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate:
     """Draw the per-direction tallies from their exact law given the positive probabilities."""
-    K = config.ensemble.K
+    K = config.state.ensemble.K
     probs = np.clip(probs, 0.0, 1.0)
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     trials = gen.multinomial(config.rounds, np.full(K, 1 / K))
@@ -130,7 +130,7 @@ def _positive_probabilities(config: ProtocolConfig) -> np.ndarray:
     `direction_phases`) and each v_n^dag applied along its slot; for a density
     matrix pos(Jx) is built once and each direction is a phase product.
     """
-    ensemble = config.ensemble
+    ensemble = config.state.ensemble
     ph = direction_phases(ensemble, config.theta_offset)
     positive = jz_diagonal(ensemble) > 0
     if config.state.ket is not None:
@@ -170,6 +170,8 @@ def time_schedule(K: int, omega: float) -> list[float]:
     Measuring the fixed x-component at t_k under H = -omega Jz reproduces the
     direction-k statistics, turning K directions into K wait times.
     """
+    if not (_is_integer(K) and K >= 1 and K % 2 == 1):
+        raise ValueError(f"K must be a positive odd integer, got {K!r}")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
     return [2 * np.pi / omega * k / K for k in range(K)]

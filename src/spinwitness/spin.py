@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import assert_hermitian, hermitian_eigendecompose
+from .linalg import assert_hermitian
 
 __all__ = [
     "SpinEnsemble",
@@ -168,7 +168,7 @@ def jz_diagonal(ensemble: SpinEnsemble) -> np.ndarray:
 
 def jx_eigenbases(ensemble: SpinEnsemble) -> list[np.ndarray]:
     """Eigenbases v_n of each Jx^(j_n), column i for eigenvalue j_n - i, so Jx = V diag(m) V^dag."""
-    return [hermitian_eigendecompose(spin_matrices(j)[0]).eigenvectors[:, ::-1] for j in ensemble.spins]
+    return [np.linalg.eigh(spin_matrices(j)[0])[1][:, ::-1] for j in ensemble.spins]
 
 
 def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
@@ -201,7 +201,7 @@ def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:
     jz = assert_hermitian(jz)
     if op.shape != jz.shape:
         raise ValueError(f"operator shape {op.shape} does not match generator {jz.shape}")
-    w, v = hermitian_eigendecompose(jz)
+    w, v = np.linalg.eigh(jz)
     u = (v * np.exp(-1j * angle * w)) @ v.conj().T
     out = u @ op @ u.conj().T
     return (out + out.conj().T) / 2

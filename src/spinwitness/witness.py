@@ -10,7 +10,8 @@ correction of 1/2 * identity supported on the two GHZ-like combinations of the
 stretched product states; `build_qk_direct` and `build_qk_closed_form` realize
 both routes independently; the direct route and `generalized_witness` read
 Jx through the factored kernel in `spin`.  `WitnessOperator.factors` reads the
-low-rank part of Q - 1/2 back from Q itself, for the see-saw.  All scalar
+low-rank part of Q - 1/2 back from Q itself, for the see-saw and for the
+spectrum check of `verify`, so no caller eigensolves a dense Q.  All scalar
 bounds come from `witness_report` in exact rational arithmetic.
 """
 
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import binomial_exact, hermitian_eigendecompose
+from .linalg import assert_hermitian, binomial_exact
 from .spin import SpinEnsemble, direction_phases, jx_eigenbases, jx_function, jz_diagonal
 from .states import QuantumState
 
@@ -56,7 +57,7 @@ def pos_operator(op: np.ndarray) -> np.ndarray:
     pos(-op) = 1 - pos(op) by construction; tr pos(op) = dim/2 whenever the
     spectrum is symmetric.
     """
-    w, v = hermitian_eigendecompose(op)
+    w, v = np.linalg.eigh(assert_hermitian(op))
     weights = np.where(w > ZERO_EIGENVALUE_TOL, 1.0, np.where(w < -ZERO_EIGENVALUE_TOL, 0.0, 0.5))
     out = (v * weights) @ v.conj().T
     return (out + out.conj().T) / 2
@@ -113,34 +114,25 @@ def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> Witnes
     return WitnessOperator(ensemble, (q + q.conj().T) / 2)
 
 
-def _stretched_pair(ensemble: SpinEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    # Descending-m local bases make the all-up / all-down product states the
-    # first and last basis vectors.
-    up = np.zeros(ensemble.dim, dtype=complex)
-    down = np.zeros(ensemble.dim, dtype=complex)
-    up[0] = 1.0
-    down[-1] = 1.0
-    return up, down
-
-
 def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> WitnessOperator:
     """Assemble the witness from its two extremal GHZ-like eigenvectors.
 
     The top/bottom eigenvectors at offset theta are
-    (|up> +- s e^{i K theta} |down>)/sqrt(2) with s = (-1)^((K-1)/2), and the
-    rest of the spectrum is exactly 1/2:
+    |P+-> = (|up> +- c |down>)/sqrt(2) with c = (-1)^((K-1)/2) e^{i K theta},
+    and the rest of the spectrum is exactly 1/2:
 
         Q = 1/2 [ 1 + C(K-1, (K-1)/2) (|P+><P+| - |P-><P-|) / 2^(K-1) ].
+
+    |P+><P+| - |P-><P-| = c^* |up><down| + c |down><up|, and the descending-m
+    local bases make |up> and |down> the first and last basis vectors, so Q is
+    1/2 plus two corner entries.
     """
     K = ensemble.K
-    dim = ensemble.dim
-    up, down = _stretched_pair(ensemble)
-    sign = (-1) ** ((K - 1) // 2)
-    c = sign * np.exp(1j * K * theta_offset)
-    p_plus = (up + c * down) / np.sqrt(2)
-    p_minus = (up - c * down) / np.sqrt(2)
+    c = (-1) ** ((K - 1) // 2) * np.exp(1j * K * theta_offset)
     weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
-    q = 0.5 * (np.eye(dim) + weight * (np.outer(p_plus, p_plus.conj()) - np.outer(p_minus, p_minus.conj())))
+    q = np.eye(ensemble.dim, dtype=complex) / 2
+    q[0, -1] = weight * np.conj(c) / 2
+    q[-1, 0] = weight * c / 2
     return WitnessOperator(ensemble, q)
 
 

@@ -196,18 +196,18 @@ def test_criterion_09_protocol_detection_power():
 
     detections = 0
     for seed in range(10):
-        est = run_protocol(ProtocolConfig(ensemble=e, state=optimal, rounds=100_000, seed=seed))
+        est = run_protocol(ProtocolConfig(state=optimal, rounds=100_000, seed=seed))
         if est.ci_low > sep:
             detections += 1
     assert detections >= 9, f"only {detections}/10 seeds detected"
 
     for seed in range(10):
-        est = run_protocol(ProtocolConfig(ensemble=e, state=mixture, rounds=100_000, seed=seed))
+        est = run_protocol(ProtocolConfig(state=mixture, rounds=100_000, seed=seed))
         assert est.ci_low <= sep, f"mixture falsely detected at seed {seed}"
 
-    mono = run_protocol(ProtocolConfig(ensemble=e, state=optimal, rounds=100_000, seed=100))
+    mono = run_protocol(ProtocolConfig(state=optimal, rounds=100_000, seed=100))
     split = run_protocol_subensembles(
-        ProtocolConfig(ensemble=e, state=optimal, rounds=100_000, seed=101, subensembles=((0,), (1, 2)))
+        ProtocolConfig(state=optimal, rounds=100_000, seed=101, subensembles=((0,), (1, 2)))
     )
     table = np.array(
         [[round(mono.p_hat * mono.rounds), mono.rounds - round(mono.p_hat * mono.rounds)],

@@ -131,6 +131,38 @@ def test_verify_symmetry_line_fails_on_a_broken_witness(capsys, monkeypatch, ent
     assert f"FAIL  symmetry: {detail}\n" in out
 
 
+def test_verify_spectrum_line_reads_the_direct_witness(capsys, monkeypatch):
+    # Both corners of Q - 1/2 scaled by 1.01: still Hermitian and reversal-symmetric, but the
+    # extreme eigenvalues of the K = 3 witness move by 1% of 1/4.  The closed form is untouched.
+    build = cli.build_qk_direct
+
+    def scaled(ensemble):
+        witness = build(ensemble)
+        q = witness.Q.copy()
+        q[0, -1] *= 1.01
+        q[-1, 0] *= 1.01
+        return dataclasses.replace(witness, Q=q)
+
+    monkeypatch.setattr(cli, "build_qk_direct", scaled)
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5,0.5,0.5", "--restarts", "2")
+    assert rc == 1
+    assert "FAIL  spectrum: eigenvalue deviation 2.50e-03\n" in out
+    assert "PASS  symmetry" in out
+
+
+@pytest.mark.parametrize("spins", [",".join(["0.5"] * 7), "2.5,2.5,2.5"])
+def test_verify_eigensolves_nothing_larger_than_7x7(capsys, monkeypatch, spins):
+    # the witness's spectrum comes from its rank-2 factors, never from a dense eigensolve of Q
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _solver=solver, **kw:
+                            sizes.append(a.shape[-1]) or _solver(a, *args, **kw))
+    rc, _, _ = run(capsys, "verify", "--spins", spins, "--restarts", "2")
+    assert rc == 0
+    assert 0 < max(sizes) <= 7
+
+
 def test_verify_mixed_ensemble(capsys):
     rc, out, _ = run(capsys, "verify", "--spins", "1,0.5", "--restarts", "6")
     assert rc == 0

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinwitness.linalg import (
-    assert_hermitian,
-    binomial_exact,
-    hermitian_eigendecompose,
-    partial_trace,
-)
+from spinwitness.linalg import assert_hermitian, binomial_exact, partial_trace
 
 
 def random_hermitian(dim, seed):
@@ -50,7 +45,7 @@ def test_binomial_rejects_bad_args(n, k):
         binomial_exact(n, k)
 
 
-# --- hermiticity guard and eigendecomposition ---
+# --- hermiticity guard ---
 
 
 def test_assert_hermitian_accepts_and_rejects():
@@ -65,7 +60,7 @@ def test_assert_hermitian_accepts_and_rejects():
         assert_hermitian(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("fn", [assert_hermitian, hermitian_eigendecompose])
+@pytest.mark.parametrize("fn", [assert_hermitian])
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)])
 def test_hermitian_guard_rejects_non_finite(fn, entry):
     # a NaN deviation fails `dev > tol` as well as `dev <= tol`
@@ -75,22 +70,6 @@ def test_hermitian_guard_rejects_non_finite(fn, entry):
     h[1, 1] = entry
     with pytest.raises(ValueError, match="non-finite"):
         fn(h)
-
-
-@pytest.mark.parametrize("dim", [2, 7, 64])
-def test_eigendecompose_reconstructs(dim):
-    h = random_hermitian(dim, dim)
-    w, v = hermitian_eigendecompose(h)
-    assert np.all(np.diff(w) >= 0)
-    np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-12)
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
-
-
-@pytest.mark.slow
-def test_eigendecompose_reconstructs_large():
-    h = random_hermitian(2048, 99)
-    w, v = hermitian_eigendecompose(h)
-    np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-10)
 
 
 # --- partial trace against a brute-force permute-and-trace reference ---

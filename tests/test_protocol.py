@@ -66,7 +66,7 @@ def test_wilson_rejects_zero_trials():
         wilson_interval(0, 0)
 
 
-@pytest.mark.parametrize("positives,trials", [(5, 3), (-1, 10)])
+@pytest.mark.parametrize("positives,trials", [(5, 3), (-1, 10), (2.5, 10), (3, 10.5), (True, 3)])
 def test_wilson_rejects_positives_outside_trials(positives, trials):
     with pytest.raises(ValueError, match="positives"):
         wilson_interval(positives, trials)
@@ -87,7 +87,7 @@ def test_wilson_contains_estimate_and_shrinks_with_trials(counts):
 
 
 def make_config(state, rounds=50_000, seed=0, **kw):
-    return ProtocolConfig(ensemble=state.ensemble, state=state, rounds=rounds, seed=seed, **kw)
+    return ProtocolConfig(state=state, rounds=rounds, seed=seed, **kw)
 
 
 def test_protocol_is_deterministic():
@@ -138,8 +138,6 @@ def test_config_validation():
             make_config(st, rounds=rounds)
     assert make_config(st, rounds=2**63 - 1).rounds == 2**63 - 1
     assert type(make_config(st, rounds=np.int64(10)).rounds) is int
-    with pytest.raises(ValueError, match="different ensemble"):
-        ProtocolConfig(ensemble=E_MIXED, state=st, rounds=10, seed=0)
     with pytest.raises(ValueError, match="partition"):
         make_config(st, subensembles=((0,), (1,)))
     with pytest.raises(ValueError, match="partition"):
@@ -320,7 +318,7 @@ def test_non_finite_offset_is_rejected(theta):
 def per_round_reference(config, probs):
     """Round-by-round sampler: row r of a two-column uniform table picks k and compares with q_k.
     Returns the per-direction (positives, trials)."""
-    K = config.ensemble.K
+    K = config.state.ensemble.K
     probs = np.clip(probs, 0.0, 1.0)
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     tally = np.zeros(2 * K, dtype=np.int64)  # entry 2k + hit counts direction k's rounds by outcome
@@ -368,8 +366,16 @@ def test_time_schedule_spacing():
     assert len(ts) == 5
     assert ts[0] == 0.0
     np.testing.assert_allclose(np.diff(ts), 1 / 5, atol=1e-15)
+    assert time_schedule(np.int64(5), omega=2 * np.pi) == ts
     with pytest.raises(ValueError):
         time_schedule(5, omega=0.0)
+
+
+@pytest.mark.parametrize("K", [4, 0, -3, 3.0, True, "3"])
+def test_time_schedule_rejects_bad_k(K):
+    # unchecked, 4 gave four times, 0 and -3 an empty list and 3.0 a TypeError
+    with pytest.raises(ValueError, match="positive odd integer"):
+        time_schedule(K, 1.0)
 
 
 @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])

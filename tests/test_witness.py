@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinwitness.cli import _F_ODD_CHOICES
-from spinwitness.linalg import binomial_exact, hermitian_eigendecompose
+from spinwitness.linalg import binomial_exact
 from spinwitness.spin import (
     SpinEnsemble,
     collective_operator,
@@ -132,6 +132,24 @@ def test_pos_of_each_direction_is_phase_conjugated_pos_jx(ensemble, theta):
     np.testing.assert_allclose(build_qk_direct(ensemble, theta).Q, qk_reference(ensemble, theta), atol=1e-12)
 
 
+def closed_form_reference(ensemble, theta):
+    """Q = 1/2 [1 + C(K-1, (K-1)/2) (|P+><P+| - |P-><P-|) / 2^(K-1)] from the two dense outer products."""
+    K = ensemble.K
+    up, down = np.eye(ensemble.dim)[0], np.eye(ensemble.dim)[-1]
+    c = (-1) ** ((K - 1) // 2) * np.exp(1j * K * theta)
+    p_plus, p_minus = (up + c * down) / np.sqrt(2), (up - c * down) / np.sqrt(2)
+    weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
+    return 0.5 * (np.eye(ensemble.dim) + weight * (np.outer(p_plus, p_plus.conj()) - np.outer(p_minus, p_minus.conj())))
+
+
+@settings(max_examples=50, deadline=None)
+@given(ensemble=small_ensembles, theta=st.floats(-10, 10))
+def test_two_corner_closed_form_matches_the_outer_products(ensemble, theta):
+    q = build_qk_closed_form(ensemble, theta).Q
+    assert q.dtype == complex
+    assert np.abs(q - closed_form_reference(ensemble, theta)).max() < 1e-15
+
+
 def test_direct_route_never_reads_the_binomial(monkeypatch):
     def forbidden(n, k):
         raise AssertionError("the direct route read the closed-form binomial")
@@ -168,10 +186,10 @@ def test_witness_is_half_identity_plus_corner_coupling():
 
 def test_witness_spectrum():
     rep = witness_report(5)
-    w = build_qk_closed_form(E5)
-    eigs = np.sort(np.linalg.eigvalsh(w.Q))
     want = np.sort(np.r_[1 - rep.P_max_float, np.full(30, 0.5), rep.P_max_float])
-    np.testing.assert_allclose(eigs, want, atol=1e-12)
+    for build in (build_qk_closed_form, build_qk_direct):
+        eigs = np.sort(np.linalg.eigvalsh(build(E5).Q))
+        np.testing.assert_allclose(eigs, want, atol=1e-12)
 
 
 def test_witness_offset_periodicity():
@@ -332,7 +350,7 @@ def test_generalized_rejects_non_odd_functions():
 
 def dense_generalized_reference(ensemble, f_odd):
     """f_K = |f(Jx)[0, -1]| from one dense eigensolve of the collective Jx."""
-    w, v = hermitian_eigendecompose(collective_operator(ensemble).Jx)
+    w, v = np.linalg.eigh(collective_operator(ensemble).Jx)
     w = np.where(np.abs(w) < ZERO_EIGENVALUE_TOL, 0.0, w)
     values = np.array([float(f_odd(x)) for x in w])
     return abs((v[0] * values) @ v[-1].conj())
@@ -344,7 +362,7 @@ def test_factored_kernel_matches_the_dense_eigensolve(ensemble, name):
     f_odd = _F_ODD_CHOICES[name]
     gw = generalized_witness(ensemble, 0.5, f_odd)
     assert abs(gw.f_K - dense_generalized_reference(ensemble, f_odd)) < 1e-12
-    w, v = hermitian_eigendecompose(collective_operator(ensemble).Jx)
+    w, v = np.linalg.eigh(collective_operator(ensemble).Jx)
     dense = (v * np.array([f_odd(x) for x in w])) @ v.conj().T
     factored = jx_function(ensemble, [f_odd(x) for x in jz_diagonal(ensemble)])
     np.testing.assert_allclose(factored, dense, rtol=0, atol=1e-12)
