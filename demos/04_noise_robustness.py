@@ -33,10 +33,10 @@ print()
 print(f"{'p':>6} {'global (closed)':>16} {'global (channel)':>17} {'detect':>7}"
       f" {'local (closed)':>15} {'detect':>7}")
 for p in np.arange(0, 1.0001, 0.1):
-    g_model = NoiseModel("global", p_global=p)
+    g_model = NoiseModel(p_global=p)
     g_closed = noisy_score(e, g_model)
     g_brute = score(apply_depolarizing(state, g_model), w)
-    l_closed = noisy_score(e, NoiseModel("local", p_locals=(p, p, p)))
+    l_closed = noisy_score(e, NoiseModel(p_locals=(p, p, p)))
     print(f"{p:>6.2f} {g_closed:>16.6f} {g_brute:>17.6f} {str(g_closed > sep):>7}"
           f" {l_closed:>15.6f} {str(l_closed > sep):>7}")
 
@@ -44,4 +44,4 @@ print()
 print("unequal local noise only cares about the survival product prod(1 - p_n):")
 for ps in [(0.5, 0.0, 0.0), (0.2, 0.2, 0.2), (0.29289321881345254,) * 2 + (0.0,)]:
     surv = np.prod([1 - p for p in ps])
-    print(f"  p = {ps}  survival = {surv:.4f}  score = {noisy_score(e, NoiseModel('local', p_locals=ps)):.6f}")
+    print(f"  p = {ps}  survival = {surv:.4f}  score = {noisy_score(e, NoiseModel(p_locals=ps)):.6f}")

@@ -5,7 +5,10 @@ sign along each of the K directions; the best it can do is have the positive
 half-plane swallow (K+1)/2 of them, i.e. (1 + 1/K)/2.  The quantum optimum
 P_max beats that at every K.  Against the biseparable bound the ordering
 flips with size: for K = 3, 5 a classical vector outscores any biseparable
-quantum state, from K = 7 on it falls below even that.
+quantum state, from K = 7 on it falls below even that.  The score is
+constant between the 2K angles where the moment is perpendicular to a
+direction, so classical_sweep_max reads one angle per arc: the maximum is
+exact, not sampled.
 """
 
 import numpy as np

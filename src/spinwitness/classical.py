@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["classical_score", "classical_sweep_max"]
+from .spin import _check_odd_k
 
-SWEEP_SAMPLES = 100_000  # equally spaced phi0 values in classical_sweep_max
+__all__ = ["classical_score", "classical_sweep_max"]
 
 
 def _scores(K: int, phi0: np.ndarray) -> np.ndarray:
     """classical_score at each angle of phi0: one (K, len(phi0)) table of projections."""
-    if K < 1 or K % 2 == 0:
-        raise ValueError(f"K must be a positive odd integer, got {K}")
+    K = _check_odd_k(K)
     if not np.isfinite(phi0).all():
         raise ValueError("phi0 must be finite")
     proj = np.cos(2 * np.pi * np.arange(K)[:, None] / K - phi0[None, :])
@@ -34,5 +33,8 @@ def classical_score(K: int, phi0: float) -> float:
 
 
 def classical_sweep_max(K: int) -> float:
-    """Max of classical_score over SWEEP_SAMPLES equally spaced phi0 in [0, 2 pi)."""
-    return float(_scores(K, 2 * np.pi * np.arange(SWEEP_SAMPLES) / SWEEP_SAMPLES).max())
+    """Exact max of classical_score over phi0, read at the midpoints pi/2 + pi (j + 1/2)/K, j < 2K, of its arcs.
+
+    The score is constant between its breakpoints 2 pi k/K +- pi/2, which for odd K are pi/2 + pi j/K.
+    """
+    return float(_scores(K, np.pi / 2 + np.pi * (np.arange(2 * K) + 0.5) / K).max())

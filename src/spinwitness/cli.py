@@ -49,8 +49,8 @@ from .witness import (
 
 SCHEMA_VERSION = 1
 
-# Largest ensemble dimension any command accepts: every path here is dense,
-# and one complex dim x dim matrix at 2048 already takes 64 MiB.
+# Largest ensemble dimension any command accepts: verify, seesaw, noise-sweep and a noisy or mixture
+# simulate hold a dense dim x dim matrix (64 MiB at 2048); ket simulate and general-witness hold none.
 MAX_DIM = 2048
 
 # Most points a noise-sweep grid may have; each point runs one dense channel.
@@ -222,7 +222,7 @@ def cmd_table(args) -> int:
 
 def _uniform_model(kind: str, p: float, n: int) -> NoiseModel:
     """The global channel at p, or one local channel at p on each of n particles."""
-    return NoiseModel("global", p_global=p) if kind == "global" else NoiseModel("local", p_locals=(p,) * n)
+    return NoiseModel(p_global=p) if kind == "global" else NoiseModel(p_locals=(p,) * n)
 
 
 def _deviation(x: float) -> str:
@@ -342,11 +342,10 @@ def cmd_simulate(args) -> int:
     theta = phase_for_ghz(phi, K)
     state = ghz_mixture(ensemble) if args.state == "mixture" else ghz_like(ensemble, phi=phi)
     if args.p_list is not None:
-        state = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(args.p_list)))
+        state = apply_depolarizing(state, NoiseModel(p_locals=tuple(args.p_list)))
     elif args.p is not None:
         state = apply_depolarizing(state, _uniform_model(args.model or "global", args.p, ensemble.N))
-    config = ProtocolConfig(state=state, rounds=args.rounds, seed=args.seed, theta_offset=theta,
-                            subensembles=subensembles)
+    config = ProtocolConfig(state=state, rounds=args.rounds, seed=args.seed, theta_offset=theta)
     estimate = run_protocol_subensembles(config) if subensembles else run_protocol(config)
     rep = witness_report(K)
     verdict = "GME-detected" if estimate.ci_low > rep.P_sep_float else "inconclusive"

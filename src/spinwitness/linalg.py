@@ -24,7 +24,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 
-def assert_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def assert_hermitian(op: np.ndarray) -> np.ndarray:
     """Validate Hermiticity (max-entry norm) and return the operator as complex.
 
     A non-finite entry is rejected: it makes the deviation NaN or infinite.
@@ -34,10 +34,10 @@ def assert_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported below
         dev = np.abs(op - op.conj().T).max()
-    if not dev <= tol:  # a NaN deviation compares False both ways
+    if not dev <= HERMITICITY_TOL:  # a NaN deviation compares False both ways
         if not np.isfinite(dev):
             raise ValueError("matrix has a non-finite (NaN or infinite) entry")
-        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.0e}")
+        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
     return op
 
 

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-def _check_prob(p, name="p") -> float:
+def _check_prob(p, name: str) -> float:
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
@@ -39,24 +39,24 @@ def _check_prob(p, name="p") -> float:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Either one global replacement probability or one probability per particle."""
+    """Either one global replacement probability or one probability per particle (exactly one is given)."""
 
-    kind: str  # "global" | "local"
     p_global: float | None = None
     p_locals: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind == "global":
-            if self.p_global is None or self.p_locals is not None:
-                raise ValueError("global model takes p_global only")
+        if (self.p_global is None) == (self.p_locals is None):
+            raise ValueError("provide exactly one of p_global or p_locals")
+        if self.p_locals is None:
             object.__setattr__(self, "p_global", _check_prob(self.p_global, "p_global"))
-        elif self.kind == "local":
-            if self.p_locals is None or self.p_global is not None:
-                raise ValueError("local model takes p_locals only")
+        else:
             ps = tuple(_check_prob(p, f"p_locals[{i}]") for i, p in enumerate(self.p_locals))
             object.__setattr__(self, "p_locals", ps)
-        else:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        """Which probability field is given: "global" or "local"."""
+        return "global" if self.p_global is not None else "local"
 
 
 def _check_fits(model: NoiseModel, ensemble: SpinEnsemble) -> None:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import _apply_slot_bases, _is_integer, direction_phases, jx_eigenbases, jx_function, jz_diagonal
+from .spin import (_apply_slot_bases, _check_odd_k, _is_integer, direction_phases, jx_eigenbases, jx_function,
+                   jz_diagonal)
 from .states import QuantumState
 from .witness import witness_report
 
@@ -57,7 +58,6 @@ class ProtocolConfig:
     rounds: int
     seed: int
     theta_offset: float = 0.0
-    subensembles: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if not _is_integer(self.rounds):
@@ -65,15 +65,6 @@ class ProtocolConfig:
         if not 1 <= self.rounds < 2**63:  # the tallies are int64
             raise ValueError(f"rounds must lie in [1, 2^63), got {self.rounds}")
         object.__setattr__(self, "rounds", int(self.rounds))
-        if self.subensembles is not None:
-            if not all(_is_integer(i) for g in self.subensembles for i in g):
-                raise ValueError(f"subensembles {self.subensembles!r} must hold integer particle indices")
-            groups = tuple(tuple(sorted(int(i) for i in g)) for g in self.subensembles)
-            flat = [i for g in groups for i in g]
-            n = self.state.ensemble.N
-            if sorted(flat) != list(range(n)):
-                raise ValueError(f"subensembles {groups} are not a partition of 0..{n - 1}")
-            object.__setattr__(self, "subensembles", groups)
 
 
 @dataclass(frozen=True)
@@ -157,10 +148,8 @@ def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
     even when the state is entangled across groups) and reports the sign of
     their sum.  A group outcome is the sum of its members' outcomes, so the
     round is a coin of bias q_k, the same q_k as `run_protocol`, and for one
-    seed the counts are the same.  The partition is checked, never used.
+    seed the counts are the same: no partition is needed to draw them.
     """
-    if config.subensembles is None:
-        raise ValueError("config.subensembles is required here")
     return _sample_signs(config, _positive_probabilities(config))
 
 
@@ -170,8 +159,7 @@ def time_schedule(K: int, omega: float) -> list[float]:
     Measuring the fixed x-component at t_k under H = -omega Jz reproduces the
     direction-k statistics, turning K directions into K wait times.
     """
-    if not (_is_integer(K) and K >= 1 and K % 2 == 1):
-        raise ValueError(f"K must be a positive odd integer, got {K!r}")
+    K = _check_odd_k(K)
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
     return [2 * np.pi / omega * k / K for k in range(K)]

@@ -43,6 +43,13 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _check_odd_k(K) -> int:
+    """K as an int, if it is an integer (not a bool) that is at least 1 and odd; else a ValueError."""
+    if not (_is_integer(K) and K >= 1 and K % 2 == 1):
+        raise ValueError(f"K must be a positive odd integer, got {K!r}")
+    return int(K)
+
+
 def _check_half_integer(j) -> float:
     two_j = 2 * float(j)
     if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import assert_hermitian, binomial_exact
-from .spin import SpinEnsemble, direction_phases, jx_eigenbases, jx_function, jz_diagonal
+from .spin import SpinEnsemble, _check_odd_k, direction_phases, jx_eigenbases, jx_function, jz_diagonal
 from .states import QuantumState
 
 __all__ = [
@@ -125,8 +125,10 @@ def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> W
 
     |P+><P+| - |P-><P-| = c^* |up><down| + c |down><up|, and the descending-m
     local bases make |up> and |down> the first and last basis vectors, so Q is
-    1/2 plus two corner entries.
+    1/2 plus two corner entries.  A non-finite theta_offset is rejected, since c would be NaN.
     """
+    if not np.isfinite(theta_offset):
+        raise ValueError(f"theta_offset must be finite, got {theta_offset}")
     K = ensemble.K
     c = (-1) ** ((K - 1) // 2) * np.exp(1j * K * theta_offset)
     weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
@@ -176,8 +178,7 @@ def witness_report(K: int) -> WitnessReport:
     with C the central binomial coefficient C(K-1, (K-1)/2); all big-integer
     exact, so the large-K scaling claims do not pass through floats.
     """
-    if K < 1 or K % 2 == 0:
-        raise ValueError(f"K must be a positive odd integer, got {K}")
+    K = _check_odd_k(K)
     c = binomial_exact(K - 1, (K - 1) // 2)
     p_max = Fraction(1, 2) * (1 + Fraction(c, 2 ** (K - 1)))
     p_sep = Fraction(1, 2) * (1 + Fraction(c, 2**K))
@@ -192,8 +193,8 @@ def score(state: QuantumState, witness: WitnessOperator) -> float:
 
     The trace is the entrywise sum of rho * Q^T: O(dim^2), with no matrix product.
     """
-    if state.dim != witness.dim:
-        raise ValueError(f"state dim {state.dim} does not match witness dim {witness.dim}")
+    if state.ensemble != witness.ensemble:
+        raise ValueError(f"state spins {state.ensemble.spins} do not match witness spins {witness.ensemble.spins}")
     if state.ket is not None:
         return float(np.real(state.ket.conj() @ witness.Q @ state.ket))
     return float(np.real(np.sum(state.rho * witness.Q.T)))
@@ -208,6 +209,7 @@ def phase_for_ghz(phi: float, K: int) -> float:
     Offsets are only meaningful modulo 2 pi/K (shifting by 2 pi/K relabels the
     K directions); the returned value is reduced into [0, 2 pi/K).
     """
+    K = _check_odd_k(K)
     period = 2 * np.pi / K
     theta = (phi - (K - 1) * np.pi / 2) / K  # halved before dividing, so no finite phi overflows
     return float(theta % period)

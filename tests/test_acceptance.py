@@ -148,13 +148,13 @@ def test_criterion_06_noise_closed_forms_and_thresholds():
         w = build_qk_direct(e)
         st = ghz_like(e, phi=np.pi * (K - 1) / 2)
         for p in NOISE_GRID:
-            for model in (NoiseModel("global", p_global=p), NoiseModel("local", p_locals=(p,) * K)):
+            for model in (NoiseModel(p_global=p), NoiseModel(p_locals=(p,) * K)):
                 assert abs(score(apply_depolarizing(st, model), w) - noisy_score(e, model)) < 1e-10
     # boundary cases are dyadic: equality is exact, not approximate
     e3 = SpinEnsemble((0.5, 0.5, 0.5))
     sep3 = witness_report(3).P_sep_float
-    assert noisy_score(e3, NoiseModel("global", p_global=0.5)) == sep3
-    assert noisy_score(e3, NoiseModel("local", p_locals=(0.5, 0.0, 0.0))) == sep3
+    assert noisy_score(e3, NoiseModel(p_global=0.5)) == sep3
+    assert noisy_score(e3, NoiseModel(p_locals=(0.5, 0.0, 0.0))) == sep3
     g, loc, limit = detection_thresholds(e3)
     assert g == 0.5
     assert abs(loc - 0.206299) < 1e-6
@@ -206,9 +206,7 @@ def test_criterion_09_protocol_detection_power():
         assert est.ci_low <= sep, f"mixture falsely detected at seed {seed}"
 
     mono = run_protocol(ProtocolConfig(state=optimal, rounds=100_000, seed=100))
-    split = run_protocol_subensembles(
-        ProtocolConfig(state=optimal, rounds=100_000, seed=101, subensembles=((0,), (1, 2)))
-    )
+    split = run_protocol_subensembles(ProtocolConfig(state=optimal, rounds=100_000, seed=101))
     table = np.array(
         [[round(mono.p_hat * mono.rounds), mono.rounds - round(mono.p_hat * mono.rounds)],
          [round(split.p_hat * split.rounds), split.rounds - round(split.p_hat * split.rounds)]],

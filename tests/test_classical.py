@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,11 +53,33 @@ def test_score_is_periodic():
     assert classical_score(5, 0.4) == pytest.approx(classical_score(5, 0.4 + 2 * np.pi), abs=1e-12)
 
 
+def test_sweep_max_is_exact_for_every_odd_k():
+    # one angle per constant arc: the half-plane bound (K+1)/(2K) to the last bit, no sampling
+    for K in range(1, 402, 2):
+        assert classical_sweep_max(K) == (K + 1) / (2 * K)
+
+
+def test_sweep_max_memory_at_k_2001():
+    # 2K angles, not a fixed fine grid: the (K, 2K) tables stay far below what 1e5 samples would need
+    tracemalloc.start()
+    try:
+        assert classical_sweep_max(2001) == 2002 / 4002
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+
+
 def test_rejects_even_k():
     with pytest.raises(ValueError):
         classical_score(4, 0.0)
     with pytest.raises(ValueError):
         classical_sweep_max(2)
+    for bad in (0, -3, True, 3.0):
+        with pytest.raises(ValueError, match="positive odd integer"):
+            classical_score(bad, 0.0)
+        with pytest.raises(ValueError, match="positive odd integer"):
+            classical_sweep_max(bad)
 
 
 @pytest.mark.parametrize("phi0", [float("nan"), float("inf"), -float("inf")])

@@ -81,8 +81,8 @@ def test_channels_are_bit_identical_to_dense_reference(spins, seed):
     rho = sum(w * random_ket(ensemble, seed=10 * seed + i).density() for i, w in enumerate(weights))
     state = QuantumState(ensemble, rho=(rho + rho.conj().T) / 2)
     before = state.rho.copy()
-    for model in (NoiseModel("global", p_global=rng.uniform()),
-                  NoiseModel("local", p_locals=tuple(rng.uniform(size=ensemble.N)))):
+    for model in (NoiseModel(p_global=rng.uniform()),
+                  NoiseModel(p_locals=tuple(rng.uniform(size=ensemble.N)))):
         got = apply_depolarizing(state, model).rho
         np.testing.assert_array_equal(got, dense_depolarizing(state.rho, ensemble, model))
     for slot, p in enumerate(rng.uniform(size=ensemble.N)):
@@ -93,7 +93,7 @@ def test_channels_are_bit_identical_to_dense_reference(spins, seed):
 
 def test_global_channel_mixes_toward_maximally_mixed():
     st = ghz_like(E3, phi=np.pi)
-    noisy = apply_depolarizing(st, NoiseModel("global", p_global=0.3))
+    noisy = apply_depolarizing(st, NoiseModel(p_global=0.3))
     want = 0.3 * np.eye(8) / 8 + 0.7 * st.density()
     np.testing.assert_allclose(noisy.rho, want, atol=1e-14)
 
@@ -104,14 +104,14 @@ def test_local_channel_matches_kraus_reference(slot, p):
     st = random_ket(E_MIXED, seed=slot + 1)
     ps = [0.0] * 3
     ps[slot] = p
-    noisy = apply_depolarizing(st, NoiseModel("local", p_locals=tuple(ps)))
+    noisy = apply_depolarizing(st, NoiseModel(p_locals=tuple(ps)))
     want = depolarize_reference(st.density(), list(E_MIXED.local_dims), slot, p)
     np.testing.assert_allclose(noisy.rho, want, atol=1e-13)
 
 
 def test_local_channels_commute():
     st = random_ket(E3, seed=5)
-    a = apply_depolarizing(st, NoiseModel("local", p_locals=(0.2, 0.0, 0.5)))
+    a = apply_depolarizing(st, NoiseModel(p_locals=(0.2, 0.0, 0.5)))
     rho = depolarize_reference(st.density(), [2, 2, 2], 2, 0.5)
     rho = depolarize_reference(rho, [2, 2, 2], 0, 0.2)  # reversed application order
     np.testing.assert_allclose(a.rho, rho, atol=1e-13)
@@ -136,7 +136,7 @@ def test_local_channel_property(case, mixed):
     state = random_ket(ensemble, seed)
     if mixed:  # a rank-2 mixture, so the input is not a projector
         state = QuantumState(ensemble, rho=0.3 * state.density() + 0.7 * random_ket(ensemble, seed + 1).density())
-    noisy = apply_depolarizing(state, NoiseModel("local", p_locals=tuple(ps))).rho
+    noisy = apply_depolarizing(state, NoiseModel(p_locals=tuple(ps))).rho
     want = state.density()
     for slot, p in enumerate(ps):
         want = depolarize_reference(want, list(ensemble.local_dims), slot, p)
@@ -146,13 +146,13 @@ def test_local_channel_property(case, mixed):
     for slot in reversed(range(ensemble.N)):
         single = [0.0] * ensemble.N
         single[slot] = ps[slot]
-        backward = apply_depolarizing(backward, NoiseModel("local", p_locals=tuple(single)))
+        backward = apply_depolarizing(backward, NoiseModel(p_locals=tuple(single)))
     np.testing.assert_allclose(backward.rho, noisy, rtol=0, atol=1e-13)
 
 
 def test_channel_output_is_valid_state():
     st = ghz_like(E_MIXED)
-    noisy = apply_depolarizing(st, NoiseModel("local", p_locals=(0.4, 0.1, 0.9)))
+    noisy = apply_depolarizing(st, NoiseModel(p_locals=(0.4, 0.1, 0.9)))
     assert isinstance(noisy, QuantumState)  # QuantumState revalidates trace/positivity
     assert np.trace(noisy.rho).real == pytest.approx(1.0, abs=1e-12)
 
@@ -164,17 +164,17 @@ closed_form_cases = (
     .filter(lambda spins: round(2 * sum(spins)) % 2 == 1 and np.prod([2 * j + 1 for j in spins]) <= 128)
     .map(SpinEnsemble)
     .flatmap(lambda ensemble: st.tuples(st.just(ensemble), st.one_of(
-        st.floats(0, 1).map(lambda p: NoiseModel("global", p_global=p)),
+        st.floats(0, 1).map(lambda p: NoiseModel(p_global=p)),
         st.lists(st.floats(0, 1), min_size=ensemble.N, max_size=ensemble.N)
-        .map(lambda ps: NoiseModel("local", p_locals=tuple(ps))),
+        .map(lambda ps: NoiseModel(p_locals=tuple(ps))),
     )))
 )
 
 
 @settings(max_examples=80, deadline=None)
 @given(closed_form_cases)
-@example((E3, NoiseModel("global", p_global=0.5)))
-@example((SpinEnsemble((0.5,) * 5), NoiseModel("local", p_locals=(0.1, 0.9, 0.25, 0.0, 1.0))))
+@example((E3, NoiseModel(p_global=0.5)))
+@example((SpinEnsemble((0.5,) * 5), NoiseModel(p_locals=(0.1, 0.9, 0.25, 0.0, 1.0))))
 def test_closed_form_matches_the_channel(case):
     ensemble, model = case
     state = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)  # the state the zero-offset witness detects
@@ -190,7 +190,7 @@ def test_global_closed_form_matches_brute_force(ensemble):
     w = build_qk_direct(ensemble)
     st = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)  # the state this witness detects
     for p in GRID:
-        model = NoiseModel("global", p_global=p)
+        model = NoiseModel(p_global=p)
         assert score(apply_depolarizing(st, model), w) == pytest.approx(noisy_score(ensemble, model), abs=1e-10)
 
 
@@ -201,16 +201,16 @@ def test_local_closed_form_matches_brute_force(ensemble):
     rng = np.random.default_rng(0)
     grids = [tuple([p] * ensemble.N) for p in GRID] + [tuple(rng.uniform(0, 1, ensemble.N)) for _ in range(3)]
     for ps in grids:
-        model = NoiseModel("local", p_locals=ps)
+        model = NoiseModel(p_locals=ps)
         assert score(apply_depolarizing(st, model), w) == pytest.approx(noisy_score(ensemble, model), abs=1e-10)
 
 
 def global_model(p):
-    return NoiseModel("global", p_global=p)
+    return NoiseModel(p_global=p)
 
 
 def local_model(*ps):
-    return NoiseModel("local", p_locals=ps)
+    return NoiseModel(p_locals=ps)
 
 
 def test_detection_flips_exactly_at_half_global():
@@ -246,15 +246,30 @@ def test_threshold_is_consistent_with_scores():
 
 
 def test_noise_model_validation():
+    with pytest.raises(ValueError, match="exactly one"):
+        NoiseModel()
+    with pytest.raises(ValueError, match="exactly one"):
+        NoiseModel(p_global=0.1, p_locals=(0.2,))
     with pytest.raises(ValueError):
-        NoiseModel("global")
-    with pytest.raises(ValueError):
-        NoiseModel("global", p_global=1.5)
-    with pytest.raises(ValueError):
-        NoiseModel("local", p_locals=(0.2,), p_global=0.1)
-    with pytest.raises(ValueError, match="unknown"):
-        NoiseModel("thermal", p_global=0.1)
+        NoiseModel(p_global=1.5)
+    with pytest.raises(ValueError, match=r"p_locals\[1\]"):
+        NoiseModel(p_locals=(0.2, -0.1))
     with pytest.raises(ValueError, match="local model has"):
-        apply_depolarizing(ghz_like(E3), NoiseModel("local", p_locals=(0.1, 0.2)))
+        apply_depolarizing(ghz_like(E3), NoiseModel(p_locals=(0.1, 0.2)))
     with pytest.raises(ValueError, match="local model has"):
-        noisy_score(E3, NoiseModel("local", p_locals=(0.1, 0.2)))
+        noisy_score(E3, NoiseModel(p_locals=(0.1, 0.2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(0, 1), st.lists(st.floats(0, 1), min_size=3, max_size=3).map(tuple)))
+def test_noise_model_kind_follows_the_field_given(p):
+    # kind is read from the one field given; deriving it leaves the closed form and the channel as they were
+    is_global = isinstance(p, float)
+    model = NoiseModel(p_global=p) if is_global else NoiseModel(p_locals=p)
+    assert model.kind == ("global" if is_global else "local")
+    with pytest.raises(ValueError, match="exactly one"):
+        NoiseModel(p_global=p, p_locals=(0.5,) * 3) if is_global else NoiseModel(p_global=0.5, p_locals=p)
+    survival = 1 - p if is_global else float(np.prod([1 - q for q in p]))
+    assert noisy_score(E3, model) == 0.5 + 2 * survival * (witness_report(3).P_sep_float - 0.5)
+    state = random_ket(E3, 3)
+    assert np.array_equal(apply_depolarizing(state, model).rho, dense_depolarizing(state.density(), E3, model))

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +13,9 @@ from spinwitness.protocol import (
     time_schedule,
     wilson_interval,
 )
-from spinwitness.spin import SpinEnsemble, collective_operator, direction_operator, direction_phases
+from spinwitness.spin import SpinEnsemble, collective_operator, direction_operator, direction_phases, spin_matrices
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture, random_ket
-from spinwitness.witness import build_qk_direct, phase_for_ghz, pos_operator, witness_report
+from spinwitness.witness import build_qk_closed_form, build_qk_direct, phase_for_ghz, pos_operator, witness_report
 
 E3 = SpinEnsemble((0.5, 0.5, 0.5))
 E_MIXED = SpinEnsemble((1, 0.5))
@@ -138,33 +140,52 @@ def test_config_validation():
             make_config(st, rounds=rounds)
     assert make_config(st, rounds=2**63 - 1).rounds == 2**63 - 1
     assert type(make_config(st, rounds=np.int64(10)).rounds) is int
-    with pytest.raises(ValueError, match="partition"):
-        make_config(st, subensembles=((0,), (1,)))
-    with pytest.raises(ValueError, match="partition"):
-        make_config(st, subensembles=((0, 1), (1, 2)))
-
-
-@pytest.mark.parametrize("index", [1.9, 1.0, True, "1"])
-def test_subensembles_reject_non_integer_indices(index):
-    # int() would quietly store ((0,), (1.9, 2)) as ((0,), (1, 2))
-    with pytest.raises(ValueError, match="integer particle indices"):
-        make_config(ghz_like(E3), subensembles=((0,), (index, 2)))
-    assert make_config(ghz_like(E3), subensembles=((0,), (np.int64(1), 2))).subensembles == ((0,), (1, 2))
 
 
 # --- subensemble variant ---
 
 
-def test_subensembles_require_groups():
-    with pytest.raises(ValueError, match="subensembles"):
-        run_protocol_subensembles(make_config(ghz_like(E3)))
+def groupwise_probabilities(state, theta, groups):
+    """q_k from a joint measurement of each group's component of J_k, with dense group operators.
+
+    The slots are permuted so that each group is contiguous.  A group's
+    component is the sum of its members' one-body terms, eigensolved on the
+    group's own space; a round is positive when the group outcomes sum above
+    zero (a zero sum counts 1/2).  No package kernel is used.
+    """
+    e = state.ensemble
+    dims, n = e.local_dims, e.N
+    order = [i for g in groups for i in g]
+    rho = state.density().reshape(dims * 2).transpose(order + [n + i for i in order]).reshape(e.dim, e.dim)
+    q = []
+    for k in range(e.K):
+        angle = 2 * np.pi * k / e.K + theta
+        values, bases = [], []
+        for g in groups:
+            group_dims = [dims[i] for i in g]
+            op = 0
+            for pos, i in enumerate(g):
+                jx, jy, _ = spin_matrices(e.spins[i])
+                local = np.cos(angle) * jx + np.sin(angle) * jy
+                op = op + np.kron(np.kron(np.eye(int(np.prod(group_dims[:pos]))), local),
+                                  np.eye(int(np.prod(group_dims[pos + 1:]))))
+            w, v = np.linalg.eigh(op)
+            values.append(w)
+            bases.append(v)
+        basis = reduce(np.kron, bases)
+        total = reduce(np.add.outer, values).reshape(-1)
+        probs = np.sum(basis.conj() * (rho @ basis), axis=0).real  # diag(V^dag rho V)
+        q.append(probs @ np.where(total > 1e-9, 1.0, np.where(total < -1e-9, 0.0, 0.5)))
+    return np.array(q)
 
 
 @pytest.mark.parametrize("groups", [((0,), (1, 2)), ((0,), (1,), (2,)), ((0, 1, 2),)])
 def test_subensembles_agree_with_monolithic(groups):
+    # The sampler takes no partition: every partition's group-wise measurement has the same q_k.
     st = ghz_like(E3, phi=np.pi)
     mono = run_protocol(make_config(st, rounds=100_000, seed=21))
-    split = run_protocol_subensembles(make_config(st, rounds=100_000, seed=22, subensembles=groups))
+    split = run_protocol_subensembles(make_config(st, rounds=100_000, seed=22))
+    np.testing.assert_allclose(split.per_k_probs, groupwise_probabilities(st, 0.0, groups), rtol=0, atol=1e-12)
     pos_a = round(mono.p_hat * mono.rounds)
     pos_b = round(split.p_hat * split.rounds)
     assert chi2_homogeneity([pos_a, mono.rounds - pos_a], [pos_b, split.rounds - pos_b]) < CHI2_99[1]
@@ -172,23 +193,21 @@ def test_subensembles_agree_with_monolithic(groups):
 
 def test_subensembles_on_mixed_spins():
     st = ghz_like(E_MIXED, phi=np.pi)
-    split = run_protocol_subensembles(
-        make_config(st, rounds=100_000, seed=4, subensembles=((0,), (1,)))
-    )
+    split = run_protocol_subensembles(make_config(st, rounds=100_000, seed=4))
     sigma = np.sqrt(0.75 * 0.25 / 100_000)
     assert abs(split.p_hat - 0.75) < 5 * sigma
 
 
 def test_subensembles_deterministic():
     st = ghz_like(E3, phi=np.pi)
-    a = run_protocol_subensembles(make_config(st, seed=7, subensembles=((0,), (1, 2))))
-    b = run_protocol_subensembles(make_config(st, seed=7, subensembles=((0,), (1, 2))))
+    a = run_protocol_subensembles(make_config(st, seed=7))
+    b = run_protocol_subensembles(make_config(st, seed=7))
     assert a == b
 
 
 def test_subensembles_work_on_density_matrices():
     st = ghz_mixture(E3)
-    est = run_protocol_subensembles(make_config(st, rounds=60_000, seed=13, subensembles=((0,), (1, 2))))
+    est = run_protocol_subensembles(make_config(st, rounds=60_000, seed=13))
     assert abs(est.p_hat - 0.5) < 5 * np.sqrt(0.25 / 60_000)
 
 
@@ -198,20 +217,24 @@ def test_subensembles_work_on_density_matrices():
 @pytest.mark.parametrize("groups", [None, ((0,), (1, 2)), ((0, 2), (1,))])
 @pytest.mark.parametrize("form", ["ket", "rho"])
 def test_each_direction_matches_its_own_effect(groups, form):
-    # Totals alone would not see a k <-> -k mix-up; each direction's count must.
+    # Totals alone would not see a k <-> -k mix-up; each direction's count must.  With a
+    # partition the reference is its group-wise measurement, which the split sampler stands for.
     e = SpinEnsemble((0.5, 1, 1))
     st = random_ket(e, 17)
     if form == "rho":
         st = QuantumState(e, rho=st.density())
     theta = 0.37
     rounds = 50_000
-    cfg = make_config(st, rounds=rounds, seed=31, theta_offset=theta, subensembles=groups)
+    cfg = make_config(st, rounds=rounds, seed=31, theta_offset=theta)
     est = run_protocol(cfg) if groups is None else run_protocol_subensembles(cfg)
     J = collective_operator(e)
     rho = st.density()
+    if groups is None:
+        ref = [np.real(np.trace(rho @ pos_operator(direction_operator(J, k, e.K, theta)))) for k in range(e.K)]
+    else:
+        ref = groupwise_probabilities(st, theta, groups)
     assert sum(trials for _, trials in est.per_k_counts) == rounds
-    for k, (positives, trials) in enumerate(est.per_k_counts):
-        p = np.real(np.trace(rho @ pos_operator(direction_operator(J, k, e.K, theta))))
+    for (positives, trials), p in zip(est.per_k_counts, ref):
         assert abs(positives - p * trials) < 5 * np.sqrt(trials * p * (1 - p))
 
 
@@ -227,7 +250,7 @@ def test_samplers_eigensolve_single_particles_only(monkeypatch, sample, form):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    sample(make_config(st, rounds=1_000, subensembles=((0,), (1, 2))))
+    sample(make_config(st, rounds=1_000))
     assert calls == [(2, 2), (3, 3), (3, 3)]
 
 
@@ -266,9 +289,10 @@ def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
     state = random_ket(ensemble, seed)
     if form == "rho":
         state = QuantumState(ensemble, rho=state.density())
-    cfg = make_config(state, rounds=10, theta_offset=theta, subensembles=groups_from_labels(labels))
+    cfg = make_config(state, rounds=10, theta_offset=theta)
     ref = born_reference(state, theta)
-    np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
+    grouped = groupwise_probabilities(state, theta, groups_from_labels(labels))
+    np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, grouped, rtol=0, atol=1e-12)
     np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
 
 
@@ -278,7 +302,7 @@ def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
 def test_split_sampler_shares_the_whole_round_stream(seed, rounds):
     # Same seed, same q_k: the counts are the whole sampler's.
     state = random_ket(SpinEnsemble((0.5, 1, 1)), 5)
-    cfg = make_config(state, rounds=rounds, seed=seed, theta_offset=0.2, subensembles=((0, 2), (1,)))
+    cfg = make_config(state, rounds=rounds, seed=seed, theta_offset=0.2)
     assert run_protocol_subensembles(cfg).per_k_counts == run_protocol(cfg).per_k_counts
 
 
@@ -292,14 +316,14 @@ def test_split_sampler_never_calls_einsum(monkeypatch, sample, form):
     state = random_ket(E3, 8)
     if form == "rho":
         state = QuantumState(E3, rho=state.density())
-    est = sample(make_config(state, rounds=1_000, subensembles=((0, 2), (1,))))
+    est = sample(make_config(state, rounds=1_000))
     np.testing.assert_allclose(est.per_k_probs, born_reference(state, 0.0), rtol=0, atol=1e-12)
 
 
 def test_split_density_matrix_at_nine_spins():
     e = SpinEnsemble((0.5,) * 9)
     state = QuantumState(e, rho=0.9 * ghz_like(e, phi=0.3).density() + 0.1 * np.eye(e.dim) / e.dim)
-    cfg = make_config(state, rounds=1_000, theta_offset=0.1, subensembles=((0, 1, 2, 3), (4, 5, 6, 7, 8)))
+    cfg = make_config(state, rounds=1_000, theta_offset=0.1)
     ref = dense_probabilities_reference(state, 0.1)
     np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
@@ -307,12 +331,13 @@ def test_split_density_matrix_at_nine_spins():
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_non_finite_offset_is_rejected(theta):
-    cfg = make_config(ghz_like(E3), rounds=10, theta_offset=theta, subensembles=((0,), (1, 2)))
+    cfg = make_config(ghz_like(E3), rounds=10, theta_offset=theta)
     for sample in (run_protocol, run_protocol_subensembles):
         with pytest.raises(ValueError, match="theta_offset"):
             sample(cfg)
-    with pytest.raises(ValueError, match="theta_offset"):
-        build_qk_direct(E3, theta)
+    for build in (build_qk_direct, build_qk_closed_form):  # unchecked, the closed form's corners were NaN
+        with pytest.raises(ValueError, match="theta_offset"):
+            build(E3, theta)
 
 
 def per_round_reference(config, probs):

@@ -236,9 +236,11 @@ def test_report_internal_identities(K):
 
 
 def test_report_rejects_even_or_nonpositive():
-    for bad in (0, 2, -3, 4):
-        with pytest.raises(ValueError):
+    # unchecked, True gave a report whose K was True
+    for bad in (0, 2, -3, 4, True, 3.0):
+        with pytest.raises(ValueError, match="positive odd integer"):
             witness_report(bad)
+    assert witness_report(np.int64(3)).K == 3
 
 
 def test_gap_decreases_monotonically():
@@ -281,8 +283,11 @@ def test_score_follows_cosine_law(ensemble):
 
 def test_score_rejects_dim_mismatch():
     w = build_qk_direct(E3)
-    with pytest.raises(ValueError, match="dim"):
+    with pytest.raises(ValueError, match="do not match"):
         score(ghz_like(E_MIXED), w)
+    # equal dims, different ensembles: compared by dim alone this scored 0.25
+    with pytest.raises(ValueError, match="do not match"):
+        score(ghz_like(SpinEnsemble((0.5, 1))), build_qk_direct(E_MIXED))
 
 
 # --- phase matching ---
@@ -291,6 +296,13 @@ def test_score_rejects_dim_mismatch():
 def test_phase_for_ghz_frozen_examples():
     assert phase_for_ghz(0.0, 3) == pytest.approx(np.pi / 3, abs=1e-15)
     assert phase_for_ghz(np.pi, 3) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("K", [0, 4, -3, True, 3.0])
+def test_phase_for_ghz_rejects_bad_k(K):
+    # unchecked, K = 0 raised ZeroDivisionError and K = 4 returned 0.4677
+    with pytest.raises(ValueError, match="positive odd integer"):
+        phase_for_ghz(0.3, K)
 
 
 @settings(max_examples=200, deadline=None)
