@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .noise import NoiseModel, apply_depolarizing, noisy_score
-from .protocol import ProtocolConfig, run_protocol, run_protocol_subensembles
+from .protocol import ProtocolConfig, run_protocol
 from .seesaw import enumerate_bipartitions, seesaw_maximize
 from .spin import SpinEnsemble, direction_phases
 from .states import ghz_like, ghz_mixture
@@ -225,6 +225,19 @@ def _uniform_model(kind: str, p: float, n: int) -> NoiseModel:
     return NoiseModel(p_global=p) if kind == "global" else NoiseModel(p_locals=(p,) * n)
 
 
+def _detected_phi(K: int) -> float:
+    """The phase of the GHZ-like state that the zero-offset witness detects."""
+    return np.pi * (K - 1) / 2
+
+
+def _noisy_ghz_scores(ensemble: SpinEnsemble, kind: str, grid, witness):
+    """Yield (p, noisy_score, witness score of the channel output) for the detected GHZ-like state, per p."""
+    state = ghz_like(ensemble, phi=_detected_phi(ensemble.K))
+    for p in grid:
+        model = _uniform_model(kind, p, ensemble.N)
+        yield p, noisy_score(ensemble, model), score(apply_depolarizing(state, model), witness)
+
+
 def _deviation(x: float) -> str:
     """A check's deviation for the verify report; rounding noise prints as one stable token."""
     return "<1e-12" if x < 1e-12 else f"{x:.2e}"
@@ -279,12 +292,8 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     else:
         checks.append(("seesaw", True, "single particle: no bipartitions to check"))
 
-    state = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)
-    worst = 0.0
-    for p in (0.0, 0.1, 0.25, 0.5, 0.9):
-        for kind in ("global", "local"):
-            model = _uniform_model(kind, p, ensemble.N)
-            worst = max(worst, abs(score(apply_depolarizing(state, model), direct) - noisy_score(ensemble, model)))
+    worst = max(abs(closed - channel) for kind in ("global", "local")
+                for _, closed, channel in _noisy_ghz_scores(ensemble, kind, (0.0, 0.1, 0.25, 0.5, 0.9), direct))
     checks.append(("noise-closed-form", worst < 1e-10, f"max closed-form vs channel deviation {_deviation(worst)}"))
     return checks
 
@@ -305,16 +314,9 @@ def cmd_noise_sweep(args) -> int:
     ensemble = _parse_spins(args.spins)
     grid = _parse_grid(args.grid)
     rep = witness_report(ensemble.K)
-    phi = np.pi * (ensemble.K - 1) / 2  # the state the zero-offset witness detects
-    state = ghz_like(ensemble, phi=phi)
-    witness = build_qk_direct(ensemble)
-    rows = []
-    for p in grid:
-        model = _uniform_model(args.model, p, ensemble.N)
-        closed = noisy_score(ensemble, model)
-        brute = score(apply_depolarizing(state, model), witness)
-        rows.append({"p": p, "closed_form_score": closed, "brute_force_score": brute,
-                     "detected": bool(closed > rep.P_sep_float)})
+    rows = [{"p": p, "closed_form_score": closed, "brute_force_score": brute,
+             "detected": bool(closed > rep.P_sep_float)}
+            for p, closed, brute in _noisy_ghz_scores(ensemble, args.model, grid, build_qk_direct(ensemble))]
     _emit(args, {"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
                  "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
           ["p", "closed_form_score", "brute_force_score", "detected"])
@@ -338,7 +340,7 @@ def cmd_simulate(args) -> int:
     if args.p_list is not None and len(args.p_list) != ensemble.N:
         raise UsageError(f"--p-list needs {ensemble.N} entries")
     K = ensemble.K
-    phi = args.phi if args.phi is not None else np.pi * (K - 1) / 2
+    phi = args.phi if args.phi is not None else _detected_phi(K)
     theta = phase_for_ghz(phi, K)
     state = ghz_mixture(ensemble) if args.state == "mixture" else ghz_like(ensemble, phi=phi)
     if args.p_list is not None:
@@ -346,7 +348,7 @@ def cmd_simulate(args) -> int:
     elif args.p is not None:
         state = apply_depolarizing(state, _uniform_model(args.model or "global", args.p, ensemble.N))
     config = ProtocolConfig(state=state, rounds=args.rounds, seed=args.seed, theta_offset=theta)
-    estimate = run_protocol_subensembles(config) if subensembles else run_protocol(config)
+    estimate = run_protocol(config)  # a subensemble split draws the same counts (see `protocol`)
     rep = witness_report(K)
     verdict = "GME-detected" if estimate.ci_low > rep.P_sep_float else "inconclusive"
     obj = {

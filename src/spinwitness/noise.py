@@ -99,14 +99,12 @@ def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
 def noisy_score(ensemble: SpinEnsemble, model: NoiseModel) -> float:
     """Closed-form witness score of the phase-matched GHZ-like state after the model's channel.
 
-    score = 1/2 + 2 survival (P_sep - 1/2), with survival 1 - p globally and
-    prod(1 - p_n) for one channel per particle.
+    score = 1/2 + 2 survival (P_sep - 1/2), with survival the product of 1 - p
+    over the model's probabilities: 1 - p globally, prod(1 - p_n) locally.
     """
     _check_fits(model, ensemble)
-    if model.kind == "global":
-        survival = 1 - model.p_global
-    else:
-        survival = float(np.prod([1 - p for p in model.p_locals]))
+    ps = (model.p_global,) if model.p_locals is None else model.p_locals
+    survival = float(np.prod([1 - p for p in ps]))
     return 0.5 + 2 * survival * (witness_report(ensemble.K).P_sep_float - 0.5)
 
 

@@ -65,6 +65,8 @@ class ProtocolConfig:
         if not 1 <= self.rounds < 2**63:  # the tallies are int64
             raise ValueError(f"rounds must lie in [1, 2^63), got {self.rounds}")
         object.__setattr__(self, "rounds", int(self.rounds))
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**128):  # the Philox key range
+            raise ValueError(f"seed must be an integer in [0, 2^128), got {self.seed!r}")
 
 
 @dataclass(frozen=True)

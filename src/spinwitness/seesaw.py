@@ -174,12 +174,12 @@ def _half_step(layout: np.ndarray, weights: np.ndarray, kets: np.ndarray, previo
     return 0.5 + w[:, -1], (basis @ top[:, :, None])[:, :, 0]
 
 
-def _seesaw_stack(layouts, weights, psi_j, psi_c, max_iters, tol):
+def _seesaw_stack(layouts, weights, psi_j, psi_c):
     """Run a stack of restarts in lockstep on a bipartition's `_side_layouts`.
 
     `psi_j` (R, d_J) and `psi_c` (R, d_C) hold the starting kets and are
     overwritten with the final ones.  A restart leaves the active set when
-    its value gains less than `tol` or at `max_iters`.  Returns per-restart
+    its value gains less than `TOL` or at `MAX_ITERS`.  Returns per-restart
     (values, iterations, converged) and the (steps, R) trajectory, NaN once a
     restart has left.
     """
@@ -190,10 +190,10 @@ def _seesaw_stack(layouts, weights, psi_j, psi_c, max_iters, tol):
     converged = np.zeros(n, dtype=bool)
     trajectory = []
     active = np.arange(n)
-    for step in range(1, max_iters + 1):
+    for step in range(1, MAX_ITERS + 1):
         _, psi_j[active] = _half_step(layout_j, weights, psi_c[active], psi_j[active])
         value, psi_c[active] = _half_step(layout_c, weights, psi_j[active], psi_c[active])
-        done = value - values[active] < tol
+        done = value - values[active] < TOL
         values[active] = value
         iterations[active] = step
         converged[active[done]] = True
@@ -227,7 +227,7 @@ def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarra
     return psi_j, psi_c
 
 
-def _run_restarts(layouts, weights, restarts, max_iters, tol, seed, stop_at=np.inf):
+def _run_restarts(layouts, weights, restarts, seed, stop_at):
     """Restart 0 alone, then, unless its value reaches `stop_at`, restarts 1 .. R-1.
 
     Restarts 1 .. R-1 run as stacks of at most
@@ -237,12 +237,12 @@ def _run_restarts(layouts, weights, restarts, max_iters, tol, seed, stop_at=np.i
     """
     _, d_j, d_c = layouts[0].shape
     psi_j, psi_c = _balanced(d_j), _balanced(d_c)
-    runs = [_seesaw_stack(layouts, weights, psi_j, psi_c, max_iters, tol)[:3]]
+    runs = [_seesaw_stack(layouts, weights, psi_j, psi_c)[:3]]
     if restarts > 1 and runs[0][0][0] < stop_at:
         block = max(1, _STACK_ENTRIES // (max(d_j, d_c) * (len(weights) + 1)))
         rest_j, rest_c = _start_kets(seed, restarts, d_j, d_c)
         runs += [  # each block's kets are views, overwritten in place with the final ones
-            _seesaw_stack(layouts, weights, rest_j[start : start + block], rest_c[start : start + block], max_iters, tol)[:3]
+            _seesaw_stack(layouts, weights, rest_j[start : start + block], rest_c[start : start + block])[:3]
             for start in range(0, restarts - 1, block)
         ]
         psi_j, psi_c = np.concatenate((psi_j, rest_j)), np.concatenate((psi_c, rest_c))
@@ -271,11 +271,18 @@ def seesaw_maximize(
     depends only on (seed, r) and a run with more restarts repeats the first
     ones.  The winner is the first maximum in restart order.  Its product ket
     is scored against the dense Q, so the returned value is a certified lower
-    bound on the true bipartition maximum.  A witness whose factors leave a
-    Frobenius residual above RESIDUAL_TOL is a ValueError.
+    bound on the true bipartition maximum.  A bipartition of another
+    ensemble, a restart count that is not an integer >= 1, a seed that is not
+    an integer >= 0, and a witness whose factors leave a Frobenius residual
+    above RESIDUAL_TOL are ValueErrors.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    if bipartition.ensemble != witness.ensemble:
+        raise ValueError(f"bipartition spins {bipartition.ensemble.spins} do not match "
+                         f"witness spins {witness.ensemble.spins}")
+    if not (_is_integer(restarts) and restarts >= 1):
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     factors = witness.factors
     if factors.residual > RESIDUAL_TOL:
         raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "
@@ -283,9 +290,8 @@ def seesaw_maximize(
     layouts = _side_layouts(factors.vectors, bipartition)
     schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
     factor_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt)
-    values, iterations, converged, best, best_kets = _run_restarts(
-        layouts, factors.values, restarts, MAX_ITERS, TOL, seed, stop_at=factor_bound - TOL
-    )
+    values, iterations, converged, best, best_kets = _run_restarts(layouts, factors.values, restarts, seed,
+                                                                   factor_bound - TOL)
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)
     return SeeSawResult(bipartition, value, factor_bound + factors.residual, best_kets,

@@ -17,6 +17,7 @@ bounds come from `witness_report` in exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -207,9 +208,12 @@ def phase_for_ghz(phi: float, K: int) -> float:
     |up> + (-1)^((K-1)/2) e^{i K theta} |down> (up to normalization), so
     matching the phase e^{i phi} gives theta = (2 phi - (K-1) pi)/(2K).
     Offsets are only meaningful modulo 2 pi/K (shifting by 2 pi/K relabels the
-    K directions); the returned value is reduced into [0, 2 pi/K).
+    K directions); the returned value is reduced into [0, 2 pi/K).  A non-finite
+    phi is rejected.
     """
     K = _check_odd_k(K)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     period = 2 * np.pi / K
     theta = (phi - (K - 1) * np.pi / 2) / K  # halved before dividing, so no finite phi overflows
     return float(theta % period)

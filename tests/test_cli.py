@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinwitness import cli
+from spinwitness.noise import noisy_score
 from spinwitness.cli import (
     MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, UsageError, _deviation, _parse_grid, _parse_spins, main,
 )
@@ -220,6 +221,30 @@ def test_noise_sweep_csv_golden(capsys, model):
     rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,1,1.5,1.5", "--model", model, "--grid", "0:1:0.25")
     assert rc == 0
     assert out == GOLDEN_NOISE_SWEEP_CSV[model]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-6])
+def test_verify_noise_line_reads_the_noise_sweep_rows(capsys, monkeypatch, shift):
+    # verify's noise deviation is the largest |closed - channel| over noise-sweep's rows
+    # for both models on verify's grid; a closed form shifted per model and p makes the
+    # largest deviation a local row at p = 0.9, and fails verify
+    def shifted(ensemble, model):
+        p = model.p_global if model.p_locals is None else 2 * model.p_locals[0]
+        return noisy_score(ensemble, model) + shift * p
+
+    monkeypatch.setattr(cli, "noisy_score", shifted)
+    deviations = []
+    for model in ("global", "local"):
+        rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,1,1", "--model", model,
+                         "--grid", "0,0.1,0.25,0.5,0.9", "--format", "json")
+        assert rc == 0
+        deviations += [abs(r["closed_form_score"] - r["brute_force_score"]) for r in json.loads(out)["rows"]]
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5,1,1")
+    (line,) = [line for line in out.splitlines() if "noise-closed-form" in line]
+    assert line.endswith(f"max closed-form vs channel deviation {_deviation(max(deviations))}")
+    assert rc == (0 if shift == 0 else 1)
+    if shift:
+        assert line.startswith("FAIL") and _deviation(max(deviations)) == "1.80e-06"
 
 
 def test_noise_sweep_rejects_bad_grid(capsys):

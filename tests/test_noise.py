@@ -182,6 +182,29 @@ def test_closed_form_matches_the_channel(case):
     assert abs(noisy_score(ensemble, model) - brute) <= 1e-12
 
 
+def two_branch_noisy_score(ensemble, model):
+    """The closed form with one survival formula per kind, as `noisy_score` once read: the reference."""
+    if model.kind == "global":
+        survival = 1 - model.p_global
+    else:
+        survival = float(np.prod([1 - p for p in model.p_locals]))
+    return 0.5 + 2 * survival * (witness_report(ensemble.K).P_sep_float - 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(0, 1).map(lambda p: NoiseModel(p_global=p)),
+                 st.lists(st.floats(0, 1), min_size=1, max_size=6).map(lambda ps: NoiseModel(p_locals=tuple(ps)))),
+       st.integers(1, 6))
+@example(NoiseModel(p_global=0.1), 3)
+@example(NoiseModel(p_locals=(0.1,)), 1)
+def test_one_survival_product_is_bit_identical_to_two_branches(model, n):
+    # np.prod of one float is that float, so the global score keeps every bit
+    n = n if model.p_locals is None else len(model.p_locals)
+    ensemble = SpinEnsemble((0.5,) + (1,) * (n - 1))  # K = 2n - 1 is odd
+    got, want = noisy_score(ensemble, model), two_branch_noisy_score(ensemble, model)
+    assert type(got) is float and got == want
+
+
 GRID = [0.0, 0.1, 0.25, 0.5, 0.9]
 
 

@@ -140,6 +140,12 @@ def test_config_validation():
             make_config(st, rounds=rounds)
     assert make_config(st, rounds=2**63 - 1).rounds == 2**63 - 1
     assert type(make_config(st, rounds=np.int64(10)).rounds) is int
+    # unchecked, seed=1.5 ran and seed=-1 failed later inside numpy
+    for seed in (-1, 2**128, 1.5, 3.0, True, None, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            make_config(st, seed=seed)
+    assert make_config(st, seed=2**128 - 1).seed == 2**128 - 1
+    assert run_protocol(make_config(st, seed=np.int64(3))) == run_protocol(make_config(st, seed=3))
 
 
 # --- subensemble variant ---

@@ -350,7 +350,7 @@ def test_seesaw_trajectory_is_monotone():
         starts_c.append(psi_c / np.linalg.norm(psi_c))
     # the five starts run as one stack; each row keeps its own trajectory
     starts = np.array(starts_j), np.array(starts_c)
-    _, iterations, _, trajectory = _seesaw_stack(*layouts_of(W3, bip), *starts, 200, 1e-10)
+    _, iterations, _, trajectory = _seesaw_stack(*layouts_of(W3, bip), *starts)
     for row, steps in zip(trajectory.T, iterations):
         assert np.isfinite(row[:steps]).all() and np.isnan(row[steps:]).all()
         diffs = np.diff(row[:steps])
@@ -368,12 +368,6 @@ def test_seesaw_respects_nonzero_offset():
     w = build_qk_direct(E3, theta_offset=0.77)
     r = seesaw_maximize(w, Bipartition(E3, (0,)), restarts=8, seed=1)
     assert r.best_value == pytest.approx(SEP3, abs=1e-9)
-
-
-def test_seesaw_validation():
-    bip = Bipartition(E3, (0,))
-    with pytest.raises(ValueError):
-        seesaw_maximize(W3, bip, restarts=0)
 
 
 def reference_restart(q, bip, psi_j, psi_c, max_iters, tol):
@@ -449,17 +443,19 @@ def stack_entries(rows, witness, bip):
 @pytest.mark.parametrize("max_iters", [1, seesaw.MAX_ITERS])  # after one step the values still depend on the seeds
 @pytest.mark.parametrize("rows", [1, 3, 8])  # blocks of one, uneven blocks (3, 3, 2), one block of all
 def test_stacked_seesaw_matches_sequential_reference(monkeypatch, rows, max_iters):
+    public = max_iters == seesaw.MAX_ITERS  # the public call always runs at the default
+    monkeypatch.setattr(seesaw, "MAX_ITERS", max_iters)
     rng = np.random.default_rng(23)
     for ensemble in REFERENCE_ENSEMBLES:
         w = build_qk_direct(ensemble, theta_offset=rng.uniform(0, 2 * np.pi))
         for bip in enumerate_bipartitions(ensemble):
             monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
             values, iterations, converged, _ = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=5)
-            got = _run_restarts(*layouts_of(w, bip), 8, max_iters, 1e-10, 5)
+            got = _run_restarts(*layouts_of(w, bip), 8, 5, stop_at=np.inf)
             np.testing.assert_allclose(got[0], values, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got[1], iterations)
             np.testing.assert_array_equal(got[2], converged)
-            if max_iters == seesaw.MAX_ITERS:  # the public call always runs at the default
+            if public:
                 r = seesaw_maximize(w, bip, restarts=8, seed=5)
                 assert r.best_value == pytest.approx(values.max(), abs=1e-12)
 
@@ -472,9 +468,10 @@ def test_stacked_seesaw_matches_reference_on_a_random_operator(monkeypatch, max_
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
     monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(3, w, bip))
+    monkeypatch.setattr(seesaw, "MAX_ITERS", max_iters)
     values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=11)
     got_values, got_iterations, got_converged, best, (psi_j, psi_c) = _run_restarts(
-        *layouts_of(w, bip), 8, max_iters, 1e-10, 11
+        *layouts_of(w, bip), 8, 11, stop_at=np.inf
     )
     np.testing.assert_allclose(got_values, values, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(got_iterations, iterations)
@@ -495,7 +492,7 @@ def test_stacked_tie_break_matches_reference():
     starts_j = [balanced(4)] + [unit_ket(rng, 4) for _ in range(7)]
     starts_c = [balanced(2)] + [unit_ket(rng, 2) for _ in range(7)]
     psi_j, psi_c = np.array(starts_j), np.array(starts_c)
-    values, iterations, converged, _ = _seesaw_stack(*layouts_of(w, bip), psi_j, psi_c, 200, 1e-10)
+    values, iterations, converged, _ = _seesaw_stack(*layouts_of(w, bip), psi_j, psi_c)
     for row in range(8):
         value, want_j, want_c, steps, done = reference_restart(w.Q, bip, starts_j[row], starts_c[row], 200, 1e-10)
         assert values[row] == pytest.approx(value, abs=1e-12)
@@ -530,7 +527,7 @@ def test_seesaw_does_not_depend_on_block_size(monkeypatch):
         runs = []
         for rows in (1, 2, 5, 13):
             monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
-            runs.append((_run_restarts(*layouts_of(w, bip), 13, 200, 1e-10, 4),
+            runs.append((_run_restarts(*layouts_of(w, bip), 13, 4, stop_at=np.inf),
                          seesaw_maximize(w, bip, restarts=13, seed=4)))
         (values, iterations, converged, *_), first = runs[0]
         for (other_values, other_iterations, other_converged, *_), result in runs[1:]:
@@ -550,8 +547,8 @@ def test_fewer_restarts_repeat_the_first_ones(monkeypatch, rows):
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
     monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
-    five = _run_restarts(*layouts_of(w, bip), 5, 200, 1e-10, 11)
-    thirteen = _run_restarts(*layouts_of(w, bip), 13, 200, 1e-10, 11)
+    five = _run_restarts(*layouts_of(w, bip), 5, 11, stop_at=np.inf)
+    thirteen = _run_restarts(*layouts_of(w, bip), 13, 11, stop_at=np.inf)
     assert len(set(np.round(thirteen[0], 6))) > 2  # the restarts end at different local maxima
     np.testing.assert_allclose(five[0], thirteen[0][:5], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(five[1], thirteen[1][:5])
@@ -668,6 +665,34 @@ def test_seesaw_rejects_a_witness_that_is_not_low_rank():
     assert w.factors.residual > 1
     with pytest.raises(ValueError, match=r"residual of \d\.\d+e\+01 > 1e-09"):
         seesaw_maximize(w, Bipartition(E5, (0, 2)))
+
+
+def test_seesaw_validation():
+    # unchecked, restarts=2.5 returned a result, and seed=-5 passed until the
+    # restart path handed it to numpy
+    bip = Bipartition(E3, (0,))
+    for restarts in (0, -1, 2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="^restarts must be an integer"):
+            seesaw_maximize(W3, bip, restarts=restarts)
+    for seed in (-5, 1.5, True, None):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            seesaw_maximize(W3, bip, seed=seed)
+    r = seesaw_maximize(W3, bip, restarts=np.int64(2), seed=np.int64(3))
+    assert r.best_value == pytest.approx(SEP3, abs=1e-12)
+
+
+def test_seesaw_rejects_a_bipartition_of_another_ensemble():
+    # (1, 1/2) and (1/2, 1) share dim 6, so unchecked the call scored the
+    # witness across the wrong cut: 0.77467 where the right one gives 0.76792
+    ensemble = SpinEnsemble((1, 0.5))
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    p /= np.linalg.norm(p)
+    w = low_rank_witness(ensemble, np.eye(6) / 2 + 0.3 * np.outer(p, p.conj()))
+    with pytest.raises(ValueError, match="do not match"):
+        seesaw_maximize(w, enumerate_bipartitions(SpinEnsemble((0.5, 1)))[0])
+    r = seesaw_maximize(w, enumerate_bipartitions(ensemble)[0])
+    assert r.best_value == pytest.approx(0.7679186648566, abs=1e-12)
 
 
 @pytest.mark.parametrize("index, atol", [(0, 2e-16), (7, 2e-16), (3, 0)])  # all up, all down, neither

@@ -305,6 +305,13 @@ def test_phase_for_ghz_rejects_bad_k(K):
         phase_for_ghz(0.3, K)
 
 
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+def test_phase_for_ghz_rejects_a_non_finite_phi(phi):
+    # unchecked, every non-finite phi returned nan
+    with pytest.raises(ValueError, match="phi must be finite"):
+        phase_for_ghz(phi, 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 40))
 def test_phase_for_ghz_is_finite_and_matches_the_doubled_formula(phi, half_k):
