@@ -9,7 +9,7 @@ Wilson confidence intervals.
 """
 
 from .classical import classical_score, classical_sweep_max
-from .linalg import assert_hermitian, binomial_exact, partial_trace
+from .linalg import assert_hermitian, binomial_exact
 from .noise import (
     NoiseModel,
     apply_depolarizing,
@@ -82,7 +82,6 @@ __all__ = [
     "ghz_like",
     "ghz_mixture",
     "noisy_score",
-    "partial_trace",
     "phase_for_ghz",
     "pos_operator",
     "product_state",

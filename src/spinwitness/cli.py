@@ -12,9 +12,11 @@ Every command is deterministic given its flags (seeds included).  Rational
 quantities are printed both as "num/den" strings and as 17-significant-digit
 floats; table, noise-sweep, seesaw and general-witness take --format csv|json.
 When --out is given, a sibling <out>.manifest.json records the command,
-parameters, package version, timestamp, and output checksum.  Exit codes:
-0 pass, 1 verification failure, 2 bad command-line value (all are checked
-before any computation; an error from inside the library is a bug and raises).
+parameters, package version, timestamp, and output checksum.  simulate --p
+takes one noise level (global, or local with --model local) or one level per
+particle (local).  Exit codes: 0 pass, 1 verification failure, 2 bad
+command-line value, a blank comma-list entry included (all are checked before
+any computation; an error from inside the library is a bug and raises).
 """
 
 from __future__ import annotations
@@ -96,9 +98,14 @@ _restarts = _checked(int, lambda n: 1 <= n <= MAX_RESTARTS, f"an integer in [1, 
 _rounds = _checked(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")  # the protocol's int64 tallies
 _seed = _checked(int, lambda n: 0 <= n < 2**128, "an integer in [0, 2^128)")  # the Philox key range
 _finite = _checked(float, math.isfinite, "a finite number")
-_probability = _checked(float, lambda p: 0 <= p <= 1, "a probability in [0, 1]")
 _probability_list = _checked(lambda text: [float(p) for p in text.split(",")], lambda ps: all(0 <= p <= 1 for p in ps),
                              "a comma-separated list of probabilities in [0, 1]")
+
+
+def _odd_k(limit: int, why: str):
+    """An argparse type for K: a positive odd integer up to limit."""
+    return _checked(int, lambda k: 1 <= k <= limit and k % 2 == 1,
+                    f"a positive odd integer up to the limit of {limit} {why}")
 
 
 def _writable(path: str) -> bool:
@@ -111,9 +118,9 @@ _out_path = _checked(str, _writable, "a file path in an existing, writable direc
 
 def _parse_spins(text: str) -> SpinEnsemble:
     try:
-        spins = [float(part) for part in text.split(",") if part.strip() != ""]
+        spins = [float(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse ensemble spec {text!r}; expected e.g. '0.5,0.5,0.5'")
+        raise UsageError(f"cannot parse --spins {text!r}; expected e.g. '0.5,0.5,0.5'")
     try:
         ensemble = SpinEnsemble(spins)
     except ValueError as exc:
@@ -127,7 +134,7 @@ def _parse_grid(text: str) -> list[float]:
     """--grid as start:stop:step (stop included) or comma-separated values, each in [0, 1]."""
     ranged = ":" in text
     try:
-        values = [float(p) for p in text.split(":" if ranged else ",") if ranged or p.strip() != ""]
+        values = [float(p) for p in text.split(":" if ranged else ",")]
     except ValueError:
         raise UsageError(f"cannot parse --grid {text!r}")
     if ranged:
@@ -139,8 +146,8 @@ def _parse_grid(text: str) -> list[float]:
         if (stop + step / 2 - start) / step > MAX_GRID_POINTS:  # np.arange's length before its ceil
             raise UsageError(f"--grid {text!r} has more than the limit of {MAX_GRID_POINTS} points")
         values = [float(v) for v in np.arange(start, stop + step / 2, step)]
-    if not values or not all(0 <= p <= 1 for p in values):
-        raise UsageError("--grid needs one or more values, each in [0, 1]")
+    if not all(0 <= p <= 1 for p in values):
+        raise UsageError("--grid needs each value in [0, 1]")
     return values
 
 
@@ -148,12 +155,9 @@ def _parse_subensembles(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     groups = []
     for chunk in text.split("|"):
         try:
-            members = tuple(sorted(int(p) - 1 for p in chunk.split(",") if p.strip() != ""))
+            groups.append(tuple(sorted(int(p) - 1 for p in chunk.split(","))))
         except ValueError:
             raise UsageError(f"cannot parse --subensembles {text!r}; expected e.g. '1|2,3' (1-based)")
-        if not members:
-            raise UsageError(f"--subensembles {text!r} has an empty group")
-        groups.append(members)
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(n)):
         raise UsageError(f"--subensembles {text!r} do not partition particles 1..{n}")
@@ -165,7 +169,7 @@ def _cell(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         return _fmt(value)
-    return "" if value is None else str(value)
+    return str(value)
 
 
 def _emit(args, obj=None, header=None, *, text=None) -> None:
@@ -204,20 +208,15 @@ _BOUNDS = ("P_max", "P_sep", "P_classical", "gap")
 
 
 def cmd_table(args) -> int:
-    if max(args.K) > MAX_TABLE_K:
-        raise UsageError(f"--K {max(args.K)} is above the limit of {MAX_TABLE_K} for exact printing")
     rows = []
     for k in args.K:
-        if k < 1 or k % 2 == 0:
-            rows.append({"K": k, "error": f"K={k} is not a positive odd integer"})
-            continue
         rep, row = witness_report(k), {"K": k}
         for name in _BOUNDS:
             row[name], row[f"{name}_float"] = _frac(getattr(rep, name)), float(getattr(rep, name))
         rows.append(row)
-    header = ["K", *(f"{name}{suffix}" for name in _BOUNDS for suffix in ("", "_float")), "error"]
+    header = ["K", *(f"{name}{suffix}" for name in _BOUNDS for suffix in ("", "_float"))]
     _emit(args, {"schema": SCHEMA_VERSION, "command": "table", "rows": rows}, header)
-    return 0 if any("error" not in row for row in rows) else 1
+    return 0
 
 
 def _uniform_model(kind: str, p: float, n: int) -> NoiseModel:
@@ -327,26 +326,22 @@ def cmd_simulate(args) -> int:
     if args.spins is not None:
         ensemble = _parse_spins(args.spins)
     else:
-        if args.K < 1 or args.K % 2 == 0:
-            raise UsageError(f"--K must be a positive odd integer, got {args.K}")
-        if args.K > math.log2(MAX_DIM):
-            raise UsageError(f"--K {args.K} needs dimension 2^{args.K}, above the dense limit of {MAX_DIM}")
         ensemble = SpinEnsemble((0.5,) * args.K)
-    if args.model is not None and args.p is None and args.p_list is None:
-        raise UsageError(f"--model {args.model} needs a noise level: give --p (or --p-list for local noise)")
-    if args.p_list is not None and args.model == "global":
-        raise UsageError("--p-list sets per-particle (local) noise and cannot go with --model global")
-    subensembles = _parse_subensembles(args.subensembles, ensemble.N) if args.subensembles else None
-    if args.p_list is not None and len(args.p_list) != ensemble.N:
-        raise UsageError(f"--p-list needs {ensemble.N} entries")
+    if args.model is not None and args.p is None:
+        raise UsageError(f"--model {args.model} needs a noise level: give --p")
+    subensembles = None if args.subensembles is None else _parse_subensembles(args.subensembles, ensemble.N)
+    if args.p is not None and len(args.p) not in (1, ensemble.N):
+        raise UsageError(f"--p takes 1 value or {ensemble.N} (one per particle), got {len(args.p)}")
+    if args.p is not None and len(args.p) > 1 and args.model == "global":
+        raise UsageError("--p with one value per particle sets local noise and cannot go with --model global")
     K = ensemble.K
     phi = args.phi if args.phi is not None else _detected_phi(K)
     theta = phase_for_ghz(phi, K)
     state = ghz_mixture(ensemble) if args.state == "mixture" else ghz_like(ensemble, phi=phi)
-    if args.p_list is not None:
-        state = apply_depolarizing(state, NoiseModel(p_locals=tuple(args.p_list)))
-    elif args.p is not None:
-        state = apply_depolarizing(state, _uniform_model(args.model or "global", args.p, ensemble.N))
+    if args.p is not None:
+        model = (_uniform_model(args.model or "global", args.p[0], ensemble.N) if len(args.p) == 1
+                 else NoiseModel(p_locals=tuple(args.p)))
+        state = apply_depolarizing(state, model)
     config = ProtocolConfig(state=state, rounds=args.rounds, seed=args.seed, theta_offset=theta)
     estimate = run_protocol(config)  # a subensemble split draws the same counts (see `protocol`)
     rep = witness_report(K)
@@ -438,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
 
     p = sub.add_parser("table", help="exact bound table per K")
-    p.add_argument("--K", type=int, nargs="+", required=True)
+    p.add_argument("--K", type=_odd_k(MAX_TABLE_K, "for exact printing"), nargs="+", required=True)
     output(p, fmt_default="csv")
     p.set_defaults(func=cmd_table)
 
@@ -459,16 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo protocol run")
     ensemble = p.add_mutually_exclusive_group(required=True)
     ensemble.add_argument("--spins")
-    ensemble.add_argument("--K", type=int)
+    ensemble.add_argument("--K", type=_odd_k(int(math.log2(MAX_DIM)), f"(dimension 2^K, dense limit of {MAX_DIM})"))
     p.add_argument("--phi", type=_finite, default=None)
     p.add_argument("--state", choices=["ghz", "mixture"], default="ghz")
     p.add_argument("--rounds", type=_rounds, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subensembles")
-    p.add_argument("--model", choices=["global", "local"], help="noise model for --p (default global)")
-    noise = p.add_mutually_exclusive_group()
-    noise.add_argument("--p", type=_probability)
-    noise.add_argument("--p-list", dest="p_list", type=_probability_list, help="per-particle local noise")
+    p.add_argument("--model", choices=["global", "local"], help="noise model for one --p value (default global)")
+    p.add_argument("--p", type=_probability_list, help="one noise level, or one per particle (local noise)")
     output(p)
     p.set_defaults(func=cmd_simulate)
 

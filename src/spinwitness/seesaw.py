@@ -16,7 +16,7 @@ states — restart 0 starts there and lands on the bound in two iterations.
 The iteration never forms a conditioned operator.  It reads the witness
 through its factors Q - 1/2 = sum_s w_s |P_s><P_s| (`WitnessOperator.factors`,
 rank 2 for the sign witness) and refuses a witness those factors miss by a
-Frobenius residual above RESIDUAL_TOL.  Laid out per bipartition as matrices
+Frobenius residual above FACTOR_TOL.  Laid out per bipartition as matrices
 A_s[a, c] = <a c|P_s>, they give the operator conditioned on a ket c as
 1/2 + sum_s w_s u_s u_s^dag with u_s = A_s c^*, whose top eigenvectors lie in
 span{previous ket, u_1 .. u_r}.  So a half-step is one GEMM for the u_s, one
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .witness import WitnessOperator
+from .witness import FACTOR_TOL, WitnessOperator
 from .spin import SpinEnsemble, _is_integer
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
 DEGENERACY_TOL = 1e-9
 MAX_ITERS = 200  # most iterations one restart runs
 TOL = 1e-10  # a restart converges once an iteration gains less than this
-RESIDUAL_TOL = 1e-9  # largest Frobenius residual of the witness factors the see-saw accepts
 _STACK_ENTRIES = 2**15  # entries of one (rows, max(d_J, d_C), r + 1) basis stack: 512 KiB of complex
 
 
@@ -274,7 +273,7 @@ def seesaw_maximize(
     bound on the true bipartition maximum.  A bipartition of another
     ensemble, a restart count that is not an integer >= 1, a seed that is not
     an integer >= 0, and a witness whose factors leave a Frobenius residual
-    above RESIDUAL_TOL are ValueErrors.
+    above FACTOR_TOL are ValueErrors.
     """
     if bipartition.ensemble != witness.ensemble:
         raise ValueError(f"bipartition spins {bipartition.ensemble.spins} do not match "
@@ -284,9 +283,9 @@ def seesaw_maximize(
     if not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     factors = witness.factors
-    if factors.residual > RESIDUAL_TOL:
+    if factors.residual > FACTOR_TOL:
         raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "
-                         f"of {factors.residual:.3e} > {RESIDUAL_TOL:.0e}")
+                         f"of {factors.residual:.3e} > {FACTOR_TOL:.0e}")
     layouts = _side_layouts(factors.vectors, bipartition)
     schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
     factor_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt)

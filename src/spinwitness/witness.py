@@ -48,8 +48,10 @@ __all__ = [
 # eigensolver jitter (~1e-14 at desk dimensions), far below any genuine spacing.
 ZERO_EIGENVALUE_TOL = 1e-9
 
-# Eigenvalues of the projected Q - 1/2 at or below this size are dropped from its factors.
-FACTOR_TOL = 1e-8
+# Eigenvalues of the projected Q - 1/2 at or below this size are dropped from its factors, and the
+# see-saw refuses a witness whose factors leave a Frobenius residual above it: one size for both,
+# so that no factor the first drops is counted by the second as a residual too large.
+FACTOR_TOL = 1e-9
 
 
 def pos_operator(op: np.ndarray) -> np.ndarray:
@@ -74,12 +76,20 @@ class WitnessFactors(NamedTuple):
 
 @dataclass(frozen=True)
 class WitnessOperator:
+    """Q on the ensemble's space: a finite, Hermitian (dim, dim) matrix, as `QuantumState` requires of rho."""
+
     ensemble: SpinEnsemble
     Q: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        q = assert_hermitian(self.Q)
+        if q.shape != (self.dim, self.dim):
+            raise ValueError(f"witness shape {q.shape} does not match ensemble dim {self.dim}")
+        object.__setattr__(self, "Q", q)
+
     @property
     def dim(self) -> int:
-        return self.Q.shape[0]
+        return self.ensemble.dim
 
     @cached_property
     def factors(self) -> WitnessFactors:

@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linalg_reference import partial_trace_reference
 from spinwitness.classical import classical_sweep_max
-from spinwitness.linalg import partial_trace
 from spinwitness.noise import (
     NoiseModel,
     apply_depolarizing,
@@ -132,7 +132,7 @@ def test_criterion_05_reduced_states_indistinguishable():
             rho_ghz = ghz_like(e, phi).density()
             for keep in proper_subsets(n):
                 dev = np.abs(
-                    partial_trace(rho_ghz, dims, keep) - partial_trace(rho_mix, dims, keep)
+                    partial_trace_reference(rho_ghz, dims, keep) - partial_trace_reference(rho_mix, dims, keep)
                 ).max()
                 assert dev < 1e-12, f"N={n}, subset {keep}: deviation {dev:.2e}"
 

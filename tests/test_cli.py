@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spinwitness import cli
 from spinwitness.noise import noisy_score
@@ -14,9 +16,9 @@ from spinwitness.cli import (
 )
 
 GOLDEN_TABLE_CSV = """\
-K,P_max,P_max_float,P_sep,P_sep_float,P_classical,P_classical_float,gap,gap_float,error
-3,3/4,0.75,5/8,0.625,2/3,0.66666666666666663,1/8,0.125,
-5,11/16,0.6875,19/32,0.59375,3/5,0.59999999999999998,3/32,0.09375,
+K,P_max,P_max_float,P_sep,P_sep_float,P_classical,P_classical_float,gap,gap_float
+3,3/4,0.75,5/8,0.625,2/3,0.66666666666666663,1/8,0.125
+5,11/16,0.6875,19/32,0.59375,3/5,0.59999999999999998,3/32,0.09375
 """
 
 # noise-sweep --spins 0.5,1,1.5,1.5 --grid 0:1:0.25 per --model: the closed form and
@@ -42,7 +44,11 @@ p,closed_form_score,brute_force_score,detected
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    """Exit code, stdout and stderr of one command, whether argparse or the command rejected it."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
     out = capsys.readouterr()
     return rc, out.out, out.err
 
@@ -68,15 +74,12 @@ def test_table_json_schema(capsys):
 
 
 def test_table_even_k_rows(capsys):
-    rc, out, _ = run(capsys, "table", "--K", "4")
-    assert rc == 1  # every row failed
-    assert "not a positive odd integer" in out
-    rc, out, _ = run(capsys, "table", "--K", "3", "4")
-    assert rc == 0  # one good row is enough
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("3,")
-    assert "not a positive odd integer" in lines[2]
+    # a K that is not a positive odd integer up to the limit is a usage error, even beside good ones
+    for argv in (["4"], ["0"], ["-3"], [str(MAX_TABLE_K + 2)], ["3", "4"]):
+        rc, out, err = run(capsys, "table", "--K", *argv)
+        assert rc == 2
+        assert out == ""
+        assert f"argument --K: '{argv[-1]}' is not a positive odd integer up to the limit of {MAX_TABLE_K}" in err
 
 
 def test_table_prints_up_to_its_k_limit(capsys):
@@ -299,19 +302,17 @@ def test_simulate_reaches_a_trillion_rounds(capsys):
 
 def test_simulate_usage_errors(capsys):
     assert run(capsys, "simulate", "--K", "4")[0] == 2
-    with pytest.raises(SystemExit) as exc:  # neither --spins nor --K: argparse's own usage error
-        main(["simulate"])
-    assert exc.value.code == 2
+    assert run(capsys, "simulate")[0] == 2  # neither --spins nor --K
     assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--subensembles", "1|2")[0] == 2
-    assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--p-list", "0.1,0.2")[0] == 2
+    assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--p", "0.1,0.2")[0] == 2
 
 
 def test_simulate_rejects_k_above_dense_limit(capsys):
-    for k in ("21", "65"):
+    for k in ("13", "21", "65"):
         rc, out, err = run(capsys, "simulate", "--K", k, "--rounds", "10")
         assert rc == 2
         assert out == ""
-        assert f"limit of {MAX_DIM}" in err
+        assert f"argument --K: '{k}'" in err and f"dense limit of {MAX_DIM}" in err
 
 
 def test_spins_above_dense_limit_are_usage_errors(capsys):
@@ -406,6 +407,12 @@ def test_out_writes_file_and_manifest(tmp_path, capsys):
     assert manifest["sha256"] == digest
 
 
+def test_out_manifest_records_p_as_a_list(tmp_path, capsys):
+    out_path = tmp_path / "sim.json"
+    run(capsys, "simulate", "--K", "3", "--rounds", "500", "--p", "0.2", "--out", str(out_path))
+    assert json.loads((tmp_path / "sim.json.manifest.json").read_text())["params"]["p"] == [0.2]
+
+
 def test_out_manifest_records_seed(tmp_path, capsys):
     out_path = tmp_path / "sim.json"
     run(capsys, "simulate", "--K", "3", "--rounds", "5000", "--seed", "3", "--out", str(out_path))
@@ -418,7 +425,7 @@ def test_out_manifest_records_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("table", "--K", "3", "4", "19"),
+    ("table", "--K", "3", "19"),
     ("noise-sweep", "--spins", "0.5,1,1", "--model", "local", "--grid", "0,0.3,1"),
     ("seesaw", "--spins", "0.5,1,1", "--restarts", "3"),
     ("general-witness", "--spins", "0.5,1,1", "--f-odd", "cubic", "--f0", "0.25"),
@@ -434,10 +441,8 @@ def test_csv_cells_equal_json_values(capsys, argv):
     for line, row in zip(lines, rows):
         assert len(line) == len(header)
         for name, cell in zip(header, line):
-            value = row.get(name)
-            if value is None:
-                assert cell == ""
-            elif isinstance(value, bool):
+            value = row[name]
+            if isinstance(value, bool):
                 assert cell == str(value).lower()
             elif isinstance(value, float):
                 assert float(cell) == value
@@ -472,6 +477,10 @@ def test_csv_cells_equal_json_values(capsys, argv):
     (("simulate", "--spins", "0.5,0.5,0.5", "--K", "5"), "--K"),
     (("simulate", "--K", "3", "--p", "0.1", "--p-list", "0.1,0.1,0.1"), "--p-list"),
     (("table", "--K", "3", "--out", "."), "--out"),
+    (("simulate", "--spins", "0.5,1,1", "--p", "0.1,x,0"), "--p"),
+    (("simulate", "--spins", "0.5,1,1", "--p", "0.1,1.2,0"), "--p"),
+    (("simulate", "--K", "4"), "--K"),
+    (("simulate", "--K", "13"), "--K"),
 ])
 def test_argparse_rejects_bad_values(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -490,11 +499,14 @@ def test_argparse_rejects_bad_values(capsys, argv, flag):
     (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0:inf:0.1"), "--grid"),
     (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "nan:1:0.1"), "--grid"),
     (("verify", "--spins", "inf"), "half-integer"),
-    (("simulate", "--K", "0"), "--K must be a positive odd integer"),
+    (("simulate", "--K", "0"), "argument --K"),
     (("table", "--K", "3", str(MAX_TABLE_K + 2)), f"limit of {MAX_TABLE_K}"),
-    (("simulate", "--K", "3", "--model", "global", "--p-list", "0.1,0.1,0.1"), "--p-list"),
+    (("simulate", "--K", "3", "--model", "global", "--p", "0.1,0.1,0.1"), "cannot go with --model global"),
     (("simulate", "--K", "3", "--model", "local"), "--model"),
     (("simulate", "--spins", "0.5,1,1", "--model", "global"), "--model"),
+    (("simulate", "--spins", "0.5,1,1", "--p", "0.1,0.2"), "--p takes 1 value or 3"),
+    (("simulate", "--spins", "0.5,1,1", "--model", "local", "--p", "0.1,0.2,0.3,0.4"), "--p takes 1 value or 3"),
+    (("simulate", "--K", "3", "--subensembles", ""), "--subensembles"),  # ran unsplit
 ])
 def test_usage_errors_name_the_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -509,7 +521,8 @@ def test_simulate_checks_its_flags_before_building_the_state(capsys, monkeypatch
 
     monkeypatch.setattr("spinwitness.cli.ghz_like", no_state)
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--subensembles", "1|2")[0] == 2
-    assert run(capsys, "simulate", "--spins", "0.5,1,1", "--p-list", "0.1,0.2")[0] == 2
+    assert run(capsys, "simulate", "--spins", "0.5,1,1", "--p", "0.1,0.2")[0] == 2
+    assert run(capsys, "simulate", "--spins", "0.5,1,1", "--model", "global", "--p", "0.1,0.2,0.3")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--model", "local")[0] == 2
 
 
@@ -526,13 +539,64 @@ def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypat
     assert not (tmp_path / "missing").exists()
 
 
-def test_p_list_is_local_noise(capsys):
-    base = ("simulate", "--spins", "0.5,0.5,0.5", "--rounds", "20000", "--seed", "4")
-    rc, listed, _ = run(capsys, *base, "--p-list", "0.2,0.2,0.2")
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_p_list_is_local_noise(capsys, p, seed):
+    # one --p value per particle is the local channel, as one value with --model local is
+    base = ("simulate", "--spins", "0.5,1,1", "--rounds", "2000", "--seed", str(seed))
+    rc, listed, _ = run(capsys, *base, "--p", ",".join([repr(p)] * 3))
     assert rc == 0
-    assert listed == run(capsys, *base, "--model", "local", "--p", "0.2")[1]
-    assert listed == run(capsys, *base, "--model", "local", "--p-list", "0.2,0.2,0.2")[1]
-    assert listed != run(capsys, *base, "--p", "0.2")[1]  # global noise at the same p scores differently
+    assert listed == run(capsys, *base, "--model", "local", "--p", repr(p))[1]
+
+
+def test_global_and_local_noise_at_one_p_differ(capsys):
+    base = ("simulate", "--spins", "0.5,0.5,0.5", "--rounds", "20000", "--seed", "4")
+    assert run(capsys, *base, "--p", "0.2,0.2,0.2")[1] != run(capsys, *base, "--p", "0.2")[1]
+
+
+def _comma_list_with_a_blank(values, position):
+    """values joined by commas, with one blank entry inserted at position (clipped to the list)."""
+    entries = [str(v) for v in values]
+    entries.insert(min(position, len(entries)), "")
+    return ",".join(entries)
+
+
+@st.composite
+def _blank_entry_argv(draw):
+    """A valid command with one blank entry inserted in one of its list flags; returns (argv, flag)."""
+    flag = draw(st.sampled_from(["--spins", "--grid", "--subensembles", "--p"]))
+    position = draw(st.integers(0, 4))
+    if flag == "--spins":
+        spins = draw(st.lists(st.sampled_from([0.5, 1, 1.5]), min_size=1, max_size=3)
+                     .filter(lambda s: int(2 * sum(s)) % 2 == 1))
+        return ["verify", "--spins", _comma_list_with_a_blank(spins, position)], flag
+    if flag == "--grid":
+        grid = draw(st.lists(st.sampled_from([0, 0.1, 0.25, 1]), min_size=1, max_size=4))
+        return ["noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", _comma_list_with_a_blank(grid, position)], flag
+    if flag == "--p":
+        levels = draw(st.sampled_from([1, 3]))
+        ps = draw(st.lists(st.sampled_from([0, 0.2, 1]), min_size=levels, max_size=levels))
+        return ["simulate", "--K", "3", "--p", _comma_list_with_a_blank(ps, position)], flag
+    members = draw(st.permutations([1, 2, 3]))
+    cut = draw(st.integers(1, 3))
+    groups = [list(members[:cut]), list(members[cut:])] if cut < 3 else [list(members)]
+    g = draw(st.integers(0, len(groups)))
+    if g == len(groups):  # a blank group
+        groups.insert(draw(st.integers(0, len(groups))), [])
+    else:
+        groups[g].insert(min(position, len(groups[g])), "")
+    text = "|".join(",".join(str(i) for i in group) for group in groups)
+    return ["simulate", "--K", "3", "--subensembles", text], flag
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_blank_entry_argv())
+def test_a_blank_list_entry_is_a_usage_error(capsys, case):
+    argv, flag = case
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert flag in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["verify", "seesaw"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinwitness.linalg import partial_trace
+from linalg_reference import partial_trace_reference
 from spinwitness.noise import (
     NoiseModel,
     _depolarize_slot,
@@ -30,7 +30,7 @@ def depolarize_reference(rho, dims, slot, p):
     """p * (identity/d at slot) (x) (reduced rho) + (1-p) rho, built by explicit kron."""
     n = len(dims)
     keep = [i for i in range(n) if i != slot]
-    reduced = partial_trace(rho, dims, keep)
+    reduced = partial_trace_reference(rho, dims, keep)
     d_left = int(np.prod(dims[:slot]))
     d_slot = dims[slot]
     # reinsert the slot: permute the reduced state's factors around an identity

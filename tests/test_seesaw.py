@@ -16,7 +16,7 @@ from spinwitness.seesaw import (
 from spinwitness.seesaw import _half_step, _run_restarts, _seesaw_stack, _side_layouts
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState
-from spinwitness.witness import WitnessOperator, build_qk_direct, score, witness_report
+from spinwitness.witness import FACTOR_TOL, WitnessOperator, build_qk_direct, score, witness_report
 
 E3 = SpinEnsemble((0.5, 0.5, 0.5))
 E_MIXED = SpinEnsemble((1, 0.5))
@@ -323,7 +323,7 @@ def test_seesaw_value_is_scored_against_q_itself():
     # the reported value of the winning product ket does not
     noise = random_hermitian(43, 8)
     w = dataclasses.replace(W3, Q=W3.Q + 4e-10 * noise / np.linalg.norm(noise))
-    assert 1e-10 < w.factors.residual < seesaw.RESIDUAL_TOL
+    assert 1e-10 < w.factors.residual < FACTOR_TOL
     r = seesaw_maximize(w, Bipartition(E3, (0, 2)), restarts=4, seed=0)
     psi_j, psi_c = r.best_kets
     full = QuantumState(E3, ket=np.einsum("ac,b->abc", psi_j.reshape(2, 2), psi_c).reshape(-1))
@@ -667,6 +667,18 @@ def test_seesaw_rejects_a_witness_that_is_not_low_rank():
         seesaw_maximize(w, Bipartition(E5, (0, 2)))
 
 
+def test_a_factor_above_the_tolerance_is_kept_not_counted_as_residual():
+    # Q - 1/2 of exact rank 2 with one factor of 5e-9: a drop tolerance above the residual
+    # gate dropped that factor, then refused the witness for the residual it left
+    rng = np.random.default_rng(5)
+    p, q = np.linalg.qr(rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2)))[0].T
+    w = low_rank_witness(E5, np.eye(32) / 2 + 0.3 * np.outer(p, p.conj()) + 5e-9 * np.outer(q, q.conj()))
+    np.testing.assert_allclose(np.sort(w.factors.values), [5e-9, 0.3], rtol=1e-6)
+    assert w.factors.residual < 1e-12
+    r = seesaw_maximize(w, Bipartition(E5, (0, 2)), restarts=4, seed=0)
+    assert 0.5 <= r.best_value <= r.upper_bound
+
+
 def test_seesaw_validation():
     # unchecked, restarts=2.5 returned a result, and seed=-5 passed until the
     # restart path handed it to numpy
@@ -789,7 +801,7 @@ def test_upper_bound_covers_what_the_factors_miss():
     q = np.eye(8, dtype=complex) / 2 + np.outer(ghz, ghz) / 4
     q[0, 0] += 5e-10
     w = low_rank_witness(E3, q)
-    assert 1e-10 < w.factors.residual < seesaw.RESIDUAL_TOL
+    assert 1e-10 < w.factors.residual < FACTOR_TOL
     r = seesaw_maximize(w, bip, restarts=4, seed=0)
     value = np.real(q[0, 0])  # the product state |0> (x) |00>
     assert value <= r.upper_bound

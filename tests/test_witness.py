@@ -20,6 +20,7 @@ from spinwitness.spin import (
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture, product_state
 from spinwitness.witness import (
     ZERO_EIGENVALUE_TOL,
+    WitnessOperator,
     build_qk_closed_form,
     build_qk_direct,
     generalized_witness,
@@ -288,6 +289,16 @@ def test_score_rejects_dim_mismatch():
     # equal dims, different ensembles: compared by dim alone this scored 0.25
     with pytest.raises(ValueError, match="do not match"):
         score(ghz_like(SpinEnsemble((0.5, 1))), build_qk_direct(E_MIXED))
+
+
+@pytest.mark.parametrize("q, message", [
+    (np.eye(4) / 2, "shape"),  # a (4, 4) Q on a dimension-8 ensemble failed inside score's matmul
+    (np.triu(np.ones((8, 8))), "not Hermitian"),  # scored 1.4999999999999996
+    (np.full((8, 8), np.nan), "non-finite"),  # scored nan
+])
+def test_witness_operator_checks_its_q(q, message):
+    with pytest.raises(ValueError, match=message):
+        WitnessOperator(E3, q)
 
 
 # --- phase matching ---
