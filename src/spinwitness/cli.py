@@ -15,8 +15,9 @@ When --out is given, a sibling <out>.manifest.json records the command,
 parameters, package version, timestamp, and output checksum.  simulate --p
 takes one noise level (global, or local with --model local) or one level per
 particle (local).  Exit codes: 0 pass, 1 verification failure, 2 bad
-command-line value, a blank comma-list entry included (all are checked before
-any computation; an error from inside the library is a bug and raises).
+command-line value, a blank comma-list entry or a repeated flag included (all
+are checked before any computation; an error from inside the library is a bug
+and raises).
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .noise import NoiseModel, apply_depolarizing, noisy_score
-from .protocol import ProtocolConfig, run_protocol
+from .noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
+from .protocol import ProtocolConfig, outcome_table, run_protocol
 from .seesaw import enumerate_bipartitions, seesaw_maximize
-from .spin import SpinEnsemble, direction_phases
+from .spin import SpinEnsemble, direction_phases, jz_diagonal
 from .states import ghz_like, ghz_mixture
 from .witness import (
     build_qk_closed_form,
@@ -100,6 +101,26 @@ _seed = _checked(int, lambda n: 0 <= n < 2**128, "an integer in [0, 2^128)")  # 
 _finite = _checked(float, math.isfinite, "a finite number")
 _probability_list = _checked(lambda text: [float(p) for p in text.split(",")], lambda ps: all(0 <= p <= 1 for p in ps),
                              "a comma-separated list of probabilities in [0, 1]")
+
+
+# The namespace attribute where `_Once` notes the flags a parse has seen; `main` drops it.
+_SEEN = "_flags_seen"
+
+
+class _Once(argparse.Action):
+    """argparse's default store action, except that a repeated flag exits 2 naming the flag.
+
+    Plain store keeps only the last value of a repeated flag, so `table --K 3 --K 5` printed
+    one row.  The seen flags live on the parse's namespace, not on the action, so a parser
+    can parse more than once.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        seen = vars(namespace).setdefault(_SEEN, set())
+        if self.dest in seen:
+            raise argparse.ArgumentError(self, "given more than once")
+        seen.add(self.dest)
+        setattr(namespace, self.dest, values)
 
 
 def _odd_k(limit: int, why: str):
@@ -229,14 +250,6 @@ def _detected_phi(K: int) -> float:
     return np.pi * (K - 1) / 2
 
 
-def _noisy_ghz_scores(ensemble: SpinEnsemble, kind: str, grid, witness):
-    """Yield (p, noisy_score, witness score of the channel output) for the detected GHZ-like state, per p."""
-    state = ghz_like(ensemble, phi=_detected_phi(ensemble.K))
-    for p in grid:
-        model = _uniform_model(kind, p, ensemble.N)
-        yield p, noisy_score(ensemble, model), score(apply_depolarizing(state, model), witness)
-
-
 def _deviation(x: float) -> str:
     """A check's deviation for the verify report; rounding noise prints as one stable token."""
     return "<1e-12" if x < 1e-12 else f"{x:.2e}"
@@ -260,6 +273,15 @@ def _seesaw_sweep(witness, p_sep: float, restarts: int, seed: int):
 
 
 def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tuple[str, bool, str]]:
+    """verify's five (name, passed, detail) lines, each comparing independent routes to one number.
+
+    cross-construction: the direct Q against the closed form.  spectrum: the
+    direct witness's factors against +-(P_max - 1/2).  symmetry: exact maps on
+    the direct Q.  seesaw: every bipartition's see-saw value and Schmidt bound
+    against P_sep.  noise-closed-form: `noisy_score` against the detected GHZ
+    ket's outcome table under each model's stochastic map, at five p per
+    model.  No line builds or validates a density matrix.
+    """
     checks = []
     rep = witness_report(ensemble.K)
 
@@ -291,8 +313,17 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     else:
         checks.append(("seesaw", True, "single particle: no bipartitions to check"))
 
-    worst = max(abs(closed - channel) for kind in ("global", "local")
-                for _, closed, channel in _noisy_ghz_scores(ensemble, kind, (0.0, 0.1, 0.25, 0.5, 0.9), direct))
+    # The witness reads a state only through the Jx outcome probabilities along its K directions, and
+    # depolarizing commutes with the local rotations and measurements, so each noisy score is the
+    # detected GHZ ket's outcome table under the model's stochastic map: no density matrix is built.
+    table = outcome_table(ghz_like(ensemble, phi=_detected_phi(ensemble.K)))
+    positive = jz_diagonal(ensemble) > 0
+    worst = 0.0
+    for kind in ("global", "local"):
+        for p in (0.0, 0.1, 0.25, 0.5, 0.9):
+            model = _uniform_model(kind, p, ensemble.N)
+            table_score = float(np.mean(depolarize_table(table, model).reshape(ensemble.K, -1) @ positive))
+            worst = max(worst, abs(noisy_score(ensemble, model) - table_score))
     checks.append(("noise-closed-form", worst < 1e-10, f"max closed-form vs channel deviation {_deviation(worst)}"))
     return checks
 
@@ -313,9 +344,14 @@ def cmd_noise_sweep(args) -> int:
     ensemble = _parse_spins(args.spins)
     grid = _parse_grid(args.grid)
     rep = witness_report(ensemble.K)
-    rows = [{"p": p, "closed_form_score": closed, "brute_force_score": brute,
-             "detected": bool(closed > rep.P_sep_float)}
-            for p, closed, brute in _noisy_ghz_scores(ensemble, args.model, grid, build_qk_direct(ensemble))]
+    witness, state = build_qk_direct(ensemble), ghz_like(ensemble, phi=_detected_phi(ensemble.K))
+    rows = []
+    for p in grid:  # the dense channel, scored against the direct witness: the brute-force reference
+        model = _uniform_model(args.model, p, ensemble.N)
+        closed = noisy_score(ensemble, model)
+        rows.append({"p": p, "closed_form_score": closed,
+                     "brute_force_score": score(apply_depolarizing(state, model), witness),
+                     "detected": bool(closed > rep.P_sep_float)})
     _emit(args, {"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
                  "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
           ["p", "closed_form_score", "brute_force_score", "detected"])
@@ -427,31 +463,34 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
+        p.register("action", None, _Once)  # the default action of every flag below
+        p.set_defaults(func=func)
+        return p
+
     def output(p, fmt_default=None):
         p.add_argument("--out", type=_out_path, help="write output here (plus a sibling .manifest.json)")
         if fmt_default:
             p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
 
-    p = sub.add_parser("table", help="exact bound table per K")
+    p = command("table", "exact bound table per K", cmd_table)
     p.add_argument("--K", type=_odd_k(MAX_TABLE_K, "for exact printing"), nargs="+", required=True)
     output(p, fmt_default="csv")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="self-verification suite for one ensemble")
+    p = command("verify", "self-verification suite for one ensemble", cmd_verify)
     p.add_argument("--spins", required=True)
     p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("noise-sweep", help="noisy scores across a grid")
+    p = command("noise-sweep", "noisy scores across a grid", cmd_noise_sweep)
     p.add_argument("--spins", required=True)
     p.add_argument("--model", choices=["global", "local"], default="global")
     p.add_argument("--grid", default="0:1:0.05")
     output(p, fmt_default="csv")
-    p.set_defaults(func=cmd_noise_sweep)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo protocol run")
+    p = command("simulate", "Monte-Carlo protocol run", cmd_simulate)
     ensemble = p.add_mutually_exclusive_group(required=True)
     ensemble.add_argument("--spins")
     ensemble.add_argument("--K", type=_odd_k(int(math.log2(MAX_DIM)), f"(dimension 2^K, dense limit of {MAX_DIM})"))
@@ -463,26 +502,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["global", "local"], help="noise model for one --p value (default global)")
     p.add_argument("--p", type=_probability_list, help="one noise level, or one per particle (local noise)")
     output(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("seesaw", help="bipartition product-state maximization")
+    p = command("seesaw", "bipartition product-state maximization", cmd_seesaw)
     p.add_argument("--spins", required=True)
     p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p, fmt_default="json")
-    p.set_defaults(func=cmd_seesaw)
 
-    p = sub.add_parser("general-witness", help="odd-function witness bound")
+    p = command("general-witness", "odd-function witness bound", cmd_general_witness)
     p.add_argument("--spins", required=True)
     p.add_argument("--f0", type=_finite, default=0.5)
     p.add_argument("--f-odd", dest="f_odd", choices=sorted(_F_ODD_CHOICES), default="half-sign")
     output(p, fmt_default="json")
-    p.set_defaults(func=cmd_general_witness)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    vars(args).pop(_SEEN, None)
     try:
         return args.func(args)
     except UsageError as exc:

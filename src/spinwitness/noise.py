@@ -9,6 +9,16 @@ of featureless states.  Acting on the optimal GHZ-like input, the score that
 
 so detection (score > P_sep) survives exactly while p < 1/2, respectively
 while prod(1 - p_n) > 1/2.
+
+The channel has two forms.  `apply_depolarizing` returns the noisy density
+matrix, O(dim^2) per slot; `noise-sweep` scores it as the brute-force
+reference and a noisy `simulate` samples it.  The witness only reads the
+outcome probabilities of local Jx measurements after local z-rotations (the
+table of `protocol.outcome_table`), and depolarizing commutes with local
+unitaries, so on that table the channel is the stochastic map
+`depolarize_table`: (1 - p_n) t + p_n mean_n(t) along each slot's axis, or
+(1 - p) t + p / dim globally.  `verify` scores its noise grid that way, with
+no density matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .witness import witness_report
 __all__ = [
     "NoiseModel",
     "apply_depolarizing",
+    "depolarize_table",
     "noisy_score",
     "detection_thresholds",
 ]
@@ -59,9 +70,9 @@ class NoiseModel:
         return "global" if self.p_global is not None else "local"
 
 
-def _check_fits(model: NoiseModel, ensemble: SpinEnsemble) -> None:
-    if model.kind == "local" and len(model.p_locals) != ensemble.N:
-        raise ValueError(f"local model has {len(model.p_locals)} entries for {ensemble.N} particles")
+def _check_fits(model: NoiseModel, n: int) -> None:
+    if model.kind == "local" and len(model.p_locals) != n:
+        raise ValueError(f"local model has {len(model.p_locals)} entries for {n} particles")
 
 
 def _depolarize_slot(rho: np.ndarray, dims: tuple[int, ...], slot: int, p: float) -> np.ndarray:
@@ -84,7 +95,7 @@ def _depolarize_slot(rho: np.ndarray, dims: tuple[int, ...], slot: int, p: float
 def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
     """Return the noisy state as a density matrix (channels commute per slot)."""
     ensemble = state.ensemble
-    _check_fits(model, ensemble)
+    _check_fits(model, ensemble.N)
     out = state.density()
     if model.kind == "global":
         out = (1 - model.p_global) * out
@@ -96,13 +107,29 @@ def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
     return QuantumState(ensemble, rho=out)
 
 
+def depolarize_table(table: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """The model's channel on a (K, *local_dims) outcome table of `protocol.outcome_table`.
+
+    Replacing slot n by 1/d_n with probability p_n replaces its outcome by a
+    uniform one, so the table becomes (1 - p_n) t + p_n mean_n(t) along the
+    slot's axis; globally it becomes (1 - p) t + p / dim.
+    """
+    dims = table.shape[1:]
+    _check_fits(model, len(dims))
+    if model.kind == "global":
+        return (1 - model.p_global) * table + model.p_global / math.prod(dims)
+    for axis, p in enumerate(model.p_locals, start=1):
+        table = (1 - p) * table + p * table.mean(axis=axis, keepdims=True)
+    return table
+
+
 def noisy_score(ensemble: SpinEnsemble, model: NoiseModel) -> float:
     """Closed-form witness score of the phase-matched GHZ-like state after the model's channel.
 
     score = 1/2 + 2 survival (P_sep - 1/2), with survival the product of 1 - p
     over the model's probabilities: 1 - p globally, prod(1 - p_n) locally.
     """
-    _check_fits(model, ensemble)
+    _check_fits(model, ensemble.N)
     ps = (model.p_global,) if model.p_locals is None else model.p_locals
     survival = float(np.prod([1 - p for p in ps]))
     return 0.5 + 2 * survival * (witness_report(ensemble.K).P_sep_float - 0.5)

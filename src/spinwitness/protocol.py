@@ -9,13 +9,15 @@ fixes the bound, not the statistics).
 
 Both samplers reduce the state to the K exact probabilities q_k of a
 positive round with one kernel (`_positive_probabilities`) and share one
-tally sampler (`_sample_signs`).  A round reports only a sign, so drawing it
-from q_k is the same per-round distribution as drawing the full measurement
-outcome and taking its sign.  The partition into subensembles cannot change
-q_k: along direction k the one-body components J_k^(n) commute and sum to
-J_k, so any group's outcome is the sum of its members' outcomes, and the
-recorded total sign has the same distribution for every partition,
-singletons and the whole ensemble included.
+tally sampler (`_sample_signs`).  For a ket, q_k is read from
+`outcome_table`, the Born probabilities of every product Jx outcome along
+every direction, which `verify` also scores under noise.  A round reports
+only a sign, so drawing it from q_k is the same per-round distribution as
+drawing the full measurement outcome and taking its sign.  The partition into
+subensembles cannot change q_k: along direction k the one-body components
+J_k^(n) commute and sum to J_k, so any group's outcome is the sum of its
+members' outcomes, and the recorded total sign has the same distribution for
+every partition, singletons and the whole ensemble included.
 
 Determinism contract: only the K pairs (positives, trials) are kept, so the
 samplers draw those tallies from their exact joint law instead of round by
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (_apply_slot_bases, _check_odd_k, _is_integer, direction_phases, jx_eigenbases, jx_function,
-                   jz_diagonal)
+from .spin import _apply_slot_bases, _check_odd_k, _is_integer, direction_phases, jx_function, jz_diagonal
 from .states import QuantumState
 from .witness import witness_report
 
@@ -43,6 +44,7 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolEstimate",
     "wilson_interval",
+    "outcome_table",
     "run_protocol",
     "run_protocol_subensembles",
     "time_schedule",
@@ -116,20 +118,34 @@ def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate
     return ProtocolEstimate(total / config.rounds, config.rounds, low, high, per_k, tuple(float(q) for q in probs))
 
 
+def outcome_table(state: QuantumState, theta_offset: float = 0.0) -> np.ndarray:
+    """Born probabilities |<o| V^dag D_k^dag |psi>|^2 of a ket, shaped (K, *local_dims).
+
+    Entry [k, o_1, ..., o_N] is the probability that, along direction k (see
+    `direction_phases`), particle n's Jx reads j_n - o_n for every n.  The ket
+    is rotated to all K directions and each v_n^dag applied along its slot, so
+    the cost is O(K dim sum d_n) and no density matrix is formed.
+    """
+    if state.ket is None:
+        raise ValueError("outcome_table needs a ket, not a density matrix")
+    ensemble = state.ensemble
+    kets = state.ket[:, None] * direction_phases(ensemble, theta_offset).conj().T  # (dim, K): slots first
+    amplitudes = _apply_slot_bases(kets, [v.conj() for v in ensemble.jx_eigenbases])
+    return (np.abs(amplitudes) ** 2).reshape(ensemble.K, *ensemble.local_dims)
+
+
 def _positive_probabilities(config: ProtocolConfig) -> np.ndarray:
     """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the factored Jx = V diag(m) V^dag in `spin`.
 
-    K is odd, so pos picks m > 0.  A ket is rotated to all K directions (see
-    `direction_phases`) and each v_n^dag applied along its slot; for a density
-    matrix pos(Jx) is built once and each direction is a phase product.
+    K is odd, so pos picks m > 0: for a ket, the outcomes of `outcome_table`
+    with m > 0; for a density matrix pos(Jx) is built once and each direction
+    is a phase product.
     """
     ensemble = config.state.ensemble
-    ph = direction_phases(ensemble, config.theta_offset)
     positive = jz_diagonal(ensemble) > 0
     if config.state.ket is not None:
-        kets = config.state.ket[:, None] * ph.conj().T  # (dim, K): slots first
-        amplitudes = _apply_slot_bases(kets, [v.conj() for v in jx_eigenbases(ensemble)]).reshape(ensemble.K, -1)
-        return np.abs(amplitudes) ** 2 @ positive
+        return outcome_table(config.state, config.theta_offset).reshape(ensemble.K, -1) @ positive
+    ph = direction_phases(ensemble, config.theta_offset)
     weighted = config.state.rho.T * jx_function(ensemble, positive)
     return ((ph @ weighted) * ph.conj()).sum(axis=1).real
 

@@ -7,9 +7,10 @@ ordering the fully stretched product states  (x)|j_n, j_n>  and
 (x)|j_n, -j_n>  are exactly the first and last basis vectors.
 
 Jx is a sum of one-body terms, so Jx = V diag(m) V^dag with V = (x) v_n
-(`jx_eigenbases`) and m the Jz diagonal (`jz_diagonal`): the library's only
-route to the spectrum of Jx.  The dense `collective_operator` and
-`rotate_about_z` are the references the tests compare against.
+(`SpinEnsemble.jx_eigenbases`, computed once per ensemble) and m the Jz
+diagonal (`jz_diagonal`): the library's only route to the spectrum of Jx.  The
+dense `collective_operator` and `rotate_about_z` are the references the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "collective_operator",
     "direction_operator",
     "jz_diagonal",
-    "jx_eigenbases",
     "jx_function",
     "direction_phases",
     "rotate_about_z",
@@ -100,6 +100,17 @@ class SpinEnsemble:
     @cached_property
     def dim(self) -> int:
         return math.prod(self.local_dims)
+
+    @cached_property
+    def jx_eigenbases(self) -> tuple[np.ndarray, ...]:
+        """Eigenbases v_n of each Jx^(j_n), column i for eigenvalue j_n - i, so Jx = V diag(m) V^dag.
+
+        Read-only, since every caller of this ensemble shares them.
+        """
+        bases = tuple(np.linalg.eigh(spin_matrices(j)[0])[1][:, ::-1] for j in self.spins)
+        for v in bases:
+            v.flags.writeable = False
+        return bases
 
 
 def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,11 +184,6 @@ def jz_diagonal(ensemble: SpinEnsemble) -> np.ndarray:
     return reduce(np.add.outer, [j - np.arange(round(2 * j + 1)) for j in ensemble.spins]).reshape(-1)
 
 
-def jx_eigenbases(ensemble: SpinEnsemble) -> list[np.ndarray]:
-    """Eigenbases v_n of each Jx^(j_n), column i for eigenvalue j_n - i, so Jx = V diag(m) V^dag."""
-    return [np.linalg.eigh(spin_matrices(j)[0])[1][:, ::-1] for j in ensemble.spins]
-
-
 def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     """Contract the leading axes of x, one slot block each, with `bases` in turn.
 
@@ -191,7 +197,7 @@ def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
 
 def jx_function(ensemble: SpinEnsemble, values: np.ndarray) -> np.ndarray:
     """Dense f(Jx) = V diag(values) V^dag for values[i] = f(m_i), V applied slot by slot from both sides."""
-    bases = jx_eigenbases(ensemble)
+    bases = ensemble.jx_eigenbases
     diag = np.diag(np.asarray(values, dtype=complex))
     return _apply_slot_bases(diag, [v.T for v in bases] + [v.conj().T for v in bases]).reshape(len(diag), -1)
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import assert_hermitian, binomial_exact
-from .spin import SpinEnsemble, _check_odd_k, direction_phases, jx_eigenbases, jx_function, jz_diagonal
+from .spin import SpinEnsemble, _check_odd_k, direction_phases, jx_function, jz_diagonal
 from .states import QuantumState
 
 __all__ = [
@@ -257,6 +257,6 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
     odd_dev = np.abs(values + values[::-1]) > 1e-12  # levels[::-1] == -levels exactly
     if odd_dev.any():
         raise ValueError(f"f_odd fails oddness at x = {np.abs(levels[odd_dev]).min()}")
-    corner = reduce(np.multiply.outer, [v[0] * v[-1].conj() for v in jx_eigenbases(ensemble)]).reshape(-1)
+    corner = reduce(np.multiply.outer, [v[0] * v[-1].conj() for v in ensemble.jx_eigenbases]).reshape(-1)
     f_k = abs(values[index] @ corner)
     return GeneralizedWitness(f_K=float(f_k), sep_bound=float(f0) + float(f_k) / 2)

@@ -1,6 +1,10 @@
-"""Reference linear algebra shared by the tests; the package has no partial trace of its own."""
+"""Reference linear algebra shared by the tests: a partial trace (the package has none) and a dense Born table."""
+
+from functools import reduce
 
 import numpy as np
+
+from spinwitness.spin import spin_matrices
 
 
 def partial_trace_reference(op, dims, keep):
@@ -15,3 +19,19 @@ def partial_trace_reference(op, dims, keep):
     d_rest = int(np.prod([dims[i] for i in traced]))
     block = tensor.reshape(d_keep, d_rest, d_keep, d_rest)
     return np.einsum("arbr->ab", block)
+
+
+def outcome_table_reference(rho, ensemble, theta):
+    """Born probability of every product outcome of the one-body J_k^(n), shaped (K, *local_dims).
+
+    Each particle's cos(a_k) Jx + sin(a_k) Jy is eigensolved densely (descending, so outcome o reads
+    j - o), and the product basis measures rho directly: no phase diagonal, no shared kernel.
+    """
+    K = ensemble.K
+    rows = []
+    for k in range(K):
+        a = 2 * np.pi * k / K + theta
+        w = reduce(np.kron, [np.linalg.eigh(np.cos(a) * jx + np.sin(a) * jy)[1][:, ::-1]
+                             for jx, jy, _ in map(spin_matrices, ensemble.spins)])
+        rows.append((w.conj() * (rho @ w)).sum(axis=0).real)
+    return np.array(rows).reshape(K, *ensemble.local_dims)

@@ -10,7 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spinwitness import cli
-from spinwitness.noise import noisy_score
+from spinwitness.noise import NoiseModel, depolarize_table, noisy_score
+from spinwitness.protocol import outcome_table
+from spinwitness.spin import SpinEnsemble, jz_diagonal
+from spinwitness.states import QuantumState, ghz_like
 from spinwitness.cli import (
     MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, UsageError, _deviation, _parse_grid, _parse_spins, main,
 )
@@ -228,26 +231,58 @@ def test_noise_sweep_csv_golden(capsys, model):
 
 @pytest.mark.parametrize("shift", [0.0, 1e-6])
 def test_verify_noise_line_reads_the_noise_sweep_rows(capsys, monkeypatch, shift):
-    # verify's noise deviation is the largest |closed - channel| over noise-sweep's rows
-    # for both models on verify's grid; a closed form shifted per model and p makes the
-    # largest deviation a local row at p = 0.9, and fails verify
+    # verify scores its noise grid on the detected GHZ ket's outcome table under each model's
+    # stochastic map, not on channel outputs; those table scores equal noise-sweep's brute-force
+    # rows to 1e-12, and verify's deviation is the largest |closed - table| over the rows of both
+    # models on its grid.  A closed form shifted per model and p makes the largest deviation a
+    # local row at p = 0.9, and fails verify.
     def shifted(ensemble, model):
         p = model.p_global if model.p_locals is None else 2 * model.p_locals[0]
         return noisy_score(ensemble, model) + shift * p
 
     monkeypatch.setattr(cli, "noisy_score", shifted)
+    ensemble = SpinEnsemble((0.5, 1, 1))
+    table = outcome_table(ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2))
+    positive = jz_diagonal(ensemble) > 0
     deviations = []
-    for model in ("global", "local"):
-        rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,1,1", "--model", model,
+    for kind in ("global", "local"):
+        rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,1,1", "--model", kind,
                          "--grid", "0,0.1,0.25,0.5,0.9", "--format", "json")
         assert rc == 0
-        deviations += [abs(r["closed_form_score"] - r["brute_force_score"]) for r in json.loads(out)["rows"]]
+        for row in json.loads(out)["rows"]:
+            model = NoiseModel(p_global=row["p"]) if kind == "global" else NoiseModel(p_locals=(row["p"],) * 3)
+            table_score = float(np.mean(depolarize_table(table, model).reshape(ensemble.K, -1) @ positive))
+            assert abs(table_score - row["brute_force_score"]) < 1e-12
+            deviations.append(abs(row["closed_form_score"] - table_score))
     rc, out, _ = run(capsys, "verify", "--spins", "0.5,1,1")
     (line,) = [line for line in out.splitlines() if "noise-closed-form" in line]
     assert line.endswith(f"max closed-form vs channel deviation {_deviation(max(deviations))}")
     assert rc == (0 if shift == 0 else 1)
     if shift:
         assert line.startswith("FAIL") and _deviation(max(deviations)) == "1.80e-06"
+
+
+def test_verify_builds_no_density_matrix(capsys, monkeypatch):
+    # the noise line reads the ket's outcome table: no channel output, no projector, no rho to validate
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify built a density matrix")
+
+    monkeypatch.setattr(cli, "apply_depolarizing", forbidden)
+    monkeypatch.setattr(QuantumState, "density", forbidden)
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5,1,1", "--restarts", "2")
+    assert rc == 0
+    assert out.count("PASS") == 5
+
+
+def test_verify_eigensolves_each_particles_jx_once(capsys, monkeypatch):
+    # the direct witness and the noise line share the ensemble's cached Jx eigenbases; the see-saw's
+    # eigensolves are stacked (3-D), and the one (6, 6) solve is the witness factors' projection
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw))
+    rc, _, _ = run(capsys, "verify", "--spins", "0.5,1,1", "--restarts", "2")
+    assert rc == 0
+    assert [s for s in shapes if len(s) == 2] == [(2, 2), (3, 3), (3, 3), (6, 6)]
 
 
 def test_noise_sweep_rejects_bad_grid(capsys):
@@ -407,6 +442,14 @@ def test_out_writes_file_and_manifest(tmp_path, capsys):
     assert manifest["sha256"] == digest
 
 
+def test_out_manifest_params_are_the_flags(tmp_path, capsys):
+    # the repeated-flag check keeps its bookkeeping off the parsed arguments
+    out_path = tmp_path / "table.csv"
+    assert run(capsys, "table", "--K", "3", "--out", str(out_path))[0] == 0
+    assert json.loads((tmp_path / "table.csv.manifest.json").read_text())["params"] == {
+        "command": "table", "K": [3], "format": "csv"}
+
+
 def test_out_manifest_records_p_as_a_list(tmp_path, capsys):
     out_path = tmp_path / "sim.json"
     run(capsys, "simulate", "--K", "3", "--rounds", "500", "--p", "0.2", "--out", str(out_path))
@@ -481,6 +524,14 @@ def test_csv_cells_equal_json_values(capsys, argv):
     (("simulate", "--spins", "0.5,1,1", "--p", "0.1,1.2,0"), "--p"),
     (("simulate", "--K", "4"), "--K"),
     (("simulate", "--K", "13"), "--K"),
+    # a repeated flag, even at the same value: plain store kept only the last one
+    (("table", "--K", "3", "--K", "5"), "--K"),
+    (("simulate", "--K", "3", "--p", "0.1", "--p", "0.9"), "--p"),
+    (("simulate", "--K", "3", "--K", "5"), "--K"),
+    (("verify", "--spins", "0.5,1,1", "--spins", "0.5,0.5,0.5"), "--spins"),
+    (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0,1", "--grid", "0.5"), "--grid"),
+    (("seesaw", "--spins", "0.5,1,1", "--seed", "1", "--seed", "1"), "--seed"),
+    (("general-witness", "--spins", "0.5,1,1", "--f-odd", "sign", "--f-odd", "cubic"), "--f-odd"),
 ])
 def test_argparse_rejects_bad_values(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -10,15 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linalg_reference import partial_trace_reference
+from linalg_reference import outcome_table_reference, partial_trace_reference
+from spinwitness import linalg, noise, protocol, witness
 from spinwitness.noise import (
     NoiseModel,
     _depolarize_slot,
     apply_depolarizing,
+    depolarize_table,
     detection_thresholds,
     noisy_score,
 )
-from spinwitness.spin import SpinEnsemble
+from spinwitness.protocol import outcome_table
+from spinwitness.spin import SpinEnsemble, jz_diagonal
 from spinwitness.states import QuantumState, ghz_like, random_ket
 from spinwitness.witness import build_qk_direct, score, witness_report
 
@@ -180,6 +183,44 @@ def test_closed_form_matches_the_channel(case):
     state = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)  # the state the zero-offset witness detects
     brute = score(apply_depolarizing(state, model), build_qk_direct(ensemble))
     assert abs(noisy_score(ensemble, model) - brute) <= 1e-12
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the table route read the closed form")
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_form_cases, st.integers(0, 2**32 - 1), st.floats(-4, 4))
+@example((SpinEnsemble((0.5, 1, 1)), NoiseModel(p_locals=(0.3, 0.9, 0.1))), 1, 0.3)
+@example((SpinEnsemble((1.5, 1.5, 0.5, 1)), NoiseModel(p_locals=(0.2, 0.0, 1.0, 0.6))), 2, -1.1)
+@example((SpinEnsemble((2.5, 2.5, 2.5)), NoiseModel(p_global=0.35)), 3, 2.0)
+@example((SpinEnsemble((0.5,) * 7), NoiseModel(p_locals=(0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95))), 4, 0.7)
+def test_outcome_table_under_noise_matches_the_channel(case, seed, theta):
+    # the stochastic map on a random ket's outcome table is the dense channel's output measured
+    # outcome by outcome, and scores what that output scores against the direct witness, at any
+    # offset; the table route reads no closed form.  The score alone cannot tell the slots apart:
+    # depolarizing slot n at p maps any score s to (1 - p) s + p / 2, whichever slot n is.
+    ensemble, model = case
+    state = random_ket(ensemble, seed)
+    noisy = apply_depolarizing(state, model)
+    brute = score(noisy, build_qk_direct(ensemble, theta))
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in [(protocol, "witness_report"), (noise, "witness_report"), (noise, "noisy_score"),
+                             (witness, "witness_report"), (witness, "binomial_exact"), (linalg, "binomial_exact")]:
+            mp.setattr(module, name, _forbidden)
+        table = depolarize_table(outcome_table(state, theta), model)
+        via_table = float(np.mean(table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0)))
+    np.testing.assert_allclose(table, outcome_table_reference(noisy.rho, ensemble, theta), rtol=0, atol=1e-12)
+    assert abs(via_table - brute) <= 1e-12
+
+
+def test_depolarize_table_checks_the_model_fits():
+    table = outcome_table(ghz_like(E3))
+    with pytest.raises(ValueError, match="local model has 2 entries for 3 particles"):
+        depolarize_table(table, NoiseModel(p_locals=(0.1, 0.2)))
+    # full replacement leaves the uniform table, globally or slot by slot
+    for model in (NoiseModel(p_global=1.0), NoiseModel(p_locals=(1.0,) * 3)):
+        np.testing.assert_allclose(depolarize_table(table, model), np.full(table.shape, 1 / 8), atol=1e-15)
 
 
 def two_branch_noisy_score(ensemble, model):

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linalg_reference import outcome_table_reference
 from spinwitness.protocol import (
     ProtocolConfig,
+    outcome_table,
     rounds_needed,
     run_protocol,
     run_protocol_subensembles,
     time_schedule,
     wilson_interval,
 )
-from spinwitness.spin import SpinEnsemble, collective_operator, direction_operator, direction_phases, spin_matrices
+from spinwitness.spin import (SpinEnsemble, collective_operator, direction_operator, direction_phases, jz_diagonal,
+                              spin_matrices)
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture, random_ket
 from spinwitness.witness import build_qk_closed_form, build_qk_direct, phase_for_ghz, pos_operator, witness_report
 
@@ -300,6 +303,23 @@ def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
     grouped = groupwise_probabilities(state, theta, groups_from_labels(labels))
     np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, grouped, rtol=0, atol=1e-12)
     np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(partitioned_ensembles, st.floats(0, 2 * np.pi), st.integers(0, 2**32 - 1))
+def test_outcome_table_is_the_born_rule_per_product_outcome(ensemble_labels, theta, seed):
+    # run_protocol's q_k is the table's m > 0 mass, with no second copy of the contraction
+    ensemble, _ = ensemble_labels
+    state = random_ket(ensemble, seed)
+    table = outcome_table(state, theta)
+    np.testing.assert_allclose(table, outcome_table_reference(state.density(), ensemble, theta), rtol=0, atol=1e-12)
+    q = np.clip(table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0), 0, 1)
+    assert run_protocol(make_config(state, rounds=10, theta_offset=theta)).per_k_probs == tuple(q)
+
+
+def test_outcome_table_needs_a_ket():
+    with pytest.raises(ValueError, match="needs a ket"):
+        outcome_table(ghz_mixture(E3))
 
 
 @settings(max_examples=50, deadline=None)

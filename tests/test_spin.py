@@ -1,4 +1,5 @@
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spinwitness.spin import (
     collective_operator,
     direction_operator,
     direction_phases,
+    jz_diagonal,
     rotate_about_z,
     spin_matrices,
 )
@@ -95,6 +97,21 @@ class TestSpinEnsemble:
         assert e == fresh and hash(e) == hash(fresh)
         with pytest.raises(dataclasses.FrozenInstanceError):
             e.spins = (0.5,)
+
+    def test_jx_eigenbases_are_computed_once_and_read_only(self):
+        # shared by every caller of the ensemble, so cached like the dimensions and never writable
+        e = SpinEnsemble((0.5, 1, 1))
+        bases = e.jx_eigenbases
+        assert e.jx_eigenbases is bases
+        assert e == SpinEnsemble((0.5, 1, 1)) and hash(e) == hash(SpinEnsemble((0.5, 1, 1)))
+        for v, j in zip(bases, e.spins):
+            d = round(2 * j + 1)
+            np.testing.assert_allclose(spin_matrices(j)[0] @ v, v * (j - np.arange(d)), atol=1e-14)
+            with pytest.raises(ValueError, match="read-only"):
+                v[0, 0] = 1
+        # V diag(m) V^dag is the dense collective Jx
+        V = reduce(np.kron, bases)
+        np.testing.assert_allclose((V * jz_diagonal(e)) @ V.conj().T, collective_operator(e).Jx, atol=1e-13)
 
 
 def test_collective_operator_is_sum_of_embeddings():
