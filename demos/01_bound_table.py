@@ -13,7 +13,7 @@ print(f"{'K':>4} {'P_max':>10} {'P_sep':>10} {'P_classical':>12} {'gap':>14} {'g
 for K in range(1, 22, 2):
     r = witness_report(K)
     print(f"{K:>4} {str(r.P_max):>10} {str(r.P_sep):>10} {str(r.P_classical):>12}"
-          f" {str(r.gap):>14} {r.gap_float:>12.6f}")
+          f" {str(r.gap):>14} {float(r.gap):>12.6f}")
 
 print()
 print("Where does the gap cross 5% and 1%?")

@@ -19,7 +19,7 @@ for spins in [(0.5, 0.5, 0.5), (1, 0.5), (0.5, 1, 1)]:
     rep = witness_report(e.K)
     print(f"spins {spins}  (K = {e.K}, dim = {e.dim})")
     print(f"  max |direct - closed| = {dev:.3e}")
-    print(f"  top eigenvalue  {eigs[-1]:.6f}   (P_max = {rep.P_max} = {rep.P_max_float})")
+    print(f"  top eigenvalue  {eigs[-1]:.6f}   (P_max = {rep.P_max} = {float(rep.P_max)})")
     print(f"  bottom          {eigs[0]:.6f}   (1 - P_max)")
     print(f"  all {e.dim - 2} others exactly 1/2: {np.allclose(eigs[1:-1], 0.5, atol=1e-12)}")
     print()

@@ -20,7 +20,7 @@ for phi in np.linspace(0, 2 * np.pi, 9):
     print(f"  phi = {phi:5.2f}   score = {s:.4f}  {bar}")
 
 print()
-print(f"matched offsets (P_max = {rep.P_max_float}):")
+print(f"matched offsets (P_max = {float(rep.P_max)}):")
 for phi in (0.0, np.pi / 4, np.pi, 3 * np.pi / 2):
     theta = phase_for_ghz(phi, 3)
     s = score(ghz_like(e, phi), build_qk_closed_form(e, theta))

@@ -23,12 +23,12 @@ from spinwitness import (
 e = SpinEnsemble((0.5, 0.5, 0.5))
 w = build_qk_direct(e)
 state = ghz_like(e, phi=np.pi)
-sep = witness_report(3).P_sep_float
+sep = float(witness_report(3).P_sep)
 g_max, local_max, limit = detection_thresholds(e)
 
 print(f"biseparable bound P_sep = {sep}")
 print(f"thresholds: global p < {g_max}, identical local p < {local_max:.6f}")
-print(f"(best conceivable global tolerance for this state: {limit:.6f})")
+print(f"(best conceivable global tolerance for this state: {float(limit):.6f})")
 print()
 print(f"{'p':>6} {'global (closed)':>16} {'global (channel)':>17} {'detect':>7}"
       f" {'local (closed)':>15} {'detect':>7}")

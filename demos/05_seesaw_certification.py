@@ -22,7 +22,7 @@ from spinwitness import (
 for spins in [(0.5, 0.5, 0.5), (1, 0.5), (0.5, 1, 1), (0.5,) * 5]:
     e = SpinEnsemble(spins)
     w = build_qk_direct(e)
-    sep = witness_report(e.K).P_sep_float
+    sep = float(witness_report(e.K).P_sep)
     print(f"spins {spins}  (K = {e.K}, P_sep = {sep})")
     for bip in enumerate_bipartitions(e):
         r = seesaw_maximize(w, bip, restarts=16, seed=0)

@@ -19,7 +19,7 @@ for K in (3, 5, 7, 9):
     rep = witness_report(K)
     got = classical_sweep_max(K)
     print(f"K = {K}:  classical max = {got:.6f}  (= (1 + 1/{K})/2)"
-          f"   P_sep = {rep.P_sep_float:.6f}   P_max = {rep.P_max_float:.6f}")
+          f"   P_sep = {float(rep.P_sep):.6f}   P_max = {float(rep.P_max):.6f}")
 
 print()
 print("score landscape at K = 3 (plateaus of width 2 pi / K):")

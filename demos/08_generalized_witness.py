@@ -22,13 +22,13 @@ FUNCTIONS = [
 for spins in [(0.5, 0.5, 0.5), (0.5,) * 5]:
     e = SpinEnsemble(spins)
     rep = witness_report(e.K)
-    print(f"spins {spins}  (K = {e.K}, P_sep = {rep.P_sep_float})")
+    print(f"spins {spins}  (K = {e.K}, P_sep = {float(rep.P_sep)})")
     for name, f in FUNCTIONS:
         gw = generalized_witness(e, 0.5, f)
         note = ""
         if gw.f_K < 1e-12:
             note = "  <- blind: cannot distinguish anything"
-        elif abs(gw.sep_bound - rep.P_sep_float) < 1e-12:
+        elif abs(gw.sep_bound - float(rep.P_sep)) < 1e-12:
             note = "  <- the standard sign witness"
         print(f"  f = {name:<10} f_K = {gw.f_K:.6f}   separable bound = {gw.sep_bound:.6f}{note}")
     print()

@@ -21,7 +21,6 @@ from .protocol import (
     ProtocolEstimate,
     rounds_needed,
     run_protocol,
-    run_protocol_subensembles,
     time_schedule,
     wilson_interval,
 )
@@ -31,14 +30,7 @@ from .seesaw import (
     enumerate_bipartitions,
     seesaw_maximize,
 )
-from .spin import (
-    CollectiveOperator,
-    SpinEnsemble,
-    collective_operator,
-    direction_operator,
-    rotate_about_z,
-    spin_matrices,
-)
+from .spin import SpinEnsemble, spin_matrices
 from .states import QuantumState, ghz_like, ghz_mixture, product_state, random_ket
 from .witness import (
     GeneralizedWitness,
@@ -48,7 +40,6 @@ from .witness import (
     build_qk_direct,
     generalized_witness,
     phase_for_ghz,
-    pos_operator,
     score,
     witness_report,
 )
@@ -57,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition",
-    "CollectiveOperator",
     "GeneralizedWitness",
     "NoiseModel",
     "ProtocolConfig",
@@ -74,22 +64,17 @@ __all__ = [
     "build_qk_direct",
     "classical_score",
     "classical_sweep_max",
-    "collective_operator",
     "detection_thresholds",
-    "direction_operator",
     "enumerate_bipartitions",
     "generalized_witness",
     "ghz_like",
     "ghz_mixture",
     "noisy_score",
     "phase_for_ghz",
-    "pos_operator",
     "product_state",
     "random_ket",
-    "rotate_about_z",
     "rounds_needed",
     "run_protocol",
-    "run_protocol_subensembles",
     "score",
     "seesaw_maximize",
     "spin_matrices",

@@ -40,7 +40,7 @@ from .noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
 from .protocol import ProtocolConfig, outcome_table, run_protocol
 from .seesaw import enumerate_bipartitions, seesaw_maximize
 from .spin import SpinEnsemble, direction_phases, jz_diagonal
-from .states import ghz_like, ghz_mixture
+from .states import ghz_like, ghz_mixture, product_state
 from .witness import (
     build_qk_closed_form,
     build_qk_direct,
@@ -280,7 +280,9 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     the direct Q.  seesaw: every bipartition's see-saw value and Schmidt bound
     against P_sep.  noise-closed-form: `noisy_score` against the detected GHZ
     ket's outcome table under each model's stochastic map, at five p per
-    model.  No line builds or validates a density matrix.
+    model, and each slot's outcome marginal of a product probe under unequal
+    local noise against the one-slot channel's closed form.  No line builds or
+    validates a density matrix.
     """
     checks = []
     rep = witness_report(ensemble.K)
@@ -306,7 +308,7 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     checks.append(("symmetry", max(sym_x, sym_z) < 1e-10, detail))
 
     if ensemble.N >= 2:
-        results, passed, deviation, excess, spread = _seesaw_sweep(direct, rep.P_sep_float, restarts, seed)
+        results, passed, deviation, excess, spread = _seesaw_sweep(direct, float(rep.P_sep), restarts, seed)
         detail = (f"{len(results)} bipartitions, max |value - P_sep| {_deviation(deviation)}, "
                   f"max bound - P_sep {_deviation(excess)}, spread {_deviation(spread)}")
         checks.append(("seesaw", passed, detail))
@@ -324,6 +326,17 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
             model = _uniform_model(kind, p, ensemble.N)
             table_score = float(np.mean(depolarize_table(table, model).reshape(ensemble.K, -1) @ positive))
             worst = max(worst, abs(noisy_score(ensemble, model) - table_score))
+    # A score cannot tell which slot a local channel hit: depolarizing slot n at p_n maps any score s to
+    # (1 - p_n) s + p_n/2 whatever n is.  A slot's outcome marginal can: under the channel it must become
+    # (1 - p_n) marginal + p_n/d_n.  The probe is a product of Jx eigenstates, whose marginals along the
+    # K directions are not uniform, and the levels p_n are unequal, so a channel on the wrong slot shows.
+    probe = outcome_table(product_state(ensemble, [v[:, 0] for v in ensemble.jx_eigenbases]))
+    ps = tuple((n + 1) / (ensemble.N + 2) for n in range(ensemble.N))
+    noisy = depolarize_table(probe, NoiseModel(p_locals=ps))
+    for n, (p, d) in enumerate(zip(ps, ensemble.local_dims)):
+        others = tuple(axis for axis in range(1, ensemble.N + 1) if axis != n + 1)
+        want = (1 - p) * probe.sum(axis=others) + p / d
+        worst = max(worst, float(np.abs(noisy.sum(axis=others) - want).max()))
     checks.append(("noise-closed-form", worst < 1e-10, f"max closed-form vs channel deviation {_deviation(worst)}"))
     return checks
 
@@ -351,7 +364,7 @@ def cmd_noise_sweep(args) -> int:
         closed = noisy_score(ensemble, model)
         rows.append({"p": p, "closed_form_score": closed,
                      "brute_force_score": score(apply_depolarizing(state, model), witness),
-                     "detected": bool(closed > rep.P_sep_float)})
+                     "detected": bool(closed > float(rep.P_sep))})
     _emit(args, {"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
                  "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
           ["p", "closed_form_score", "brute_force_score", "detected"])
@@ -381,7 +394,7 @@ def cmd_simulate(args) -> int:
     config = ProtocolConfig(state=state, rounds=args.rounds, seed=args.seed, theta_offset=theta)
     estimate = run_protocol(config)  # a subensemble split draws the same counts (see `protocol`)
     rep = witness_report(K)
-    verdict = "GME-detected" if estimate.ci_low > rep.P_sep_float else "inconclusive"
+    verdict = "GME-detected" if estimate.ci_low > float(rep.P_sep) else "inconclusive"
     obj = {
         "schema": SCHEMA_VERSION,
         "command": "simulate",
@@ -398,7 +411,7 @@ def cmd_simulate(args) -> int:
         "ci_high": estimate.ci_high,
         "per_k_counts": [list(pair) for pair in estimate.per_k_counts],
         "sep_bound": _frac(rep.P_sep),
-        "sep_bound_float": rep.P_sep_float,
+        "sep_bound_float": float(rep.P_sep),
         "verdict": verdict,
     }
     _emit(args, obj)
@@ -422,7 +435,7 @@ def cmd_seesaw(args) -> int:
         raise UsageError("seesaw needs at least two particles")
     rep = witness_report(ensemble.K)
     witness = build_qk_direct(ensemble)
-    results, passed, _, _, spread = _seesaw_sweep(witness, rep.P_sep_float, args.restarts, args.seed)
+    results, passed, _, _, spread = _seesaw_sweep(witness, float(rep.P_sep), args.restarts, args.seed)
     rows = [{"bipartition": "|".join(",".join(str(i + 1) for i in side)
                                      for side in (r.bipartition.subset_J, r.bipartition.complement)),
              "best_value": _round12(r.best_value), "upper_bound": _round12(r.upper_bound),
@@ -430,7 +443,7 @@ def cmd_seesaw(args) -> int:
             for r in results]
     obj = {
         "schema": SCHEMA_VERSION, "command": "seesaw", "spins": list(ensemble.spins),
-        "sep_bound": _frac(rep.P_sep), "sep_bound_float": rep.P_sep_float,
+        "sep_bound": _frac(rep.P_sep), "sep_bound_float": float(rep.P_sep),
         "spread": _round12(spread), "rows": rows,
     }
     _emit(args, obj, ["bipartition", "best_value", "upper_bound", "iterations", "converged"])
@@ -452,7 +465,7 @@ def cmd_general_witness(args) -> int:
     obj = {
         "schema": SCHEMA_VERSION, "command": "general-witness", "spins": list(ensemble.spins),
         "f0": args.f0, "f_odd": args.f_odd, "f_K": gw.f_K, "sep_bound": gw.sep_bound,
-        "pos_witness_sep_bound_float": rep.P_sep_float,
+        "pos_witness_sep_bound_float": float(rep.P_sep),
     }
     _emit(args, obj, ["f0", "f_odd", "f_K", "sep_bound"])
     return 0

@@ -1,11 +1,10 @@
-"""Dense complex linear algebra shared by every module.
+"""The two helpers the modules share: a Hermiticity check and exact binomials.
 
-Operators are plain complex ndarrays; states are 1-d kets or square density
-matrices.  Everything here is a pure function.  Eigensolves call
-`np.linalg.eigh` directly, after `assert_hermitian` where the matrix comes
-from a caller; the witness's spectrum is read from its rank-2 factors
-(`WitnessOperator.factors`), never eigensolved densely.  Exact arithmetic (the bound table) goes through
-`fractions.Fraction` and `binomial_exact`; floats are renderings only.
+`assert_hermitian` validates a matrix that comes from a caller (a density
+matrix, a witness) before anything reads it.  `binomial_exact` is the closed
+forms' only source of the central binomial (the bound table and
+`build_qk_closed_form`); the definition route never reads it.  Exact
+quantities are `fractions.Fraction`s; floats are renderings only.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -132,17 +133,18 @@ def noisy_score(ensemble: SpinEnsemble, model: NoiseModel) -> float:
     _check_fits(model, ensemble.N)
     ps = (model.p_global,) if model.p_locals is None else model.p_locals
     survival = float(np.prod([1 - p for p in ps]))
-    return 0.5 + 2 * survival * (witness_report(ensemble.K).P_sep_float - 0.5)
+    return 0.5 + 2 * survival * (float(witness_report(ensemble.K).P_sep) - 0.5)
 
 
-def detection_thresholds(ensemble: SpinEnsemble) -> tuple[float, float, float]:
-    """(global max p, identical-local max p, theoretical-limit comparison constant).
+def detection_thresholds(ensemble: SpinEnsemble) -> tuple[float, float, Fraction]:
+    """(global max p, identical-local max p, the GHZ-fidelity witness's global max p).
 
     Detection requires p_global < 1/2; for identical local noise on all N
-    particles it requires p < 1 - 2^(-1/N).  The last entry, 1/(2(1 - 2^-K)),
-    is the largest global noise any witness could possibly tolerate on this
-    state, for gauging how close the 1/2 threshold comes to optimal.
+    particles it requires p < 1 - 2^(-1/N).  The last entry compares another
+    witness, 1/2 - |P+><P+| with |P+> the detected GHZ-like state: globally
+    depolarized, the state keeps fidelity (1 - p) + p/dim, which stays above
+    1/2 while p < dim/(2(dim - 1)), returned exactly.
     """
     n = ensemble.N
-    k = ensemble.K
-    return 0.5, 1 - 2 ** (-1 / n), 1 / (2 * (1 - 2 ** (-k)))
+    dim = ensemble.dim
+    return 0.5, 1 - 2 ** (-1 / n), Fraction(dim, 2 * (dim - 1))

@@ -7,26 +7,27 @@ Wilson 95% interval with lower bound above the biseparable bound is the
 detection verdict (the decision rule is this package's choice — the math
 fixes the bound, not the statistics).
 
-Both samplers reduce the state to the K exact probabilities q_k of a
-positive round with one kernel (`_positive_probabilities`) and share one
-tally sampler (`_sample_signs`).  For a ket, q_k is read from
+`run_protocol` reduces the state to the K exact probabilities q_k of a
+positive round (`_positive_probabilities`) and draws the tallies from them
+(`_sample_signs`).  For a ket, q_k is read from
 `outcome_table`, the Born probabilities of every product Jx outcome along
 every direction, which `verify` also scores under noise.  A round reports
 only a sign, so drawing it from q_k is the same per-round distribution as
-drawing the full measurement outcome and taking its sign.  The partition into
+drawing the full measurement outcome and taking its sign.  A partition into
 subensembles cannot change q_k: along direction k the one-body components
 J_k^(n) commute and sum to J_k, so any group's outcome is the sum of its
 members' outcomes, and the recorded total sign has the same distribution for
-every partition, singletons and the whole ensemble included.
+every partition, singletons and the whole ensemble included.  So
+`run_protocol` serves a per-group measurement too, and `ProtocolConfig`
+names no partition.
 
 Determinism contract: only the K pairs (positives, trials) are kept, so the
-samplers draw those tallies from their exact joint law instead of round by
+sampler draws those tallies from their exact joint law instead of round by
 round.  Each round picks k uniformly and is then a Bernoulli(q_k) coin, so the
 trials are multinomial(rounds, 1/K each) and, given them, direction k's
 positives are binomial(trials_k, q_k).  The draws come from one
 counter-based generator (numpy Philox) keyed by the seed, so the counts are a
 pure function of (seed, rounds, q) and cost O(K) whatever the round count.
-For one seed the two samplers give the same counts.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "wilson_interval",
     "outcome_table",
     "run_protocol",
-    "run_protocol_subensembles",
     "time_schedule",
     "rounds_needed",
 ]
@@ -154,11 +154,12 @@ def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
     """Simulate the single-shot sign measurement of the total J_k, one direction per round.
 
     The one-body components of J_k commute and sum to it, so the per-particle
-    kernel gives its distribution; `run_protocol_subensembles` draws the same q_k.
+    kernel gives its distribution, and a per-group measurement has the same one.
     """
     return _sample_signs(config, _positive_probabilities(config))
 
 
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
 def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
     """Simulate per-group sign measurements postprocessed into the total sign.
 
@@ -193,7 +194,7 @@ def rounds_needed(K: int, power_margin: float) -> int:
         raise ValueError("power_margin must lie in (0, 1)")
     report = witness_report(K)
     p_mid = float(report.P_sep + report.gap / 2)
-    target = report.gap_float * power_margin / 2
+    target = float(report.gap) * power_margin / 2
     lo, hi = 1, 1
     while _wilson_half_width(p_mid, hi) >= target:
         hi *= 2

@@ -1,4 +1,4 @@
-"""Spin-j matrices, collective operators, and the rotated measurement family.
+"""Spin-j matrices, the factored Jx kernel, and the rotated measurement family.
 
 Conventions (used everywhere downstream): hbar = 1; the local basis of a
 spin-j particle is ordered by descending magnetic number, |j, j> first; the
@@ -9,8 +9,8 @@ ordering the fully stretched product states  (x)|j_n, j_n>  and
 Jx is a sum of one-body terms, so Jx = V diag(m) V^dag with V = (x) v_n
 (`SpinEnsemble.jx_eigenbases`, computed once per ensemble) and m the Jz
 diagonal (`jz_diagonal`): the library's only route to the spectrum of Jx.  The
-dense `collective_operator` and `rotate_about_z` are the references the tests
-compare against.
+dense `collective_operator` and `rotate_about_z` are not exported: they are the
+references the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,14 +27,10 @@ from .linalg import assert_hermitian
 
 __all__ = [
     "SpinEnsemble",
-    "CollectiveOperator",
     "spin_matrices",
-    "collective_operator",
-    "direction_operator",
     "jz_diagonal",
     "jx_function",
     "direction_phases",
-    "rotate_about_z",
 ]
 
 
@@ -131,6 +127,7 @@ def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
+# perfbench/tracer.py's TRACED looks up collective_operator, whose return type this is; ROADMAP item 4 deletes both.
 @dataclass(frozen=True)
 class CollectiveOperator:
     """Total angular momentum J = sum_n J^(j_n) on the full product space."""
@@ -141,6 +138,7 @@ class CollectiveOperator:
     Jz: np.ndarray = field(repr=False)
 
 
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
 def collective_operator(ensemble: SpinEnsemble) -> CollectiveOperator:
     """Sum of single-particle spin operators, each embedded at its slot (dense)."""
     dims = ensemble.local_dims
@@ -150,18 +148,6 @@ def collective_operator(ensemble: SpinEnsemble) -> CollectiveOperator:
         for comp, mat in enumerate(spin_matrices(j)):
             total[comp] += np.kron(np.kron(left, mat), right)
     return CollectiveOperator(ensemble, *total)
-
-
-def direction_operator(J: CollectiveOperator, k: int, K: int, theta_offset: float = 0.0) -> np.ndarray:
-    """In-plane component cos(2 pi k/K + theta) Jx + sin(2 pi k/K + theta) Jy.
-
-    Equals the rotated operator exp(-i a Jz) Jx exp(+i a Jz) at a = 2 pi k/K
-    + theta; the K equally spaced directions are the measurement settings.
-    """
-    if not 0 <= k < K:
-        raise ValueError(f"direction index k={k} out of range [0, {K})")
-    angle = 2 * np.pi * k / K + theta_offset
-    return np.cos(angle) * J.Jx + np.sin(angle) * J.Jy
 
 
 def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.ndarray:
@@ -202,6 +188,7 @@ def jx_function(ensemble: SpinEnsemble, values: np.ndarray) -> np.ndarray:
     return _apply_slot_bases(diag, [v.T for v in bases] + [v.conj().T for v in bases]).reshape(len(diag), -1)
 
 
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
 def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:
     """Conjugate op by U = exp(-i * angle * jz), built spectrally from jz.
 

@@ -30,12 +30,10 @@ from .spin import SpinEnsemble, _check_odd_k, direction_phases, jx_function, jz_
 from .states import QuantumState
 
 __all__ = [
-    "ZERO_EIGENVALUE_TOL",
     "WitnessFactors",
     "WitnessOperator",
     "WitnessReport",
     "GeneralizedWitness",
-    "pos_operator",
     "build_qk_direct",
     "build_qk_closed_form",
     "witness_report",
@@ -46,6 +44,7 @@ __all__ = [
 
 # Eigenvalues this close to zero count as zero for the dense pos().  Far above
 # eigensolver jitter (~1e-14 at desk dimensions), far below any genuine spacing.
+# perfbench/tracer.py's TRACED looks up pos_operator; ROADMAP item 4 deletes both.
 ZERO_EIGENVALUE_TOL = 1e-9
 
 # Eigenvalues of the projected Q - 1/2 at or below this size are dropped from its factors, and the
@@ -54,6 +53,7 @@ ZERO_EIGENVALUE_TOL = 1e-9
 FACTOR_TOL = 1e-9
 
 
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
 def pos_operator(op: np.ndarray) -> np.ndarray:
     """Spectral step function: projector on the positive eigenspace + half the zero one.
 
@@ -151,7 +151,7 @@ def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> W
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Exact scalar bounds for a given K; floats are renderings of the rationals.
+    """Exact scalar bounds for a given K, as rationals; a caller that needs a float takes float() of one.
 
     P_max       largest witness eigenvalue, reached by the GHZ-like state
     P_sep       maximum over biseparable (any bipartition, any product) states
@@ -164,22 +164,6 @@ class WitnessReport:
     P_sep: Fraction
     P_classical: Fraction
     gap: Fraction
-
-    @property
-    def P_max_float(self) -> float:
-        return float(self.P_max)
-
-    @property
-    def P_sep_float(self) -> float:
-        return float(self.P_sep)
-
-    @property
-    def P_classical_float(self) -> float:
-        return float(self.P_classical)
-
-    @property
-    def gap_float(self) -> float:
-        return float(self.gap)
 
 
 def witness_report(K: int) -> WitnessReport:

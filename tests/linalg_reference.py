@@ -1,4 +1,4 @@
-"""Reference linear algebra shared by the tests: a partial trace (the package has none) and a dense Born table."""
+"""Test references: a partial trace and a direction operator (the package has neither), and a dense Born table."""
 
 from functools import reduce
 
@@ -19,6 +19,12 @@ def partial_trace_reference(op, dims, keep):
     d_rest = int(np.prod([dims[i] for i in traced]))
     block = tensor.reshape(d_keep, d_rest, d_keep, d_rest)
     return np.einsum("arbr->ab", block)
+
+
+def direction_operator(J, k, K, theta=0.0):
+    """The in-plane component cos(a) Jx + sin(a) Jy of a collective J along direction a = 2 pi k/K + theta."""
+    a = 2 * np.pi * k / K + theta
+    return np.cos(a) * J.Jx + np.sin(a) * J.Jy
 
 
 def outcome_table_reference(rho, ensemble, theta):

@@ -92,7 +92,7 @@ def test_criterion_03_seesaw_separable_bound():
     t0 = time.perf_counter()
     for spins in SEESAW_ENSEMBLES:
         e = SpinEnsemble(spins)
-        sep = witness_report(e.K).P_sep_float
+        sep = float(witness_report(e.K).P_sep)
         w = build_qk_direct(e)
         results = [seesaw_maximize(w, bip, restarts=32, seed=0) for bip in enumerate_bipartitions(e)]
         values = [r.best_value for r in results]
@@ -110,7 +110,7 @@ def test_criterion_04_phase_matched_detection():
     """phase_for_ghz makes ghz_like(phi) score P_max within 1e-10, K in {3,5}."""
     for K in (3, 5):
         e = SpinEnsemble((0.5,) * K)
-        p_max = witness_report(K).P_max_float
+        p_max = float(witness_report(K).P_max)
         for phi in (0.0, np.pi / 4, np.pi, 3 * np.pi / 2):
             w = build_qk_direct(e, theta_offset=phase_for_ghz(phi, K))
             got = score(ghz_like(e, phi), w)
@@ -152,7 +152,7 @@ def test_criterion_06_noise_closed_forms_and_thresholds():
                 assert abs(score(apply_depolarizing(st, model), w) - noisy_score(e, model)) < 1e-10
     # boundary cases are dyadic: equality is exact, not approximate
     e3 = SpinEnsemble((0.5, 0.5, 0.5))
-    sep3 = witness_report(3).P_sep_float
+    sep3 = float(witness_report(3).P_sep)
     assert noisy_score(e3, NoiseModel(p_global=0.5)) == sep3
     assert noisy_score(e3, NoiseModel(p_locals=(0.5, 0.0, 0.0))) == sep3
     g, loc, limit = detection_thresholds(e3)
@@ -190,7 +190,7 @@ def test_criterion_09_protocol_detection_power():
     with the monolithic one by chi-square at 1%; < 1 min."""
     t0 = time.perf_counter()
     e = SpinEnsemble((0.5, 0.5, 0.5))
-    sep = witness_report(3).P_sep_float
+    sep = float(witness_report(3).P_sep)
     optimal = ghz_like(e, phi=np.pi)  # the zero-offset witness's top eigenvector
     mixture = ghz_mixture(e)
 
@@ -225,7 +225,7 @@ def test_criterion_10_generalized_witness_conditions():
     half_sign = lambda x: float(np.sign(x)) / 2
     for K in (3, 5):
         e = SpinEnsemble((0.5,) * K)
-        sep = witness_report(K).P_sep_float
+        sep = float(witness_report(K).P_sep)
         gw = generalized_witness(e, 0.5, half_sign)
         assert abs(gw.sep_bound - sep) < 1e-10, f"K={K}: {gw.sep_bound!r} vs {sep!r}"
         assert generalized_witness(e, 0.0, lambda x: x).f_K < 1e-10  # blind

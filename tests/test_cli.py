@@ -262,6 +262,23 @@ def test_verify_noise_line_reads_the_noise_sweep_rows(capsys, monkeypatch, shift
         assert line.startswith("FAIL") and _deviation(max(deviations)) == "1.80e-06"
 
 
+def test_verify_noise_line_sees_a_channel_on_the_wrong_slot(capsys, monkeypatch):
+    # depolarizing slot n maps every score s to (1 - p_n) s + p_n/2 whatever n is, so the scores alone
+    # pass a channel that always averages the first slot's axis; the product probe's marginals do not
+    def first_axis_only(table, model):
+        if model.kind == "global":
+            return depolarize_table(table, model)
+        for p in model.p_locals:
+            table = (1 - p) * table + p * table.mean(axis=1, keepdims=True)
+        return table
+
+    monkeypatch.setattr(cli, "depolarize_table", first_axis_only)
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5,1,1")
+    (line,) = [line for line in out.splitlines() if "noise-closed-form" in line]
+    assert line.startswith("FAIL  noise-closed-form: max closed-form vs channel deviation ")
+    assert rc == 1 and out.count("PASS") == 4
+
+
 def test_verify_builds_no_density_matrix(capsys, monkeypatch):
     # the noise line reads the ket's outcome table: no channel output, no projector, no rho to validate
     def forbidden(*args, **kwargs):

@@ -5,6 +5,8 @@ definition, one particle at a time, without reusing any package code path
 beyond basic state plumbing.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -229,7 +231,7 @@ def two_branch_noisy_score(ensemble, model):
         survival = 1 - model.p_global
     else:
         survival = float(np.prod([1 - p for p in model.p_locals]))
-    return 0.5 + 2 * survival * (witness_report(ensemble.K).P_sep_float - 0.5)
+    return 0.5 + 2 * survival * (float(witness_report(ensemble.K).P_sep) - 0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -280,33 +282,55 @@ def local_model(*ps):
 def test_detection_flips_exactly_at_half_global():
     # dyadic arithmetic: at p = 1/2 the score equals P_sep to the last bit
     rep = witness_report(3)
-    assert noisy_score(E3, global_model(0.5)) == rep.P_sep_float
-    assert noisy_score(E3, global_model(0.5 - 1e-12)) > rep.P_sep_float
-    assert noisy_score(E3, global_model(0.5 + 1e-12)) < rep.P_sep_float
+    assert noisy_score(E3, global_model(0.5)) == float(rep.P_sep)
+    assert noisy_score(E3, global_model(0.5 - 1e-12)) > float(rep.P_sep)
+    assert noisy_score(E3, global_model(0.5 + 1e-12)) < float(rep.P_sep)
 
 
 def test_detection_flips_exactly_at_half_survival_local():
     rep = witness_report(3)
-    assert noisy_score(E3, local_model(0.5, 0.0, 0.0)) == rep.P_sep_float
-    assert noisy_score(E3, local_model(0.0, 0.5, 0.0)) == rep.P_sep_float
+    assert noisy_score(E3, local_model(0.5, 0.0, 0.0)) == float(rep.P_sep)
+    assert noisy_score(E3, local_model(0.0, 0.5, 0.0)) == float(rep.P_sep)
     # survival prod(1-p) = 0.5 split across particles: 1 - sqrt(2)/2 each on two
     p = 1 - np.sqrt(0.5)
-    assert noisy_score(E3, local_model(p, p, 0.0)) == pytest.approx(rep.P_sep_float, abs=1e-12)
+    assert noisy_score(E3, local_model(p, p, 0.0)) == pytest.approx(float(rep.P_sep), abs=1e-12)
 
 
 def test_thresholds_frozen_values():
     g, loc, limit = detection_thresholds(E3)
     assert g == 0.5
     assert loc == pytest.approx(0.2062994740159002, abs=1e-15)
-    assert limit == pytest.approx(4 / 7, abs=1e-15)
+    assert limit == Fraction(4, 7)
+
+
+@pytest.mark.parametrize("spins, limit", [
+    ((0.5, 1, 1), Fraction(9, 17)), ((1.5, 1.5, 1.5), Fraction(32, 63)), ((2.5, 2.5, 2.5), Fraction(108, 215)),
+])
+def test_fidelity_threshold_values_above_spin_half(spins, limit):
+    assert detection_thresholds(SpinEnsemble(spins))[2] == limit
+
+
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5), (0.5, 1, 1), (1.5, 1.5, 1.5)])
+def test_fidelity_threshold_is_where_the_noisy_ghz_fidelity_crosses_half(spins):
+    # the channel applied densely, the fidelity read as <P+| rho |P+>: no closed form involved
+    ensemble = SpinEnsemble(spins)
+    ghz = ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2)
+    limit = float(detection_thresholds(ensemble)[2])
+
+    def fidelity(p):
+        rho = apply_depolarizing(ghz, NoiseModel(p_global=p)).rho
+        return float(np.real(ghz.ket.conj() @ rho @ ghz.ket))
+
+    assert fidelity(limit - 1e-6) > 0.5
+    assert fidelity(limit + 1e-6) <= 0.5
 
 
 def test_threshold_is_consistent_with_scores():
     _, loc, _ = detection_thresholds(E3)
     rep = witness_report(3)
     eps = 1e-6
-    assert noisy_score(E3, local_model(*(loc - eps,) * 3)) > rep.P_sep_float
-    assert noisy_score(E3, local_model(*(loc + eps,) * 3)) < rep.P_sep_float
+    assert noisy_score(E3, local_model(*(loc - eps,) * 3)) > float(rep.P_sep)
+    assert noisy_score(E3, local_model(*(loc + eps,) * 3)) < float(rep.P_sep)
 
 
 def test_noise_model_validation():
@@ -334,6 +358,6 @@ def test_noise_model_kind_follows_the_field_given(p):
     with pytest.raises(ValueError, match="exactly one"):
         NoiseModel(p_global=p, p_locals=(0.5,) * 3) if is_global else NoiseModel(p_global=0.5, p_locals=p)
     survival = 1 - p if is_global else float(np.prod([1 - q for q in p]))
-    assert noisy_score(E3, model) == 0.5 + 2 * survival * (witness_report(3).P_sep_float - 0.5)
+    assert noisy_score(E3, model) == 0.5 + 2 * survival * (float(witness_report(3).P_sep) - 0.5)
     state = random_ket(E3, 3)
     assert np.array_equal(apply_depolarizing(state, model).rho, dense_depolarizing(state.density(), E3, model))

@@ -1,0 +1,23 @@
+"""The package's public surface: what `spinwitness` exports is what its commands and demos run."""
+
+import spinwitness
+
+# Dense references the tests compare against and a sampler identical to `run_protocol`: not exported.
+NOT_EXPORTED = (
+    "collective_operator",
+    "CollectiveOperator",
+    "direction_operator",
+    "rotate_about_z",
+    "pos_operator",
+    "ZERO_EIGENVALUE_TOL",
+    "run_protocol_subensembles",
+)
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(spinwitness, name) for name in spinwitness.__all__)
+
+
+def test_test_only_references_are_not_exported():
+    assert [name for name in NOT_EXPORTED if hasattr(spinwitness, name)] == []
+    assert set(NOT_EXPORTED).isdisjoint(spinwitness.__all__)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linalg_reference import outcome_table_reference
+from linalg_reference import direction_operator, outcome_table_reference
 from spinwitness.protocol import (
     ProtocolConfig,
     outcome_table,
@@ -15,8 +15,7 @@ from spinwitness.protocol import (
     time_schedule,
     wilson_interval,
 )
-from spinwitness.spin import (SpinEnsemble, collective_operator, direction_operator, direction_phases, jz_diagonal,
-                              spin_matrices)
+from spinwitness.spin import SpinEnsemble, collective_operator, direction_phases, jz_diagonal, spin_matrices
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture, random_ket
 from spinwitness.witness import build_qk_closed_form, build_qk_direct, phase_for_ghz, pos_operator, witness_report
 
@@ -442,7 +441,7 @@ def test_rounds_needed_is_tight():
         n = rounds_needed(K, margin)
         rep = witness_report(K)
         p_mid = float(rep.P_sep + rep.gap / 2)
-        target = rep.gap_float * margin / 2
+        target = float(rep.gap) * margin / 2
 
         def hw(m):
             return z * np.sqrt(p_mid * (1 - p_mid) / m + z**2 / (4 * m**2)) / (1 + z**2 / m)

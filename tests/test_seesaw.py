@@ -23,7 +23,7 @@ E_MIXED = SpinEnsemble((1, 0.5))
 E5 = SpinEnsemble((0.5,) * 5)
 
 W3 = build_qk_direct(E3)
-SEP3 = witness_report(3).P_sep_float
+SEP3 = float(witness_report(3).P_sep)
 
 
 def balanced(dim):
@@ -582,7 +582,7 @@ def test_sign_witness_stops_after_restart_0(bip, offset, restarts):
     w = build_qk_direct(bip.ensemble, offset)
     r = seesaw_maximize(w, bip, restarts=restarts, seed=0)
     assert r.restarts_run == 1
-    assert r.best_value == pytest.approx(witness_report(bip.ensemble.K).P_sep_float, abs=1e-12)
+    assert r.best_value == pytest.approx(float(witness_report(bip.ensemble.K).P_sep), abs=1e-12)
     assert r.best_value <= r.upper_bound
 
 
@@ -634,7 +634,7 @@ def test_seesaw_runs_without_einsum(monkeypatch):
     # the see-saw conditions through the side-major layouts and must not
     # fall back to a 2N-axis einsum per step
     w5 = build_qk_direct(E5)
-    sep5 = witness_report(5).P_sep_float
+    sep5 = float(witness_report(5).P_sep)
 
     def no_einsum(*args, **kwargs):
         raise AssertionError("the see-saw called numpy.einsum")
@@ -654,7 +654,7 @@ def test_direct_witness_factors_are_the_two_ghz_like_levels(bip, offset):
     # Q - 1/2 = (P_max - 1/2)(|P+><P+| - |P-><P-|), read from the direct route
     w = build_qk_direct(bip.ensemble, offset)
     vectors, values, residual = w.factors
-    level = witness_report(bip.ensemble.K).P_max_float - 0.5
+    level = float(witness_report(bip.ensemble.K).P_max) - 0.5
     np.testing.assert_allclose(values, [-level, level], rtol=0, atol=1e-12)
     np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(2), rtol=0, atol=1e-12)
     assert residual < 1e-12

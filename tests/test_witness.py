@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linalg_reference import direction_operator
 from spinwitness.cli import _F_ODD_CHOICES
 from spinwitness.linalg import binomial_exact
 from spinwitness.spin import (
     SpinEnsemble,
     collective_operator,
-    direction_operator,
     direction_phases,
     jx_function,
     jz_diagonal,
@@ -187,7 +187,7 @@ def test_witness_is_half_identity_plus_corner_coupling():
 
 def test_witness_spectrum():
     rep = witness_report(5)
-    want = np.sort(np.r_[1 - rep.P_max_float, np.full(30, 0.5), rep.P_max_float])
+    want = np.sort(np.r_[1 - float(rep.P_max), np.full(30, 0.5), float(rep.P_max)])
     for build in (build_qk_closed_form, build_qk_direct):
         eigs = np.sort(np.linalg.eigvalsh(build(E5).Q))
         np.testing.assert_allclose(eigs, want, atol=1e-12)
@@ -233,7 +233,6 @@ def test_report_internal_identities(K):
     assert r.P_max == Fraction(1, 2) + Fraction(c, 2**K)
     assert r.P_sep == Fraction(1, 2) + Fraction(c, 2 ** (K + 1))
     assert r.P_max - r.P_sep == r.gap
-    assert r.P_max_float == float(r.P_max)
 
 
 def test_report_rejects_even_or_nonpositive():
@@ -277,7 +276,7 @@ def test_score_follows_cosine_law(ensemble):
     w = build_qk_direct(ensemble, theta)
     for phi in np.linspace(0, 2 * np.pi, 9):
         ket = ghz_like(ensemble, phi)
-        want = 0.5 + 2 * rep.gap_float * s * np.cos(phi - K * theta)
+        want = 0.5 + 2 * float(rep.gap) * s * np.cos(phi - K * theta)
         for state in (ket, QuantumState(ensemble, rho=np.outer(ket.ket, ket.ket.conj()))):
             assert score(state, w) == pytest.approx(want, abs=1e-12)
 
@@ -341,7 +340,7 @@ def test_phase_for_ghz_attains_maximum(K):
         theta = phase_for_ghz(phi, K)
         assert 0 <= theta < 2 * np.pi / K
         w = build_qk_closed_form(ensemble, theta)
-        assert score(ghz_like(ensemble, phi), w) == pytest.approx(rep.P_max_float, abs=1e-12)
+        assert score(ghz_like(ensemble, phi), w) == pytest.approx(float(rep.P_max), abs=1e-12)
 
 
 # --- generalized couplings ---
@@ -358,7 +357,7 @@ def test_generalized_half_sign_recovers_sep_bound():
     for ensemble in (E3, E5):
         rep = witness_report(ensemble.K)
         gw = generalized_witness(ensemble, 0.5, lambda x: float(np.sign(x)) / 2)
-        assert gw.sep_bound == pytest.approx(rep.P_sep_float, abs=1e-10)
+        assert gw.sep_bound == pytest.approx(float(rep.P_sep), abs=1e-10)
 
 
 def test_generalized_linear_function_is_blind():
