@@ -28,7 +28,7 @@ g_max, local_max, limit = detection_thresholds(e)
 
 print(f"biseparable bound P_sep = {sep}")
 print(f"thresholds: global p < {g_max}, identical local p < {local_max:.6f}")
-print(f"(best conceivable global tolerance for this state: {float(limit):.6f})")
+print(f"(for comparison, the GHZ-fidelity witness detects global p < {float(limit):.6f})")
 print()
 print(f"{'p':>6} {'global (closed)':>16} {'global (channel)':>17} {'detect':>7}"
       f" {'local (closed)':>15} {'detect':>7}")

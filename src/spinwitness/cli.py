@@ -37,10 +37,10 @@ import numpy as np
 
 from . import __version__
 from .noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
-from .protocol import ProtocolConfig, outcome_table, run_protocol
+from .protocol import _positive_mass, _sample_signs, outcome_table
 from .seesaw import enumerate_bipartitions, seesaw_maximize
-from .spin import SpinEnsemble, direction_phases, jz_diagonal
-from .states import ghz_like, ghz_mixture, product_state
+from .spin import SpinEnsemble, direction_phases
+from .states import ghz_like, product_state
 from .witness import (
     build_qk_closed_form,
     build_qk_direct,
@@ -52,8 +52,8 @@ from .witness import (
 
 SCHEMA_VERSION = 1
 
-# Largest ensemble dimension any command accepts: verify, seesaw, noise-sweep and a noisy or mixture
-# simulate hold a dense dim x dim matrix (64 MiB at 2048); ket simulate and general-witness hold none.
+# Largest ensemble dimension any command accepts: verify, seesaw and noise-sweep hold a dense dim x dim matrix
+# (64 MiB at 2048); simulate and general-witness hold none, and simulate keeps the cap until ROADMAP item 2.
 MAX_DIM = 2048
 
 # Most points a noise-sweep grid may have; each point runs one dense channel.
@@ -319,12 +319,11 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     # depolarizing commutes with the local rotations and measurements, so each noisy score is the
     # detected GHZ ket's outcome table under the model's stochastic map: no density matrix is built.
     table = outcome_table(ghz_like(ensemble, phi=_detected_phi(ensemble.K)))
-    positive = jz_diagonal(ensemble) > 0
     worst = 0.0
     for kind in ("global", "local"):
         for p in (0.0, 0.1, 0.25, 0.5, 0.9):
             model = _uniform_model(kind, p, ensemble.N)
-            table_score = float(np.mean(depolarize_table(table, model).reshape(ensemble.K, -1) @ positive))
+            table_score = float(np.mean(_positive_mass(depolarize_table(table, model), ensemble)))
             worst = max(worst, abs(noisy_score(ensemble, model) - table_score))
     # A score cannot tell which slot a local channel hit: depolarizing slot n at p_n maps any score s to
     # (1 - p_n) s + p_n/2 whatever n is.  A slot's outcome marginal can: under the channel it must become
@@ -386,13 +385,15 @@ def cmd_simulate(args) -> int:
     K = ensemble.K
     phi = args.phi if args.phi is not None else _detected_phi(K)
     theta = phase_for_ghz(phi, K)
-    state = ghz_mixture(ensemble) if args.state == "mixture" else ghz_like(ensemble, phi=phi)
+    # The sampler reads only the state's outcome table, which a subensemble split cannot change (see
+    # `protocol`).  The mixture's table is the mean of the phi = 0 and pi tables.
+    phis = (0.0, np.pi) if args.state == "mixture" else (phi,)
+    table = np.mean([outcome_table(ghz_like(ensemble, phi=f), theta) for f in phis], axis=0)
     if args.p is not None:
         model = (_uniform_model(args.model or "global", args.p[0], ensemble.N) if len(args.p) == 1
                  else NoiseModel(p_locals=tuple(args.p)))
-        state = apply_depolarizing(state, model)
-    config = ProtocolConfig(state=state, rounds=args.rounds, seed=args.seed, theta_offset=theta)
-    estimate = run_protocol(config)  # a subensemble split draws the same counts (see `protocol`)
+        table = depolarize_table(table, model)
+    estimate = _sample_signs(_positive_mass(table, ensemble), args.rounds, args.seed)
     rep = witness_report(K)
     verdict = "GME-detected" if estimate.ci_low > float(rep.P_sep) else "inconclusive"
     obj = {

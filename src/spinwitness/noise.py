@@ -11,14 +11,13 @@ so detection (score > P_sep) survives exactly while p < 1/2, respectively
 while prod(1 - p_n) > 1/2.
 
 The channel has two forms.  `apply_depolarizing` returns the noisy density
-matrix, O(dim^2) per slot; `noise-sweep` scores it as the brute-force
-reference and a noisy `simulate` samples it.  The witness only reads the
-outcome probabilities of local Jx measurements after local z-rotations (the
-table of `protocol.outcome_table`), and depolarizing commutes with local
-unitaries, so on that table the channel is the stochastic map
-`depolarize_table`: (1 - p_n) t + p_n mean_n(t) along each slot's axis, or
-(1 - p) t + p / dim globally.  `verify` scores its noise grid that way, with
-no density matrix.
+matrix, O(dim^2) per slot, which `noise-sweep` scores as the brute-force
+reference.  The witness only reads the outcome probabilities of local Jx
+measurements after local z-rotations (the table of `protocol.outcome_table`),
+and depolarizing commutes with local unitaries, so on that table the channel
+is the stochastic map `depolarize_table`: (1 - p_n) t + p_n mean_n(t) along
+each slot's axis, or (1 - p) t + p / dim globally.  `verify` scores its noise
+grid and `simulate` samples its noisy states that way, with no density matrix.
 """
 
 from __future__ import annotations

@@ -9,9 +9,12 @@ fixes the bound, not the statistics).
 
 `run_protocol` reduces the state to the K exact probabilities q_k of a
 positive round (`_positive_probabilities`) and draws the tallies from them
-(`_sample_signs`).  For a ket, q_k is read from
-`outcome_table`, the Born probabilities of every product Jx outcome along
-every direction, which `verify` also scores under noise.  A round reports
+(`_sample_signs(probs, rounds, seed)`).  For a ket, q_k is the m > 0 mass
+(`_positive_mass`) of `outcome_table`, the Born probabilities of every
+product Jx outcome along every direction.  `simulate` samples only such
+tables: `noise.depolarize_table` of one under noise, and for the even mixture
+of the two stretched products the mean of the GHZ-like tables at phi = 0 and
+pi, whose interference terms cancel.  A round reports
 only a sign, so drawing it from q_k is the same per-round distribution as
 drawing the full measurement outcome and taking its sign.  A partition into
 subensembles cannot change q_k: along direction k the one-body components
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spin import SpinEnsemble
 from .spin import _apply_slot_bases, _check_odd_k, _is_integer, direction_phases, jx_function, jz_diagonal
 from .states import QuantumState
 from .witness import witness_report
@@ -105,17 +109,17 @@ def wilson_interval(positives: int, trials: int) -> tuple[float, float]:
     return float(max(0.0, min(center - half, p_hat))), float(min(1.0, max(center + half, p_hat)))
 
 
-def _sample_signs(config: ProtocolConfig, probs: np.ndarray) -> ProtocolEstimate:
-    """Draw the per-direction tallies from their exact law given the positive probabilities."""
-    K = config.state.ensemble.K
+def _sample_signs(probs: np.ndarray, rounds: int, seed: int) -> ProtocolEstimate:
+    """Draw the per-direction tallies from their exact law given the K positive probabilities."""
+    K = len(probs)
     probs = np.clip(probs, 0.0, 1.0)
-    gen = np.random.Generator(np.random.Philox(key=config.seed))
-    trials = gen.multinomial(config.rounds, np.full(K, 1 / K))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    trials = gen.multinomial(rounds, np.full(K, 1 / K))
     positives = gen.binomial(trials, probs)
     total = int(positives.sum())
-    low, high = wilson_interval(total, config.rounds)
+    low, high = wilson_interval(total, rounds)
     per_k = tuple((int(positives[k]), int(trials[k])) for k in range(K))
-    return ProtocolEstimate(total / config.rounds, config.rounds, low, high, per_k, tuple(float(q) for q in probs))
+    return ProtocolEstimate(total / rounds, rounds, low, high, per_k, tuple(float(q) for q in probs))
 
 
 def outcome_table(state: QuantumState, theta_offset: float = 0.0) -> np.ndarray:
@@ -134,19 +138,22 @@ def outcome_table(state: QuantumState, theta_offset: float = 0.0) -> np.ndarray:
     return (np.abs(amplitudes) ** 2).reshape(ensemble.K, *ensemble.local_dims)
 
 
+def _positive_mass(table: np.ndarray, ensemble: SpinEnsemble) -> np.ndarray:
+    """Each direction's probability of a positive total m: the m > 0 mass of every row of an outcome table."""
+    return table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0)
+
+
 def _positive_probabilities(config: ProtocolConfig) -> np.ndarray:
     """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the factored Jx = V diag(m) V^dag in `spin`.
 
-    K is odd, so pos picks m > 0: for a ket, the outcomes of `outcome_table`
-    with m > 0; for a density matrix pos(Jx) is built once and each direction
-    is a phase product.
+    K is odd, so pos picks m > 0: for a ket, `_positive_mass` of its outcome
+    table; for a density matrix pos(Jx) is built once, each direction a phase product.
     """
     ensemble = config.state.ensemble
-    positive = jz_diagonal(ensemble) > 0
     if config.state.ket is not None:
-        return outcome_table(config.state, config.theta_offset).reshape(ensemble.K, -1) @ positive
+        return _positive_mass(outcome_table(config.state, config.theta_offset), ensemble)
     ph = direction_phases(ensemble, config.theta_offset)
-    weighted = config.state.rho.T * jx_function(ensemble, positive)
+    weighted = config.state.rho.T * jx_function(ensemble, jz_diagonal(ensemble) > 0)
     return ((ph @ weighted) * ph.conj()).sum(axis=1).real
 
 
@@ -156,20 +163,13 @@ def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
     The one-body components of J_k commute and sum to it, so the per-particle
     kernel gives its distribution, and a per-group measurement has the same one.
     """
-    return _sample_signs(config, _positive_probabilities(config))
+    return _sample_signs(_positive_probabilities(config), config.rounds, config.seed)
 
 
 # perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
 def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
-    """Simulate per-group sign measurements postprocessed into the total sign.
-
-    A round jointly measures the commuting group components of J_k (correct
-    even when the state is entangled across groups) and reports the sign of
-    their sum.  A group outcome is the sum of its members' outcomes, so the
-    round is a coin of bias q_k, the same q_k as `run_protocol`, and for one
-    seed the counts are the same: no partition is needed to draw them.
-    """
-    return _sample_signs(config, _positive_probabilities(config))
+    """Per-group sign measurements summed into the total sign: no split changes q_k, so `run_protocol`'s counts."""
+    return _sample_signs(_positive_probabilities(config), config.rounds, config.seed)
 
 
 def time_schedule(K: int, omega: float) -> list[float]:

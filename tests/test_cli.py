@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -10,13 +11,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spinwitness import cli
-from spinwitness.noise import NoiseModel, depolarize_table, noisy_score
-from spinwitness.protocol import outcome_table
+from spinwitness.noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
+from spinwitness.protocol import ProtocolConfig, _positive_probabilities, outcome_table
 from spinwitness.spin import SpinEnsemble, jz_diagonal
-from spinwitness.states import QuantumState, ghz_like
+from spinwitness.states import QuantumState, ghz_like, ghz_mixture
+from spinwitness.witness import phase_for_ghz
 from spinwitness.cli import (
     MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, UsageError, _deviation, _parse_grid, _parse_spins, main,
 )
+from test_seesaw import split_ensembles
 
 GOLDEN_TABLE_CSV = """\
 K,P_max,P_max_float,P_sep,P_sep_float,P_classical,P_classical_float,gap,gap_float
@@ -289,6 +292,56 @@ def test_verify_builds_no_density_matrix(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "--spins", "0.5,1,1", "--restarts", "2")
     assert rc == 0
     assert out.count("PASS") == 5
+
+
+def test_simulate_builds_no_density_matrix(capsys, monkeypatch):
+    # every simulate state, noisy or mixed, is an outcome table: no channel output, no projector, no rho to validate
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulate built a density matrix")
+
+    monkeypatch.setattr(cli, "apply_depolarizing", forbidden)
+    monkeypatch.setattr(QuantumState, "density", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    for state in ("ghz", "mixture"):
+        for noise in ((), ("--p", "0.2"), ("--model", "local", "--p", "0.2"), ("--p", "0.1,0.2,0.3")):
+            argv = ("simulate", "--spins", "0.5,1,1", "--state", state, "--rounds", "1000", *noise)
+            assert run(capsys, *argv)[0] == 0, argv
+
+
+@st.composite
+def simulate_inputs(draw):
+    """simulate's argv over a mixed-spin ensemble, with the state, offset and noise model it names."""
+    ensemble = draw(split_ensembles()).ensemble
+    state = draw(st.sampled_from(["ghz", "mixture"]))
+    phi = draw(st.floats(-10, 10))
+    argv = ["simulate", "--spins", ",".join(map(repr, ensemble.spins)), "--state", state, f"--phi={phi!r}",
+            "--rounds", "1000"]  # --phi=: a negative value would read as a flag
+    kind = draw(st.sampled_from(["none", "global", "local", "per-particle"]))
+    if kind == "per-particle":
+        ps = draw(st.lists(st.floats(0, 1), min_size=ensemble.N, max_size=ensemble.N))
+        argv += ["--p", ",".join(map(repr, ps))]
+        return ensemble, state, phi, NoiseModel(p_locals=tuple(ps)), argv
+    p = 0.0 if kind == "none" else draw(st.floats(0, 1))
+    if kind != "none":
+        argv += ["--model", kind, "--p", repr(p)]
+    model = NoiseModel(p_locals=(p,) * ensemble.N) if kind == "local" else NoiseModel(p_global=p)
+    return ensemble, state, phi, model, argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulate_inputs())
+def test_simulate_table_route_matches_dense_route(inputs):
+    # the probabilities simulate samples from its outcome tables equal tr(rho pos(J_k)) of the dense channel's
+    # output (the noiseless run goes through the channel at p = 0), on the density-matrix branch
+    ensemble, state, phi, model, argv = inputs
+    seen = []
+    sample = cli._sample_signs
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "_sample_signs", lambda probs, *rest: seen.append(probs) or sample(probs, *rest))
+        assert main(argv) == 0
+    dense = apply_depolarizing(ghz_mixture(ensemble) if state == "mixture" else ghz_like(ensemble, phi), model)
+    config = ProtocolConfig(dense, rounds=1000, seed=0, theta_offset=phase_for_ghz(phi, ensemble.K))
+    np.testing.assert_allclose(seen[0], _positive_probabilities(config), rtol=0, atol=1e-12)
 
 
 def test_verify_eigensolves_each_particles_jx_once(capsys, monkeypatch):
