@@ -130,11 +130,14 @@ def _odd_k(limit: int, why: str):
 
 
 def _writable(path: str) -> bool:
+    """A nonempty path in a writable directory, with no directory at it or at its sibling manifest."""
     parent = os.path.dirname(os.path.abspath(path))
-    return os.path.isdir(parent) and os.access(parent, os.W_OK) and not os.path.isdir(path)
+    return (path != "" and os.path.isdir(parent) and os.access(parent, os.W_OK)
+            and not os.path.isdir(path) and not os.path.isdir(path + ".manifest.json"))
 
 
-_out_path = _checked(str, _writable, "a file path in an existing, writable directory")
+_out_path = _checked(str, _writable, "a file path in an existing, writable directory, "
+                                     "with no directory at it or at its .manifest.json")
 
 
 def _parse_spins(text: str) -> SpinEnsemble:

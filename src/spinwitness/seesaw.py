@@ -19,11 +19,11 @@ rank 2 for the sign witness) and refuses a witness those factors miss by a
 Frobenius residual above FACTOR_TOL.  Laid out per bipartition as matrices
 A_s[a, c] = <a c|P_s>, they give the operator conditioned on a ket c as
 1/2 + sum_s w_s u_s u_s^dag with u_s = A_s c^*, whose top eigenvectors lie in
-span{previous ket, u_1 .. u_r}.  So a half-step is one GEMM for the u_s, one
-stacked QR and one stacked (r+1)x(r+1) eigh, for every restart of a block in
-lockstep; the next ket is the previous one projected on the top eigenvalue
-cluster.  The winner's kets are rescored against the dense Q, so the
-reported value is a product-state value of Q itself.
+span{previous ket, u_1 .. u_r}.  So a half-step is one matrix-vector product
+for the u_s, one QR of a d x (r+1) matrix and one (r+1)x(r+1) eigh; the next
+ket is the previous one projected on the top eigenvalue cluster.  The
+winner's kets are rescored against the dense Q, so the reported value is a
+product-state value of Q itself.
 
 The same matrices bound the bipartition from above.  For unit kets a and c,
 |a^dag A_s c^*|^2 <= sigma_max(A_s)^2, the largest Schmidt coefficient of P_s
@@ -40,12 +40,11 @@ sigma_max(A_s)^2, bounds every restart's iterated value, since every restart
 iterates in the same factor model.  So once restart 0's value is within the
 convergence tolerance TOL of it, no other restart can beat restart 0 by
 more than TOL: the call stops there, and restart 0 is the winner.  Only
-while that gap is open do restarts 1 .. R-1 run.  Their start kets are rows
-1 .. R-1 of one standard-normal draw from default_rng(seed), filled row by
-row, so restart r depends only on (seed, r); the draw is made on this path
-alone.  They run as stacks of a fixed number of entries (`_STACK_ENTRIES`);
-a restart leaves its stack when it converges, so every restart keeps its own
-iteration count.  The winner is the first maximum in restart order.
+while that gap is open do restarts 1 .. R-1 run, one after another.  Their
+start kets are rows 1 .. R-1 of one standard-normal draw from
+default_rng(seed), filled row by row, so restart r depends only on (seed, r);
+the draw is made on this path alone.  The winner is the first maximum in
+restart order.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ __all__ = [
 DEGENERACY_TOL = 1e-9
 MAX_ITERS = 200  # most iterations one restart runs
 TOL = 1e-10  # a restart converges once an iteration gains less than this
-_STACK_ENTRIES = 2**15  # entries of one (rows, max(d_J, d_C), r + 1) basis stack: 512 KiB of complex
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,8 @@ def _side_layouts(vectors: np.ndarray, bipartition: Bipartition) -> tuple[np.nda
 
     Each side keeps its slots in sorted order, so a side ket is indexed the
     way `best_kets` reports it.  For a product ket a (x) c the witness reads
-    1/2 + sum_s w_s |a^dag A_s c^*|^2, so conditioning either side on a stack
-    of kets is one GEMM against that side's matrices (`_half_step`).
+    1/2 + sum_s w_s |a^dag A_s c^*|^2, so conditioning either side on a ket
+    is one matrix-vector product with that side's matrices (`_half_step`).
     """
     ensemble = bipartition.ensemble
     order = bipartition.subset_J + bipartition.complement
@@ -145,13 +143,13 @@ def _product_ket(psi_j: np.ndarray, psi_c: np.ndarray, bipartition: Bipartition)
     return tensor.transpose(np.argsort(order)).reshape(-1)
 
 
-def _half_step(layout: np.ndarray, weights: np.ndarray, kets: np.ndarray, previous: np.ndarray):
-    """Top eigenvalue and next ket of 1/2 + sum_s w_s u_s u_s^dag, u_s = A_s kets^*, for each row.
+def _half_step(layout: np.ndarray, weights: np.ndarray, ket: np.ndarray, previous: np.ndarray):
+    """Top eigenvalue and next ket of 1/2 + sum_s w_s u_s u_s^dag, u_s = A_s ket^*.
 
-    `layout` is the side's (r, d, d_other) stack of A_s, `kets` the (R, d_other)
-    kets of the other side and `previous` the side's (R, d) kets.  The
-    operator maps span{previous, u_1 .. u_r} into itself and is 1/2 outside
-    span{u_s}, so one stacked QR of [previous, u_1 .. u_r] and one stacked
+    `layout` is the side's (r, d, d_other) stack of A_s, `ket` the other
+    side's ket and `previous` this side's ket.  The operator maps
+    span{previous, u_1 .. u_r} into itself and is 1/2 outside span{u_s}, so
+    one QR of the d x (r+1) matrix [previous, u_1 .. u_r] and one
     (r+1)x(r+1) eigh give its top eigenpairs.  The next ket is the previous
     ket projected on the top cluster (eigenvalues within DEGENERACY_TOL of the
     top), normalized: the top eigenvector when the cluster has one member,
@@ -160,54 +158,40 @@ def _half_step(layout: np.ndarray, weights: np.ndarray, kets: np.ndarray, previo
     the cluster gives way to the top eigenvector.
     """
     r, d, d_other = layout.shape
-    u = (layout.reshape(r * d, d_other) @ kets.conj().T).reshape(r, d, len(kets)).transpose(2, 1, 0)
-    basis, _ = np.linalg.qr(np.concatenate((previous[:, :, None], u), axis=2))
-    coords = basis.conj().transpose(0, 2, 1) @ u
+    u = (layout.reshape(r * d, d_other) @ ket.conj()).reshape(r, d).T
+    basis, _ = np.linalg.qr(np.column_stack((previous, u)))
+    coords = basis.conj().T @ u
     # eigh of the rank-r part alone: a vanishing part then reads exactly 1/2 once shifted
-    w, v = np.linalg.eigh((coords * weights) @ coords.conj().transpose(0, 2, 1))
+    w, v = np.linalg.eigh((coords * weights) @ coords.conj().T)
     # the previous ket is the first basis vector (up to phase), so its overlaps are v's first row
-    overlaps = np.where(w >= w[:, -1:] - DEGENERACY_TOL, v[:, 0, :].conj(), 0)
-    projected = (v @ overlaps[:, :, None])[:, :, 0]
-    norm = np.linalg.norm(projected, axis=1, keepdims=True)
-    top = np.where(norm > 0, projected / np.where(norm > 0, norm, 1), v[:, :, -1])
-    return 0.5 + w[:, -1], (basis @ top[:, :, None])[:, :, 0]
+    projected = v @ np.where(w >= w[-1] - DEGENERACY_TOL, v[0].conj(), 0)
+    norm = np.linalg.norm(projected)
+    return 0.5 + w[-1], basis @ (projected / norm if norm > 0 else v[:, -1])
 
 
-def _seesaw_stack(layouts, weights, psi_j, psi_c):
-    """Run a stack of restarts in lockstep on a bipartition's `_side_layouts`.
+def _ascend(layouts, weights, psi_j, psi_c):
+    """One restart on a bipartition's `_side_layouts`, from the start kets psi_j and psi_c.
 
-    `psi_j` (R, d_J) and `psi_c` (R, d_C) hold the starting kets and are
-    overwritten with the final ones.  A restart leaves the active set when
-    its value gains less than `TOL` or at `MAX_ITERS`.  Returns per-restart
-    (values, iterations, converged) and the (steps, R) trajectory, NaN once a
-    restart has left.
+    Half-steps alternate, subset_J's side first, until an iteration gains less
+    than `TOL` or `MAX_ITERS` iterations have run.  Returns (value, iterations,
+    converged, the list of values per iteration, (psi_j, psi_c) final kets).
     """
     layout_j, layout_c = layouts
-    n = len(psi_j)
-    values = np.full(n, -np.inf)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    trajectory = []
-    active = np.arange(n)
-    for step in range(1, MAX_ITERS + 1):
-        _, psi_j[active] = _half_step(layout_j, weights, psi_c[active], psi_j[active])
-        value, psi_c[active] = _half_step(layout_c, weights, psi_j[active], psi_c[active])
-        done = value - values[active] < TOL
-        values[active] = value
-        iterations[active] = step
-        converged[active[done]] = True
-        trajectory.append(np.full(n, np.nan))
-        trajectory[-1][active] = value
-        active = active[~done]
-        if not active.size:
-            break
-    return values, iterations, converged, np.array(trajectory)
+    value, trajectory = -np.inf, []
+    for _ in range(MAX_ITERS):
+        previous = value
+        _, psi_j = _half_step(layout_j, weights, psi_c, psi_j)
+        value, psi_c = _half_step(layout_c, weights, psi_j, psi_c)
+        trajectory.append(value)
+        if value - previous < TOL:
+            return value, len(trajectory), True, trajectory, (psi_j, psi_c)
+    return value, MAX_ITERS, False, trajectory, (psi_j, psi_c)
 
 
 def _balanced(dim: int) -> np.ndarray:
-    """The (1, dim) stack holding the balanced superposition of a side's two stretched states."""
-    ket = np.zeros((1, dim), dtype=complex)
-    ket[0, [0, -1]] = 1 / np.sqrt(2)
+    """The balanced superposition of a side's two stretched states."""
+    ket = np.zeros(dim, dtype=complex)
+    ket[[0, -1]] = 1 / np.sqrt(2)
     return ket
 
 
@@ -218,7 +202,7 @@ def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarra
     shape (restarts, 2, d_J + d_C), real and imaginary parts along axis 1,
     split between the sides; row 0 belongs to restart 0, which starts from
     `_balanced` instead.  The draw fills row by row, so restart r depends only
-    on (seed, r), whatever the restart count or block size.
+    on (seed, r), whatever the restart count.
     """
     draw = np.random.default_rng(seed).standard_normal((restarts, 2, d_j + d_c))[1:]
     kets = draw[:, 0] + 1j * draw[:, 1]
@@ -227,27 +211,20 @@ def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarra
 
 
 def _run_restarts(layouts, weights, restarts, seed, stop_at):
-    """Restart 0 alone, then, unless its value reaches `stop_at`, restarts 1 .. R-1.
+    """Restart 0, then, unless its value reaches `stop_at`, restarts 1 .. R-1 one at a time.
 
-    Restarts 1 .. R-1 run as stacks of at most
-    `_STACK_ENTRIES // (max(d_J, d_C) * (r + 1))` rows.  Returns per-restart
-    (values, iterations, converged) of the restarts that ran, the index of the
-    first maximum in restart order and that restart's kets.
+    Returns per-restart (values, iterations, converged) of the restarts that
+    ran, the index of the first maximum in restart order and that restart's
+    final kets.
     """
     _, d_j, d_c = layouts[0].shape
-    psi_j, psi_c = _balanced(d_j), _balanced(d_c)
-    runs = [_seesaw_stack(layouts, weights, psi_j, psi_c)[:3]]
-    if restarts > 1 and runs[0][0][0] < stop_at:
-        block = max(1, _STACK_ENTRIES // (max(d_j, d_c) * (len(weights) + 1)))
+    runs = [_ascend(layouts, weights, _balanced(d_j), _balanced(d_c))]
+    if restarts > 1 and runs[0][0] < stop_at:
         rest_j, rest_c = _start_kets(seed, restarts, d_j, d_c)
-        runs += [  # each block's kets are views, overwritten in place with the final ones
-            _seesaw_stack(layouts, weights, rest_j[start : start + block], rest_c[start : start + block])[:3]
-            for start in range(0, restarts - 1, block)
-        ]
-        psi_j, psi_c = np.concatenate((psi_j, rest_j)), np.concatenate((psi_c, rest_c))
-    values, iterations, converged = map(np.concatenate, zip(*runs))
+        runs += [_ascend(layouts, weights, psi_j, psi_c) for psi_j, psi_c in zip(rest_j, rest_c)]
+    values, iterations, converged, _, kets = zip(*runs)
     best = int(np.argmax(values))  # argmax takes the first maximum
-    return values, iterations, converged, best, (psi_j[best], psi_c[best])
+    return values, iterations, converged, best, kets[best]
 
 
 def seesaw_maximize(
@@ -264,16 +241,15 @@ def seesaw_maximize(
     superposition (the saturating point) and runs alone.  If its value comes
     within `TOL` of that bound less its residual term, no restart can beat it
     by more than `TOL`, so it wins and `restarts_run` is 1.  Otherwise
-    restarts 1 .. R-1 run too, in lockstep as stacks of a fixed number of
-    entries on the witness factors: restart r takes row r of one
-    standard-normal draw from default_rng(seed), filled row by row, so it
-    depends only on (seed, r) and a run with more restarts repeats the first
-    ones.  The winner is the first maximum in restart order.  Its product ket
-    is scored against the dense Q, so the returned value is a certified lower
-    bound on the true bipartition maximum.  A bipartition of another
-    ensemble, a restart count that is not an integer >= 1, a seed that is not
-    an integer >= 0, and a witness whose factors leave a Frobenius residual
-    above FACTOR_TOL are ValueErrors.
+    restarts 1 .. R-1 run too, one at a time on the witness factors: restart
+    r takes row r of one standard-normal draw from default_rng(seed), filled
+    row by row, so it depends only on (seed, r) and a run with more restarts
+    repeats the first ones.  The winner is the first maximum in restart
+    order.  Its product ket is scored against the dense Q, so the returned
+    value is a certified lower bound on the true bipartition maximum.  A
+    bipartition of another ensemble, a restart count that is not an integer
+    >= 1, a seed that is not an integer >= 0, and a witness whose factors
+    leave a Frobenius residual above FACTOR_TOL are ValueErrors.
     """
     if bipartition.ensemble != witness.ensemble:
         raise ValueError(f"bipartition spins {bipartition.ensemble.spins} do not match "
@@ -294,4 +270,4 @@ def seesaw_maximize(
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)
     return SeeSawResult(bipartition, value, factor_bound + factors.residual, best_kets,
-                        int(iterations[best]), bool(converged[best]), len(values))
+                        iterations[best], converged[best], len(values))

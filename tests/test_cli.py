@@ -4,13 +4,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinwitness import cli
+from spinwitness import cli, seesaw
 from spinwitness.noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
 from spinwitness.protocol import ProtocolConfig, _positive_probabilities, outcome_table
 from spinwitness.spin import SpinEnsemble, jz_diagonal
@@ -109,6 +110,22 @@ def test_verify_passes_for_spin_half_triple(capsys):
     rc, out, _ = run(capsys, "verify", "--spins", "0.5,0.5,0.5", "--restarts", "6")
     assert rc == 0
     assert "all checks passed" in out
+    assert out.count("PASS") == 5
+
+
+@pytest.mark.parametrize("spins", [
+    "0.5,1,1", "1.5,1.5,1.5", "0.5,1,1,1", "0.5,1,1.5,1.5", "0.5,0.5,0.5,0.5,0.5", "2.5,2.5,2.5",
+    "0.5,0.5,0.5,0.5,0.5,0.5,0.5",
+])
+def test_verify_stops_after_restart_0_on_the_benchmark_shapes(capsys, monkeypatch, spins):
+    # restart 0 meets the Schmidt bound on every bipartition of these shapes, so the random
+    # start kets of restarts 1 .. R-1 are never drawn
+    def no_draw(*args):
+        raise AssertionError("the see-saw drew start kets for restarts 1 .. R-1")
+
+    monkeypatch.setattr(seesaw, "_start_kets", no_draw)
+    rc, out, _ = run(capsys, "verify", "--spins", spins)
+    assert rc == 0
     assert out.count("PASS") == 5
 
 
@@ -345,14 +362,22 @@ def test_simulate_table_route_matches_dense_route(inputs):
 
 
 def test_verify_eigensolves_each_particles_jx_once(capsys, monkeypatch):
-    # the direct witness and the noise line share the ensemble's cached Jx eigenbases; the see-saw's
-    # eigensolves are stacked (3-D), and the one (6, 6) solve is the witness factors' projection
-    shapes = []
+    # the direct witness and the noise line share the ensemble's cached Jx eigenbases, and the one
+    # (6, 6) solve is the witness factors' projection; the see-saw's (3, 3) solves are told apart
+    # from a spin-1 particle's by the function that calls eigh (a spin-1/2 side gives (2, 2) ones)
+    shapes, seesaw_shapes = [], []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw))
+
+    def recording(a, *args, **kw):
+        in_seesaw = sys._getframe(1).f_code is seesaw._half_step.__code__
+        (seesaw_shapes if in_seesaw else shapes).append(a.shape)
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
     rc, _, _ = run(capsys, "verify", "--spins", "0.5,1,1", "--restarts", "2")
     assert rc == 0
-    assert [s for s in shapes if len(s) == 2] == [(2, 2), (3, 3), (3, 3), (6, 6)]
+    assert shapes == [(2, 2), (3, 3), (3, 3), (6, 6)]
+    assert seesaw_shapes and set(seesaw_shapes) <= {(2, 2), (3, 3)}
 
 
 def test_noise_sweep_rejects_bad_grid(capsys):
@@ -658,6 +683,22 @@ def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypat
     assert exc.value.code == 2
     assert "argument --out" in err and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_an_empty_out_is_a_usage_error(capsys):
+    # an empty --out was accepted and ignored: the table went to stdout, with no manifest
+    rc, out, err = run(capsys, "table", "--K", "3", "--out", "")
+    assert (rc, out) == (2, "")
+    assert "argument --out" in err and "Traceback" not in err
+
+
+def test_out_whose_manifest_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    # the table was written, then the manifest's open raised IsADirectoryError with exit 1
+    (tmp_path / "t.csv.manifest.json").mkdir()
+    rc, out, err = run(capsys, "table", "--K", "3", "--out", str(tmp_path / "t.csv"))
+    assert (rc, out) == (2, "")
+    assert "argument --out" in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -13,7 +13,7 @@ from spinwitness.seesaw import (
     enumerate_bipartitions,
     seesaw_maximize,
 )
-from spinwitness.seesaw import _half_step, _run_restarts, _seesaw_stack, _side_layouts
+from spinwitness.seesaw import _ascend, _half_step, _run_restarts, _side_layouts
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState
 from spinwitness.witness import FACTOR_TOL, WitnessOperator, build_qk_direct, score, witness_report
@@ -348,12 +348,10 @@ def test_seesaw_trajectory_is_monotone():
         psi_c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         starts_j.append(psi_j / np.linalg.norm(psi_j))
         starts_c.append(psi_c / np.linalg.norm(psi_c))
-    # the five starts run as one stack; each row keeps its own trajectory
-    starts = np.array(starts_j), np.array(starts_c)
-    _, iterations, _, trajectory = _seesaw_stack(*layouts_of(W3, bip), *starts)
-    for row, steps in zip(trajectory.T, iterations):
-        assert np.isfinite(row[:steps]).all() and np.isnan(row[steps:]).all()
-        diffs = np.diff(row[:steps])
+    for psi_j, psi_c in zip(starts_j, starts_c):
+        value, iterations, _, trajectory, _ = _ascend(*layouts_of(W3, bip), psi_j, psi_c)
+        assert len(trajectory) == iterations and trajectory[-1] == value
+        diffs = np.diff(trajectory)
         assert np.all(diffs > -1e-12)
 
 
@@ -434,22 +432,14 @@ def random_low_rank_witness(seed, ensemble, rank=6, low=0.0):
 REFERENCE_ENSEMBLES = [E_MIXED, SpinEnsemble((0.5, 1, 1)), SpinEnsemble((1.5, 1, 1)), E5]
 
 
-def stack_entries(rows, witness, bip):
-    """The `_STACK_ENTRIES` that makes blocks of `rows` restarts on this bipartition."""
-    d_j, d_c = bip.side_dim(bip.subset_J), bip.side_dim(bip.complement)
-    return rows * max(d_j, d_c) * (len(witness.factors.values) + 1)
-
-
 @pytest.mark.parametrize("max_iters", [1, seesaw.MAX_ITERS])  # after one step the values still depend on the seeds
-@pytest.mark.parametrize("rows", [1, 3, 8])  # blocks of one, uneven blocks (3, 3, 2), one block of all
-def test_stacked_seesaw_matches_sequential_reference(monkeypatch, rows, max_iters):
+def test_seesaw_matches_sequential_reference(monkeypatch, max_iters):
     public = max_iters == seesaw.MAX_ITERS  # the public call always runs at the default
     monkeypatch.setattr(seesaw, "MAX_ITERS", max_iters)
     rng = np.random.default_rng(23)
     for ensemble in REFERENCE_ENSEMBLES:
         w = build_qk_direct(ensemble, theta_offset=rng.uniform(0, 2 * np.pi))
         for bip in enumerate_bipartitions(ensemble):
-            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
             values, iterations, converged, _ = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=5)
             got = _run_restarts(*layouts_of(w, bip), 8, 5, stop_at=np.inf)
             np.testing.assert_allclose(got[0], values, rtol=0, atol=1e-12)
@@ -467,7 +457,6 @@ def test_stacked_seesaw_matches_reference_on_a_random_operator(monkeypatch, max_
     # 200 steps, seed 11 puts the best restart 0.015 above the next
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
-    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(3, w, bip))
     monkeypatch.setattr(seesaw, "MAX_ITERS", max_iters)
     values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=11)
     got_values, got_iterations, got_converged, best, (psi_j, psi_c) = _run_restarts(
@@ -483,32 +472,30 @@ def test_stacked_seesaw_matches_reference_on_a_random_operator(monkeypatch, max_
 
 def test_stacked_tie_break_matches_reference():
     # a diagonal Q of rank 6 above 1/2 whose top level on subset_J is
-    # threefold degenerate within DEGENERACY_TOL: each row moves to its own
-    # previous ket's projection on that cluster, so the balanced first row
+    # threefold degenerate within DEGENERACY_TOL: each start moves to its own
+    # previous ket's projection on that cluster, so the balanced first start
     # keeps its two members
     bip = Bipartition(E3, (0, 1))
     w = low_rank_witness(E3, np.diag(np.repeat([1.0 - 1e-11, 1.0, 0.5, 1.0 - 2e-11], 2)).astype(complex))
     rng = np.random.default_rng(29)
     starts_j = [balanced(4)] + [unit_ket(rng, 4) for _ in range(7)]
     starts_c = [balanced(2)] + [unit_ket(rng, 2) for _ in range(7)]
-    psi_j, psi_c = np.array(starts_j), np.array(starts_c)
-    values, iterations, converged, _ = _seesaw_stack(*layouts_of(w, bip), psi_j, psi_c)
-    for row in range(8):
-        value, want_j, want_c, steps, done = reference_restart(w.Q, bip, starts_j[row], starts_c[row], 200, 1e-10)
-        assert values[row] == pytest.approx(value, abs=1e-12)
-        assert (iterations[row], converged[row]) == (steps, done)
-        assert_same_ket_up_to_phase(psi_j[row], want_j)
-        assert_same_ket_up_to_phase(psi_c[row], want_c)
-    assert_same_ket_up_to_phase(psi_j[0], balanced(4))
+    for row, (start_j, start_c) in enumerate(zip(starts_j, starts_c)):
+        value, iterations, converged, _, (psi_j, psi_c) = _ascend(*layouts_of(w, bip), start_j, start_c)
+        want_value, want_j, want_c, steps, done = reference_restart(w.Q, bip, start_j, start_c, 200, 1e-10)
+        assert value == pytest.approx(want_value, abs=1e-12)
+        assert (iterations, converged) == (steps, done)
+        assert_same_ket_up_to_phase(psi_j, want_j)
+        assert_same_ket_up_to_phase(psi_c, want_c)
+        if row == 0:
+            assert_same_ket_up_to_phase(psi_j, balanced(4))
 
 
-@pytest.mark.parametrize("rows", [1, 5])
-def test_seesaw_winner_is_first_maximum(monkeypatch, rows):
+def test_seesaw_winner_is_first_maximum():
     # Q = 1/2 ties every restart at 1/2 and keeps every start ket, so restart
     # 0 must win with its balanced kets
     bip = Bipartition(E3, (0,))
     flat = low_rank_witness(E3, np.eye(8, dtype=complex) / 2)
-    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, flat, bip))
     r = seesaw_maximize(flat, bip, restarts=5, seed=3)
     _, want_j, want_c, steps, done = reference_restart(flat.Q, bip, balanced(2), balanced(4), 200, 1e-10)
     assert (r.iterations, r.converged) == (steps, done)
@@ -518,35 +505,10 @@ def test_seesaw_winner_is_first_maximum(monkeypatch, rows):
     assert_same_ket_up_to_phase(r.best_kets[0], balanced(2))
 
 
-def test_seesaw_does_not_depend_on_block_size(monkeypatch):
-    # a one-row stack takes BLAS's matrix-vector path, so values may move in
-    # the last digit; counts, flags and the attained maximum may not
-    ensemble = SpinEnsemble((0.5, 1, 1.5, 1.5))
-    w = build_qk_direct(ensemble, theta_offset=1.3)
-    for bip in enumerate_bipartitions(ensemble):
-        runs = []
-        for rows in (1, 2, 5, 13):
-            monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
-            runs.append((_run_restarts(*layouts_of(w, bip), 13, 4, stop_at=np.inf),
-                         seesaw_maximize(w, bip, restarts=13, seed=4)))
-        (values, iterations, converged, *_), first = runs[0]
-        for (other_values, other_iterations, other_converged, *_), result in runs[1:]:
-            np.testing.assert_allclose(other_values, values, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(other_iterations, iterations)
-            np.testing.assert_array_equal(other_converged, converged)
-            assert result.best_value == pytest.approx(first.best_value, abs=1e-12)
-            assert (result.iterations, result.converged) == (first.iterations, first.converged)
-            psi_j, psi_c = result.best_kets
-            m = conditioned_operator(w, bip, psi_c)
-            assert np.real(psi_j.conj() @ m @ psi_j) == pytest.approx(result.best_value, abs=1e-10)
-
-
-@pytest.mark.parametrize("rows", [2, 13])  # blocks of two, one block of all
-def test_fewer_restarts_repeat_the_first_ones(monkeypatch, rows):
+def test_fewer_restarts_repeat_the_first_ones():
     # restart r depends only on (seed, r): 5 restarts are the first 5 of 13
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
-    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
     five = _run_restarts(*layouts_of(w, bip), 5, 11, stop_at=np.inf)
     thirteen = _run_restarts(*layouts_of(w, bip), 13, 11, stop_at=np.inf)
     assert len(set(np.round(thirteen[0], 6))) > 2  # the restarts end at different local maxima
@@ -586,22 +548,20 @@ def test_sign_witness_stops_after_restart_0(bip, offset, restarts):
     assert r.best_value <= r.upper_bound
 
 
-@pytest.mark.parametrize("rows", [1, 3, 8])  # blocks of one, uneven blocks of restarts 1 .. 7, one block of all
-def test_gap_path_runs_every_restart_once(monkeypatch, rows):
+def test_gap_path_runs_every_restart_once(monkeypatch):
     # restart 0 of the random rank-6 witness ends below the factor bound, so
     # restarts 1 .. 7 run too: the winner is the full-restart reference's, and
-    # the half-steps take each restart's rows for its own iterations only,
-    # restart 0's among them once
+    # each restart takes two half-steps per iteration of its own, restart 0
+    # among them once
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
-    monkeypatch.setattr(seesaw, "_STACK_ENTRIES", stack_entries(rows, w, bip))
     values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, 8, 200, 1e-10, seed=11)
-    rows_stepped = []
+    steps = []
     half_step = seesaw._half_step
 
-    def counting(layout, weights, kets, previous):
-        rows_stepped.append(len(kets))
-        return half_step(layout, weights, kets, previous)
+    def counting(*args):
+        steps.append(args)
+        return half_step(*args)
 
     monkeypatch.setattr(seesaw, "_half_step", counting)
     r = seesaw_maximize(w, bip, restarts=8, seed=11)
@@ -611,7 +571,7 @@ def test_gap_path_runs_every_restart_once(monkeypatch, rows):
     assert (r.iterations, r.converged) == (iterations[best], converged[best])
     assert_same_ket_up_to_phase(r.best_kets[0], kets[best][0])
     assert_same_ket_up_to_phase(r.best_kets[1], kets[best][1])
-    assert sum(rows_stepped) == 2 * iterations.sum()
+    assert len(steps) == 2 * iterations.sum()
 
 
 def test_a_loose_bound_leaves_the_gap_open():
@@ -712,17 +672,17 @@ def test_flat_conditioning_keeps_the_previous_ket(index, atol):
     # a stretched complement cancels the two GHZ-like terms (to the rounding of
     # their weights), and a complement orthogonal to both stretched states
     # removes them: the conditioned operator is 1/2 on the whole span, so each
-    # row keeps its previous ket
+    # previous ket is kept
     bip = Bipartition(E5, (0, 2))
     (layout_j, _), weights = layouts_of(build_qk_direct(E5, 0.7), bip)
     rng = np.random.default_rng(41)
-    previous = np.array([unit_ket(rng, 4) for _ in range(6)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values, kets = _half_step(layout_j, weights, np.tile(basis_vector(8, index), (6, 1)), previous)
-    np.testing.assert_allclose(values, 0.5, rtol=0, atol=atol)
-    for got, want in zip(kets, previous):
-        assert_same_ket_up_to_phase(got, want)
+    for _ in range(6):
+        previous = unit_ket(rng, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, ket = _half_step(layout_j, weights, basis_vector(8, index), previous)
+        np.testing.assert_allclose(value, 0.5, rtol=0, atol=atol)
+        assert_same_ket_up_to_phase(ket, previous)
 
 
 def test_seesaw_eigensolves_are_at_most_seven_by_seven(monkeypatch):
