@@ -433,20 +433,21 @@ REFERENCE_ENSEMBLES = [E_MIXED, SpinEnsemble((0.5, 1, 1)), SpinEnsemble((1.5, 1,
 
 
 @pytest.mark.parametrize("max_iters", [1, seesaw.MAX_ITERS])  # after one step the values still depend on the seeds
-def test_seesaw_matches_sequential_reference(monkeypatch, max_iters):
+@pytest.mark.parametrize("restarts", [1, 3, 8])  # restart 0 alone, a few, all eight
+def test_stacked_seesaw_matches_sequential_reference(monkeypatch, restarts, max_iters):
     public = max_iters == seesaw.MAX_ITERS  # the public call always runs at the default
     monkeypatch.setattr(seesaw, "MAX_ITERS", max_iters)
     rng = np.random.default_rng(23)
     for ensemble in REFERENCE_ENSEMBLES:
         w = build_qk_direct(ensemble, theta_offset=rng.uniform(0, 2 * np.pi))
         for bip in enumerate_bipartitions(ensemble):
-            values, iterations, converged, _ = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=5)
-            got = _run_restarts(*layouts_of(w, bip), 8, 5, stop_at=np.inf)
+            values, iterations, converged, _ = sequential_seesaw_reference(w.Q, bip, restarts, max_iters, 1e-10, seed=5)
+            got = _run_restarts(*layouts_of(w, bip), restarts, 5, stop_at=np.inf)
             np.testing.assert_allclose(got[0], values, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got[1], iterations)
             np.testing.assert_array_equal(got[2], converged)
             if public:
-                r = seesaw_maximize(w, bip, restarts=8, seed=5)
+                r = seesaw_maximize(w, bip, restarts=restarts, seed=5)
                 assert r.best_value == pytest.approx(values.max(), abs=1e-12)
 
 
@@ -491,12 +492,13 @@ def test_stacked_tie_break_matches_reference():
             assert_same_ket_up_to_phase(psi_j, balanced(4))
 
 
-def test_seesaw_winner_is_first_maximum():
+@pytest.mark.parametrize("restarts", [1, 5])
+def test_seesaw_winner_is_first_maximum(restarts):
     # Q = 1/2 ties every restart at 1/2 and keeps every start ket, so restart
     # 0 must win with its balanced kets
     bip = Bipartition(E3, (0,))
     flat = low_rank_witness(E3, np.eye(8, dtype=complex) / 2)
-    r = seesaw_maximize(flat, bip, restarts=5, seed=3)
+    r = seesaw_maximize(flat, bip, restarts=restarts, seed=3)
     _, want_j, want_c, steps, done = reference_restart(flat.Q, bip, balanced(2), balanced(4), 200, 1e-10)
     assert (r.iterations, r.converged) == (steps, done)
     assert r.best_value == pytest.approx(0.5, abs=1e-15)
@@ -505,16 +507,17 @@ def test_seesaw_winner_is_first_maximum():
     assert_same_ket_up_to_phase(r.best_kets[0], balanced(2))
 
 
-def test_fewer_restarts_repeat_the_first_ones():
-    # restart r depends only on (seed, r): 5 restarts are the first 5 of 13
+@pytest.mark.parametrize("fewer", [2, 5, 13])  # a short prefix, a longer one, the whole run again
+def test_fewer_restarts_repeat_the_first_ones(fewer):
+    # restart r depends only on (seed, r): `fewer` restarts are the first `fewer` of 13
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
-    five = _run_restarts(*layouts_of(w, bip), 5, 11, stop_at=np.inf)
+    first = _run_restarts(*layouts_of(w, bip), fewer, 11, stop_at=np.inf)
     thirteen = _run_restarts(*layouts_of(w, bip), 13, 11, stop_at=np.inf)
     assert len(set(np.round(thirteen[0], 6))) > 2  # the restarts end at different local maxima
-    np.testing.assert_allclose(five[0], thirteen[0][:5], rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(five[1], thirteen[1][:5])
-    np.testing.assert_array_equal(five[2], thirteen[2][:5])
+    np.testing.assert_allclose(first[0], thirteen[0][:fewer], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(first[1], thirteen[1][:fewer])
+    np.testing.assert_array_equal(first[2], thirteen[2][:fewer])
 
 
 def test_one_generator_per_call(monkeypatch):
@@ -548,14 +551,15 @@ def test_sign_witness_stops_after_restart_0(bip, offset, restarts):
     assert r.best_value <= r.upper_bound
 
 
-def test_gap_path_runs_every_restart_once(monkeypatch):
+@pytest.mark.parametrize("restarts", [1, 3, 8])  # restart 0 alone, a few, all eight
+def test_gap_path_runs_every_restart_once(monkeypatch, restarts):
     # restart 0 of the random rank-6 witness ends below the factor bound, so
-    # restarts 1 .. 7 run too: the winner is the full-restart reference's, and
+    # restarts 1 .. R-1 run too: the winner is the full-restart reference's, and
     # each restart takes two half-steps per iteration of its own, restart 0
     # among them once
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
-    values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, 8, 200, 1e-10, seed=11)
+    values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, restarts, 200, 1e-10, seed=11)
     steps = []
     half_step = seesaw._half_step
 
@@ -564,9 +568,9 @@ def test_gap_path_runs_every_restart_once(monkeypatch):
         return half_step(*args)
 
     monkeypatch.setattr(seesaw, "_half_step", counting)
-    r = seesaw_maximize(w, bip, restarts=8, seed=11)
+    r = seesaw_maximize(w, bip, restarts=restarts, seed=11)
     best = int(np.argmax(values))
-    assert best != 0 and r.restarts_run == 8
+    assert (best != 0) == (restarts == 8) and r.restarts_run == restarts  # restart 6 is the best of the eight
     assert r.best_value == pytest.approx(values[best], abs=1e-12)
     assert (r.iterations, r.converged) == (iterations[best], converged[best])
     assert_same_ket_up_to_phase(r.best_kets[0], kets[best][0])
