@@ -11,13 +11,15 @@ Subcommands
 Every command is deterministic given its flags (seeds included).  Rational
 quantities are printed both as "num/den" strings and as 17-significant-digit
 floats; table, noise-sweep, seesaw and general-witness take --format csv|json.
-When --out is given, a sibling <out>.manifest.json records the command,
-parameters, package version, timestamp, and output checksum.  simulate --p
-takes one noise level (global, or local with --model local) or one level per
-particle (local).  Exit codes: 0 pass, 1 verification failure, 2 bad
+When --out is given, a sibling <out>.manifest.json records the command, the
+parsed parameters, package version, timestamp, and output checksum.  simulate
+--p takes one noise level (global, or local with --model local) or one level
+per particle (local).  Exit codes: 0 pass, 1 verification failure, 2 bad
 command-line value, a blank comma-list entry or a repeated flag included (all
 are checked before any computation; an error from inside the library is a bug
-and raises).
+and raises).  Each flag's own text is checked by its argparse type, so the
+error names the flag; UsageError is left to the checks that read a second flag
+or the ensemble.
 """
 
 from __future__ import annotations
@@ -140,52 +142,47 @@ _out_path = _checked(str, _writable, "a file path in an existing, writable direc
                                      "with no directory at it or at its .manifest.json")
 
 
-def _parse_spins(text: str) -> SpinEnsemble:
+def _spins(text: str) -> tuple[float, ...]:
+    """An argparse type: the spins of a valid ensemble of dimension at most MAX_DIM."""
     try:
         spins = [float(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse --spins {text!r}; expected e.g. '0.5,0.5,0.5'")
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected e.g. '0.5,0.5,0.5'")
     try:
         ensemble = SpinEnsemble(spins)
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise argparse.ArgumentTypeError(str(exc))
     if ensemble.dim > MAX_DIM:
-        raise UsageError(f"ensemble dimension {ensemble.dim} exceeds the dense limit of {MAX_DIM}")
-    return ensemble
+        raise argparse.ArgumentTypeError(f"ensemble dimension {ensemble.dim} exceeds the dense limit of {MAX_DIM}")
+    return ensemble.spins
 
 
-def _parse_grid(text: str) -> list[float]:
-    """--grid as start:stop:step (stop included) or comma-separated values, each in [0, 1]."""
+def _grid(text: str) -> list[float]:
+    """An argparse type: start:stop:step (stop included) or comma-separated values, one or more, each in [0, 1]."""
     ranged = ":" in text
     try:
         values = [float(p) for p in text.split(":" if ranged else ",")]
     except ValueError:
-        raise UsageError(f"cannot parse --grid {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}")
     if ranged:
         if len(values) != 3:
-            raise UsageError(f"--grid {text!r} must be start:stop:step or comma-separated values")
+            raise argparse.ArgumentTypeError(f"{text!r} must be start:stop:step or comma-separated values")
         start, stop, step = values
         if not all(map(math.isfinite, values)) or step <= 0 or stop < start:
-            raise UsageError("--grid needs finite values, step > 0 and stop >= start")
+            raise argparse.ArgumentTypeError("a range needs finite values, step > 0 and stop >= start")
         if (stop + step / 2 - start) / step > MAX_GRID_POINTS:  # np.arange's length before its ceil
-            raise UsageError(f"--grid {text!r} has more than the limit of {MAX_GRID_POINTS} points")
-        values = [float(v) for v in np.arange(start, stop + step / 2, step)]
-    if not all(0 <= p <= 1 for p in values):
-        raise UsageError("--grid needs each value in [0, 1]")
+            raise argparse.ArgumentTypeError(f"{text!r} has more than the limit of {MAX_GRID_POINTS} points")
+        # a range holds its start: at start == stop, stop + step / 2 can round to stop and leave np.arange empty
+        values = [start] if start == stop else [float(v) for v in np.arange(start, stop + step / 2, step)]
+    if not values or not all(0 <= p <= 1 for p in values):
+        raise argparse.ArgumentTypeError(f"{text!r} must give one or more values, each in [0, 1]")
     return values
 
 
-def _parse_subensembles(text: str, n: int) -> tuple[tuple[int, ...], ...]:
-    groups = []
-    for chunk in text.split("|"):
-        try:
-            groups.append(tuple(sorted(int(p) - 1 for p in chunk.split(","))))
-        except ValueError:
-            raise UsageError(f"cannot parse --subensembles {text!r}; expected e.g. '1|2,3' (1-based)")
-    flat = sorted(i for g in groups for i in g)
-    if flat != list(range(n)):
-        raise UsageError(f"--subensembles {text!r} do not partition particles 1..{n}")
-    return tuple(groups)
+# --subensembles: groups of 1-based particle numbers split by '|', parsed to sorted 0-based groups
+_groups = _checked(lambda text: tuple(tuple(sorted(int(p) - 1 for p in g.split(","))) for g in text.split("|")),
+                   lambda groups: all(i >= 0 for group in groups for i in group),
+                   "groups of particles numbered from 1, split by '|', e.g. '1|2,3'")
 
 
 def _cell(value) -> str:
@@ -197,7 +194,7 @@ def _cell(value) -> str:
 
 
 def _emit(args, obj=None, header=None, *, text=None) -> None:
-    """Write text, or obj as JSON, or as CSV: header, then one line per obj["rows"] (or obj itself)."""
+    """Write text, or obj as JSON after the schema and command, or as CSV: header, then obj["rows"] (or obj)."""
     if text is not None:
         payload = text
     elif getattr(args, "format", "json") == "csv":
@@ -207,7 +204,7 @@ def _emit(args, obj=None, header=None, *, text=None) -> None:
         writer.writerows([_cell(row.get(name)) for name in header] for row in obj.get("rows", [obj]))
         payload = buf.getvalue()
     else:
-        payload = json.dumps(obj, indent=2) + "\n"
+        payload = json.dumps({"schema": SCHEMA_VERSION, "command": args.command, **obj}, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -239,7 +236,7 @@ def cmd_table(args) -> int:
             row[name], row[f"{name}_float"] = _frac(getattr(rep, name)), float(getattr(rep, name))
         rows.append(row)
     header = ["K", *(f"{name}{suffix}" for name in _BOUNDS for suffix in ("", "_float"))]
-    _emit(args, {"schema": SCHEMA_VERSION, "command": "table", "rows": rows}, header)
+    _emit(args, {"rows": rows}, header)
     return 0
 
 
@@ -344,7 +341,7 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
 
 
 def cmd_verify(args) -> int:
-    ensemble = _parse_spins(args.spins)
+    ensemble = SpinEnsemble(args.spins)
     checks = _verify_checks(ensemble, args.restarts, args.seed)
     lines = [f"ensemble {','.join(_fmt(j) for j in ensemble.spins)}  K={ensemble.K}  dim={ensemble.dim}"]
     for name, passed, detail in checks:
@@ -356,31 +353,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    ensemble = _parse_spins(args.spins)
-    grid = _parse_grid(args.grid)
+    ensemble = SpinEnsemble(args.spins)
     rep = witness_report(ensemble.K)
     witness, state = build_qk_direct(ensemble), ghz_like(ensemble, phi=_detected_phi(ensemble.K))
     rows = []
-    for p in grid:  # the dense channel, scored against the direct witness: the brute-force reference
+    for p in args.grid:  # the dense channel, scored against the direct witness: the brute-force reference
         model = _uniform_model(args.model, p, ensemble.N)
         closed = noisy_score(ensemble, model)
         rows.append({"p": p, "closed_form_score": closed,
                      "brute_force_score": score(apply_depolarizing(state, model), witness),
                      "detected": bool(closed > float(rep.P_sep))})
-    _emit(args, {"schema": SCHEMA_VERSION, "command": "noise-sweep", "model": args.model,
-                 "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
+    _emit(args, {"model": args.model, "spins": list(ensemble.spins), "sep_bound": _frac(rep.P_sep), "rows": rows},
           ["p", "closed_form_score", "brute_force_score", "detected"])
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if args.spins is not None:
-        ensemble = _parse_spins(args.spins)
-    else:
-        ensemble = SpinEnsemble((0.5,) * args.K)
+    ensemble = SpinEnsemble(args.spins or (0.5,) * args.K)
     if args.model is not None and args.p is None:
         raise UsageError(f"--model {args.model} needs a noise level: give --p")
-    subensembles = None if args.subensembles is None else _parse_subensembles(args.subensembles, ensemble.N)
+    if args.subensembles is not None and sorted(i for g in args.subensembles for i in g) != list(range(ensemble.N)):
+        raise UsageError(f"--subensembles do not partition particles 1..{ensemble.N}")
     if args.p is not None and len(args.p) not in (1, ensemble.N):
         raise UsageError(f"--p takes 1 value or {ensemble.N} (one per particle), got {len(args.p)}")
     if args.p is not None and len(args.p) > 1 and args.model == "global":
@@ -400,8 +393,6 @@ def cmd_simulate(args) -> int:
     rep = witness_report(K)
     verdict = "GME-detected" if estimate.ci_low > float(rep.P_sep) else "inconclusive"
     obj = {
-        "schema": SCHEMA_VERSION,
-        "command": "simulate",
         "spins": list(ensemble.spins),
         "K": K,
         "phi": float(phi),
@@ -409,7 +400,7 @@ def cmd_simulate(args) -> int:
         "state": args.state,
         "rounds": args.rounds,
         "seed": args.seed,
-        "subensembles": [list(g) for g in subensembles] if subensembles else None,
+        "subensembles": args.subensembles,
         "p_hat": estimate.p_hat,
         "ci_low": estimate.ci_low,
         "ci_high": estimate.ci_high,
@@ -434,7 +425,7 @@ def _round12(x: float) -> float:
 
 
 def cmd_seesaw(args) -> int:
-    ensemble = _parse_spins(args.spins)
+    ensemble = SpinEnsemble(args.spins)
     if ensemble.N < 2:
         raise UsageError("seesaw needs at least two particles")
     rep = witness_report(ensemble.K)
@@ -446,7 +437,7 @@ def cmd_seesaw(args) -> int:
              "iterations": r.iterations, "converged": r.converged}
             for r in results]
     obj = {
-        "schema": SCHEMA_VERSION, "command": "seesaw", "spins": list(ensemble.spins),
+        "spins": list(ensemble.spins),
         "sep_bound": _frac(rep.P_sep), "sep_bound_float": float(rep.P_sep),
         "spread": _round12(spread), "rows": rows,
     }
@@ -463,11 +454,11 @@ _F_ODD_CHOICES = {
 
 
 def cmd_general_witness(args) -> int:
-    ensemble = _parse_spins(args.spins)
+    ensemble = SpinEnsemble(args.spins)
     gw = generalized_witness(ensemble, args.f0, _F_ODD_CHOICES[args.f_odd])
     rep = witness_report(ensemble.K)
     obj = {
-        "schema": SCHEMA_VERSION, "command": "general-witness", "spins": list(ensemble.spins),
+        "spins": list(ensemble.spins),
         "f0": args.f0, "f_odd": args.f_odd, "f_K": gw.f_K, "sep_bound": gw.sep_bound,
         "pos_witness_sep_bound_float": float(rep.P_sep),
     }
@@ -496,38 +487,38 @@ def build_parser() -> argparse.ArgumentParser:
     output(p, fmt_default="csv")
 
     p = command("verify", "self-verification suite for one ensemble", cmd_verify)
-    p.add_argument("--spins", required=True)
+    p.add_argument("--spins", type=_spins, required=True)
     p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p)
 
     p = command("noise-sweep", "noisy scores across a grid", cmd_noise_sweep)
-    p.add_argument("--spins", required=True)
+    p.add_argument("--spins", type=_spins, required=True)
     p.add_argument("--model", choices=["global", "local"], default="global")
-    p.add_argument("--grid", default="0:1:0.05")
+    p.add_argument("--grid", type=_grid, default="0:1:0.05")
     output(p, fmt_default="csv")
 
     p = command("simulate", "Monte-Carlo protocol run", cmd_simulate)
     ensemble = p.add_mutually_exclusive_group(required=True)
-    ensemble.add_argument("--spins")
+    ensemble.add_argument("--spins", type=_spins)
     ensemble.add_argument("--K", type=_odd_k(int(math.log2(MAX_DIM)), f"(dimension 2^K, dense limit of {MAX_DIM})"))
     p.add_argument("--phi", type=_finite, default=None)
     p.add_argument("--state", choices=["ghz", "mixture"], default="ghz")
     p.add_argument("--rounds", type=_rounds, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--subensembles")
+    p.add_argument("--subensembles", type=_groups)
     p.add_argument("--model", choices=["global", "local"], help="noise model for one --p value (default global)")
     p.add_argument("--p", type=_probability_list, help="one noise level, or one per particle (local noise)")
     output(p)
 
     p = command("seesaw", "bipartition product-state maximization", cmd_seesaw)
-    p.add_argument("--spins", required=True)
+    p.add_argument("--spins", type=_spins, required=True)
     p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p, fmt_default="json")
 
     p = command("general-witness", "odd-function witness bound", cmd_general_witness)
-    p.add_argument("--spins", required=True)
+    p.add_argument("--spins", type=_spins, required=True)
     p.add_argument("--f0", type=_finite, default=0.5)
     p.add_argument("--f-odd", dest="f_odd", choices=sorted(_F_ODD_CHOICES), default="half-sign")
     output(p, fmt_default="json")

@@ -188,7 +188,8 @@ def rounds_needed(K: int, power_margin: float) -> int:
     """Smallest round count resolving the detection gap with margin to spare.
 
     Finds the least n whose Wilson 95% half-width, at success probability
-    midway across the gap, drops below gap * power_margin / 2.
+    midway across the gap, drops below gap * power_margin / 2.  A count that
+    would reach 2^63, the protocol's round limit, raises ValueError.
     """
     if not 0 < power_margin < 1:
         raise ValueError("power_margin must lie in (0, 1)")
@@ -197,7 +198,10 @@ def rounds_needed(K: int, power_margin: float) -> int:
     target = float(report.gap) * power_margin / 2
     lo, hi = 1, 1
     while _wilson_half_width(p_mid, hi) >= target:
-        hi *= 2
+        if hi == 2**63 - 1:
+            raise ValueError(f"power_margin {power_margin!r} at K = {K} needs at least 2^63 rounds, "
+                             "the protocol's round limit")
+        hi = min(2 * hi, 2**63 - 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if _wilson_half_width(p_mid, mid) < target:

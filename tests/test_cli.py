@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -18,7 +19,7 @@ from spinwitness.spin import SpinEnsemble, jz_diagonal
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture
 from spinwitness.witness import phase_for_ghz
 from spinwitness.cli import (
-    MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, UsageError, _deviation, _parse_grid, _parse_spins, main,
+    MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, _deviation, _grid, _spins, main,
 )
 from test_seesaw import split_ensembles
 
@@ -110,6 +111,13 @@ def test_verify_passes_for_spin_half_triple(capsys):
     rc, out, _ = run(capsys, "verify", "--spins", "0.5,0.5,0.5", "--restarts", "6")
     assert rc == 0
     assert "all checks passed" in out
+    assert out.count("PASS") == 5
+
+
+def test_verify_passes_a_single_particle(capsys):
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5")
+    assert rc == 0
+    assert "PASS  seesaw: single particle: no bipartitions to check\n" in out
     assert out.count("PASS") == 5
 
 
@@ -380,6 +388,14 @@ def test_verify_eigensolves_each_particles_jx_once(capsys, monkeypatch):
     assert seesaw_shapes and set(seesaw_shapes) <= {(2, 2), (3, 3)}
 
 
+def test_noise_sweep_range_holds_its_start(capsys):
+    # 0.5 + 1e-320 / 2 rounds to 0.5, so np.arange(0.5, 0.5 + step / 2, step) is empty: a header, no rows, exit 0
+    rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0.5:0.5:1e-320")
+    assert rc == 0
+    _, *rows = out.strip().splitlines()
+    assert len(rows) == 1 and rows[0].split(",")[0] == "0.5"
+
+
 def test_noise_sweep_rejects_bad_grid(capsys):
     rc, _, err = run(capsys, "noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0:2:0.5")
     assert rc == 2
@@ -451,7 +467,7 @@ def test_spins_above_dense_limit_are_usage_errors(capsys):
         rc, _, err = run(capsys, command, "--spins", thirteen)
         assert rc == 2
         assert "dimension 8192" in err and f"limit of {MAX_DIM}" in err
-    assert _parse_spins(",".join(["0.5"] * 11)).dim == 2048 == MAX_DIM
+    assert SpinEnsemble(_spins(",".join(["0.5"] * 11))).dim == 2048 == MAX_DIM
 
 
 # --- seesaw and general-witness ---
@@ -627,6 +643,8 @@ def test_csv_cells_equal_json_values(capsys, argv):
     (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0,1", "--grid", "0.5"), "--grid"),
     (("seesaw", "--spins", "0.5,1,1", "--seed", "1", "--seed", "1"), "--seed"),
     (("general-witness", "--spins", "0.5,1,1", "--f-odd", "sign", "--f-odd", "cubic"), "--f-odd"),
+    (("noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", "0:1"), "--grid"),
+    (("verify", "--spins", "a,b"), "--spins"),
 ])
 def test_argparse_rejects_bad_values(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -653,6 +671,7 @@ def test_argparse_rejects_bad_values(capsys, argv, flag):
     (("simulate", "--spins", "0.5,1,1", "--p", "0.1,0.2"), "--p takes 1 value or 3"),
     (("simulate", "--spins", "0.5,1,1", "--model", "local", "--p", "0.1,0.2,0.3,0.4"), "--p takes 1 value or 3"),
     (("simulate", "--K", "3", "--subensembles", ""), "--subensembles"),  # ran unsplit
+    (("seesaw", "--spins", "1.5"), "at least two particles"),
 ])
 def test_usage_errors_name_the_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -826,9 +845,9 @@ def test_a_less_entangled_positive_factor_fails_the_seesaw_line(capsys, monkeypa
 
 
 def test_grid_limit_counts_points_before_allocating():
-    assert len(_parse_grid("0:1:1e-4")) == MAX_GRID_POINTS
-    with pytest.raises(UsageError, match="limit"):
-        _parse_grid("0:1:0.99e-4")
+    assert len(_grid("0:1:1e-4")) == MAX_GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError, match="limit"):
+        _grid("0:1:0.99e-4")
 
 
 def test_library_errors_propagate(monkeypatch):

@@ -450,6 +450,29 @@ def test_rounds_needed_is_tight():
         assert hw(n) < target <= hw(n - 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 100).map(lambda i: 2 * i + 1),
+       st.floats(-300, 0, exclude_max=True).map(lambda e: 10.0**e).filter(lambda m: m < 1))
+@example(3, 1e-9)  # returned 211280235138176892928 rounds, which ProtocolConfig rejects
+@example(3, 1e-80)  # the doubling search ended in OverflowError converting its count to float
+def test_rounds_needed_stays_below_the_round_limit(K, margin):
+    z = 1.959963984540054
+    rep = witness_report(K)
+    p_mid = float(rep.P_sep + rep.gap / 2)
+    target = float(rep.gap) * margin / 2
+
+    def hw(m):
+        return z * np.sqrt(p_mid * (1 - p_mid) / m + z**2 / (4 * m**2)) / (1 + z**2 / m)
+
+    try:
+        n = rounds_needed(K, margin)
+    except ValueError as exc:
+        assert "2^63" in str(exc)
+        assert hw(2**63 - 1) >= target  # no count below the limit reaches the target
+    else:
+        assert 1 <= n < 2**63 and hw(n) < target
+
+
 def test_rounds_needed_scaling():
     assert rounds_needed(3, 0.9) < rounds_needed(3, 0.5)  # looser target, fewer rounds
     assert rounds_needed(5, 0.5) > rounds_needed(3, 0.5)  # smaller gap, more rounds

@@ -35,6 +35,8 @@ def test_quantum_state_validates_rho():
         QuantumState(E3, rho=neg)
     with pytest.raises(ValueError, match="Hermitian"):
         QuantumState(E3, rho=np.triu(np.ones((8, 8))) / 8)
+    with pytest.raises(ValueError, match="shape"):
+        QuantumState(E3, rho=np.eye(4, dtype=complex) / 4)
 
 
 def conjugated_spectrum(spectrum, seed):
