@@ -10,7 +10,6 @@ subsystem — never gets there.
 import numpy as np
 
 from spinwitness import (
-    ProtocolConfig,
     SpinEnsemble,
     ghz_like,
     ghz_mixture,
@@ -29,15 +28,15 @@ print()
 for label, state in [("superposition", ghz_like(e, phi=np.pi)), ("mixture", ghz_mixture(e))]:
     print(f"{label}:")
     for seed in range(4):
-        est = run_protocol(ProtocolConfig(state=state, rounds=rounds, seed=seed))
+        est = run_protocol(state, rounds, seed)
         verdict = "GME detected" if est.ci_low > sep else "inconclusive"
         print(f"  seed {seed}: p_hat = {est.p_hat:.4f}  ci = [{est.ci_low:.4f}, {est.ci_high:.4f}]  {verdict}")
     print()
 
 print("splitting into subensembles measured separately, signs added afterwards:")
 # Any partition draws from the same per-direction probabilities, so the whole-ensemble sampler
-# serves it and the config names none; the command line's --subensembles only checks and echoes the split.
-est = run_protocol(ProtocolConfig(state=ghz_like(e, phi=np.pi), rounds=rounds, seed=0))
+# serves it and run_protocol takes no partition; the command line's --subensembles only checks and echoes the split.
+est = run_protocol(ghz_like(e, phi=np.pi), rounds, 0)
 print(f"  groups (1) and (2,3): p_hat = {est.p_hat:.4f}  ci = [{est.ci_low:.4f}, {est.ci_high:.4f}]")
 print()
 

@@ -17,7 +17,6 @@ from .noise import (
     noisy_score,
 )
 from .protocol import (
-    ProtocolConfig,
     ProtocolEstimate,
     rounds_needed,
     run_protocol,
@@ -50,7 +49,6 @@ __all__ = [
     "Bipartition",
     "GeneralizedWitness",
     "NoiseModel",
-    "ProtocolConfig",
     "ProtocolEstimate",
     "QuantumState",
     "SeeSawResult",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spin import _check_odd_k
+from .spin import _check_odd_k, _reduced_angle
 
 __all__ = ["classical_score", "classical_sweep_max"]
 
@@ -20,16 +20,14 @@ __all__ = ["classical_score", "classical_sweep_max"]
 def _scores(K: int, phi0: np.ndarray) -> np.ndarray:
     """classical_score at each angle of phi0: one (K, len(phi0)) table of projections."""
     K = _check_odd_k(K)
-    if not np.isfinite(phi0).all():
-        raise ValueError("phi0 must be finite")
     proj = np.cos(2 * np.pi * np.arange(K)[:, None] / K - phi0[None, :])
     weights = np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5))
     return weights.mean(axis=0)
 
 
 def classical_score(K: int, phi0: float) -> float:
-    """Fraction of the K directions with positive projection (ties count 1/2)."""
-    return float(_scores(K, np.array([float(phi0)]))[0])
+    """Fraction of the K directions with positive projection (ties count 1/2); phi0 is reduced mod 2 pi first."""
+    return float(_scores(K, np.array([_reduced_angle(phi0, "phi0")]))[0])
 
 
 def classical_sweep_max(K: int) -> float:

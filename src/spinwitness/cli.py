@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
-from .protocol import _positive_mass, _sample_signs, outcome_table
+from .protocol import ROUND_LIMIT, SEED_LIMIT, _positive_mass, _sample_signs, outcome_table
 from .seesaw import enumerate_bipartitions, seesaw_maximize
 from .spin import SpinEnsemble, direction_phases
 from .states import ghz_like, product_state
@@ -98,8 +98,8 @@ def _checked(parse, ok, what):
 
 
 _restarts = _checked(int, lambda n: 1 <= n <= MAX_RESTARTS, f"an integer in [1, {MAX_RESTARTS}]")
-_rounds = _checked(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")  # the protocol's int64 tallies
-_seed = _checked(int, lambda n: 0 <= n < 2**128, "an integer in [0, 2^128)")  # the Philox key range
+_rounds = _checked(int, lambda n: 1 <= n < ROUND_LIMIT, "an integer in [1, 2^63)")
+_seed = _checked(int, lambda n: 0 <= n < SEED_LIMIT, "an integer in [0, 2^128)")
 _finite = _checked(float, math.isfinite, "a finite number")
 _probability_list = _checked(lambda text: [float(p) for p in text.split(",")], lambda ps: all(0 <= p <= 1 for p in ps),
                              "a comma-separated list of probabilities in [0, 1]")

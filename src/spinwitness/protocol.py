@@ -9,7 +9,8 @@ fixes the bound, not the statistics).
 
 `run_protocol` reduces the state to the K exact probabilities q_k of a
 positive round (`_positive_probabilities`) and draws the tallies from them
-(`_sample_signs(probs, rounds, seed)`).  For a ket, q_k is the m > 0 mass
+(`_sample_signs(probs, rounds, seed)`, the one sampler every path runs and the
+one place rounds and seed are checked).  For a ket, q_k is the m > 0 mass
 (`_positive_mass`) of `outcome_table`, the Born probabilities of every
 product Jx outcome along every direction.  `simulate` samples only such
 tables: `noise.depolarize_table` of one under noise, and for the even mixture
@@ -21,8 +22,8 @@ subensembles cannot change q_k: along direction k the one-body components
 J_k^(n) commute and sum to J_k, so any group's outcome is the sum of its
 members' outcomes, and the recorded total sign has the same distribution for
 every partition, singletons and the whole ensemble included.  So
-`run_protocol` serves a per-group measurement too, and `ProtocolConfig`
-names no partition.
+`run_protocol(state, rounds, seed, theta_offset)` serves a per-group
+measurement too and takes no partition.
 
 Determinism contract: only the K pairs (positives, trials) are kept, so the
 sampler draws those tallies from their exact joint law instead of round by
@@ -46,7 +47,6 @@ from .states import QuantumState
 from .witness import witness_report
 
 __all__ = [
-    "ProtocolConfig",
     "ProtocolEstimate",
     "wilson_interval",
     "outcome_table",
@@ -57,22 +57,8 @@ __all__ = [
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    state: QuantumState
-    rounds: int
-    seed: int
-    theta_offset: float = 0.0
-
-    def __post_init__(self):
-        if not _is_integer(self.rounds):
-            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
-        if not 1 <= self.rounds < 2**63:  # the tallies are int64
-            raise ValueError(f"rounds must lie in [1, 2^63), got {self.rounds}")
-        object.__setattr__(self, "rounds", int(self.rounds))
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**128):  # the Philox key range
-            raise ValueError(f"seed must be an integer in [0, 2^128), got {self.seed!r}")
+ROUND_LIMIT = 2**63  # rounds lie in [1, ROUND_LIMIT): the tallies are int64
+SEED_LIMIT = 2**128  # seeds lie in [0, SEED_LIMIT): the Philox key range
 
 
 @dataclass(frozen=True)
@@ -111,6 +97,11 @@ def wilson_interval(positives: int, trials: int) -> tuple[float, float]:
 
 def _sample_signs(probs: np.ndarray, rounds: int, seed: int) -> ProtocolEstimate:
     """Draw the per-direction tallies from their exact law given the K positive probabilities."""
+    if not (_is_integer(rounds) and 1 <= rounds < ROUND_LIMIT):
+        raise ValueError(f"rounds must be an integer in [1, 2^63), got {rounds!r}")
+    if not (_is_integer(seed) and 0 <= seed < SEED_LIMIT):
+        raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+    rounds = int(rounds)
     K = len(probs)
     probs = np.clip(probs, 0.0, 1.0)
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -143,33 +134,35 @@ def _positive_mass(table: np.ndarray, ensemble: SpinEnsemble) -> np.ndarray:
     return table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0)
 
 
-def _positive_probabilities(config: ProtocolConfig) -> np.ndarray:
+def _positive_probabilities(state: QuantumState, theta_offset: float) -> np.ndarray:
     """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the factored Jx = V diag(m) V^dag in `spin`.
 
     K is odd, so pos picks m > 0: for a ket, `_positive_mass` of its outcome
     table; for a density matrix pos(Jx) is built once, each direction a phase product.
     """
-    ensemble = config.state.ensemble
-    if config.state.ket is not None:
-        return _positive_mass(outcome_table(config.state, config.theta_offset), ensemble)
-    ph = direction_phases(ensemble, config.theta_offset)
-    weighted = config.state.rho.T * jx_function(ensemble, jz_diagonal(ensemble) > 0)
+    ensemble = state.ensemble
+    if state.ket is not None:
+        return _positive_mass(outcome_table(state, theta_offset), ensemble)
+    ph = direction_phases(ensemble, theta_offset)
+    weighted = state.rho.T * jx_function(ensemble, jz_diagonal(ensemble) > 0)
     return ((ph @ weighted) * ph.conj()).sum(axis=1).real
 
 
-def run_protocol(config: ProtocolConfig) -> ProtocolEstimate:
-    """Simulate the single-shot sign measurement of the total J_k, one direction per round.
+def run_protocol(state: QuantumState, rounds: int, seed: int, theta_offset: float = 0.0) -> ProtocolEstimate:
+    """Simulate `rounds` single-shot sign measurements of the total J_k, one direction per round.
 
     The one-body components of J_k commute and sum to it, so the per-particle
     kernel gives its distribution, and a per-group measurement has the same one.
+    The sampler checks rounds and seed, and `direction_phases` theta_offset.
     """
-    return _sample_signs(_positive_probabilities(config), config.rounds, config.seed)
+    return _sample_signs(_positive_probabilities(state, theta_offset), rounds, seed)
 
 
 # perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
-def run_protocol_subensembles(config: ProtocolConfig) -> ProtocolEstimate:
+def run_protocol_subensembles(state: QuantumState, rounds: int, seed: int,
+                              theta_offset: float = 0.0) -> ProtocolEstimate:
     """Per-group sign measurements summed into the total sign: no split changes q_k, so `run_protocol`'s counts."""
-    return _sample_signs(_positive_probabilities(config), config.rounds, config.seed)
+    return run_protocol(state, rounds, seed, theta_offset)
 
 
 def time_schedule(K: int, omega: float) -> list[float]:
@@ -198,10 +191,10 @@ def rounds_needed(K: int, power_margin: float) -> int:
     target = float(report.gap) * power_margin / 2
     lo, hi = 1, 1
     while _wilson_half_width(p_mid, hi) >= target:
-        if hi == 2**63 - 1:
+        if hi == ROUND_LIMIT - 1:
             raise ValueError(f"power_margin {power_margin!r} at K = {K} needs at least 2^63 rounds, "
                              "the protocol's round limit")
-        hi = min(2 * hi, 2**63 - 1)
+        hi = min(2 * hi, ROUND_LIMIT - 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if _wilson_half_width(p_mid, mid) < target:

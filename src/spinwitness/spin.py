@@ -46,6 +46,13 @@ def _check_odd_k(K) -> int:
     return int(K)
 
 
+def _reduced_angle(angle: float, name: str) -> float:
+    """A finite angle modulo 2 pi, in [-pi, pi], read off e^{i angle}: np.exp reduces exactly, so no phase is lost."""
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {angle}")
+    return float(np.angle(np.exp(1j * angle)))
+
+
 def _check_half_integer(j) -> float:
     two_j = 2 * float(j)
     if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:
@@ -157,11 +164,9 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
     basis state), so diag(ph_k) = exp(-i a_k Jz) and the direction-k operator is
     the diagonal conjugation  J_k = diag(ph_k) Jx diag(ph_k)^dag.  Any spectral
     function then rotates the same way: f(J_k) = f(Jx) * outer(ph_k, ph_k^*).
-    A non-finite theta_offset is rejected, since every phase would be NaN.
+    A finite theta_offset keeps its phase however large (`_reduced_angle`); a non-finite one is rejected.
     """
-    if not math.isfinite(theta_offset):
-        raise ValueError(f"theta_offset must be finite, got {theta_offset}")
-    angles = 2 * np.pi * np.arange(ensemble.K) / ensemble.K + theta_offset
+    angles = 2 * np.pi * np.arange(ensemble.K) / ensemble.K + _reduced_angle(theta_offset, "theta_offset")
     return np.exp(-1j * np.outer(angles, jz_diagonal(ensemble)))
 
 

@@ -17,7 +17,6 @@ bounds come from `witness_report` in exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -26,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import assert_hermitian, binomial_exact
-from .spin import SpinEnsemble, _check_odd_k, direction_phases, jx_function, jz_diagonal
+from .spin import SpinEnsemble, _check_odd_k, _reduced_angle, direction_phases, jx_function, jz_diagonal
 from .states import QuantumState
 
 __all__ = [
@@ -136,12 +135,13 @@ def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> W
 
     |P+><P+| - |P-><P-| = c^* |up><down| + c |down><up|, and the descending-m
     local bases make |up> and |down> the first and last basis vectors, so Q is
-    1/2 plus two corner entries.  A non-finite theta_offset is rejected, since c would be NaN.
+    1/2 plus two corner entries.  c takes (e^{i theta})^K, so a large offset keeps its phase.
+    A non-finite theta_offset is rejected, since c would be NaN.
     """
     if not np.isfinite(theta_offset):
         raise ValueError(f"theta_offset must be finite, got {theta_offset}")
     K = ensemble.K
-    c = (-1) ** ((K - 1) // 2) * np.exp(1j * K * theta_offset)
+    c = (-1) ** ((K - 1) // 2) * np.exp(1j * theta_offset) ** K
     weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
     q = np.eye(ensemble.dim, dtype=complex) / 2
     q[0, -1] = weight * np.conj(c) / 2
@@ -201,16 +201,14 @@ def phase_for_ghz(phi: float, K: int) -> float:
     The witness with offset theta has top eigenvector
     |up> + (-1)^((K-1)/2) e^{i K theta} |down> (up to normalization), so
     matching the phase e^{i phi} gives theta = (2 phi - (K-1) pi)/(2K).
-    Offsets are only meaningful modulo 2 pi/K (shifting by 2 pi/K relabels the
-    K directions); the returned value is reduced into [0, 2 pi/K).  A non-finite
-    phi is rejected.
+    phi is reduced modulo 2 pi through e^{i phi} first, as in `ghz_like`, so any finite phi keeps
+    its phase; a non-finite one is rejected.  Offsets matter modulo 2 pi/K (a shift relabels the K
+    directions): the value returned lies in [0, 2 pi/K), a remainder rounding up to 2 pi/K reading 0.
     """
     K = _check_odd_k(K)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
     period = 2 * np.pi / K
-    theta = (phi - (K - 1) * np.pi / 2) / K  # halved before dividing, so no finite phi overflows
-    return float(theta % period)
+    theta = (_reduced_angle(phi, "phi") - (K - 1) * np.pi / 2) / K % period
+    return 0.0 if theta == period else theta
 
 
 @dataclass(frozen=True)

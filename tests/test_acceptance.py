@@ -19,7 +19,7 @@ from spinwitness.noise import (
     detection_thresholds,
     noisy_score,
 )
-from spinwitness.protocol import ProtocolConfig, run_protocol, run_protocol_subensembles
+from spinwitness.protocol import run_protocol, run_protocol_subensembles
 from spinwitness.seesaw import enumerate_bipartitions, seesaw_maximize
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import ghz_like, ghz_mixture
@@ -196,17 +196,17 @@ def test_criterion_09_protocol_detection_power():
 
     detections = 0
     for seed in range(10):
-        est = run_protocol(ProtocolConfig(state=optimal, rounds=100_000, seed=seed))
+        est = run_protocol(optimal, 100_000, seed)
         if est.ci_low > sep:
             detections += 1
     assert detections >= 9, f"only {detections}/10 seeds detected"
 
     for seed in range(10):
-        est = run_protocol(ProtocolConfig(state=mixture, rounds=100_000, seed=seed))
+        est = run_protocol(mixture, 100_000, seed)
         assert est.ci_low <= sep, f"mixture falsely detected at seed {seed}"
 
-    mono = run_protocol(ProtocolConfig(state=optimal, rounds=100_000, seed=100))
-    split = run_protocol_subensembles(ProtocolConfig(state=optimal, rounds=100_000, seed=101))
+    mono = run_protocol(optimal, 100_000, 100)
+    split = run_protocol_subensembles(optimal, 100_000, 101)
     table = np.array(
         [[round(mono.p_hat * mono.rounds), mono.rounds - round(mono.p_hat * mono.rounds)],
          [round(split.p_hat * split.rounds), split.rounds - round(split.p_hat * split.rounds)]],

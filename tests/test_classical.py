@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinwitness.classical import classical_score, classical_sweep_max
 
@@ -80,6 +82,15 @@ def test_rejects_even_k():
             classical_score(bad, 0.0)
         with pytest.raises(ValueError, match="positive odd integer"):
             classical_sweep_max(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.floats(allow_nan=False, allow_infinity=False))
+@example(1, 1.0000000000000006e17)  # returned 1.0, above P_max = 3/4: 2 pi k/K - phi0 rounded away the angle
+@example(1, 1e17)  # returned 0.0
+def test_score_takes_one_of_three_values_at_any_angle(half_k, phi0):
+    K = 2 * half_k + 1
+    assert classical_score(K, phi0) in {(K - 1) / (2 * K), 0.5, (K + 1) / (2 * K)}
 
 
 @pytest.mark.parametrize("phi0", [float("nan"), float("inf"), -float("inf")])

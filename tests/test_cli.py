@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from spinwitness import cli, seesaw
 from spinwitness.noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
-from spinwitness.protocol import ProtocolConfig, _positive_probabilities, outcome_table
+from spinwitness.protocol import _positive_probabilities, outcome_table
 from spinwitness.spin import SpinEnsemble, jz_diagonal
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture
 from spinwitness.witness import phase_for_ghz
@@ -365,8 +365,8 @@ def test_simulate_table_route_matches_dense_route(inputs):
         mp.setattr(cli, "_sample_signs", lambda probs, *rest: seen.append(probs) or sample(probs, *rest))
         assert main(argv) == 0
     dense = apply_depolarizing(ghz_mixture(ensemble) if state == "mixture" else ghz_like(ensemble, phi), model)
-    config = ProtocolConfig(dense, rounds=1000, seed=0, theta_offset=phase_for_ghz(phi, ensemble.K))
-    np.testing.assert_allclose(seen[0], _positive_probabilities(config), rtol=0, atol=1e-12)
+    expected = _positive_probabilities(dense, phase_for_ghz(phi, ensemble.K))
+    np.testing.assert_allclose(seen[0], expected, rtol=0, atol=1e-12)
 
 
 def test_verify_eigensolves_each_particles_jx_once(capsys, monkeypatch):
@@ -857,6 +857,13 @@ def test_library_errors_propagate(monkeypatch):
     monkeypatch.setattr("spinwitness.cli.witness_report", broken)
     with pytest.raises(ValueError, match="library fault"):
         main(["table", "--K", "3"])
+
+
+def test_simulate_detects_at_a_large_phi(capsys):
+    # phase_for_ghz divided phi by K before reducing it, so the offset lost the phase: p_hat read 0.309
+    rc, out, _ = run(capsys, "simulate", "--K", "3", "--rounds", "100000", "--phi", "1e17")
+    assert rc == 0
+    assert json.loads(out)["verdict"] == "GME-detected"
 
 
 def test_simulate_prints_strict_json_at_the_largest_phi(capsys):

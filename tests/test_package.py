@@ -1,6 +1,7 @@
 """The package's public surface: what `spinwitness` exports is what its commands and demos run."""
 
 import spinwitness
+import spinwitness.protocol
 
 # Dense references the tests compare against and a sampler identical to `run_protocol`: not exported.
 NOT_EXPORTED = (
@@ -21,3 +22,9 @@ def test_every_exported_name_resolves():
 def test_test_only_references_are_not_exported():
     assert [name for name in NOT_EXPORTED if hasattr(spinwitness, name)] == []
     assert set(NOT_EXPORTED).isdisjoint(spinwitness.__all__)
+
+
+def test_protocol_runs_take_their_values_directly():
+    # run_protocol(state, rounds, seed, theta_offset): no bundle of the four values, under any name
+    assert [name for name in dir(spinwitness) if name.endswith("Config")] == []
+    assert [name for name in dir(spinwitness.protocol) if name.endswith("Config")] == []

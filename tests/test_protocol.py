@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from linalg_reference import direction_operator, outcome_table_reference
 from spinwitness.protocol import (
-    ProtocolConfig,
+    _sample_signs,
     outcome_table,
     rounds_needed,
     run_protocol,
@@ -90,23 +90,19 @@ def test_wilson_contains_estimate_and_shrinks_with_trials(counts):
 # --- monolithic protocol ---
 
 
-def make_config(state, rounds=50_000, seed=0, **kw):
-    return ProtocolConfig(state=state, rounds=rounds, seed=seed, **kw)
-
-
 def test_protocol_is_deterministic():
     st = ghz_like(E3, phi=np.pi)
-    a = run_protocol(make_config(st, seed=11))
-    b = run_protocol(make_config(st, seed=11))
+    a = run_protocol(st, 50_000, 11)
+    b = run_protocol(st, 50_000, 11)
     assert a == b  # bit-for-bit, counts included
-    c = run_protocol(make_config(st, seed=12))
+    c = run_protocol(st, 50_000, 12)
     assert a.p_hat != c.p_hat
 
 
 def test_protocol_estimates_known_rate():
     # |up> + e^{i pi}|down> under the zero-offset witness hits exactly 3/4
     st = ghz_like(E3, phi=np.pi)
-    est = run_protocol(make_config(st, rounds=200_000, seed=3))
+    est = run_protocol(st, 200_000, 3)
     sigma = np.sqrt(0.75 * 0.25 / 200_000)
     assert abs(est.p_hat - 0.75) < 5 * sigma
     assert est.ci_low < 0.75 < est.ci_high
@@ -114,7 +110,7 @@ def test_protocol_estimates_known_rate():
 
 def test_protocol_counts_are_consistent():
     st = ghz_like(E3, phi=np.pi)
-    est = run_protocol(make_config(st, rounds=9_999, seed=5))
+    est = run_protocol(st, 9_999, 5)
     trials = sum(t for _, t in est.per_k_counts)
     positives = sum(p for p, _ in est.per_k_counts)
     assert trials == est.rounds == 9_999
@@ -123,31 +119,43 @@ def test_protocol_counts_are_consistent():
 
 
 def test_mixture_hovers_at_half():
-    est = run_protocol(make_config(ghz_mixture(E3), rounds=100_000, seed=2))
+    est = run_protocol(ghz_mixture(E3), 100_000, 2)
     assert abs(est.p_hat - 0.5) < 5 * np.sqrt(0.25 / 100_000)
 
 
 def test_theta_offset_matches_phase():
     phi = 1.3
     st = ghz_like(E3, phi=phi)
-    cfg = make_config(st, rounds=150_000, seed=9, theta_offset=phase_for_ghz(phi, 3))
-    est = run_protocol(cfg)
+    est = run_protocol(st, 150_000, 9, theta_offset=phase_for_ghz(phi, 3))
     assert abs(est.p_hat - 0.75) < 5 * np.sqrt(0.75 * 0.25 / 150_000)
+
+
+BAD_ROUNDS = (0, -1, 2**63, 1e6, 10.0, True, "10")
+BAD_SEEDS = (-1, 2**128, 1.5, 3.0, True, None, "3")
 
 
 def test_config_validation():
     st = ghz_like(E3)
-    for rounds in (0, -1, 2**63, 1e6, 10.0, True, "10"):
+    for rounds in BAD_ROUNDS:
         with pytest.raises(ValueError, match="rounds"):
-            make_config(st, rounds=rounds)
-    assert make_config(st, rounds=2**63 - 1).rounds == 2**63 - 1
-    assert type(make_config(st, rounds=np.int64(10)).rounds) is int
+            run_protocol(st, rounds=rounds, seed=0)
+    assert run_protocol(st, rounds=2**63 - 1, seed=0).rounds == 2**63 - 1
+    assert type(run_protocol(st, rounds=np.int64(10), seed=0).rounds) is int
     # unchecked, seed=1.5 ran and seed=-1 failed later inside numpy
-    for seed in (-1, 2**128, 1.5, 3.0, True, None, "3"):
+    for seed in BAD_SEEDS:
         with pytest.raises(ValueError, match="seed"):
-            make_config(st, seed=seed)
-    assert make_config(st, seed=2**128 - 1).seed == 2**128 - 1
-    assert run_protocol(make_config(st, seed=np.int64(3))) == run_protocol(make_config(st, seed=3))
+            run_protocol(st, rounds=10, seed=seed)
+    assert run_protocol(st, rounds=10, seed=2**128 - 1).rounds == 10
+    assert run_protocol(st, 50_000, np.int64(3)) == run_protocol(st, 50_000, 3)
+
+
+@pytest.mark.parametrize("rounds, seed, name",
+                         [(r, 0, "rounds") for r in BAD_ROUNDS] + [(10, s, "seed") for s in BAD_SEEDS])
+def test_sampler_checks_rounds_and_seed(rounds, seed, name):
+    # simulate calls the sampler directly; unchecked, seed -1 ended in numpy's "key must be positive and less
+    # than 2**128", rounds 0 in wilson_interval's "trials must be positive", and seed None drew an unseeded run
+    with pytest.raises(ValueError, match=name):
+        _sample_signs(np.full(3, 0.75), rounds, seed)
 
 
 # --- subensemble variant ---
@@ -191,8 +199,8 @@ def groupwise_probabilities(state, theta, groups):
 def test_subensembles_agree_with_monolithic(groups):
     # The sampler takes no partition: every partition's group-wise measurement has the same q_k.
     st = ghz_like(E3, phi=np.pi)
-    mono = run_protocol(make_config(st, rounds=100_000, seed=21))
-    split = run_protocol_subensembles(make_config(st, rounds=100_000, seed=22))
+    mono = run_protocol(st, 100_000, 21)
+    split = run_protocol_subensembles(st, 100_000, 22)
     np.testing.assert_allclose(split.per_k_probs, groupwise_probabilities(st, 0.0, groups), rtol=0, atol=1e-12)
     pos_a = round(mono.p_hat * mono.rounds)
     pos_b = round(split.p_hat * split.rounds)
@@ -201,21 +209,21 @@ def test_subensembles_agree_with_monolithic(groups):
 
 def test_subensembles_on_mixed_spins():
     st = ghz_like(E_MIXED, phi=np.pi)
-    split = run_protocol_subensembles(make_config(st, rounds=100_000, seed=4))
+    split = run_protocol_subensembles(st, 100_000, 4)
     sigma = np.sqrt(0.75 * 0.25 / 100_000)
     assert abs(split.p_hat - 0.75) < 5 * sigma
 
 
 def test_subensembles_deterministic():
     st = ghz_like(E3, phi=np.pi)
-    a = run_protocol_subensembles(make_config(st, seed=7))
-    b = run_protocol_subensembles(make_config(st, seed=7))
+    a = run_protocol_subensembles(st, 50_000, 7)
+    b = run_protocol_subensembles(st, 50_000, 7)
     assert a == b
 
 
 def test_subensembles_work_on_density_matrices():
     st = ghz_mixture(E3)
-    est = run_protocol_subensembles(make_config(st, rounds=60_000, seed=13))
+    est = run_protocol_subensembles(st, 60_000, 13)
     assert abs(est.p_hat - 0.5) < 5 * np.sqrt(0.25 / 60_000)
 
 
@@ -233,8 +241,8 @@ def test_each_direction_matches_its_own_effect(groups, form):
         st = QuantumState(e, rho=st.density())
     theta = 0.37
     rounds = 50_000
-    cfg = make_config(st, rounds=rounds, seed=31, theta_offset=theta)
-    est = run_protocol(cfg) if groups is None else run_protocol_subensembles(cfg)
+    sample = run_protocol if groups is None else run_protocol_subensembles
+    est = sample(st, rounds, 31, theta)
     J = collective_operator(e)
     rho = st.density()
     if groups is None:
@@ -258,7 +266,7 @@ def test_samplers_eigensolve_single_particles_only(monkeypatch, sample, form):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    sample(make_config(st, rounds=1_000))
+    sample(st, 1_000, 0)
     assert calls == [(2, 2), (3, 3), (3, 3)]
 
 
@@ -297,11 +305,10 @@ def test_split_probabilities_are_exact(ensemble_labels, theta, form, seed):
     state = random_ket(ensemble, seed)
     if form == "rho":
         state = QuantumState(ensemble, rho=state.density())
-    cfg = make_config(state, rounds=10, theta_offset=theta)
     ref = born_reference(state, theta)
     grouped = groupwise_probabilities(state, theta, groups_from_labels(labels))
-    np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, grouped, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_protocol_subensembles(state, 10, 0, theta).per_k_probs, grouped, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_protocol(state, 10, 0, theta).per_k_probs, ref, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,7 +320,7 @@ def test_outcome_table_is_the_born_rule_per_product_outcome(ensemble_labels, the
     table = outcome_table(state, theta)
     np.testing.assert_allclose(table, outcome_table_reference(state.density(), ensemble, theta), rtol=0, atol=1e-12)
     q = np.clip(table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0), 0, 1)
-    assert run_protocol(make_config(state, rounds=10, theta_offset=theta)).per_k_probs == tuple(q)
+    assert run_protocol(state, 10, 0, theta).per_k_probs == tuple(q)
 
 
 def test_outcome_table_needs_a_ket():
@@ -327,8 +334,8 @@ def test_outcome_table_needs_a_ket():
 def test_split_sampler_shares_the_whole_round_stream(seed, rounds):
     # Same seed, same q_k: the counts are the whole sampler's.
     state = random_ket(SpinEnsemble((0.5, 1, 1)), 5)
-    cfg = make_config(state, rounds=rounds, seed=seed, theta_offset=0.2)
-    assert run_protocol_subensembles(cfg).per_k_counts == run_protocol(cfg).per_k_counts
+    args = (state, rounds, seed, 0.2)
+    assert run_protocol_subensembles(*args).per_k_counts == run_protocol(*args).per_k_counts
 
 
 @SAMPLERS
@@ -341,40 +348,38 @@ def test_split_sampler_never_calls_einsum(monkeypatch, sample, form):
     state = random_ket(E3, 8)
     if form == "rho":
         state = QuantumState(E3, rho=state.density())
-    est = sample(make_config(state, rounds=1_000))
+    est = sample(state, 1_000, 0)
     np.testing.assert_allclose(est.per_k_probs, born_reference(state, 0.0), rtol=0, atol=1e-12)
 
 
 def test_split_density_matrix_at_nine_spins():
     e = SpinEnsemble((0.5,) * 9)
     state = QuantumState(e, rho=0.9 * ghz_like(e, phi=0.3).density() + 0.1 * np.eye(e.dim) / e.dim)
-    cfg = make_config(state, rounds=1_000, theta_offset=0.1)
     ref = dense_probabilities_reference(state, 0.1)
-    np.testing.assert_allclose(run_protocol_subensembles(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(run_protocol(cfg).per_k_probs, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_protocol_subensembles(state, 1_000, 0, 0.1).per_k_probs, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_protocol(state, 1_000, 0, 0.1).per_k_probs, ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_non_finite_offset_is_rejected(theta):
-    cfg = make_config(ghz_like(E3), rounds=10, theta_offset=theta)
     for sample in (run_protocol, run_protocol_subensembles):
         with pytest.raises(ValueError, match="theta_offset"):
-            sample(cfg)
+            sample(ghz_like(E3), 10, 0, theta)
     for build in (build_qk_direct, build_qk_closed_form):  # unchecked, the closed form's corners were NaN
         with pytest.raises(ValueError, match="theta_offset"):
             build(E3, theta)
 
 
-def per_round_reference(config, probs):
+def per_round_reference(probs, rounds, seed):
     """Round-by-round sampler: row r of a two-column uniform table picks k and compares with q_k.
     Returns the per-direction (positives, trials)."""
-    K = config.state.ensemble.K
+    K = len(probs)
     probs = np.clip(probs, 0.0, 1.0)
-    gen = np.random.Generator(np.random.Philox(key=config.seed))
+    gen = np.random.Generator(np.random.Philox(key=seed))
     tally = np.zeros(2 * K, dtype=np.int64)  # entry 2k + hit counts direction k's rounds by outcome
     block = 1 << 18
-    for start in range(0, config.rounds, block):
-        u = gen.random((min(block, config.rounds - start), 2))
+    for start in range(0, rounds, block):
+        u = gen.random((min(block, rounds - start), 2))
         ks = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
         tally += np.bincount(2 * ks + (u[:, 1] < probs[ks]), minlength=2 * K)
     positives, trials = tally[1::2], tally[0::2] + tally[1::2]
@@ -384,9 +389,8 @@ def per_round_reference(config, probs):
 def test_tallies_have_the_per_round_law():
     # All 2K cells (direction, sign) at once: trials and positives both enter.
     state = random_ket(SpinEnsemble((0.5, 1, 1)), 23)
-    cfg = make_config(state, rounds=200_000, seed=41, theta_offset=0.3)
-    est = run_protocol(cfg)
-    ref = per_round_reference(make_config(state, rounds=200_000, seed=42, theta_offset=0.3), np.array(est.per_k_probs))
+    est = run_protocol(state, 200_000, 41, 0.3)
+    ref = per_round_reference(np.array(est.per_k_probs), 200_000, 42)
     cells = [[c for pos, n in counts for c in (pos, n - pos)] for counts in (est.per_k_counts, ref)]
     assert chi2_homogeneity(*cells) < CHI2_99[2 * state.ensemble.K - 1]
 
@@ -394,7 +398,7 @@ def test_tallies_have_the_per_round_law():
 def test_trials_fit_a_uniform_direction():
     state = random_ket(SpinEnsemble((0.5, 1, 1)), 23)
     rounds = 200_000
-    trials = np.array([n for _, n in run_protocol(make_config(state, rounds=rounds, seed=43)).per_k_counts])
+    trials = np.array([n for _, n in run_protocol(state, rounds, 43).per_k_counts])
     expected = rounds / len(trials)
     assert trials.sum() == rounds
     assert float(((trials - expected) ** 2 / expected).sum()) < CHI2_99[len(trials) - 1]
@@ -402,7 +406,7 @@ def test_trials_fit_a_uniform_direction():
 
 def test_largest_round_count_is_sampled():
     # The per-round table would need hours here; the tallies' law takes microseconds.
-    est = run_protocol(make_config(ghz_like(E3, phi=np.pi), rounds=2**63 - 1, seed=1))
+    est = run_protocol(ghz_like(E3, phi=np.pi), 2**63 - 1, 1)
     assert sum(n for _, n in est.per_k_counts) == 2**63 - 1
     assert all(0 <= pos <= n for pos, n in est.per_k_counts)
     assert abs(est.p_hat - 0.75) < 1e-6
@@ -453,7 +457,7 @@ def test_rounds_needed_is_tight():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 100).map(lambda i: 2 * i + 1),
        st.floats(-300, 0, exclude_max=True).map(lambda e: 10.0**e).filter(lambda m: m < 1))
-@example(3, 1e-9)  # returned 211280235138176892928 rounds, which ProtocolConfig rejects
+@example(3, 1e-9)  # returned 211280235138176892928 rounds, which the sampler rejects
 @example(3, 1e-80)  # the doubling search ended in OverflowError converting its count to float
 def test_rounds_needed_stays_below_the_round_limit(K, margin):
     z = 1.959963984540054

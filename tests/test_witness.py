@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import direction_operator
@@ -116,6 +116,17 @@ def test_pos_has_half_trace_on_a_symmetric_spectrum(positive, zeros, seed):
 )
 @pytest.mark.parametrize("theta", [0.0, 0.41, 2.2])
 def test_direct_equals_closed_form(ensemble, theta):
+    d = build_qk_direct(ensemble, theta)
+    c = build_qk_closed_form(ensemble, theta)
+    assert np.abs(d.Q - c.Q).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensemble=small_ensembles, theta=st.floats(allow_nan=False, allow_infinity=False))
+@example(ensemble=E3, theta=0.3)
+@example(ensemble=E3, theta=1e15)  # the routes differed by 0.054: 2 pi k/K + theta rounded away the offset's phase
+@example(ensemble=E3, theta=1e17)  # differed by 0.25
+def test_direct_equals_closed_form_at_any_offset(ensemble, theta):
     d = build_qk_direct(ensemble, theta)
     c = build_qk_closed_form(ensemble, theta)
     assert np.abs(d.Q - c.Q).max() < 1e-12
@@ -324,12 +335,17 @@ def test_phase_for_ghz_rejects_a_non_finite_phi(phi):
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 40))
+@example(1e17, 1)  # the offset lost the phase: simulate --phi 1e17 read p_hat 0.309, verdict inconclusive
+@example(float(np.nextafter(np.pi, 0)), 1)  # returned exactly 2 pi/3, outside [0, 2 pi/K)
 def test_phase_for_ghz_is_finite_and_matches_the_doubled_formula(phi, half_k):
+    # the doubled formula theta = (2 phi - (K-1) pi)/(2K) holds modulo 2 pi/K: the matched witness scores P_max
+    # on the phase-phi state, whose phase ghz_like takes as e^{i phi}, for every finite phi
     K = 2 * half_k + 1
     theta = phase_for_ghz(phi, K)
-    assert 0 <= theta <= 2 * np.pi / K
-    if abs(phi) < 1e300:  # the doubled form overflows for |phi| near the float limit
-        assert theta == float(((2 * phi - (K - 1) * np.pi) / (2 * K)) % (2 * np.pi / K))
+    assert 0 <= theta < 2 * np.pi / K
+    ensemble = SpinEnsemble((K / 2,))
+    matched = score(ghz_like(ensemble, phi), build_qk_direct(ensemble, theta))
+    assert matched == pytest.approx(float(witness_report(K).P_max), abs=1e-12)
 
 
 @pytest.mark.parametrize("K", [3, 5])
