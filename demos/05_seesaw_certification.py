@@ -1,14 +1,16 @@
 """Certifying the biseparable bound from both sides.
 
 For every bipartition, alternate eigenvector ascent on one side against the
-other (a see-saw) until the product-state value stops improving: that value
-is attained by a product state, so it is a lower bound on the bipartition's
-maximum.  The same witness factors give an upper bound in closed form, the
-largest Schmidt coefficient of the positive GHZ-like factor across the split.
+other (a see-saw) until the product-state value stops improving or reaches
+the upper bound below: that value is attained by a product state, so it is
+a lower bound on the bipartition's maximum.  The same witness factors give
+an upper bound in closed form, the largest Schmidt coefficient of the
+positive GHZ-like factor across the split.
 Every bipartition of every ensemble is squeezed onto the same P_sep — the
 bound does not depend on how the particles are split.  Restart 0 starts from
-the balanced stretched superpositions and meets the upper bound, so the other
-15 restarts, which could not beat it, never run.
+the balanced stretched superpositions and meets the upper bound in its
+first half-step, one iteration, so the other 15 restarts, which could not
+beat it, never run.
 """
 
 from spinwitness import (

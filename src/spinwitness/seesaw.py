@@ -11,7 +11,8 @@ The landscape detail worth knowing: conditioning on a ket with no overlap on
 either stretched state of its side, or on a stretched state itself, flattens
 the operator to 1/2 * identity, where the iteration has nothing to climb.
 The value-moving seeds are balanced superpositions of the side's stretched
-states — restart 0 starts there and lands on the bound in two iterations.
+states — restart 0 starts there, and on the sign witness its first
+half-step already lands on the bound.
 
 The iteration never forms a conditioned operator.  It reads the witness
 through its factors Q - 1/2 = sum_s w_s |P_s><P_s| (`WitnessOperator.factors`,
@@ -36,15 +37,18 @@ By convexity the bound holds for every state separable across the split.
 
 Restart 0 runs first, from the balanced stretched superpositions.  The
 Schmidt bound without its residual term, 1/2 + sum_{w_s > 0} w_s
-sigma_max(A_s)^2, bounds every restart's iterated value, since every restart
-iterates in the same factor model.  So once restart 0's value is within the
-convergence tolerance TOL of it, no other restart can beat restart 0 by
-more than TOL: the call stops there, and restart 0 is the winner.  Only
-while that gap is open do restarts 1 .. R-1 run, one after another.  Their
-start kets are rows 1 .. R-1 of one standard-normal draw from
-default_rng(seed), filled row by row, so restart r depends only on (seed, r);
-the draw is made on this path alone.  The winner is the first maximum in
-restart order.
+sigma_max(A_s)^2, bounds every half-step value of every restart, since every
+restart iterates in the same factor model.  So restart 0 stops as soon as a
+half-step comes within rounding (_ROUNDING) of it: no further half-step
+could gain more than that.  On the sign witness this is its first
+half-step, and the call reports one iteration.  Once restart 0's value is
+within the convergence tolerance TOL of the bound, no other restart can beat
+restart 0 by more than TOL: the call stops there, and restart 0 is the
+winner.  Only while that gap is open do restarts 1 .. R-1 run, one after
+another, each until an iteration gains less than TOL.  Their start kets are
+rows 1 .. R-1 of one standard-normal draw from default_rng(seed), filled row
+by row, so restart r depends only on (seed, r); the draw is made on this path
+alone.  The winner is the first maximum in restart order.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ __all__ = [
 DEGENERACY_TOL = 1e-9
 MAX_ITERS = 200  # most iterations one restart runs
 TOL = 1e-10  # a restart converges once an iteration gains less than this
+_ROUNDING = 1e-12  # restart 0 stops once a half-step comes this close to the Schmidt bound less its residual
 
 
 @dataclass(frozen=True)
@@ -169,21 +174,26 @@ def _half_step(layout: np.ndarray, weights: np.ndarray, ket: np.ndarray, previou
     return 0.5 + w[-1], basis @ (projected / norm if norm > 0 else v[:, -1])
 
 
-def _ascend(layouts, weights, psi_j, psi_c):
+def _ascend(layouts, weights, psi_j, psi_c, ceiling=np.inf):
     """One restart on a bipartition's `_side_layouts`, from the start kets psi_j and psi_c.
 
-    Half-steps alternate, subset_J's side first, until an iteration gains less
-    than `TOL` or `MAX_ITERS` iterations have run.  Returns (value, iterations,
-    converged, the list of values per iteration, (psi_j, psi_c) final kets).
+    Half-steps alternate, subset_J's side first, until a half-step's value
+    reaches `ceiling`, an iteration gains less than `TOL` or `MAX_ITERS`
+    iterations have run.  An iteration is a pair of half-steps, or the one
+    half-step that reached `ceiling`; reaching it counts as converged, with
+    the kets held at that point.  The default ceiling never stops the ascent.
+    Returns (value, iterations, converged, the list of values per iteration,
+    (psi_j, psi_c) final kets).
     """
     layout_j, layout_c = layouts
     value, trajectory = -np.inf, []
     for _ in range(MAX_ITERS):
         previous = value
-        _, psi_j = _half_step(layout_j, weights, psi_c, psi_j)
-        value, psi_c = _half_step(layout_c, weights, psi_j, psi_c)
+        value, psi_j = _half_step(layout_j, weights, psi_c, psi_j)
+        if value < ceiling:
+            value, psi_c = _half_step(layout_c, weights, psi_j, psi_c)
         trajectory.append(value)
-        if value - previous < TOL:
+        if value >= ceiling or value - previous < TOL:
             return value, len(trajectory), True, trajectory, (psi_j, psi_c)
     return value, MAX_ITERS, False, trajectory, (psi_j, psi_c)
 
@@ -210,15 +220,16 @@ def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarra
     return psi_j, psi_c
 
 
-def _run_restarts(layouts, weights, restarts, seed, stop_at):
+def _run_restarts(layouts, weights, restarts, seed, stop_at, ceiling=np.inf):
     """Restart 0, then, unless its value reaches `stop_at`, restarts 1 .. R-1 one at a time.
 
-    Returns per-restart (values, iterations, converged) of the restarts that
-    ran, the index of the first maximum in restart order and that restart's
-    final kets.
+    Restart 0 alone stops as soon as a half-step reaches `ceiling`; the other
+    restarts run to convergence.  Returns per-restart (values, iterations,
+    converged) of the restarts that ran, the index of the first maximum in
+    restart order and that restart's final kets.
     """
     _, d_j, d_c = layouts[0].shape
-    runs = [_ascend(layouts, weights, _balanced(d_j), _balanced(d_c))]
+    runs = [_ascend(layouts, weights, _balanced(d_j), _balanced(d_c), ceiling)]
     if restarts > 1 and runs[0][0] < stop_at:
         rest_j, rest_c = _start_kets(seed, restarts, d_j, d_c)
         runs += [_ascend(layouts, weights, psi_j, psi_c) for psi_j, psi_c in zip(rest_j, rest_c)]
@@ -238,9 +249,11 @@ def seesaw_maximize(
     `upper_bound` is the Schmidt bound of the module docstring, from one
     batched singular-value solve of the factor layouts, and is computed
     first.  Restart 0 seeds both sides with the balanced stretched
-    superposition (the saturating point) and runs alone.  If its value comes
-    within `TOL` of that bound less its residual term, no restart can beat it
-    by more than `TOL`, so it wins and `restarts_run` is 1.  Otherwise
+    superposition (the saturating point) and runs alone; it stops as soon as
+    a half-step comes within rounding of that bound less its residual term,
+    which on the sign witness is its first half-step (`iterations` 1).  If
+    its value comes within `TOL` of that bound, no restart can beat it by
+    more than `TOL`, so it wins and `restarts_run` is 1.  Otherwise
     restarts 1 .. R-1 run too, one at a time on the witness factors: restart
     r takes row r of one standard-normal draw from default_rng(seed), filled
     row by row, so it depends only on (seed, r) and a run with more restarts
@@ -265,8 +278,9 @@ def seesaw_maximize(
     layouts = _side_layouts(factors.vectors, bipartition)
     schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
     factor_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt)
-    values, iterations, converged, best, best_kets = _run_restarts(layouts, factors.values, restarts, seed,
-                                                                   factor_bound - TOL)
+    values, iterations, converged, best, best_kets = _run_restarts(
+        layouts, factors.values, restarts, seed, stop_at=factor_bound - TOL, ceiling=factor_bound - _ROUNDING
+    )
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)
     return SeeSawResult(bipartition, value, factor_bound + factors.residual, best_kets,

@@ -115,6 +115,12 @@ class SpinEnsemble:
             v.flags.writeable = False
         return bases
 
+    @cached_property
+    def _jz_diagonal(self) -> np.ndarray:
+        m = reduce(np.add.outer, [j - np.arange(round(2 * j + 1)) for j in self.spins]).reshape(-1)
+        m.flags.writeable = False
+        return m
+
 
 def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Jx, Jy, Jz) for a single spin j, basis ordered m = j, j-1, ..., -j.
@@ -171,8 +177,11 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
 
 
 def jz_diagonal(ensemble: SpinEnsemble) -> np.ndarray:
-    """The collective Jz diagonal m (exact half-integers, never 0): Jx's eigenvalues in `jx_eigenbases` order."""
-    return reduce(np.add.outer, [j - np.arange(round(2 * j + 1)) for j in ensemble.spins]).reshape(-1)
+    """The collective Jz diagonal m (exact half-integers, never 0): Jx's eigenvalues in `jx_eigenbases` order.
+
+    Computed once per ensemble and read-only, as `jx_eigenbases` is.
+    """
+    return ensemble._jz_diagonal
 
 
 def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:

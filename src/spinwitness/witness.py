@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -171,9 +171,14 @@ def witness_report(K: int) -> WitnessReport:
 
     P_max = (1 + C/2^(K-1))/2,  P_sep = (1 + C/2^K)/2,  gap = C/2^(K+1),
     with C the central binomial coefficient C(K-1, (K-1)/2); all big-integer
-    exact, so the large-K scaling claims do not pass through floats.
+    exact, so the large-K scaling claims do not pass through floats.  K is
+    checked on every call; the report of each recent K is cached.
     """
-    K = _check_odd_k(K)
+    return _report(_check_odd_k(K))
+
+
+@lru_cache(maxsize=16)  # small, so that `table --K ...` does not keep every row
+def _report(K: int) -> WitnessReport:
     c = binomial_exact(K - 1, (K - 1) // 2)
     p_max = Fraction(1, 2) * (1 + Fraction(c, 2 ** (K - 1)))
     p_sep = Fraction(1, 2) * (1 + Fraction(c, 2**K))

@@ -368,17 +368,20 @@ def test_seesaw_respects_nonzero_offset():
     assert r.best_value == pytest.approx(SEP3, abs=1e-9)
 
 
-def reference_restart(q, bip, psi_j, psi_c, max_iters, tol):
+def reference_restart(q, bip, psi_j, psi_c, max_iters, tol, ceiling=np.inf):
     """One restart on the dense reference, one d x d eigh per half-step.
 
+    It stops, converged, as soon as a half-step's value reaches `ceiling`.
     Returns (value, psi_j, psi_c, iterations, converged).
     """
     layout = _pair_major(q, bip)
     value_prev = -np.inf
     for step in range(1, max_iters + 1):
-        _, (psi_j,) = _top_eigvecs(_conditioned_stack(layout, psi_c[None]), psi_j[None])
+        (value,), (psi_j,) = _top_eigvecs(_conditioned_stack(layout, psi_c[None]), psi_j[None])
+        if value >= ceiling:
+            return value, psi_j, psi_c, step, True
         (value,), (psi_c,) = _top_eigvecs(_conditioned_stack(layout.T, psi_j[None]), psi_c[None])
-        if value - value_prev < tol:
+        if value >= ceiling or value - value_prev < tol:
             return value, psi_j, psi_c, step, True
         value_prev = value
     return value, psi_j, psi_c, max_iters, False
@@ -495,11 +498,14 @@ def test_stacked_tie_break_matches_reference():
 @pytest.mark.parametrize("restarts", [1, 5])
 def test_seesaw_winner_is_first_maximum(restarts):
     # Q = 1/2 ties every restart at 1/2 and keeps every start ket, so restart
-    # 0 must win with its balanced kets
+    # 0 must win with its balanced kets; its Schmidt bound is 1/2, which
+    # restart 0's first half-step reaches
     bip = Bipartition(E3, (0,))
     flat = low_rank_witness(E3, np.eye(8, dtype=complex) / 2)
     r = seesaw_maximize(flat, bip, restarts=restarts, seed=3)
-    _, want_j, want_c, steps, done = reference_restart(flat.Q, bip, balanced(2), balanced(4), 200, 1e-10)
+    _, want_j, want_c, steps, done = reference_restart(flat.Q, bip, balanced(2), balanced(4), 200, 1e-10,
+                                                       ceiling=0.5 - seesaw._ROUNDING)
+    assert steps == 1
     assert (r.iterations, r.converged) == (steps, done)
     assert r.best_value == pytest.approx(0.5, abs=1e-15)
     assert_same_ket_up_to_phase(r.best_kets[0], want_j)
@@ -549,6 +555,30 @@ def test_sign_witness_stops_after_restart_0(bip, offset, restarts):
     assert r.restarts_run == 1
     assert r.best_value == pytest.approx(float(witness_report(bip.ensemble.K).P_sep), abs=1e-12)
     assert r.best_value <= r.upper_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_ensembles(), st.floats(0, 2 * np.pi))
+def test_sign_witness_stops_at_its_first_half_step(bip, offset):
+    # from the balanced kets, restart 0's first half-step already reaches the
+    # Schmidt bound, so the call makes that one half-step and nothing else
+    w = build_qk_direct(bip.ensemble, offset)
+    unstopped = _ascend(*layouts_of(w, bip), balanced(bip.side_dim(bip.subset_J)),
+                        balanced(bip.side_dim(bip.complement)))
+    steps = []
+    half_step = seesaw._half_step
+
+    def counting(*args):
+        steps.append(args)
+        return half_step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seesaw, "_half_step", counting)
+        r = seesaw_maximize(w, bip, restarts=32)
+    assert len(steps) == 1
+    assert (r.iterations, r.converged, r.restarts_run) == (1, True, 1)
+    assert r.best_value == pytest.approx(float(witness_report(bip.ensemble.K).P_sep), abs=1e-12)
+    assert r.best_value == pytest.approx(unstopped[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("restarts", [1, 3, 8])  # restart 0 alone, a few, all eight

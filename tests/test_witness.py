@@ -148,7 +148,9 @@ def closed_form_reference(ensemble, theta):
     """Q = 1/2 [1 + C(K-1, (K-1)/2) (|P+><P+| - |P-><P-|) / 2^(K-1)] from the two dense outer products."""
     K = ensemble.K
     up, down = np.eye(ensemble.dim)[0], np.eye(ensemble.dim)[-1]
-    c = (-1) ** ((K - 1) // 2) * np.exp(1j * K * theta)
+    # K * theta rounds before np.exp sees it; e^{i err} puts back that product's exact rounding error
+    err = float(Fraction(theta) * K - Fraction(K * theta))
+    c = (-1) ** ((K - 1) // 2) * np.exp(1j * K * theta) * np.exp(1j * err)
     p_plus, p_minus = (up + c * down) / np.sqrt(2), (up - c * down) / np.sqrt(2)
     weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
     return 0.5 * (np.eye(ensemble.dim) + weight * (np.outer(p_plus, p_plus.conj()) - np.outer(p_minus, p_minus.conj())))
@@ -156,6 +158,7 @@ def closed_form_reference(ensemble, theta):
 
 @settings(max_examples=50, deadline=None)
 @given(ensemble=small_ensembles, theta=st.floats(-10, 10))
+@example(ensemble=SpinEnsemble((1, 2.5)), theta=9.212098136785052)  # the rounded K * theta missed by 1.1e-15
 def test_two_corner_closed_form_matches_the_outer_products(ensemble, theta):
     q = build_qk_closed_form(ensemble, theta).Q
     assert q.dtype == complex
