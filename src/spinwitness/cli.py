@@ -61,10 +61,10 @@ MAX_DIM = 2048
 # Most points a noise-sweep grid may have; each point runs one dense channel.
 MAX_GRID_POINTS = 10_001
 
-# Most see-saw restarts per bipartition.  All start kets are one (restarts, 2, d_J + d_C) draw:
-# at MAX_DIM, d_J + d_C <= 1026, so it stays near 17 MB, below the 64 MiB of Q.
+# Most see-saw restarts per bipartition: a cap on time alone, since each restart draws its start kets as it runs.
 MAX_RESTARTS = 1024
-RESTARTS_HELP = "see-saw restarts per bipartition: at most this many; stops once restart 0 meets the Schmidt bound"
+RESTARTS_HELP = ("see-saw restarts per bipartition: at most this many; stops at the first restart "
+                 "within 1e-10 of the Schmidt bound")
 
 # Largest K whose exact table row prints: above it a numerator or denominator
 # has more than 4300 digits, Python's default limit on int-to-str conversion.

@@ -23,6 +23,7 @@ grid and `simulate` samples its noisy states that way, with no density matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,9 @@ __all__ = [
 
 
 def _check_prob(p, name: str) -> float:
+    # float() would quietly take '0.5' and True; ints, numpy floats and Fractions are real numbers
+    if not isinstance(p, numbers.Real) or isinstance(p, bool):
+        raise ValueError(f"{name} must be a real number, got {p!r}")
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")

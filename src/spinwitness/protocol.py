@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin import SpinEnsemble
-from .spin import _apply_slot_bases, _check_odd_k, _is_integer, direction_phases, jx_function, jz_diagonal
+from .spin import _apply_slot_bases, _check_odd_k, _is_integer, direction_phases, jx_function
 from .states import QuantumState
 from .witness import witness_report
 
@@ -131,7 +131,7 @@ def outcome_table(state: QuantumState, theta_offset: float = 0.0) -> np.ndarray:
 
 def _positive_mass(table: np.ndarray, ensemble: SpinEnsemble) -> np.ndarray:
     """Each direction's probability of a positive total m: the m > 0 mass of every row of an outcome table."""
-    return table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0)
+    return table.reshape(ensemble.K, -1) @ (ensemble.jz_diagonal > 0)
 
 
 def _positive_probabilities(state: QuantumState, theta_offset: float) -> np.ndarray:
@@ -144,7 +144,7 @@ def _positive_probabilities(state: QuantumState, theta_offset: float) -> np.ndar
     if state.ket is not None:
         return _positive_mass(outcome_table(state, theta_offset), ensemble)
     ph = direction_phases(ensemble, theta_offset)
-    weighted = state.rho.T * jx_function(ensemble, jz_diagonal(ensemble) > 0)
+    weighted = state.rho.T * jx_function(ensemble, ensemble.jz_diagonal > 0)
     return ((ph @ weighted) * ph.conj()).sum(axis=1).real
 
 

@@ -38,21 +38,23 @@ By convexity the bound holds for every state separable across the split.
 Restart 0 runs first, from the balanced stretched superpositions.  The
 Schmidt bound without its residual term, 1/2 + sum_{w_s > 0} w_s
 sigma_max(A_s)^2, bounds every half-step value of every restart, since every
-restart iterates in the same factor model.  So restart 0 stops as soon as a
-half-step comes within rounding (_ROUNDING) of it: no further half-step
-could gain more than that.  On the sign witness this is its first
-half-step, and the call reports one iteration.  Once restart 0's value is
-within the convergence tolerance TOL of the bound, no other restart can beat
-restart 0 by more than TOL: the call stops there, and restart 0 is the
-winner.  Only while that gap is open do restarts 1 .. R-1 run, one after
-another, each until an iteration gains less than TOL.  Their start kets are
-rows 1 .. R-1 of one standard-normal draw from default_rng(seed), filled row
-by row, so restart r depends only on (seed, r); the draw is made on this path
-alone.  The winner is the first maximum in restart order.
+restart iterates in the same factor model.  So every restart stops as soon
+as a half-step comes within rounding (_ROUNDING) of it: no further half-step
+could gain more than that.  On the sign witness this is restart 0's first
+half-step, and the call reports one iteration.  Once a restart's value is
+within the convergence tolerance TOL of the bound, no later restart can beat
+it by more than TOL: the call stops after the first restart within TOL of the
+bound.  Until then the restarts run one after another, each until it reaches
+the bound, an iteration gains less than TOL or MAX_ITERS iterations have run.
+Restart r >= 1 starts from row r of one standard-normal stream from
+default_rng(seed), drawn as it is read, so restart r depends only on
+(seed, r) and a call that stops at restart 0 draws nothing.  The winner is
+the first maximum in restart order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,7 +73,7 @@ __all__ = [
 DEGENERACY_TOL = 1e-9
 MAX_ITERS = 200  # most iterations one restart runs
 TOL = 1e-10  # a restart converges once an iteration gains less than this
-_ROUNDING = 1e-12  # restart 0 stops once a half-step comes this close to the Schmidt bound less its residual
+_ROUNDING = 1e-12  # a restart stops once a half-step comes this close to the Schmidt bound less its residual
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class SeeSawResult:
     best_kets: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (subset_J side, complement side)
     iterations: int
     converged: bool
-    restarts_run: int  # 1 when restart 0 met the Schmidt bound, else the call's restart count
+    restarts_run: int  # through the first restart within TOL of the Schmidt bound, at most the call's restart count
 
 
 def enumerate_bipartitions(ensemble: SpinEnsemble) -> list[Bipartition]:
@@ -123,21 +125,20 @@ def enumerate_bipartitions(ensemble: SpinEnsemble) -> list[Bipartition]:
     return out
 
 
-def _side_layouts(vectors: np.ndarray, bipartition: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """The factor vectors as (r, d_J, d_C) matrices A_s[a, c] = <a c|P_s>, and their transposes.
+def _side_layout(vectors: np.ndarray, bipartition: Bipartition) -> np.ndarray:
+    """The factor vectors as (r, d_J, d_C) matrices A_s[a, c] = <a c|P_s>.
 
     Each side keeps its slots in sorted order, so a side ket is indexed the
     way `best_kets` reports it.  For a product ket a (x) c the witness reads
     1/2 + sum_s w_s |a^dag A_s c^*|^2, so conditioning either side on a ket
-    is one matrix-vector product with that side's matrices (`_half_step`).
+    is one matrix-vector product with A_s or its transpose (`_half_step`).
     """
     ensemble = bipartition.ensemble
     order = bipartition.subset_J + bipartition.complement
     d_j = bipartition.side_dim(bipartition.subset_J)
     d_c = bipartition.side_dim(bipartition.complement)
     tensor = vectors.T.reshape((vectors.shape[1],) + ensemble.local_dims).transpose((0,) + tuple(1 + i for i in order))
-    layout_j = np.ascontiguousarray(tensor).reshape(-1, d_j, d_c)
-    return layout_j, np.ascontiguousarray(layout_j.transpose(0, 2, 1))
+    return np.ascontiguousarray(tensor).reshape(-1, d_j, d_c)
 
 
 def _product_ket(psi_j: np.ndarray, psi_c: np.ndarray, bipartition: Bipartition) -> np.ndarray:
@@ -162,8 +163,7 @@ def _half_step(layout: np.ndarray, weights: np.ndarray, ket: np.ndarray, previou
     every u_s vanishes or their terms cancel.  A previous ket orthogonal to
     the cluster gives way to the top eigenvector.
     """
-    r, d, d_other = layout.shape
-    u = (layout.reshape(r * d, d_other) @ ket.conj()).reshape(r, d).T
+    u = (layout @ ket.conj()).T
     basis, _ = np.linalg.qr(np.column_stack((previous, u)))
     coords = basis.conj().T @ u
     # eigh of the rank-r part alone: a vanishing part then reads exactly 1/2 once shifted
@@ -174,65 +174,61 @@ def _half_step(layout: np.ndarray, weights: np.ndarray, ket: np.ndarray, previou
     return 0.5 + w[-1], basis @ (projected / norm if norm > 0 else v[:, -1])
 
 
-def _ascend(layouts, weights, psi_j, psi_c, ceiling=np.inf):
-    """One restart on a bipartition's `_side_layouts`, from the start kets psi_j and psi_c.
+def _ascend(layout, weights, psi_j, psi_c, ceiling):
+    """One restart on a bipartition's `_side_layout`, from the start kets psi_j and psi_c.
 
     Half-steps alternate, subset_J's side first, until a half-step's value
     reaches `ceiling`, an iteration gains less than `TOL` or `MAX_ITERS`
     iterations have run.  An iteration is a pair of half-steps, or the one
     half-step that reached `ceiling`; reaching it counts as converged, with
-    the kets held at that point.  The default ceiling never stops the ascent.
-    Returns (value, iterations, converged, the list of values per iteration,
-    (psi_j, psi_c) final kets).
+    the kets held at that point.  Returns (value, iterations, converged, the
+    list of values per iteration, (psi_j, psi_c) final kets).
     """
-    layout_j, layout_c = layouts
     value, trajectory = -np.inf, []
     for _ in range(MAX_ITERS):
         previous = value
-        value, psi_j = _half_step(layout_j, weights, psi_c, psi_j)
+        value, psi_j = _half_step(layout, weights, psi_c, psi_j)
         if value < ceiling:
-            value, psi_c = _half_step(layout_c, weights, psi_j, psi_c)
+            value, psi_c = _half_step(layout.transpose(0, 2, 1), weights, psi_j, psi_c)
         trajectory.append(value)
         if value >= ceiling or value - previous < TOL:
             return value, len(trajectory), True, trajectory, (psi_j, psi_c)
     return value, MAX_ITERS, False, trajectory, (psi_j, psi_c)
 
 
-def _balanced(dim: int) -> np.ndarray:
-    """The balanced superposition of a side's two stretched states."""
-    ket = np.zeros(dim, dtype=complex)
-    ket[[0, -1]] = 1 / np.sqrt(2)
-    return ket
+def _start_kets(seed: int, d_j: int, d_c: int):
+    """The unit start kets (psi_J, psi_C) of restarts 0, 1, 2, ..., each drawn as it is read.
 
-
-def _start_kets(seed: int, restarts: int, d_j: int, d_c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (restarts - 1, d_J) and (restarts - 1, d_C) unit start kets of restarts 1 .. R-1.
-
-    Restart r takes row r of one default_rng(seed) standard-normal draw of
-    shape (restarts, 2, d_J + d_C), real and imaginary parts along axis 1,
-    split between the sides; row 0 belongs to restart 0, which starts from
-    `_balanced` instead.  The draw fills row by row, so restart r depends only
-    on (seed, r), whatever the restart count.
+    Restart 0 starts from the balanced superposition of each side's two
+    stretched states.  Restart r >= 1 takes row r of one default_rng(seed)
+    standard-normal stream of (2, d_J + d_C) rows, real and imaginary parts,
+    split between the sides; row 0 is drawn and dropped.  numpy's stream does
+    not depend on how it is chunked, so restart r depends only on (seed, r).
     """
-    draw = np.random.default_rng(seed).standard_normal((restarts, 2, d_j + d_c))[1:]
-    kets = draw[:, 0] + 1j * draw[:, 1]
-    psi_j, psi_c = (side / np.linalg.norm(side, axis=1, keepdims=True) for side in (kets[:, :d_j], kets[:, d_j:]))
-    return psi_j, psi_c
+    balanced = np.zeros(d_j + d_c, dtype=complex)
+    balanced[[0, d_j - 1, d_j, -1]] = 1 / np.sqrt(2)  # each side's first and last basis state
+    yield balanced[:d_j], balanced[d_j:]
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((2, d_j + d_c))  # row 0 belongs to restart 0
+    while True:
+        re, im = rng.standard_normal((2, d_j + d_c))
+        ket = re + 1j * im
+        yield tuple(side / np.linalg.norm(side, axis=-1, keepdims=True) for side in (ket[:d_j], ket[d_j:]))
 
 
-def _run_restarts(layouts, weights, restarts, seed, stop_at, ceiling=np.inf):
-    """Restart 0, then, unless its value reaches `stop_at`, restarts 1 .. R-1 one at a time.
+def _run_restarts(layout, weights, restarts, seed, bound):
+    """The first `restarts` restarts one at a time, up to the first whose value is within TOL of `bound`.
 
-    Restart 0 alone stops as soon as a half-step reaches `ceiling`; the other
-    restarts run to convergence.  Returns per-restart (values, iterations,
-    converged) of the restarts that ran, the index of the first maximum in
-    restart order and that restart's final kets.
+    Each restart stops as soon as a half-step comes within _ROUNDING of
+    `bound`.  Returns per-restart (values, iterations, converged) of the
+    restarts that ran, the index of the first maximum in restart order and
+    that restart's final kets.
     """
-    _, d_j, d_c = layouts[0].shape
-    runs = [_ascend(layouts, weights, _balanced(d_j), _balanced(d_c), ceiling)]
-    if restarts > 1 and runs[0][0] < stop_at:
-        rest_j, rest_c = _start_kets(seed, restarts, d_j, d_c)
-        runs += [_ascend(layouts, weights, psi_j, psi_c) for psi_j, psi_c in zip(rest_j, rest_c)]
+    runs = []
+    for psi_j, psi_c in itertools.islice(_start_kets(seed, *layout.shape[1:]), restarts):
+        runs.append(_ascend(layout, weights, psi_j, psi_c, bound - _ROUNDING))
+        if runs[-1][0] >= bound - TOL:
+            break
     values, iterations, converged, _, kets = zip(*runs)
     best = int(np.argmax(values))  # argmax takes the first maximum
     return values, iterations, converged, best, kets[best]
@@ -247,22 +243,23 @@ def seesaw_maximize(
     """Best product-state witness value over the bipartition, maxed over restarts.
 
     `upper_bound` is the Schmidt bound of the module docstring, from one
-    batched singular-value solve of the factor layouts, and is computed
+    batched singular-value solve of the factor layout, and is computed
     first.  Restart 0 seeds both sides with the balanced stretched
-    superposition (the saturating point) and runs alone; it stops as soon as
-    a half-step comes within rounding of that bound less its residual term,
-    which on the sign witness is its first half-step (`iterations` 1).  If
-    its value comes within `TOL` of that bound, no restart can beat it by
-    more than `TOL`, so it wins and `restarts_run` is 1.  Otherwise
-    restarts 1 .. R-1 run too, one at a time on the witness factors: restart
-    r takes row r of one standard-normal draw from default_rng(seed), filled
-    row by row, so it depends only on (seed, r) and a run with more restarts
-    repeats the first ones.  The winner is the first maximum in restart
-    order.  Its product ket is scored against the dense Q, so the returned
-    value is a certified lower bound on the true bipartition maximum.  A
-    bipartition of another ensemble, a restart count that is not an integer
-    >= 1, a seed that is not an integer >= 0, and a witness whose factors
-    leave a Frobenius residual above FACTOR_TOL are ValueErrors.
+    superposition (the saturating point); restart r >= 1 takes row r of one
+    standard-normal stream from default_rng(seed), so it depends only on
+    (seed, r) and a run with more restarts repeats the first ones.  The
+    restarts run one at a time on the witness factors.  Every restart stops
+    as soon as a half-step comes within rounding of the bound less its
+    residual term, which on the sign witness is restart 0's first half-step
+    (`iterations` 1).  The call stops at the first restart within `TOL` of
+    that bound, since no later restart can beat it by more than `TOL`, and
+    `restarts_run` counts the restarts that ran.  The winner is the first
+    maximum in restart order.  Its product ket is scored against the dense
+    Q, so the returned value is a certified lower bound on the true
+    bipartition maximum.  A bipartition of another ensemble, a restart count
+    that is not an integer >= 1, a seed that is not an integer >= 0, and a
+    witness whose factors leave a Frobenius residual above FACTOR_TOL are
+    ValueErrors.
     """
     if bipartition.ensemble != witness.ensemble:
         raise ValueError(f"bipartition spins {bipartition.ensemble.spins} do not match "
@@ -275,12 +272,10 @@ def seesaw_maximize(
     if factors.residual > FACTOR_TOL:
         raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "
                          f"of {factors.residual:.3e} > {FACTOR_TOL:.0e}")
-    layouts = _side_layouts(factors.vectors, bipartition)
-    schmidt = np.linalg.svd(layouts[0], compute_uv=False)[:, 0] ** 2
+    layout = _side_layout(factors.vectors, bipartition)
+    schmidt = np.linalg.svd(layout, compute_uv=False)[:, 0] ** 2
     factor_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt)
-    values, iterations, converged, best, best_kets = _run_restarts(
-        layouts, factors.values, restarts, seed, stop_at=factor_bound - TOL, ceiling=factor_bound - _ROUNDING
-    )
+    values, iterations, converged, best, best_kets = _run_restarts(layout, factors.values, restarts, seed, factor_bound)
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)
     return SeeSawResult(bipartition, value, factor_bound + factors.residual, best_kets,

@@ -7,10 +7,11 @@ ordering the fully stretched product states  (x)|j_n, j_n>  and
 (x)|j_n, -j_n>  are exactly the first and last basis vectors.
 
 Jx is a sum of one-body terms, so Jx = V diag(m) V^dag with V = (x) v_n
-(`SpinEnsemble.jx_eigenbases`, computed once per ensemble) and m the Jz
-diagonal (`jz_diagonal`): the library's only route to the spectrum of Jx.  The
-dense `collective_operator` and `rotate_about_z` are not exported: they are the
-references the tests compare against.
+(`SpinEnsemble.jx_eigenbases`) and m the Jz diagonal
+(`SpinEnsemble.jz_diagonal`), both computed once per ensemble: the library's
+only route to the spectrum of Jx.  The dense `collective_operator` and
+`rotate_about_z` are not exported: they are the references the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import assert_hermitian
 __all__ = [
     "SpinEnsemble",
     "spin_matrices",
-    "jz_diagonal",
     "jx_function",
     "direction_phases",
 ]
@@ -116,7 +116,11 @@ class SpinEnsemble:
         return bases
 
     @cached_property
-    def _jz_diagonal(self) -> np.ndarray:
+    def jz_diagonal(self) -> np.ndarray:
+        """The collective Jz diagonal m (exact half-integers, never 0): Jx's eigenvalues in `jx_eigenbases` order.
+
+        Read-only, as `jx_eigenbases` is.
+        """
         m = reduce(np.add.outer, [j - np.arange(round(2 * j + 1)) for j in self.spins]).reshape(-1)
         m.flags.writeable = False
         return m
@@ -173,15 +177,7 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
     A finite theta_offset keeps its phase however large (`_reduced_angle`); a non-finite one is rejected.
     """
     angles = 2 * np.pi * np.arange(ensemble.K) / ensemble.K + _reduced_angle(theta_offset, "theta_offset")
-    return np.exp(-1j * np.outer(angles, jz_diagonal(ensemble)))
-
-
-def jz_diagonal(ensemble: SpinEnsemble) -> np.ndarray:
-    """The collective Jz diagonal m (exact half-integers, never 0): Jx's eigenvalues in `jx_eigenbases` order.
-
-    Computed once per ensemble and read-only, as `jx_eigenbases` is.
-    """
-    return ensemble._jz_diagonal
+    return np.exp(-1j * np.outer(angles, ensemble.jz_diagonal))
 
 
 def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import assert_hermitian, binomial_exact
-from .spin import SpinEnsemble, _check_odd_k, _reduced_angle, direction_phases, jx_function, jz_diagonal
+from .spin import SpinEnsemble, _check_odd_k, _reduced_angle, direction_phases, jx_function
 from .states import QuantumState
 
 __all__ = [
@@ -120,7 +120,7 @@ def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> Witnes
     f = [m > 0], serves every direction:  Q = pos(Jx) * sum_k outer(ph_k, ph_k^*) / K.
     """
     ph = direction_phases(ensemble, theta_offset)
-    q = jx_function(ensemble, jz_diagonal(ensemble) > 0) * (ph.T @ ph.conj()) / ensemble.K
+    q = jx_function(ensemble, ensemble.jz_diagonal > 0) * (ph.T @ ph.conj()) / ensemble.K
     return WitnessOperator(ensemble, (q + q.conj().T) / 2)
 
 
@@ -234,7 +234,7 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
     """
     if not np.isfinite(f0):
         raise ValueError(f"f0 must be finite, got {f0}")
-    levels, index = np.unique(jz_diagonal(ensemble), return_inverse=True)
+    levels, index = np.unique(ensemble.jz_diagonal, return_inverse=True)
     values = np.array([float(f_odd(x)) for x in (0.0, *levels)])
     if not np.isfinite(values).all():
         raise ValueError("f_odd returned a non-finite value")

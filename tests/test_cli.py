@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from spinwitness import cli, seesaw
 from spinwitness.noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
 from spinwitness.protocol import _positive_probabilities, outcome_table
-from spinwitness.spin import SpinEnsemble, jz_diagonal
+from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture
 from spinwitness.witness import phase_for_ghz
 from spinwitness.cli import (
@@ -126,12 +126,16 @@ def test_verify_passes_a_single_particle(capsys):
     "0.5,0.5,0.5,0.5,0.5,0.5,0.5",
 ])
 def test_verify_stops_after_restart_0_on_the_benchmark_shapes(capsys, monkeypatch, spins):
-    # restart 0 meets the Schmidt bound on every bipartition of these shapes, so the random
-    # start kets of restarts 1 .. R-1 are never drawn
-    def no_draw(*args):
-        raise AssertionError("the see-saw drew start kets for restarts 1 .. R-1")
+    # restart 0 meets the Schmidt bound on every bipartition of these shapes, so the start
+    # kets of restarts 1 .. R-1 are never read
+    start_kets = seesaw._start_kets
 
-    monkeypatch.setattr(seesaw, "_start_kets", no_draw)
+    def restart_0_only(*args):
+        kets = start_kets(*args)
+        yield next(kets)
+        raise AssertionError("the see-saw read start kets for restarts 1 .. R-1")
+
+    monkeypatch.setattr(seesaw, "_start_kets", restart_0_only)
     rc, out, _ = run(capsys, "verify", "--spins", spins)
     assert rc == 0
     assert out.count("PASS") == 5
@@ -271,7 +275,7 @@ def test_verify_noise_line_reads_the_noise_sweep_rows(capsys, monkeypatch, shift
     monkeypatch.setattr(cli, "noisy_score", shifted)
     ensemble = SpinEnsemble((0.5, 1, 1))
     table = outcome_table(ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2))
-    positive = jz_diagonal(ensemble) > 0
+    positive = ensemble.jz_diagonal > 0
     deviations = []
     for kind in ("global", "local"):
         rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,1,1", "--model", kind,

@@ -23,7 +23,7 @@ from spinwitness.noise import (
     noisy_score,
 )
 from spinwitness.protocol import outcome_table
-from spinwitness.spin import SpinEnsemble, jz_diagonal
+from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState, ghz_like, random_ket
 from spinwitness.witness import build_qk_direct, score, witness_report
 
@@ -211,7 +211,7 @@ def test_outcome_table_under_noise_matches_the_channel(case, seed, theta):
                              (witness, "witness_report"), (witness, "binomial_exact"), (linalg, "binomial_exact")]:
             mp.setattr(module, name, _forbidden)
         table = depolarize_table(outcome_table(state, theta), model)
-        via_table = float(np.mean(table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0)))
+        via_table = float(np.mean(table.reshape(ensemble.K, -1) @ (ensemble.jz_diagonal > 0)))
     np.testing.assert_allclose(table, outcome_table_reference(noisy.rho, ensemble, theta), rtol=0, atol=1e-12)
     assert abs(via_table - brute) <= 1e-12
 
@@ -342,6 +342,16 @@ def test_noise_model_validation():
         NoiseModel(p_global=1.5)
     with pytest.raises(ValueError, match=r"p_locals\[1\]"):
         NoiseModel(p_locals=(0.2, -0.1))
+    # float() took strings and bools, and raised a TypeError on a complex level
+    for p_global in ("0.5", True, False, 1j):
+        with pytest.raises(ValueError, match="^p_global must be a real number"):
+            NoiseModel(p_global=p_global)
+    for p_locals, bad in [(("0.1", False, 1), 0), ((0.1, False, 1), 1), ((0.1, 0.2, True), 2)]:
+        with pytest.raises(ValueError, match=rf"^p_locals\[{bad}\] must be a real number"):
+            NoiseModel(p_locals=p_locals)
+    for p in (1, 0, np.float64(0.25), np.float32(0.5), np.int64(1), Fraction(1, 3)):
+        assert NoiseModel(p_global=p).p_global == float(p)
+        assert NoiseModel(p_locals=(p, 0.5)).p_locals == (float(p), 0.5)
     with pytest.raises(ValueError, match="local model has"):
         apply_depolarizing(ghz_like(E3), NoiseModel(p_locals=(0.1, 0.2)))
     with pytest.raises(ValueError, match="local model has"):

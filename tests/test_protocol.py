@@ -15,7 +15,7 @@ from spinwitness.protocol import (
     time_schedule,
     wilson_interval,
 )
-from spinwitness.spin import SpinEnsemble, collective_operator, direction_phases, jz_diagonal, spin_matrices
+from spinwitness.spin import SpinEnsemble, collective_operator, direction_phases, spin_matrices
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture, random_ket
 from spinwitness.witness import build_qk_closed_form, build_qk_direct, phase_for_ghz, pos_operator, witness_report
 
@@ -319,7 +319,7 @@ def test_outcome_table_is_the_born_rule_per_product_outcome(ensemble_labels, the
     state = random_ket(ensemble, seed)
     table = outcome_table(state, theta)
     np.testing.assert_allclose(table, outcome_table_reference(state.density(), ensemble, theta), rtol=0, atol=1e-12)
-    q = np.clip(table.reshape(ensemble.K, -1) @ (jz_diagonal(ensemble) > 0), 0, 1)
+    q = np.clip(table.reshape(ensemble.K, -1) @ (ensemble.jz_diagonal > 0), 0, 1)
     assert run_protocol(state, 10, 0, theta).per_k_probs == tuple(q)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from spinwitness.seesaw import (
     enumerate_bipartitions,
     seesaw_maximize,
 )
-from spinwitness.seesaw import _ascend, _half_step, _run_restarts, _side_layouts
+from spinwitness.seesaw import _ascend, _half_step, _run_restarts, _side_layout, _start_kets
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState
 from spinwitness.witness import FACTOR_TOL, WitnessOperator, build_qk_direct, score, witness_report
@@ -125,8 +126,8 @@ def _top_eigvecs(m, previous):
 
 
 def layouts_of(witness, bip):
-    """The library's per-bipartition input: the side layouts of the witness factors and their weights."""
-    return _side_layouts(witness.factors.vectors, bip), witness.factors.values
+    """The library's per-bipartition input: the side layout of the witness factors and their weights."""
+    return _side_layout(witness.factors.vectors, bip), witness.factors.values
 
 
 # --- bipartition bookkeeping ---
@@ -349,7 +350,7 @@ def test_seesaw_trajectory_is_monotone():
         starts_j.append(psi_j / np.linalg.norm(psi_j))
         starts_c.append(psi_c / np.linalg.norm(psi_c))
     for psi_j, psi_c in zip(starts_j, starts_c):
-        value, iterations, _, trajectory, _ = _ascend(*layouts_of(W3, bip), psi_j, psi_c)
+        value, iterations, _, trajectory, _ = _ascend(*layouts_of(W3, bip), psi_j, psi_c, np.inf)
         assert len(trajectory) == iterations and trajectory[-1] == value
         diffs = np.diff(trajectory)
         assert np.all(diffs > -1e-12)
@@ -445,7 +446,7 @@ def test_stacked_seesaw_matches_sequential_reference(monkeypatch, restarts, max_
         w = build_qk_direct(ensemble, theta_offset=rng.uniform(0, 2 * np.pi))
         for bip in enumerate_bipartitions(ensemble):
             values, iterations, converged, _ = sequential_seesaw_reference(w.Q, bip, restarts, max_iters, 1e-10, seed=5)
-            got = _run_restarts(*layouts_of(w, bip), restarts, 5, stop_at=np.inf)
+            got = _run_restarts(*layouts_of(w, bip), restarts, 5, np.inf)
             np.testing.assert_allclose(got[0], values, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got[1], iterations)
             np.testing.assert_array_equal(got[2], converged)
@@ -464,7 +465,7 @@ def test_stacked_seesaw_matches_reference_on_a_random_operator(monkeypatch, max_
     monkeypatch.setattr(seesaw, "MAX_ITERS", max_iters)
     values, iterations, converged, kets = sequential_seesaw_reference(w.Q, bip, 8, max_iters, 1e-10, seed=11)
     got_values, got_iterations, got_converged, best, (psi_j, psi_c) = _run_restarts(
-        *layouts_of(w, bip), 8, 11, stop_at=np.inf
+        *layouts_of(w, bip), 8, 11, np.inf
     )
     np.testing.assert_allclose(got_values, values, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(got_iterations, iterations)
@@ -485,7 +486,7 @@ def test_stacked_tie_break_matches_reference():
     starts_j = [balanced(4)] + [unit_ket(rng, 4) for _ in range(7)]
     starts_c = [balanced(2)] + [unit_ket(rng, 2) for _ in range(7)]
     for row, (start_j, start_c) in enumerate(zip(starts_j, starts_c)):
-        value, iterations, converged, _, (psi_j, psi_c) = _ascend(*layouts_of(w, bip), start_j, start_c)
+        value, iterations, converged, _, (psi_j, psi_c) = _ascend(*layouts_of(w, bip), start_j, start_c, np.inf)
         want_value, want_j, want_c, steps, done = reference_restart(w.Q, bip, start_j, start_c, 200, 1e-10)
         assert value == pytest.approx(want_value, abs=1e-12)
         assert (iterations, converged) == (steps, done)
@@ -518,8 +519,8 @@ def test_fewer_restarts_repeat_the_first_ones(fewer):
     # restart r depends only on (seed, r): `fewer` restarts are the first `fewer` of 13
     bip = Bipartition(E5, (0, 2))
     w = random_low_rank_witness(57, E5)
-    first = _run_restarts(*layouts_of(w, bip), fewer, 11, stop_at=np.inf)
-    thirteen = _run_restarts(*layouts_of(w, bip), 13, 11, stop_at=np.inf)
+    first = _run_restarts(*layouts_of(w, bip), fewer, 11, np.inf)
+    thirteen = _run_restarts(*layouts_of(w, bip), 13, 11, np.inf)
     assert len(set(np.round(thirteen[0], 6))) > 2  # the restarts end at different local maxima
     np.testing.assert_allclose(first[0], thirteen[0][:fewer], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(first[1], thirteen[1][:fewer])
@@ -528,7 +529,7 @@ def test_fewer_restarts_repeat_the_first_ones(fewer):
 
 def test_one_generator_per_call(monkeypatch):
     # restart 0 starts from the balanced kets; the random start kets of the
-    # other restarts are one draw, made only when restart 0 leaves a gap
+    # other restarts come from one generator, made only when restart 1 is read
     made = []
     default_rng = np.random.default_rng
 
@@ -543,6 +544,39 @@ def test_one_generator_per_call(monkeypatch):
     assert made == []
     assert seesaw_maximize(gap, Bipartition(E5, (0, 2)), restarts=32, seed=9).restarts_run == 32
     assert made == [(9,)]
+
+
+@pytest.mark.parametrize("seed, d_j, d_c", [(0, 2, 4), (9, 3, 6), (11, 4, 8)])
+def test_start_kets_are_the_rows_of_one_draw(seed, d_j, d_c):
+    # drawn one row at a time, restart r's kets are row r of the batched draw, bit for bit
+    restarts = 7
+    draw = np.random.default_rng(seed).standard_normal((restarts, 2, d_j + d_c))
+    kets = draw[:, 0] + 1j * draw[:, 1]
+    want_j, want_c = (side / np.linalg.norm(side, axis=1, keepdims=True) for side in (kets[:, :d_j], kets[:, d_j:]))
+    starts = list(itertools.islice(_start_kets(seed, d_j, d_c), restarts))
+    np.testing.assert_array_equal(starts[0][0], balanced(d_j))
+    np.testing.assert_array_equal(starts[0][1], balanced(d_c))
+    for r in range(1, restarts):
+        np.testing.assert_array_equal(starts[r][0], want_j[r])
+        np.testing.assert_array_equal(starts[r][1], want_c[r])
+
+
+@pytest.mark.parametrize("restarts", [2, 8, 32])
+def test_a_later_restart_stops_at_the_bound(restarts):
+    # Q = 1/2 + 0.3|p><p| with p = (|0> - |1>)/sqrt2 (x) (|00> - |11>)/sqrt2: the balanced
+    # kets are orthogonal to both of p's factors, so restart 0 stays at 1/2, and restart 1
+    # reaches the Schmidt bound 0.8, where the call stops
+    bip = Bipartition(E3, (0,))
+    p_j = np.array([1, -1]) / np.sqrt(2)
+    p_c = np.array([1, 0, 0, -1]) / np.sqrt(2)
+    p = np.kron(p_j, p_c)
+    w = low_rank_witness(E3, np.eye(8) / 2 + 0.3 * np.outer(p, p).astype(complex))
+    r = seesaw_maximize(w, bip, restarts=restarts, seed=0)
+    assert r.restarts_run == 2
+    assert r.best_value == pytest.approx(0.8, abs=1e-12)
+    assert r.upper_bound == pytest.approx(0.8, abs=1e-12)
+    assert_same_ket_up_to_phase(r.best_kets[0], p_j)
+    assert_same_ket_up_to_phase(r.best_kets[1], p_c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -564,7 +598,7 @@ def test_sign_witness_stops_at_its_first_half_step(bip, offset):
     # Schmidt bound, so the call makes that one half-step and nothing else
     w = build_qk_direct(bip.ensemble, offset)
     unstopped = _ascend(*layouts_of(w, bip), balanced(bip.side_dim(bip.subset_J)),
-                        balanced(bip.side_dim(bip.complement)))
+                        balanced(bip.side_dim(bip.complement)), np.inf)
     steps = []
     half_step = seesaw._half_step
 
@@ -708,7 +742,7 @@ def test_flat_conditioning_keeps_the_previous_ket(index, atol):
     # removes them: the conditioned operator is 1/2 on the whole span, so each
     # previous ket is kept
     bip = Bipartition(E5, (0, 2))
-    (layout_j, _), weights = layouts_of(build_qk_direct(E5, 0.7), bip)
+    layout_j, weights = layouts_of(build_qk_direct(E5, 0.7), bip)
     rng = np.random.default_rng(41)
     for _ in range(6):
         previous = unit_ket(rng, 4)

@@ -9,7 +9,6 @@ from spinwitness.spin import (
     SpinEnsemble,
     collective_operator,
     direction_phases,
-    jz_diagonal,
     rotate_about_z,
     spin_matrices,
 )
@@ -111,7 +110,15 @@ class TestSpinEnsemble:
                 v[0, 0] = 1
         # V diag(m) V^dag is the dense collective Jx
         V = reduce(np.kron, bases)
-        np.testing.assert_allclose((V * jz_diagonal(e)) @ V.conj().T, collective_operator(e).Jx, atol=1e-13)
+        np.testing.assert_allclose((V * e.jz_diagonal) @ V.conj().T, collective_operator(e).Jx, atol=1e-13)
+
+    def test_jz_diagonal_is_computed_once_and_read_only(self):
+        e = SpinEnsemble((0.5, 1))
+        m = e.jz_diagonal
+        assert e.jz_diagonal is m
+        np.testing.assert_array_equal(m, [1.5, 0.5, -0.5, 0.5, -0.5, -1.5])  # particle 0 most significant
+        with pytest.raises(ValueError, match="read-only"):
+            m[0] = 0
 
 
 def test_collective_operator_is_sum_of_embeddings():

@@ -13,7 +13,6 @@ from spinwitness.spin import (
     collective_operator,
     direction_phases,
     jx_function,
-    jz_diagonal,
     rotate_about_z,
     spin_matrices,
 )
@@ -412,7 +411,7 @@ def test_factored_kernel_matches_the_dense_eigensolve(ensemble, name):
     assert abs(gw.f_K - dense_generalized_reference(ensemble, f_odd)) < 1e-12
     w, v = np.linalg.eigh(collective_operator(ensemble).Jx)
     dense = (v * np.array([f_odd(x) for x in w])) @ v.conj().T
-    factored = jx_function(ensemble, [f_odd(x) for x in jz_diagonal(ensemble)])
+    factored = jx_function(ensemble, [f_odd(x) for x in ensemble.jz_diagonal])
     np.testing.assert_allclose(factored, dense, rtol=0, atol=1e-12)
 
 
