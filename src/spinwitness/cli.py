@@ -55,7 +55,7 @@ from .witness import (
 SCHEMA_VERSION = 1
 
 # Largest ensemble dimension any command accepts: verify, seesaw and noise-sweep hold a dense dim x dim matrix
-# (64 MiB at 2048); simulate and general-witness hold none, and simulate keeps the cap until ROADMAP item 2.
+# (64 MiB at 2048); simulate and general-witness hold none: ROADMAP item 7 lifts simulate's cap, item 2 the other.
 MAX_DIM = 2048
 
 # Most points a noise-sweep grid may have; each point runs one dense channel.

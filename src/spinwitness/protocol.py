@@ -114,18 +114,18 @@ def _sample_signs(probs: np.ndarray, rounds: int, seed: int) -> ProtocolEstimate
 
 
 def outcome_table(state: QuantumState, theta_offset: float = 0.0) -> np.ndarray:
-    """Born probabilities |<o| V^dag D_k^dag |psi>|^2 of a ket, shaped (K, *local_dims).
+    """Born probabilities |<o| V^T D_k^dag |psi>|^2 of a ket, shaped (K, *local_dims).
 
     Entry [k, o_1, ..., o_N] is the probability that, along direction k (see
     `direction_phases`), particle n's Jx reads j_n - o_n for every n.  The ket
-    is rotated to all K directions and each v_n^dag applied along its slot, so
+    is rotated to all K directions and each v_n^T applied along its slot, so
     the cost is O(K dim sum d_n) and no density matrix is formed.
     """
     if state.ket is None:
         raise ValueError("outcome_table needs a ket, not a density matrix")
     ensemble = state.ensemble
     kets = state.ket[:, None] * direction_phases(ensemble, theta_offset).conj().T  # (dim, K): slots first
-    amplitudes = _apply_slot_bases(kets, [v.conj() for v in ensemble.jx_eigenbases])
+    amplitudes = _apply_slot_bases(kets, ensemble.jx_eigenbases)
     return (np.abs(amplitudes) ** 2).reshape(ensemble.K, *ensemble.local_dims)
 
 
@@ -135,7 +135,7 @@ def _positive_mass(table: np.ndarray, ensemble: SpinEnsemble) -> np.ndarray:
 
 
 def _positive_probabilities(state: QuantumState, theta_offset: float) -> np.ndarray:
-    """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the factored Jx = V diag(m) V^dag in `spin`.
+    """q_k = tr(rho pos(J_k)) for k = 0..K-1, from the factored Jx = V diag(m) V^T in `spin`.
 
     K is odd, so pos picks m > 0: for a ket, `_positive_mass` of its outcome
     table; for a density matrix pos(Jx) is built once, each direction a phase product.
@@ -158,7 +158,7 @@ def run_protocol(state: QuantumState, rounds: int, seed: int, theta_offset: floa
     return _sample_signs(_positive_probabilities(state, theta_offset), rounds, seed)
 
 
-# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 6 deletes it.
 def run_protocol_subensembles(state: QuantumState, rounds: int, seed: int,
                               theta_offset: float = 0.0) -> ProtocolEstimate:
     """Per-group sign measurements summed into the total sign: no split changes q_k, so `run_protocol`'s counts."""

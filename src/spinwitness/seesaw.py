@@ -273,8 +273,9 @@ def seesaw_maximize(
         raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "
                          f"of {factors.residual:.3e} > {FACTOR_TOL:.0e}")
     layout = _side_layout(factors.vectors, bipartition)
-    schmidt = np.linalg.svd(layout, compute_uv=False)[:, 0] ** 2
-    factor_bound = 0.5 + float(np.clip(factors.values, 0, None) @ schmidt)
+    positive = factors.values > 0
+    schmidt = np.linalg.svd(layout[positive], compute_uv=False)[:, 0] ** 2
+    factor_bound = 0.5 + float(factors.values[positive] @ schmidt)
     values, iterations, converged, best, best_kets = _run_restarts(layout, factors.values, restarts, seed, factor_bound)
     product = _product_ket(*best_kets, bipartition)
     value = float(np.vdot(product, witness.Q @ product).real)

@@ -6,12 +6,12 @@ product basis puts particle 1 in the most significant slot.  With that
 ordering the fully stretched product states  (x)|j_n, j_n>  and
 (x)|j_n, -j_n>  are exactly the first and last basis vectors.
 
-Jx is a sum of one-body terms, so Jx = V diag(m) V^dag with V = (x) v_n
-(`SpinEnsemble.jx_eigenbases`) and m the Jz diagonal
-(`SpinEnsemble.jz_diagonal`), both computed once per ensemble: the library's
-only route to the spectrum of Jx.  The dense `collective_operator` and
-`rotate_about_z` are not exported: they are the references the tests compare
-against.
+Jx and Jz are real symmetric in this basis; only Jy is complex.  Jx is a sum
+of one-body terms, so Jx = V diag(m) V^T with V = (x) v_n real orthogonal
+(`SpinEnsemble.jx_eigenbases`) and m the Jz diagonal (`SpinEnsemble.jz_diagonal`),
+both computed once per ensemble: the library's only route to the spectrum of
+Jx.  The dense `collective_operator` and `rotate_about_z` are not exported:
+they are the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class SpinEnsemble:
 
     @cached_property
     def jx_eigenbases(self) -> tuple[np.ndarray, ...]:
-        """Eigenbases v_n of each Jx^(j_n), column i for eigenvalue j_n - i, so Jx = V diag(m) V^dag.
+        """Real orthogonal eigenbases v_n of each Jx^(j_n), column i for eigenvalue j_n - i, so Jx = V diag(m) V^T.
 
         Read-only, since every caller of this ensemble shares them.
         """
@@ -129,22 +129,22 @@ class SpinEnsemble:
 def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Jx, Jy, Jz) for a single spin j, basis ordered m = j, j-1, ..., -j.
 
-    Built from the ladder operators, <j, m+1| J+ |j, m> = sqrt(j(j+1) - m(m+1)).
+    Built from the real ladder operators, <j, m+1| J+ |j, m> = sqrt(j(j+1) - m(m+1)): Jx, Jz real, Jy imaginary.
     j = 0 is permitted and yields 1x1 zero matrices (a trivial tensor factor).
     """
     j = _check_half_integer(j)
     d = round(2 * j + 1)
     m = j - np.arange(d)
-    jz = np.diag(m).astype(complex)
+    jz = np.diag(m)
     jplus = np.zeros((d, d))
     for i in range(1, d):
         jplus[i - 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-    jx = ((jplus + jplus.T) / 2).astype(complex)
+    jx = (jplus + jplus.T) / 2
     jy = (jplus - jplus.T) / 2j
     return jx, jy, jz
 
 
-# perfbench/tracer.py's TRACED looks up collective_operator, whose return type this is; ROADMAP item 4 deletes both.
+# perfbench/tracer.py's TRACED looks up collective_operator, whose return type this is; ROADMAP item 6 deletes both.
 @dataclass(frozen=True)
 class CollectiveOperator:
     """Total angular momentum J = sum_n J^(j_n) on the full product space."""
@@ -155,7 +155,7 @@ class CollectiveOperator:
     Jz: np.ndarray = field(repr=False)
 
 
-# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 6 deletes it.
 def collective_operator(ensemble: SpinEnsemble) -> CollectiveOperator:
     """Sum of single-particle spin operators, each embedded at its slot (dense)."""
     dims = ensemble.local_dims
@@ -180,7 +180,7 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
     return np.exp(-1j * np.outer(angles, ensemble.jz_diagonal))
 
 
-def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
+def _apply_slot_bases(x: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:
     """Contract the leading axes of x, one slot block each, with `bases` in turn.
 
     Each step moves the slot's outcome axis last, so after all steps the block
@@ -192,13 +192,12 @@ def _apply_slot_bases(x: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
 
 
 def jx_function(ensemble: SpinEnsemble, values: np.ndarray) -> np.ndarray:
-    """Dense f(Jx) = V diag(values) V^dag for values[i] = f(m_i), V applied slot by slot from both sides."""
-    bases = ensemble.jx_eigenbases
-    diag = np.diag(np.asarray(values, dtype=complex))
-    return _apply_slot_bases(diag, [v.T for v in bases] + [v.conj().T for v in bases]).reshape(len(diag), -1)
+    """Dense f(Jx) = V diag(values) V^T, values[i] = f(m_i), in the values' dtype: V is real, applied slot by slot."""
+    diag = np.diag(np.asarray(values))
+    return _apply_slot_bases(diag, [v.T for v in ensemble.jx_eigenbases] * 2).reshape(len(diag), -1)
 
 
-# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 6 deletes it.
 def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:
     """Conjugate op by U = exp(-i * angle * jz), built spectrally from jz.
 

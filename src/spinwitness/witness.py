@@ -43,7 +43,7 @@ __all__ = [
 
 # Eigenvalues this close to zero count as zero for the dense pos().  Far above
 # eigensolver jitter (~1e-14 at desk dimensions), far below any genuine spacing.
-# perfbench/tracer.py's TRACED looks up pos_operator; ROADMAP item 4 deletes both.
+# perfbench/tracer.py's TRACED looks up pos_operator; ROADMAP item 6 deletes both.
 ZERO_EIGENVALUE_TOL = 1e-9
 
 # Eigenvalues of the projected Q - 1/2 at or below this size are dropped from its factors, and the
@@ -52,7 +52,7 @@ ZERO_EIGENVALUE_TOL = 1e-9
 FACTOR_TOL = 1e-9
 
 
-# perfbench/tracer.py's TRACED looks it up; ROADMAP item 4 deletes it.
+# perfbench/tracer.py's TRACED looks it up; ROADMAP item 6 deletes it.
 def pos_operator(op: np.ndarray) -> np.ndarray:
     """Spectral step function: projector on the positive eigenspace + half the zero one.
 
@@ -244,6 +244,6 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
     odd_dev = np.abs(values + values[::-1]) > 1e-12  # levels[::-1] == -levels exactly
     if odd_dev.any():
         raise ValueError(f"f_odd fails oddness at x = {np.abs(levels[odd_dev]).min()}")
-    corner = reduce(np.multiply.outer, [v[0] * v[-1].conj() for v in ensemble.jx_eigenbases]).reshape(-1)
+    corner = reduce(np.multiply.outer, [v[0] * v[-1] for v in ensemble.jx_eigenbases]).reshape(-1)
     f_k = abs(values[index] @ corner)
     return GeneralizedWitness(f_K=float(f_k), sep_bound=float(f0) + float(f_k) / 2)

@@ -821,6 +821,16 @@ def test_no_product_state_exceeds_the_upper_bound(bip, seed, rank):
     assert r.best_value <= r.upper_bound + 1e-12
 
 
+def test_a_witness_without_positive_factors_is_bounded_by_one_half():
+    # no w_s > 0, so the Schmidt bound takes no singular values: 1/2 plus the residual term, exactly
+    ghz = balanced(8)
+    w = low_rank_witness(E3, np.eye(8, dtype=complex) / 2 - 0.3 * np.outer(ghz, ghz))
+    assert (w.factors.values < 0).all()
+    r = seesaw_maximize(w, Bipartition(E3, (0,)), restarts=4, seed=0)
+    assert r.upper_bound == 0.5 + w.factors.residual
+    assert r.best_value <= r.upper_bound
+
+
 def test_upper_bound_covers_what_the_factors_miss():
     # a 5e-10 bump on |000> is below FACTOR_TOL, so the factors drop it and
     # only the residual term keeps |000> (x) |00> under the bound

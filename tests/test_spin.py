@@ -9,6 +9,7 @@ from spinwitness.spin import (
     SpinEnsemble,
     collective_operator,
     direction_phases,
+    jx_function,
     rotate_about_z,
     spin_matrices,
 )
@@ -108,9 +109,24 @@ class TestSpinEnsemble:
             np.testing.assert_allclose(spin_matrices(j)[0] @ v, v * (j - np.arange(d)), atol=1e-14)
             with pytest.raises(ValueError, match="read-only"):
                 v[0, 0] = 1
-        # V diag(m) V^dag is the dense collective Jx
+        # V diag(m) V^T is the dense collective Jx
         V = reduce(np.kron, bases)
-        np.testing.assert_allclose((V * e.jz_diagonal) @ V.conj().T, collective_operator(e).Jx, atol=1e-13)
+        np.testing.assert_allclose((V * e.jz_diagonal) @ V.T, collective_operator(e).Jx, atol=1e-13)
+
+    @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 2.5, 3.5, 4, 6.5])
+    def test_jx_kernel_is_real(self, j):
+        # Jx and Jz are real symmetric and Jy purely imaginary, so every Jx eigenbasis is real orthogonal
+        # and a real function of Jx comes back real
+        jx, jy, jz = spin_matrices(j)
+        assert jx.dtype == jz.dtype == np.float64
+        assert jy.dtype == complex and not jy.real.any()
+        e = SpinEnsemble((0.5, j) if float(j).is_integer() else (j,))
+        for v, j_n in zip(e.jx_eigenbases, e.spins):
+            d = round(2 * j_n + 1)
+            assert v.dtype == np.float64
+            np.testing.assert_allclose(v.T @ v, np.eye(d), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(spin_matrices(j_n)[0] @ v, v * (j_n - np.arange(d)), rtol=0, atol=1e-13)
+        assert jx_function(e, e.jz_diagonal > 0).dtype == np.float64
 
     def test_jz_diagonal_is_computed_once_and_read_only(self):
         e = SpinEnsemble((0.5, 1))

@@ -410,9 +410,10 @@ def test_factored_kernel_matches_the_dense_eigensolve(ensemble, name):
     gw = generalized_witness(ensemble, 0.5, f_odd)
     assert abs(gw.f_K - dense_generalized_reference(ensemble, f_odd)) < 1e-12
     w, v = np.linalg.eigh(collective_operator(ensemble).Jx)
-    dense = (v * np.array([f_odd(x) for x in w])) @ v.conj().T
-    factored = jx_function(ensemble, [f_odd(x) for x in ensemble.jz_diagonal])
-    np.testing.assert_allclose(factored, dense, rtol=0, atol=1e-12)
+    for f in (f_odd, lambda x: f_odd(x) + 1j * np.cos(x)):  # complex values keep their imaginary part
+        dense = (v * np.array([f(x) for x in w])) @ v.conj().T
+        factored = jx_function(ensemble, [f(x) for x in ensemble.jz_diagonal])
+        np.testing.assert_allclose(factored, dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
