@@ -158,7 +158,8 @@ def _spins(text: str) -> tuple[float, ...]:
 
 
 def _grid(text: str) -> list[float]:
-    """An argparse type: start:stop:step (stop included) or comma-separated values, one or more, each in [0, 1]."""
+    """An argparse type: comma-separated values, or start:stop:step for start + i step up to stop, a last point
+    within rounding (1e-9 step) of stop reading stop; one or more values, each in [0, 1]."""
     ranged = ":" in text
     try:
         values = [float(p) for p in text.split(":" if ranged else ",")]
@@ -170,10 +171,10 @@ def _grid(text: str) -> list[float]:
         start, stop, step = values
         if not all(map(math.isfinite, values)) or step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("a range needs finite values, step > 0 and stop >= start")
-        if (stop + step / 2 - start) / step > MAX_GRID_POINTS:  # np.arange's length before its ceil
+        span = (stop - start) / step + 1e-9
+        if span >= MAX_GRID_POINTS:
             raise argparse.ArgumentTypeError(f"{text!r} has more than the limit of {MAX_GRID_POINTS} points")
-        # a range holds its start: at start == stop, stop + step / 2 can round to stop and leave np.arange empty
-        values = [start] if start == stop else [float(v) for v in np.arange(start, stop + step / 2, step)]
+        values = [min(start + i * step, stop) for i in range(math.floor(span) + 1)]
     if not values or not all(0 <= p <= 1 for p in values):
         raise argparse.ArgumentTypeError(f"{text!r} must give one or more values, each in [0, 1]")
     return values
@@ -323,7 +324,7 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     for kind in ("global", "local"):
         for p in (0.0, 0.1, 0.25, 0.5, 0.9):
             model = _uniform_model(kind, p, ensemble.N)
-            table_score = float(np.mean(_positive_mass(depolarize_table(table, model), ensemble)))
+            table_score = float(_positive_mass(depolarize_table(table, model), ensemble).sum() / ensemble.K)
             worst = max(worst, abs(noisy_score(ensemble, model) - table_score))
     # A score cannot tell which slot a local channel hit: depolarizing slot n at p_n maps any score s to
     # (1 - p_n) s + p_n/2 whatever n is.  A slot's outcome marginal can: under the channel it must become

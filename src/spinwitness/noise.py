@@ -23,13 +23,12 @@ grid and `simulate` samples its noisy states that way, with no density matrix.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .spin import SpinEnsemble
+from .spin import SpinEnsemble, _real
 from .states import QuantumState
 from .witness import witness_report
 
@@ -43,10 +42,7 @@ __all__ = [
 
 
 def _check_prob(p, name: str) -> float:
-    # float() would quietly take '0.5' and True; ints, numpy floats and Fractions are real numbers
-    if not isinstance(p, numbers.Real) or isinstance(p, bool):
-        raise ValueError(f"{name} must be a real number, got {p!r}")
-    p = float(p)
+    p = _real(p, name)
     if not 0 <= p <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
     return p
@@ -123,7 +119,7 @@ def depolarize_table(table: np.ndarray, model: NoiseModel) -> np.ndarray:
     if model.kind == "global":
         return (1 - model.p_global) * table + model.p_global / math.prod(dims)
     for axis, p in enumerate(model.p_locals, start=1):
-        table = (1 - p) * table + p * table.mean(axis=axis, keepdims=True)
+        table = (1 - p) * table + p * (table.sum(axis=axis, keepdims=True) / table.shape[axis])
     return table
 
 

@@ -36,13 +36,12 @@ pure function of (seed, rounds, q) and cost O(K) whatever the round count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin import SpinEnsemble
-from .spin import _apply_slot_bases, _check_odd_k, _is_integer, direction_phases, jx_function
+from .spin import _apply_slot_bases, _check_odd_k, _is_integer, _real, direction_phases, jx_function
 from .states import QuantumState
 from .witness import witness_report
 
@@ -169,11 +168,11 @@ def time_schedule(K: int, omega: float) -> list[float]:
     """Measurement times t_k = (2 pi / omega) k / K for a spin precessing at omega.
 
     Measuring the fixed x-component at t_k under H = -omega Jz reproduces the
-    direction-k statistics, turning K directions into K wait times.
+    direction-k statistics, turning K directions into K wait times.  omega is a positive `spin._real`.
     """
     K = _check_odd_k(K)
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
+    if not (omega := _real(omega, "omega")) > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
     return [2 * np.pi / omega * k / K for k in range(K)]
 
 
@@ -184,7 +183,7 @@ def rounds_needed(K: int, power_margin: float) -> int:
     midway across the gap, drops below gap * power_margin / 2.  A count that
     would reach 2^63, the protocol's round limit, raises ValueError.
     """
-    if not 0 < power_margin < 1:
+    if not 0 < (power_margin := _real(power_margin, "power_margin")) < 1:
         raise ValueError("power_margin must lie in (0, 1)")
     report = witness_report(K)
     p_mid = float(report.P_sep + report.gap / 2)

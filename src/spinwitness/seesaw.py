@@ -57,6 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class Bipartition:
             raise ValueError("canonical bipartitions keep particle 0 in subset_J")
         object.__setattr__(self, "subset_J", subset)
 
-    @property
+    @cached_property
     def complement(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.ensemble.N) if i not in self.subset_J)
 
@@ -164,7 +165,7 @@ def _half_step(layout: np.ndarray, weights: np.ndarray, ket: np.ndarray, previou
     the cluster gives way to the top eigenvector.
     """
     u = (layout @ ket.conj()).T
-    basis, _ = np.linalg.qr(np.column_stack((previous, u)))
+    basis, _ = np.linalg.qr(np.concatenate((previous[:, None], u), axis=1))
     coords = basis.conj().T @ u
     # eigh of the rank-r part alone: a vanishing part then reads exactly 1/2 once shifted
     w, v = np.linalg.eigh((coords * weights) @ coords.conj().T)
@@ -206,7 +207,8 @@ def _start_kets(seed: int, d_j: int, d_c: int):
     not depend on how it is chunked, so restart r depends only on (seed, r).
     """
     balanced = np.zeros(d_j + d_c, dtype=complex)
-    balanced[[0, d_j - 1, d_j, -1]] = 1 / np.sqrt(2)  # each side's first and last basis state
+    # each side's first and last basis state
+    balanced[0] = balanced[d_j - 1] = balanced[d_j] = balanced[-1] = 1 / math.sqrt(2)
     yield balanced[:d_j], balanced[d_j:]
     rng = np.random.default_rng(seed)
     rng.standard_normal((2, d_j + d_c))  # row 0 belongs to restart 0

@@ -46,16 +46,23 @@ def _check_odd_k(K) -> int:
     return int(K)
 
 
+def _real(x, name: str) -> float:
+    """float(x) for a finite real number (int, numpy, Fraction), not a bool; else a ValueError naming it."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got the non-finite {x!r}")
+    return float(x)
+
+
 def _reduced_angle(angle: float, name: str) -> float:
-    """A finite angle modulo 2 pi, in [-pi, pi], read off e^{i angle}: np.exp reduces exactly, so no phase is lost."""
-    if not math.isfinite(angle):
-        raise ValueError(f"{name} must be finite, got {angle}")
-    return float(np.angle(np.exp(1j * angle)))
+    """A `_real` angle modulo 2 pi, in [-pi, pi], read off e^{i angle}: np.exp reduces exactly, so no phase is lost."""
+    return float(np.angle(np.exp(1j * _real(angle, name))))
 
 
 def _check_half_integer(j) -> float:
-    two_j = 2 * float(j)
-    if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:
+    two_j = 2 * _real(j, "half-integer spin")
+    if abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:
         raise ValueError(f"spin must be a nonnegative half-integer, got {j}")
     return round(two_j) / 2
 
@@ -174,7 +181,7 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
     basis state), so diag(ph_k) = exp(-i a_k Jz) and the direction-k operator is
     the diagonal conjugation  J_k = diag(ph_k) Jx diag(ph_k)^dag.  Any spectral
     function then rotates the same way: f(J_k) = f(Jx) * outer(ph_k, ph_k^*).
-    A finite theta_offset keeps its phase however large (`_reduced_angle`); a non-finite one is rejected.
+    A finite theta_offset keeps its phase however large (`_reduced_angle`); any other value is rejected (`_real`).
     """
     angles = 2 * np.pi * np.arange(ensemble.K) / ensemble.K + _reduced_angle(theta_offset, "theta_offset")
     return np.exp(-1j * np.outer(angles, ensemble.jz_diagonal))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import assert_hermitian
-from .spin import SpinEnsemble
+from .spin import SpinEnsemble, _real
 
 __all__ = ["QuantumState", "ghz_like", "ghz_mixture", "product_state", "random_ket"]
 
@@ -74,7 +74,7 @@ def ghz_like(ensemble: SpinEnsemble, phi: float = 0.0) -> QuantumState:
     """
     ket = np.zeros(ensemble.dim, dtype=complex)
     ket[0] = 1 / np.sqrt(2)
-    ket[-1] = np.exp(1j * phi) / np.sqrt(2)
+    ket[-1] = np.exp(1j * _real(phi, "phi")) / np.sqrt(2)
     return QuantumState(ensemble, ket=ket)
 
 
@@ -101,7 +101,7 @@ def product_state(ensemble: SpinEnsemble, local_kets) -> QuantumState:
             raise ValueError(f"local ket {n} has length {local.shape[0]}, expected {d}")
         if abs(np.linalg.norm(local) - 1) > 1e-12:
             raise ValueError(f"local ket {n} is not normalized")
-        full = np.kron(full, local)
+        full = np.multiply.outer(full, local).reshape(-1)
     return QuantumState(ensemble, ket=full)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import assert_hermitian, binomial_exact
-from .spin import SpinEnsemble, _check_odd_k, _reduced_angle, direction_phases, jx_function
+from .spin import SpinEnsemble, _check_odd_k, _real, _reduced_angle, direction_phases, jx_function
 from .states import QuantumState
 
 __all__ = [
@@ -136,12 +136,10 @@ def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> W
     |P+><P+| - |P-><P-| = c^* |up><down| + c |down><up|, and the descending-m
     local bases make |up> and |down> the first and last basis vectors, so Q is
     1/2 plus two corner entries.  c takes (e^{i theta})^K, so a large offset keeps its phase.
-    A non-finite theta_offset is rejected, since c would be NaN.
+    theta_offset must be a finite real number (`spin._real`), since c would otherwise be NaN.
     """
-    if not np.isfinite(theta_offset):
-        raise ValueError(f"theta_offset must be finite, got {theta_offset}")
     K = ensemble.K
-    c = (-1) ** ((K - 1) // 2) * np.exp(1j * theta_offset) ** K
+    c = (-1) ** ((K - 1) // 2) * np.exp(1j * _real(theta_offset, "theta_offset")) ** K
     weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
     q = np.eye(ensemble.dim, dtype=complex) / 2
     q[0, -1] = weight * np.conj(c) / 2
@@ -207,7 +205,7 @@ def phase_for_ghz(phi: float, K: int) -> float:
     |up> + (-1)^((K-1)/2) e^{i K theta} |down> (up to normalization), so
     matching the phase e^{i phi} gives theta = (2 phi - (K-1) pi)/(2K).
     phi is reduced modulo 2 pi through e^{i phi} first, as in `ghz_like`, so any finite phi keeps
-    its phase; a non-finite one is rejected.  Offsets matter modulo 2 pi/K (a shift relabels the K
+    its phase; anything but a finite real number is rejected.  Offsets matter modulo 2 pi/K (a shift relabels the K
     directions): the value returned lies in [0, 2 pi/K), a remainder rounding up to 2 pi/K reading 0.
     """
     K = _check_odd_k(K)
@@ -227,13 +225,12 @@ class GeneralizedWitness:
 def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[float], float]) -> GeneralizedWitness:
     """Evaluate the stretched-state coupling f_K = |<up| f_odd(Jx) |down>|.
 
-    f0 must be finite.  f_odd must be a finite odd real function on 0 and the
+    f0 must be a finite real number (`spin._real`).  f_odd must be a finite odd real function on 0 and the
     spectrum of Jx, the K + 1 half-integers -K/2..K/2; it is evaluated and
     checked (tolerance 1e-12) once on each.  The entry is sum_o f(m_o) U_o D_o^*, with U and D the first
     and last rows of V = (x) v_n: Kronecker products of local rows, O(dim).
     """
-    if not np.isfinite(f0):
-        raise ValueError(f"f0 must be finite, got {f0}")
+    f0 = _real(f0, "f0")
     levels, index = np.unique(ensemble.jz_diagonal, return_inverse=True)
     values = np.array([float(f_odd(x)) for x in (0.0, *levels)])
     if not np.isfinite(values).all():
@@ -246,4 +243,4 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
         raise ValueError(f"f_odd fails oddness at x = {np.abs(levels[odd_dev]).min()}")
     corner = reduce(np.multiply.outer, [v[0] * v[-1] for v in ensemble.jx_eigenbases]).reshape(-1)
     f_k = abs(values[index] @ corner)
-    return GeneralizedWitness(f_K=float(f_k), sep_bound=float(f0) + float(f_k) / 2)
+    return GeneralizedWitness(f_K=float(f_k), sep_bound=f0 + float(f_k) / 2)

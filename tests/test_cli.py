@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinwitness import cli, seesaw
@@ -846,6 +846,45 @@ def test_a_less_entangled_positive_factor_fails_the_seesaw_line(capsys, monkeypa
     else:
         bounds = {row["bipartition"]: row["upper_bound"] for row in json.loads(out)["rows"]}
         assert bounds == {"1|2,3": 0.75, "1,2|3": 0.625, "1,3|2": 0.625}
+
+
+DECIMALS = st.integers(0, 100).map(lambda n: n / 100)
+
+
+@st.composite
+def grid_ranges(draw):
+    """start:stop:step inside [0, 1] with fewer than MAX_GRID_POINTS points: floats, decimals and ranges from 0."""
+    start = draw(st.sampled_from([0.0]) | DECIMALS | st.floats(0, 1))
+    stop = draw(DECIMALS.filter(lambda x: x >= start) | st.floats(start, 1))
+    step = draw(DECIMALS.filter(lambda x: x > 0) | st.floats(max(1e-4, (stop - start) / 5000), 1))
+    return start, stop, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_ranges())
+@example((0.0, 0.5, 0.3))  # the parent printed a row at p = 0.6, above stop
+@example((0.3, 1.0, 0.1))  # its last point read 1.0000000000000002 and exited 2
+@example((0.0, 1.0, 0.15))  # np.arange's point 1.05 made it exit 2
+@example((0.05, 0.95, 0.15))  # the parent's last point, 0.95000000000000018, lay above stop
+@example((0.5, 0.5, 1e-320))
+def test_grid_range_points_are_start_plus_i_step_up_to_stop(rng):
+    start, stop, step = rng
+    values = _grid(f"{start!r}:{stop!r}:{step!r}")
+    assert all(start <= p <= stop for p in values)
+    np.testing.assert_allclose(np.diff(values), step, rtol=1e-9, atol=1e-15)
+    assert stop - values[-1] < step
+    if start == 0:  # ranges from 0 keep np.arange's points; those past the returned ones lie above stop
+        points = [float(p) for p in np.arange(0, stop + step / 2, step)]
+        assert values == [min(p, stop) for p in points[:len(values)]]
+        assert all(p > stop for p in points[len(values):])
+
+
+@pytest.mark.parametrize("text, count, last", [("0:0.5:0.3", 2, 0.3), ("0.3:1:0.1", 8, 1.0), ("0:1:0.15", 7, 0.9)])
+def test_noise_sweep_range_ends_at_or_below_stop(capsys, text, count, last):
+    rc, out, _ = run(capsys, "noise-sweep", "--spins", "0.5,0.5,0.5", "--grid", text)
+    assert rc == 0
+    _, *rows = out.strip().splitlines()
+    assert len(rows) == count and abs(float(rows[-1].split(",")[0]) - last) < 1e-15
 
 
 def test_grid_limit_counts_points_before_allocating():

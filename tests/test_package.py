@@ -1,11 +1,32 @@
 """The package's public surface: what `spinwitness` exports is what its commands and demos run."""
 
+import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinwitness
 import spinwitness.protocol
+from spinwitness import (
+    NoiseModel,
+    SpinEnsemble,
+    build_qk_closed_form,
+    build_qk_direct,
+    classical_score,
+    generalized_witness,
+    ghz_like,
+    phase_for_ghz,
+    rounds_needed,
+    run_protocol,
+    spin_matrices,
+    time_schedule,
+)
+from spinwitness.spin import direction_phases
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
@@ -43,3 +64,66 @@ def test_the_ci_workflow_parses_and_every_step_does_something():
     steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
     assert steps
     assert [step for step in steps if ("run" in step) == ("uses" in step)] == []
+
+
+E3 = SpinEnsemble((0.5, 1, 1))
+ANGLES = st.fractions(-10**6, 10**6, max_denominator=10**6)
+
+# Every public real-valued argument: (the name its errors give, the call on one value, valid values as Fractions).
+# Each call returns arrays, floats or ints, so that two results can be compared bit for bit.
+REAL_ARGUMENTS = {
+    "SpinEnsemble spins": ("spin", lambda x: SpinEnsemble((x, x, 0.5)).spins,
+                           st.integers(1, 6).map(lambda n: Fraction(n, 2))),
+    "spin_matrices j": ("spin", spin_matrices, st.integers(0, 8).map(lambda n: Fraction(n, 2))),
+    "direction_phases theta_offset": ("theta_offset", lambda x: direction_phases(E3, x), ANGLES),
+    "build_qk_direct theta_offset": ("theta_offset", lambda x: build_qk_direct(E3, x).Q, ANGLES),
+    "build_qk_closed_form theta_offset": ("theta_offset", lambda x: build_qk_closed_form(E3, x).Q, ANGLES),
+    "run_protocol theta_offset": ("theta_offset", lambda x: run_protocol(ghz_like(E3), 1000, 0, x), ANGLES),
+    "phase_for_ghz phi": ("phi", lambda x: phase_for_ghz(x, 3), ANGLES),
+    "ghz_like phi": ("phi", lambda x: ghz_like(E3, x).ket, ANGLES),
+    "classical_score phi0": ("phi0", lambda x: classical_score(3, x), ANGLES),
+    "generalized_witness f0": ("f0", lambda x: generalized_witness(E3, x, np.sign), ANGLES),
+    "time_schedule omega": ("omega", lambda x: time_schedule(3, x), st.fractions(Fraction(1, 1000), 10**6)),
+    "rounds_needed power_margin": ("power_margin", lambda x: rounds_needed(3, x),
+                                   st.fractions(Fraction(1, 100), Fraction(99, 100))),
+    "NoiseModel p_global": ("p_global", lambda x: NoiseModel(p_global=x).p_global, st.fractions(0, 1)),
+    "NoiseModel p_locals": ("p_locals[0]", lambda x: NoiseModel(p_locals=(x, 0.5)).p_locals, st.fractions(0, 1)),
+}
+
+# float() took the string and True (a True spin built a spin-1); None and the non-finite values failed unevenly
+NOT_FINITE_REALS = (True, "0.5", None, math.nan, math.inf)
+
+REAL_TYPES = {"int": int, "float": float, "np.float64": np.float64, "Fraction": lambda f: f}
+
+
+def _bits(value):
+    """A value reduced to what two bitwise-equal results share: dtype and bytes of arrays, hex of floats."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return type(value), value.hex()
+    if isinstance(value, (tuple, list)):  # NamedTuples included: entry by entry
+        return type(value), tuple(map(_bits, value))
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value), tuple(_bits(getattr(value, name)) for name in value.__dataclass_fields__)
+    return type(value), value
+
+
+def test_bits_tells_results_apart():
+    assert _bits(0.0) != _bits(-0.0) and _bits(np.zeros(2)) != _bits(np.zeros(2, dtype=complex))
+    assert _bits((1, 0.5)) != _bits((1.0, 0.5))
+
+
+@pytest.mark.parametrize("argument", sorted(REAL_ARGUMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_real_argument_takes_one_rule(argument, data):
+    name, call, valid = REAL_ARGUMENTS[argument]
+    for bad in NOT_FINITE_REALS:
+        with pytest.raises(ValueError, match=re.escape(name)):
+            call(bad)
+    value = data.draw(valid, label="value")
+    for type_name, convert in REAL_TYPES.items():
+        if type_name != "int" or value.denominator == 1:
+            x = convert(value)
+            assert _bits(call(x)) == _bits(call(float(x))), type_name
