@@ -1,10 +1,11 @@
 """Beyond the sign: which odd response functions still detect.
 
 Replace the sign readout with any odd function f of the measured component.
-Detection hinges on the stretched-state coupling f_K = |<up| f(Jx) |down>|:
-with f = sign it reproduces the standard construction, a linear response has
-f_K = 0 (mean values see nothing), and low-order odd polynomials couple only
-while their degree reaches K.
+Detection hinges on the stretched-state coupling f_K = |<up| f(Jx) |down>|,
+the K-th central difference of f over 2^K, exact and the same for every
+ensemble of one K: with f = sign it reproduces the standard construction, a
+linear response has f_K = 0 (mean values see nothing), and odd polynomials of
+degree below K give exactly 0, while x^K couples at K!/2^K.
 """
 
 import numpy as np

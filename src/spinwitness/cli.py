@@ -55,7 +55,8 @@ from .witness import (
 SCHEMA_VERSION = 1
 
 # Largest ensemble dimension any command accepts: verify, seesaw and noise-sweep hold a dense dim x dim matrix
-# (64 MiB at 2048); simulate and general-witness hold none: ROADMAP item 7 lifts simulate's cap, item 2 the other.
+# (64 MiB at 2048); simulate and general-witness hold none.  General-witness reads K alone but takes the cap through
+# the shared --spins type; ROADMAP item 7 lifts simulate's cap, and its "Caps" step general-witness's.
 MAX_DIM = 2048
 
 # Most points a noise-sweep grid may have; each point runs one dense channel.

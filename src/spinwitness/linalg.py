@@ -2,9 +2,10 @@
 
 `assert_hermitian` validates a matrix that comes from a caller (a density
 matrix, a witness) before anything reads it.  `binomial_exact` is the closed
-forms' only source of the central binomial (the bound table and
-`build_qk_closed_form`); the definition route never reads it.  Exact
-quantities are `fractions.Fraction`s; floats are renderings only.
+forms' only source of binomials: the central one of the bound table and
+`build_qk_closed_form`, and the signed row C(K, i) that `generalized_witness`
+weights f by.  The definition route never reads it.  Exact quantities are
+`fractions.Fraction`s; floats are renderings only.
 """
 
 from __future__ import annotations

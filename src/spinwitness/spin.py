@@ -50,9 +50,13 @@ def _real(x, name: str) -> float:
     """float(x) for a finite real number (int, numpy, Fraction), not a bool; else a ValueError naming it."""
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         raise ValueError(f"{name} must be a real number, got {x!r}")
-    if not math.isfinite(x):
+    try:
+        value = float(x)
+    except OverflowError:  # an int or Fraction beyond the float range; its digits may be too many to print
+        raise ValueError(f"{name} must be finite, got a real beyond the float range") from None
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got the non-finite {x!r}")
-    return float(x)
+    return value
 
 
 def _reduced_angle(angle: float, name: str) -> float:

@@ -8,9 +8,9 @@ indicator of a positive collective-spin component:
 For an ensemble with total spin K/2 (K odd) the operator collapses to a rank-2
 correction of 1/2 * identity supported on the two GHZ-like combinations of the
 stretched product states; `build_qk_direct` and `build_qk_closed_form` realize
-both routes independently; the direct route and `generalized_witness` read
-Jx through the factored kernel in `spin`.  `WitnessOperator.factors` reads the
-low-rank part of Q - 1/2 back from Q itself, for the see-saw and for the
+both routes independently; the direct route reads Jx through the factored kernel
+in `spin`, and `generalized_witness` reads K alone.  `WitnessOperator.factors` reads
+the low-rank part of Q - 1/2 back from Q itself, for the see-saw and for the
 spectrum check of `verify`, so no caller eigensolves a dense Q.  All scalar
 bounds come from `witness_report` in exact rational arithmetic.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -223,15 +223,16 @@ class GeneralizedWitness:
 
 
 def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[float], float]) -> GeneralizedWitness:
-    """Evaluate the stretched-state coupling f_K = |<up| f_odd(Jx) |down>|.
+    """Evaluate the stretched-state coupling f_K = |<up| f_odd(Jx) |down>| from K alone, exactly.
 
     f0 must be a finite real number (`spin._real`).  f_odd must be a finite odd real function on 0 and the
-    spectrum of Jx, the K + 1 half-integers -K/2..K/2; it is evaluated and
-    checked (tolerance 1e-12) once on each.  The entry is sum_o f(m_o) U_o D_o^*, with U and D the first
-    and last rows of V = (x) v_n: Kronecker products of local rows, O(dim).
+    K + 1 levels M_i = K/2 - i; it is evaluated and checked (tolerance 1e-12) once on each.  One particle's corner
+    weights <j|P_m|-j> are (-1)^i C(2j, i) / 4^j at m = j - i, so by Vandermonde the ensemble's are (-1)^i C(K, i) / 2^K
+    at M_i, and f_K = |sum_i (-1)^i C(K, i) f(M_i)| / 2^K: the K-th central difference of f, exact, rounded once.
     """
     f0 = _real(f0, "f0")
-    levels, index = np.unique(ensemble.jz_diagonal, return_inverse=True)
+    K = ensemble.K
+    levels = K / 2 - np.arange(K + 1.0)
     values = np.array([float(f_odd(x)) for x in (0.0, *levels)])
     if not np.isfinite(values).all():
         raise ValueError("f_odd returned a non-finite value")
@@ -241,6 +242,5 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
     odd_dev = np.abs(values + values[::-1]) > 1e-12  # levels[::-1] == -levels exactly
     if odd_dev.any():
         raise ValueError(f"f_odd fails oddness at x = {np.abs(levels[odd_dev]).min()}")
-    corner = reduce(np.multiply.outer, [v[0] * v[-1] for v in ensemble.jx_eigenbases]).reshape(-1)
-    f_k = abs(values[index] @ corner)
-    return GeneralizedWitness(f_K=float(f_k), sep_bound=f0 + float(f_k) / 2)
+    f_k = float(abs(sum(Fraction(v) * (-1) ** i * binomial_exact(K, i) for i, v in enumerate(values))) / 2**K)
+    return GeneralizedWitness(f_K=f_k, sep_bound=f0 + f_k / 2)

@@ -540,6 +540,13 @@ def test_general_witness_cli(capsys):
     assert json.loads(out)["f_K"] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_general_witness_at_the_dense_limit_is_exact(capsys):
+    # one spin-1023.5 (dimension 2048): the cubic's third difference cannot reach K = 2047, so f_K is exactly 0
+    rc, out, _ = run(capsys, "general-witness", "--spins", "1023.5", "--f-odd", "cubic")
+    obj = json.loads(out)
+    assert rc == 0 and (obj["f_K"], obj["sep_bound"]) == (0.0, 0.5)
+
+
 # --- output files and manifests ---
 
 

@@ -90,8 +90,9 @@ REAL_ARGUMENTS = {
     "NoiseModel p_locals": ("p_locals[0]", lambda x: NoiseModel(p_locals=(x, 0.5)).p_locals, st.fractions(0, 1)),
 }
 
-# float() took the string and True (a True spin built a spin-1); None and the non-finite values failed unevenly
-NOT_FINITE_REALS = (True, "0.5", None, math.nan, math.inf)
+# float() took the string and True (a True spin built a spin-1); None and the non-finite values failed unevenly;
+# an int or Fraction beyond the float range raised OverflowError
+NOT_FINITE_REALS = (True, "0.5", None, math.nan, math.inf, 10**400, -10**400, Fraction(10**400, 3))
 
 REAL_TYPES = {"int": int, "float": float, "np.float64": np.float64, "Fraction": lambda f: f}
 

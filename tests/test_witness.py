@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -175,15 +176,19 @@ def test_direct_route_never_reads_the_binomial(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "route", [lambda e: build_qk_direct(e, 0.3), lambda e: generalized_witness(e, 0.5, _F_ODD_CHOICES["sign"])],
+    "route, expected",
+    [
+        (lambda e: build_qk_direct(e, 0.3), [(2, 2), (3, 3), (3, 3)]),
+        (lambda e: generalized_witness(e, 0.5, _F_ODD_CHOICES["sign"]), []),  # reads K alone
+    ],
     ids=["direct", "generalized"],
 )
-def test_witness_routes_eigensolve_single_particles_only(monkeypatch, route):
+def test_witness_routes_eigensolve_single_particles_only(monkeypatch, route, expected):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     route(SpinEnsemble((0.5, 1, 1)))
-    assert calls == [(2, 2), (3, 3), (3, 3)]
+    assert calls == expected
 
 
 def test_witness_is_half_identity_plus_corner_coupling():
@@ -414,6 +419,39 @@ def test_factored_kernel_matches_the_dense_eigensolve(ensemble, name):
         dense = (v * np.array([f(x) for x in w])) @ v.conj().T
         factored = jx_function(ensemble, [f(x) for x in ensemble.jz_diagonal])
         np.testing.assert_allclose(factored, dense, rtol=0, atol=1e-12)
+
+
+# K <= 9 on small_ensembles, so every level power below is an exact float and every f_K an exact dyadic value.
+@settings(max_examples=40, deadline=None)
+@given(ensemble=small_ensembles, f0=st.floats(-1, 1))
+def test_generalized_coupling_is_the_exact_kth_central_difference(ensemble, f0):
+    K = ensemble.K
+    for degree in range(1, K, 2):  # an odd monomial below degree K cannot connect |up> to |down>
+        gw = generalized_witness(ensemble, f0, lambda x: float(x) ** degree)
+        assert gw.f_K == 0.0 and gw.sep_bound == f0
+    top = generalized_witness(ensemble, f0, lambda x: float(x) ** K)
+    assert top.f_K == float(Fraction(math.factorial(K), 2**K))
+    half_sign = generalized_witness(ensemble, f0, _F_ODD_CHOICES["half-sign"])
+    assert half_sign.f_K == float(witness_report(K).P_max - Fraction(1, 2))
+
+
+def test_generalized_coupling_depends_on_k_alone():
+    same_k = (SpinEnsemble((0.5,) * 9), SpinEnsemble((1.5, 1.5, 0.5, 1)))
+    for f_odd in (*_F_ODD_CHOICES.values(), lambda x: float(np.sin(np.pi * x / 7))):
+        first, second = (generalized_witness(e, 0.25, f_odd) for e in same_k)
+        assert (first.f_K.hex(), first.sep_bound.hex()) == (second.f_K.hex(), second.sep_bound.hex())
+
+
+def test_generalized_coupling_reads_no_dense_ensemble_array(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("generalized_witness read a dense ensemble array")
+
+    for name in ("jx_eigenbases", "jz_diagonal"):
+        monkeypatch.setattr(SpinEnsemble, name, property(forbidden))
+    ensemble = SpinEnsemble((0.5, 1, 1))
+    with pytest.raises(AssertionError):
+        ensemble.jz_diagonal  # the patch is live
+    assert generalized_witness(ensemble, 0.5, _F_ODD_CHOICES["half-sign"]).sep_bound == float(witness_report(5).P_sep)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
