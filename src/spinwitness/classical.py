@@ -18,8 +18,7 @@ __all__ = ["classical_score", "classical_sweep_max"]
 
 
 def _scores(K: int, phi0: np.ndarray) -> np.ndarray:
-    """classical_score at each angle of phi0: one (K, len(phi0)) table of projections."""
-    K = _check_odd_k(K)
+    """classical_score at each angle of phi0: one (K, len(phi0)) table of projections, K checked by the caller."""
     proj = np.cos(2 * np.pi * np.arange(K)[:, None] / K - phi0[None, :])
     weights = np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5))
     return weights.mean(axis=0)
@@ -27,7 +26,7 @@ def _scores(K: int, phi0: np.ndarray) -> np.ndarray:
 
 def classical_score(K: int, phi0: float) -> float:
     """Fraction of the K directions with positive projection (ties count 1/2); phi0 is reduced mod 2 pi first."""
-    return float(_scores(K, np.array([_reduced_angle(phi0, "phi0")]))[0])
+    return float(_scores(_check_odd_k(K), np.array([_reduced_angle(phi0, "phi0")]))[0])
 
 
 def classical_sweep_max(K: int) -> float:
@@ -35,4 +34,5 @@ def classical_sweep_max(K: int) -> float:
 
     The score is constant between its breakpoints 2 pi k/K +- pi/2, which for odd K are pi/2 + pi j/K.
     """
+    K = _check_odd_k(K)
     return float(_scores(K, np.pi / 2 + np.pi * (np.arange(2 * K) + 0.5) / K).max())

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinEnsemble
-from .spin import _apply_slot_bases, _check_odd_k, _is_integer, _real, direction_phases, jx_function
+from .spin import ROUND_LIMIT, SEED_LIMIT, SpinEnsemble
+from .spin import _apply_slot_bases, _check_odd_k, _integer, _real, direction_phases, jx_function
 from .states import QuantumState
 from .witness import witness_report
 
@@ -55,9 +55,6 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-ROUND_LIMIT = 2**63  # rounds lie in [1, ROUND_LIMIT): the tallies are int64
-SEED_LIMIT = 2**128  # seeds lie in [0, SEED_LIMIT): the Philox key range
 
 
 @dataclass(frozen=True)
@@ -82,11 +79,8 @@ def wilson_interval(positives: int, trials: int) -> tuple[float, float]:
     clamps only undo rounding at p_hat = 0 or 1, where an edge lands an ulp
     off.
     """
-    if not (_is_integer(positives) and _is_integer(trials)):
-        raise ValueError(f"positives and trials must be integers, got {positives!r} and {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not 0 <= positives <= trials:
+    positives, trials = _integer(positives, "positives"), _integer(trials, "trials", 1)
+    if positives > trials:
         raise ValueError(f"positives={positives} must lie in [0, trials={trials}]")
     p_hat = positives / trials
     center = (p_hat + Z95**2 / (2 * trials)) / (1 + Z95**2 / trials)
@@ -96,11 +90,7 @@ def wilson_interval(positives: int, trials: int) -> tuple[float, float]:
 
 def _sample_signs(probs: np.ndarray, rounds: int, seed: int) -> ProtocolEstimate:
     """Draw the per-direction tallies from their exact law given the K positive probabilities."""
-    if not (_is_integer(rounds) and 1 <= rounds < ROUND_LIMIT):
-        raise ValueError(f"rounds must be an integer in [1, 2^63), got {rounds!r}")
-    if not (_is_integer(seed) and 0 <= seed < SEED_LIMIT):
-        raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
-    rounds = int(rounds)
+    rounds, seed = _integer(rounds, "rounds", 1, ROUND_LIMIT), _integer(seed, "seed", 0, SEED_LIMIT)
     K = len(probs)
     probs = np.clip(probs, 0.0, 1.0)
     gen = np.random.Generator(np.random.Philox(key=seed))

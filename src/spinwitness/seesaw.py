@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .witness import FACTOR_TOL, WitnessOperator
-from .spin import SpinEnsemble, _is_integer
+from .spin import ROUND_LIMIT, SEED_LIMIT, SpinEnsemble, _integer
 
 __all__ = [
     "Bipartition",
@@ -86,10 +86,8 @@ class Bipartition:
 
     def __post_init__(self):
         n = self.ensemble.N
-        if not all(map(_is_integer, self.subset_J)):
-            raise ValueError(f"subset_J={self.subset_J!r} must hold integer particle indices")
-        subset = tuple(sorted(set(int(i) for i in self.subset_J)))
-        if not subset or len(subset) >= n or any(i < 0 or i >= n for i in subset):
+        subset = tuple(sorted({_integer(i, "subset_J particle index", 0, n) for i in self.subset_J}))
+        if not subset or len(subset) >= n:
             raise ValueError(f"subset_J={subset} must be a proper nonempty subset of 0..{n - 1}")
         if 0 not in subset:
             raise ValueError("canonical bipartitions keep particle 0 in subset_J")
@@ -259,17 +257,14 @@ def seesaw_maximize(
     maximum in restart order.  Its product ket is scored against the dense
     Q, so the returned value is a certified lower bound on the true
     bipartition maximum.  A bipartition of another ensemble, a restart count
-    that is not an integer >= 1, a seed that is not an integer >= 0, and a
-    witness whose factors leave a Frobenius residual above FACTOR_TOL are
-    ValueErrors.
+    that is not an integer in [1, 2^63), a seed that is not an integer in
+    [0, 2^128), and a witness whose factors leave a Frobenius residual above
+    FACTOR_TOL are ValueErrors.
     """
     if bipartition.ensemble != witness.ensemble:
         raise ValueError(f"bipartition spins {bipartition.ensemble.spins} do not match "
                          f"witness spins {witness.ensemble.spins}")
-    if not (_is_integer(restarts) and restarts >= 1):
-        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    restarts, seed = _integer(restarts, "restarts", 1, ROUND_LIMIT), _integer(seed, "seed", 0, SEED_LIMIT)
     factors = witness.factors
     if factors.residual > FACTOR_TOL:
         raise ValueError(f"Q - 1/2 is not of low rank: its factors leave a Frobenius residual "

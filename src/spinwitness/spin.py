@@ -24,8 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import assert_hermitian
-
 __all__ = [
     "SpinEnsemble",
     "spin_matrices",
@@ -34,16 +32,29 @@ __all__ = [
 ]
 
 
-def _is_integer(x) -> bool:
-    """True for an int or numpy integer; False for a bool, a float (even 2.0) and anything else."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+ROUND_LIMIT = 2**63  # rounds and see-saw restarts lie in [1, ROUND_LIMIT): the tallies are int64, islice's stop too
+SEED_LIMIT = 2**128  # seeds lie in [0, SEED_LIMIT): the Philox key range
+
+
+def _integer(x, name: str, low: int = 0, high: int | None = None) -> int:
+    """int(x) for an int or numpy integer, not a bool, in [low, high); else a ValueError naming it and the range."""
+    top = math.inf if high is None else high
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool) and low <= int(x) < top:
+        return int(x)
+    if high is not None and high > 2**16 and high & (high - 1) == 0:  # 2^63, not its 19 digits
+        top = f"2^{high.bit_length() - 1}"
+    span = f">= {low}" if high is None else f"in [{low}, {top})"
+    raise ValueError(f"{name} must be an integer {span}, got {x!r}")
 
 
 def _check_odd_k(K) -> int:
-    """K as an int, if it is an integer (not a bool) that is at least 1 and odd; else a ValueError."""
-    if not (_is_integer(K) and K >= 1 and K % 2 == 1):
-        raise ValueError(f"K must be a positive odd integer, got {K!r}")
-    return int(K)
+    """K as an int, if it is a positive odd `_integer`; else a ValueError."""
+    try:
+        if (k := _integer(K, "K", 1)) % 2 == 1:
+            return k
+    except ValueError:
+        pass
+    raise ValueError(f"K must be a positive odd integer, got {K!r}")
 
 
 def _real(x, name: str) -> float:
@@ -217,6 +228,8 @@ def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:
     also rotate about Jx).  The result is re-symmetrized to kill the last-bit
     Hermiticity drift of the triple product.
     """
+    from .linalg import assert_hermitian  # linalg reads `_integer`, so this reference reaches it at call time
+
     op = np.asarray(op, dtype=complex)
     jz = assert_hermitian(jz)
     if op.shape != jz.shape:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import assert_hermitian
-from .spin import SpinEnsemble, _real
+from .spin import SEED_LIMIT, SpinEnsemble, _integer, _real
 
 __all__ = ["QuantumState", "ghz_like", "ghz_mixture", "product_state", "random_ket"]
 
@@ -106,12 +106,12 @@ def product_state(ensemble: SpinEnsemble, local_kets) -> QuantumState:
 
 
 def random_ket(ensemble: SpinEnsemble, seed) -> QuantumState:
-    """Haar-random unit ket on the ensemble, deterministic under the 64-bit seed.
+    """Haar-random unit ket on the ensemble, deterministic under the seed, an integer in [0, 2^128).
 
     Generator contract (stable across releases): numpy default_rng (PCG64)
     seeded with `seed`; entries are standard normals drawn as one real vector
     followed by one imaginary vector, then normalized.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0, SEED_LIMIT))
     ket = rng.standard_normal(ensemble.dim) + 1j * rng.standard_normal(ensemble.dim)
     return QuantumState(ensemble, ket=ket / np.linalg.norm(ket))

@@ -118,10 +118,14 @@ def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> Witnes
     Each J_k is a diagonal-phase conjugation of Jx (see `direction_phases`), so
     pos(J_k) = pos(Jx) * outer(ph_k, ph_k^*) and one factored pos(Jx) = f(Jx),
     f = [m > 0], serves every direction:  Q = pos(Jx) * sum_k outer(ph_k, ph_k^*) / K.
+    Q is formed in place, symmetrized as q + q^dag from q / 2K, so it holds one scratch buffer at a time.
     """
     ph = direction_phases(ensemble, theta_offset)
-    q = jx_function(ensemble, ensemble.jz_diagonal > 0) * (ph.T @ ph.conj()) / ensemble.K
-    return WitnessOperator(ensemble, (q + q.conj().T) / 2)
+    q = ph.T @ ph.conj()
+    q *= jx_function(ensemble, ensemble.jz_diagonal > 0)
+    q /= 2 * ensemble.K
+    q += q.conj().T
+    return WitnessOperator(ensemble, q)
 
 
 def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> WitnessOperator:
@@ -141,7 +145,7 @@ def build_qk_closed_form(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> W
     K = ensemble.K
     c = (-1) ** ((K - 1) // 2) * np.exp(1j * _real(theta_offset, "theta_offset")) ** K
     weight = binomial_exact(K - 1, (K - 1) // 2) / 2 ** (K - 1)
-    q = np.eye(ensemble.dim, dtype=complex) / 2
+    q = np.diag(np.full(ensemble.dim, 0.5 + 0j))
     q[0, -1] = weight * np.conj(c) / 2
     q[-1, 0] = weight * c / 2
     return WitnessOperator(ensemble, q)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ def test_verify_eigensolves_nothing_larger_than_7x7(capsys, monkeypatch, spins):
     rc, _, _ = run(capsys, "verify", "--spins", spins, "--restarts", "2")
     assert rc == 0
     assert 0 < max(sizes) <= 7
+
+
+def test_verify_holds_the_direct_witness_and_one_scratch_buffer():
+    # Q is formed in place and every deviation of it is reduced by row blocks; a dense temporary per deviation, and
+    # the closed form held to the end, once peaked at 4.06 dim x dim complex buffers here
+    buffer = 512**2 * 16
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--spins", ",".join(["0.5"] * 9)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * buffer, peak / buffer
 
 
 def test_verify_mixed_ensemble(capsys):

@@ -70,6 +70,19 @@ def test_hermitian_guard_rejects_non_finite(fn, entry):
         fn(h)
 
 
+@pytest.mark.parametrize("row", [0, 64, 199])
+def test_hermitian_guard_sees_a_nan_in_any_row_block(row):
+    # the check reduces blocks of 64 rows; Python's max over the block maxima would drop a NaN not in the first
+    h = random_hermitian(200, 2)
+    h[row, row] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        assert_hermitian(h)
+    h[row, row] = 0
+    h[row, (row + 100) % 200] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assert_hermitian(h)
+
+
 # --- the partial-trace reference the other tests read ---
 
 

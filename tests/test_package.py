@@ -13,18 +13,26 @@ from hypothesis import strategies as st
 import spinwitness
 import spinwitness.protocol
 from spinwitness import (
+    Bipartition,
     NoiseModel,
     SpinEnsemble,
+    WitnessOperator,
+    binomial_exact,
     build_qk_closed_form,
     build_qk_direct,
     classical_score,
+    classical_sweep_max,
     generalized_witness,
     ghz_like,
     phase_for_ghz,
+    random_ket,
     rounds_needed,
     run_protocol,
+    seesaw_maximize,
     spin_matrices,
     time_schedule,
+    wilson_interval,
+    witness_report,
 )
 from spinwitness.spin import direction_phases
 
@@ -128,3 +136,64 @@ def test_every_real_argument_takes_one_rule(argument, data):
         if type_name != "int" or value.denominator == 1:
             x = convert(value)
             assert _bits(call(x)) == _bits(call(float(x))), type_name
+
+
+def _gap_witness(ensemble, seed):
+    """A random rank-6 witness on which restart 0 ends below the Schmidt bound, so that the seed is read."""
+    rng = np.random.default_rng(seed)
+    p, _ = np.linalg.qr(rng.standard_normal((ensemble.dim, 6)) + 1j * rng.standard_normal((ensemble.dim, 6)))
+    q = np.eye(ensemble.dim) / 2 + (p * rng.uniform(0, 0.5, 6)) @ p.conj().T
+    return WitnessOperator(ensemble, (q + q.conj().T) / 2)
+
+
+GAP3 = _gap_witness(E3, 57)
+CUT3 = Bipartition(E3, (0,))
+ODD_K = st.integers(0, 15).map(lambda n: 2 * n + 1)
+SEEDS = st.integers(0, 2**128 - 1)
+
+# Every public integer argument: (the name its errors give, the call on one value, valid values, the least valid
+# value, the least value above the range or None).  Each call returns values `_bits` can compare bit for bit.
+INTEGER_ARGUMENTS = {
+    "witness_report K": ("K", witness_report, ODD_K, 1, None),
+    "phase_for_ghz K": ("K", lambda k: phase_for_ghz(0.3, k), ODD_K, 1, None),
+    "classical_score K": ("K", lambda k: classical_score(k, 0.3), ODD_K, 1, None),
+    "classical_sweep_max K": ("K", classical_sweep_max, ODD_K, 1, None),
+    "time_schedule K": ("K", lambda k: time_schedule(k, 2.0), ODD_K, 1, None),
+    "rounds_needed K": ("K", lambda k: rounds_needed(k, 0.5), ODD_K, 1, None),
+    "seesaw_maximize seed": ("seed", lambda s: seesaw_maximize(GAP3, CUT3, restarts=3, seed=s), SEEDS, 0, 2**128),
+    "seesaw_maximize restarts": ("restarts", lambda r: seesaw_maximize(GAP3, CUT3, restarts=r, seed=1),
+                                 st.integers(1, 4), 1, 2**63),
+    "run_protocol seed": ("seed", lambda s: run_protocol(ghz_like(E3), 1000, s), SEEDS, 0, 2**128),
+    "run_protocol rounds": ("rounds", lambda r: run_protocol(ghz_like(E3), r, 0), st.integers(1, 2**63 - 1), 1, 2**63),
+    "random_ket seed": ("seed", lambda s: random_ket(E3, s).ket, SEEDS, 0, 2**128),
+    "wilson_interval positives": ("positives", lambda x: wilson_interval(x, 100), st.integers(0, 100), 0, 101),
+    "wilson_interval trials": ("trials", lambda t: wilson_interval(0, t), st.integers(1, 2**63 - 1), 1, None),
+    "Bipartition index": ("particle index", lambda i: Bipartition(E3, (0, i)).subset_J, st.integers(0, 2), 0, 3),
+    "binomial_exact n": ("n", lambda n: binomial_exact(n, 2), st.integers(2, 10**4), 0, None),
+    "binomial_exact k": ("k", lambda k: binomial_exact(100, k), st.integers(0, 100), 0, 101),
+}
+
+# True drew as seed 1 in random_ket and counted as n = 1 in binomial_exact; 2.0 and "3" ended in numpy's or math's
+# TypeError; a restart count at 2^63 passed its own check and failed inside itertools.islice
+NOT_INTEGERS = (True, 2.0, "3", None)
+
+
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_integer_argument_takes_one_rule(argument, data):
+    name, call, valid, low, over = INTEGER_ARGUMENTS[argument]
+    for bad in NOT_INTEGERS + (low - 1,) + (() if over is None else (over,)):
+        with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
+            call(bad)
+    value = data.draw(valid, label="value")
+    result = call(value)
+    if value < 2**63:
+        assert _bits(call(np.int64(value))) == _bits(result)
+
+
+def test_the_gap_witness_reads_the_seed():
+    # else the seed rows above would compare two runs that never draw
+    runs = [seesaw_maximize(GAP3, CUT3, restarts=3, seed=seed) for seed in (1, 2)]
+    assert [r.restarts_run for r in runs] == [3, 3]
+    assert _bits(runs[0]) != _bits(runs[1])

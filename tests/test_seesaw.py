@@ -170,7 +170,7 @@ def test_bipartition_validation():
 @pytest.mark.parametrize("index", [1.7, 1.0, True, "1"])
 def test_bipartition_rejects_non_integer_indices(index):
     # int() would quietly make (0, 1.7) the subset (0, 1)
-    with pytest.raises(ValueError, match="integer particle indices"):
+    with pytest.raises(ValueError, match="^subset_J particle index must be an integer"):
         Bipartition(E3, (0, index))
     assert Bipartition(E3, (0, np.int64(1))).subset_J == (0, 1)
 
