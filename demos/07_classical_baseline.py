@@ -7,8 +7,9 @@ P_max beats that at every K.  Against the biseparable bound the ordering
 flips with size: for K = 3, 5 a classical vector outscores any biseparable
 quantum state, from K = 7 on it falls below even that.  The score is
 constant between the 2K angles where the moment is perpendicular to a
-direction, so classical_sweep_max reads one angle per arc: the maximum is
-exact, not sampled.
+direction, and a 2 pi / K turn only relabels the directions, so
+classical_sweep_max reads the two arcs of one period: the maximum is exact,
+not sampled.
 """
 
 import numpy as np

@@ -17,22 +17,19 @@ from .spin import _check_odd_k, _reduced_angle
 __all__ = ["classical_score", "classical_sweep_max"]
 
 
-def _scores(K: int, phi0: np.ndarray) -> np.ndarray:
-    """classical_score at each angle of phi0: one (K, len(phi0)) table of projections, K checked by the caller."""
-    proj = np.cos(2 * np.pi * np.arange(K)[:, None] / K - phi0[None, :])
-    weights = np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5))
-    return weights.mean(axis=0)
-
-
 def classical_score(K: int, phi0: float) -> float:
     """Fraction of the K directions with positive projection (ties count 1/2); phi0 is reduced mod 2 pi first."""
-    return float(_scores(_check_odd_k(K), np.array([_reduced_angle(phi0, "phi0")]))[0])
+    K = _check_odd_k(K)
+    proj = np.cos(2 * np.pi * np.arange(K) / K - _reduced_angle(phi0, "phi0"))
+    return float(np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5)).mean())
 
 
 def classical_sweep_max(K: int) -> float:
-    """Exact max of classical_score over phi0, read at the midpoints pi/2 + pi (j + 1/2)/K, j < 2K, of its arcs.
+    """Exact max of classical_score over phi0, read at the midpoints pi/2 + pi (j + 1/2)/K, j = 0, 1, of two arcs.
 
-    The score is constant between its breakpoints 2 pi k/K +- pi/2, which for odd K are pi/2 + pi j/K.
+    The score is constant between its breakpoints 2 pi k/K +- pi/2, which for odd K are pi/2 + pi j/K.  A turn
+    of phi0 by 2 pi/K only relabels the directions, so the score has period 2 pi/K: the two arcs of one period
+    take every value there is.
     """
     K = _check_odd_k(K)
-    return float(_scores(K, np.pi / 2 + np.pi * (np.arange(2 * K) + 0.5) / K).max())
+    return max(classical_score(K, np.pi / 2 + np.pi * (j + 0.5) / K) for j in (0, 1))

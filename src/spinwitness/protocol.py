@@ -158,12 +158,16 @@ def time_schedule(K: int, omega: float) -> list[float]:
     """Measurement times t_k = (2 pi / omega) k / K for a spin precessing at omega.
 
     Measuring the fixed x-component at t_k under H = -omega Jz reproduces the
-    direction-k statistics, turning K directions into K wait times.  omega is a positive `spin._real`.
+    direction-k statistics, turning K directions into K wait times.  omega is a positive `spin._real`; one so
+    small that a time overflows the float range (2 pi / omega is inf below about 3.5e-308) is a ValueError.
     """
     K = _check_odd_k(K)
     if not (omega := _real(omega, "omega")) > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    return [2 * np.pi / omega * k / K for k in range(K)]
+    times = [2 * np.pi / omega * k / K for k in range(K)]
+    if not np.isfinite(times).all():
+        raise ValueError(f"omega must be large enough for finite times, got {omega}")
+    return times
 
 
 def rounds_needed(K: int, power_margin: float) -> int:

@@ -6,6 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinwitness.classical import classical_score, classical_sweep_max
+from spinwitness.spin import _reduced_angle
+
+
+def table_scores(K, phi0):
+    # the score at each angle of phi0 as one (K, len(phi0)) table of projections, as the sweep once read all 2K arcs
+    proj = np.cos(2 * np.pi * np.arange(K)[:, None] / K - phi0[None, :])
+    weights = np.where(proj > 1e-12, 1.0, np.where(proj < -1e-12, 0.0, 0.5))
+    return weights.mean(axis=0)
+
+
+def table_sweep_max(K):
+    # one angle per arc, at the midpoints pi/2 + pi (j + 1/2)/K of all 2K arcs
+    return float(table_scores(K, np.pi / 2 + np.pi * (np.arange(2 * K) + 0.5) / K).max())
 
 
 def brute_score(K, phi0):
@@ -56,20 +69,34 @@ def test_score_is_periodic():
 
 
 def test_sweep_max_is_exact_for_every_odd_k():
-    # one angle per constant arc: the half-plane bound (K+1)/(2K) to the last bit, no sampling
+    # one angle on each of the two arcs of a period: the half-plane bound (K+1)/(2K) to the last bit, no sampling
     for K in range(1, 402, 2):
         assert classical_sweep_max(K) == (K + 1) / (2 * K)
 
 
-def test_sweep_max_memory_at_k_2001():
-    # 2K angles, not a fixed fine grid: the (K, 2K) tables stay far below what 1e5 samples would need
+def test_one_period_sweep_matches_the_2k_arc_table():
+    # a 2 pi/K turn relabels the directions, so the two arcs of one period give the max of all 2K, bit for bit
+    for K in [*range(1, 402, 2), 1001]:
+        assert classical_sweep_max(K).hex() == table_sweep_max(K).hex(), K
+
+
+def _sweep_peak(K):
     tracemalloc.start()
     try:
-        assert classical_sweep_max(2001) == 2002 / 4002
-        peak = tracemalloc.get_traced_memory()[1]
+        assert classical_sweep_max(K) == (K + 1) / (2 * K)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 2**20
+
+
+def test_sweep_max_memory_at_k_2001():
+    # two angles of K projections each: about 50 KiB, where the (K, 2K) table of all 2K arcs took 191 MiB
+    assert _sweep_peak(2001) < 2**20
+
+
+def test_sweep_max_reaches_a_million_directions():
+    # about 24 MiB of K-vectors; the (K, 2K) table would need about 44 TiB here
+    assert _sweep_peak(1_000_001) < 64 * 2**20
 
 
 def test_rejects_even_k():
@@ -90,7 +117,9 @@ def test_rejects_even_k():
 @example(1, 1e17)  # returned 0.0
 def test_score_takes_one_of_three_values_at_any_angle(half_k, phi0):
     K = 2 * half_k + 1
-    assert classical_score(K, phi0) in {(K - 1) / (2 * K), 0.5, (K + 1) / (2 * K)}
+    score = classical_score(K, phi0)
+    assert score in {(K - 1) / (2 * K), 0.5, (K + 1) / (2 * K)}
+    assert score.hex() == float(table_scores(K, np.array([_reduced_angle(phi0, "phi0")]))[0]).hex()
 
 
 @pytest.mark.parametrize("phi0", [float("nan"), float("inf"), -float("inf")])

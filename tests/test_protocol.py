@@ -440,6 +440,13 @@ def test_time_schedule_rejects_non_finite_omega(omega):
         time_schedule(3, omega)
 
 
+@pytest.mark.parametrize("omega", [1e-320, 5e-324, 6.3e-308])
+def test_time_schedule_rejects_omega_with_non_finite_times(omega):
+    # positive and finite, yet 2 pi / omega overflowed: 1e-320 and 5e-324 gave [nan, inf, inf], 6.3e-308 a last inf
+    with pytest.raises(ValueError, match="omega"):
+        time_schedule(3, omega)
+
+
 def test_rounds_needed_is_tight():
     z = 1.959963984540054
     for K, margin in ((3, 0.5), (5, 0.5), (3, 0.9)):
