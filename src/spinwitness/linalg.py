@@ -3,11 +3,12 @@
 `assert_hermitian` validates a matrix that comes from a caller (a density
 matrix, a witness) before anything reads it.  `_max_over_row_blocks` reduces
 a deviation of dense matrices block by block, so that no dim x dim temporary
-is formed.  `binomial_exact` is the closed forms' only source of binomials:
-the central one of the bound table and `build_qk_closed_form`, and the
-signed row C(K, i) that `generalized_witness` weights f by.  The definition
-route never reads it.  Exact quantities are `fractions.Fraction`s; floats
-are renderings only.
+is formed.  `binomial_exact` and `_binomial_row` are the closed forms' only
+sources of binomials: the first gives the central one of the bound table and
+`build_qk_closed_form`, the second the whole row C(K, i) that
+`generalized_witness` weights f by, from one exact product per entry.  The
+definition route reads neither.  Exact quantities are `fractions.Fraction`s;
+floats are renderings only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .spin import _integer
+from .spin import _array, _integer
 
 __all__ = [
     "assert_hermitian",
@@ -29,16 +30,14 @@ HERMITICITY_TOL = 1e-12
 def assert_hermitian(op: np.ndarray) -> np.ndarray:
     """Validate Hermiticity (max-entry norm) and return the operator as complex.
 
-    A non-finite entry is rejected: it makes the deviation NaN or infinite.
+    The operator is a `spin._array` named "matrix": finite integers, floats or complex numbers, so the deviation
+    is never NaN.  A density matrix and a witness's Q are checked here.
     """
-    op = np.asarray(op, dtype=complex)
+    op = _array(op, "matrix")
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported below
-        dev = _max_over_row_blocks(lambda rows: op[rows] - op[:, rows].conj().T, len(op))
-    if not dev <= HERMITICITY_TOL:  # a NaN deviation compares False both ways
-        if not np.isfinite(dev):
-            raise ValueError("matrix has a non-finite (NaN or infinite) entry")
+    dev = _max_over_row_blocks(lambda rows: op[rows] - op[:, rows].conj().T, len(op))
+    if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
     return op
 
@@ -57,3 +56,11 @@ def binomial_exact(n: int, k: int) -> int:
     if k > n:
         raise ValueError(f"binomial_exact requires k <= n, got n={n}, k={k}")
     return math.comb(n, k)
+
+
+def _binomial_row(n: int) -> list[int]:
+    """[C(n, 0), ..., C(n, n)] as exact ints, each from the one before: C(n, i + 1) = C(n, i) (n - i) / (i + 1)."""
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row

@@ -70,6 +70,24 @@ def _real(x, name: str) -> float:
     return value
 
 
+def _array(x, name: str) -> np.ndarray:
+    """x as a complex array, if it holds finite integers, floats or complex numbers; else a ValueError naming it.
+
+    Bool, string and object arrays are rejected (so are `None` and `Fraction` entries, which make object arrays),
+    and so is a ragged sequence, which numpy cannot make an array of.  Finiteness is read after the conversion.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{name} must be an array of numbers, got a ragged sequence") from None
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must hold integers, floats or complex numbers, got dtype {a.dtype}")
+    a = a.astype(complex, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite (NaN or infinite) entry")
+    return a
+
+
 def _reduced_angle(angle: float, name: str) -> float:
     """A `_real` angle modulo 2 pi, in [-pi, pi], read off e^{i angle}: np.exp reduces exactly, so no phase is lost."""
     return float(np.angle(np.exp(1j * _real(angle, name))))
@@ -130,12 +148,13 @@ class SpinEnsemble:
     def jx_eigenbases(self) -> tuple[np.ndarray, ...]:
         """Real orthogonal eigenbases v_n of each Jx^(j_n), column i for eigenvalue j_n - i, so Jx = V diag(m) V^T.
 
-        Read-only, since every caller of this ensemble shares them.
+        Each distinct spin is solved once, in order of first appearance, and its particles share that one array:
+        read-only, since every caller of this ensemble shares them.
         """
-        bases = tuple(np.linalg.eigh(spin_matrices(j)[0])[1][:, ::-1] for j in self.spins)
-        for v in bases:
+        solved = {j: np.linalg.eigh(spin_matrices(j)[0])[1][:, ::-1] for j in dict.fromkeys(self.spins)}
+        for v in solved.values():
             v.flags.writeable = False
-        return bases
+        return tuple(solved[j] for j in self.spins)
 
     @cached_property
     def jz_diagonal(self) -> np.ndarray:
@@ -230,7 +249,7 @@ def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:
     """
     from .linalg import assert_hermitian  # linalg reads `_integer`, so this reference reaches it at call time
 
-    op = np.asarray(op, dtype=complex)
+    op = _array(op, "operator")
     jz = assert_hermitian(jz)
     if op.shape != jz.shape:
         raise ValueError(f"operator shape {op.shape} does not match generator {jz.shape}")

@@ -12,14 +12,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import assert_hermitian
-from .spin import SEED_LIMIT, SpinEnsemble, _integer, _real
+from .spin import SEED_LIMIT, SpinEnsemble, _array, _integer, _real
 
 __all__ = ["QuantumState", "ghz_like", "ghz_mixture", "product_state", "random_ket"]
 
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A ket or density matrix tied to its ensemble (exactly one of the two is set)."""
+    """A ket or density matrix tied to its ensemble (exactly one of the two is set).
+
+    Either is a `spin._array` of finite integers, floats or complex numbers: the ket under the name "ket", rho under
+    "matrix" (through `assert_hermitian`).  Bool, string and object arrays are a ValueError naming it.
+    """
 
     ensemble: SpinEnsemble
     ket: np.ndarray | None = field(default=None, repr=False)
@@ -28,11 +32,9 @@ class QuantumState:
     def __post_init__(self):
         if (self.ket is None) == (self.rho is None):
             raise ValueError("provide exactly one of ket or rho")
-        if not np.isfinite(self.ket if self.rho is None else self.rho).all():
-            raise ValueError("state has a non-finite (NaN or infinite) entry")
         dim = self.ensemble.dim
         if self.ket is not None:
-            ket = np.asarray(self.ket, dtype=complex).reshape(-1)
+            ket = _array(self.ket, "ket").reshape(-1)
             if ket.shape != (dim,):
                 raise ValueError(f"ket length {ket.shape[0]} does not match ensemble dim {dim}")
             if abs(np.linalg.norm(ket) - 1) > 1e-12:
@@ -91,12 +93,12 @@ def ghz_mixture(ensemble: SpinEnsemble) -> QuantumState:
 
 
 def product_state(ensemble: SpinEnsemble, local_kets) -> QuantumState:
-    """Tensor product of one normalized local ket per particle."""
+    """Tensor product of one normalized local ket per particle, local ket n a `spin._array` named "local ket n"."""
     if len(local_kets) != ensemble.N:
         raise ValueError(f"expected {ensemble.N} local kets, got {len(local_kets)}")
     full = np.ones(1, dtype=complex)
     for n, (local, d) in enumerate(zip(local_kets, ensemble.local_dims)):
-        local = np.asarray(local, dtype=complex).reshape(-1)
+        local = _array(local, f"local ket {n}").reshape(-1)
         if local.shape != (d,):
             raise ValueError(f"local ket {n} has length {local.shape[0]}, expected {d}")
         if abs(np.linalg.norm(local) - 1) > 1e-12:

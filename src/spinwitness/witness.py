@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import assert_hermitian, binomial_exact
+from .linalg import _binomial_row, assert_hermitian, binomial_exact
 from .spin import SpinEnsemble, _check_odd_k, _real, _reduced_angle, direction_phases, jx_function
 from .states import QuantumState
 
@@ -75,7 +75,7 @@ class WitnessFactors(NamedTuple):
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """Q on the ensemble's space: a finite, Hermitian (dim, dim) matrix, as `QuantumState` requires of rho."""
+    """Q on the ensemble's space: a Hermitian (dim, dim) `spin._array`, checked by `assert_hermitian` as rho is."""
 
     ensemble: SpinEnsemble
     Q: np.ndarray = field(repr=False)
@@ -229,22 +229,22 @@ class GeneralizedWitness:
 def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[float], float]) -> GeneralizedWitness:
     """Evaluate the stretched-state coupling f_K = |<up| f_odd(Jx) |down>| from K alone, exactly.
 
-    f0 must be a finite real number (`spin._real`).  f_odd must be a finite odd real function on 0 and the
-    K + 1 levels M_i = K/2 - i; it is evaluated and checked (tolerance 1e-12) once on each.  One particle's corner
-    weights <j|P_m|-j> are (-1)^i C(2j, i) / 4^j at m = j - i, so by Vandermonde the ensemble's are (-1)^i C(K, i) / 2^K
-    at M_i, and f_K = |sum_i (-1)^i C(K, i) f(M_i)| / 2^K: the K-th central difference of f, exact, rounded once.
+    f0 must be a finite real number (`spin._real`).  f_odd must be an odd function on 0 and the K + 1 levels
+    M_i = K/2 - i; it is evaluated once on each, every value it returns is a `spin._real` named f_odd, and oddness is
+    checked to 1e-12.  One particle's corner weights <j|P_m|-j> are (-1)^i C(2j, i) / 4^j at m = j - i, so by
+    Vandermonde the ensemble's are (-1)^i C(K, i) / 2^K at M_i, and f_K = |sum_i (-1)^i C(K, i) f(M_i)| / 2^K: the
+    K-th central difference of f, exact, rounded once.  The row C(K, i) is `linalg._binomial_row`.
     """
     f0 = _real(f0, "f0")
     K = ensemble.K
     levels = K / 2 - np.arange(K + 1.0)
-    values = np.array([float(f_odd(x)) for x in (0.0, *levels)])
-    if not np.isfinite(values).all():
-        raise ValueError("f_odd returned a non-finite value")
+    values = np.array([_real(f_odd(x), "f_odd") for x in (0.0, *levels)])
     if abs(values[0]) > 1e-12:
         raise ValueError("f_odd(0) != 0: not an odd function")
     values = values[1:]
     odd_dev = np.abs(values + values[::-1]) > 1e-12  # levels[::-1] == -levels exactly
     if odd_dev.any():
         raise ValueError(f"f_odd fails oddness at x = {np.abs(levels[odd_dev]).min()}")
-    f_k = float(abs(sum(Fraction(v) * (-1) ** i * binomial_exact(K, i) for i, v in enumerate(values))) / 2**K)
+    row = _binomial_row(K)
+    f_k = float(abs(sum(Fraction(v) * (-1) ** i * row[i] for i, v in enumerate(values))) / 2**K)
     return GeneralizedWitness(f_K=f_k, sep_bound=f0 + f_k / 2)

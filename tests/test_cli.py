@@ -389,9 +389,10 @@ def test_simulate_table_route_matches_dense_route(inputs):
 
 
 def test_verify_eigensolves_each_particles_jx_once(capsys, monkeypatch):
-    # the direct witness and the noise line share the ensemble's cached Jx eigenbases, and the one
-    # (6, 6) solve is the witness factors' projection; the see-saw's (3, 3) solves are told apart
-    # from a spin-1 particle's by the function that calls eigh (a spin-1/2 side gives (2, 2) ones)
+    # the direct witness and the noise line share the ensemble's cached Jx eigenbases, one solve per spin
+    # value (the two spin-1 particles share one), and the one (6, 6) solve is the witness factors'
+    # projection; the see-saw's (3, 3) solves are told apart from a spin-1 particle's by the function
+    # that calls eigh (a spin-1/2 side gives (2, 2) ones)
     shapes, seesaw_shapes = [], []
     eigh = np.linalg.eigh
 
@@ -403,7 +404,7 @@ def test_verify_eigensolves_each_particles_jx_once(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     rc, _, _ = run(capsys, "verify", "--spins", "0.5,1,1", "--restarts", "2")
     assert rc == 0
-    assert shapes == [(2, 2), (3, 3), (3, 3), (6, 6)]
+    assert shapes == [(2, 2), (3, 3), (6, 6)]
     assert seesaw_shapes and set(seesaw_shapes) <= {(2, 2), (3, 3)}
 
 

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from linalg_reference import partial_trace_reference
-from spinwitness.linalg import assert_hermitian, binomial_exact
+from spinwitness.linalg import _binomial_row, assert_hermitian, binomial_exact
 
 
 def random_hermitian(dim, seed):
@@ -35,6 +37,12 @@ def test_binomial_is_exact_int_at_large_n():
     assert isinstance(v, int)
     assert v % 10 == 0 and v > 2**53
     assert binomial_exact(200, 100) == binomial_exact(200, 100)  # deterministic
+
+
+def test_binomial_row_is_math_comb():
+    # each entry is the one before times (n - i) / (i + 1), in exact ints
+    for n in range(301):
+        assert _binomial_row(n) == [math.comb(n, i) for i in range(n + 1)]
 
 
 @pytest.mark.parametrize("n,k", [(-1, 0), (3, -1), (2, 5)])

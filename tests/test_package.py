@@ -15,8 +15,10 @@ import spinwitness.protocol
 from spinwitness import (
     Bipartition,
     NoiseModel,
+    QuantumState,
     SpinEnsemble,
     WitnessOperator,
+    assert_hermitian,
     binomial_exact,
     build_qk_closed_form,
     build_qk_direct,
@@ -25,6 +27,7 @@ from spinwitness import (
     generalized_witness,
     ghz_like,
     phase_for_ghz,
+    product_state,
     random_ket,
     rounds_needed,
     run_protocol,
@@ -197,3 +200,101 @@ def test_the_gap_witness_reads_the_seed():
     runs = [seesaw_maximize(GAP3, CUT3, restarts=3, seed=seed) for seed in (1, 2)]
     assert [r.restarts_run for r in runs] == [3, 3]
     assert _bits(runs[0]) != _bits(runs[1])
+
+
+def _unit(d):
+    """Real unit vectors of length d: a signed basis vector (integer entries) or a normalized small-integer vector.
+
+    No entry is -0.0, which an integer form cannot hold (so neither do the rho rows' outer products, + 0.0).
+    """
+    basis = st.tuples(st.integers(0, d - 1), st.sampled_from([1, -1])).map(lambda t: np.eye(d)[t[0]] * t[1] + 0.0)
+    spread = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any).map(lambda v: np.array(v) / np.linalg.norm(v))
+    return basis | spread
+
+
+def _symmetric(d):
+    """Real symmetric d x d matrices of halves of small integers, integer-valued about as often as not."""
+    return st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d).map(
+        lambda v: (np.reshape(v, (d, d)) + np.reshape(v, (d, d)).T) / 2)
+
+
+def _product_ket(n):
+    """product_state's ket with local ket n replaced by x and every other local ket |j, j>."""
+    return lambda x: product_state(E3, [x if i == n else np.eye(d)[0] for i, d in enumerate(E3.local_dims)]).ket
+
+
+_F_POINTS = (0.0, *(E3.K / 2 - np.arange(E3.K + 1.0)))
+
+
+def _f_witness(values):
+    """generalized_witness with the f_odd that returns values[i] at the i-th point it is evaluated on."""
+    return generalized_witness(E3, 0.5, dict(zip(_F_POINTS, values)).__getitem__)
+
+
+# Every public array argument: (the name its errors give, the call on one array, valid arrays as float64, the rule).
+# Under the array rule the entries are integers, floats or complex numbers; the values of f follow the real rule, in
+# which a Fraction is a real number and a complex number is not.
+ARRAY_ARGUMENTS = {
+    "QuantumState ket": ("ket", lambda x: QuantumState(E3, ket=x).ket, _unit(E3.dim), "array"),
+    "QuantumState rho": ("matrix", lambda x: QuantumState(E3, rho=x).rho,
+                         _unit(E3.dim).map(lambda v: np.outer(v, v) + 0.0), "array"),
+    "WitnessOperator Q": ("matrix", lambda x: WitnessOperator(E3, x).Q, _symmetric(E3.dim), "array"),
+    "assert_hermitian matrix": ("matrix", assert_hermitian, _symmetric(3), "array"),
+    **{f"product_state local ket {n}": (f"local ket {n}", _product_ket(n), _unit(d), "array")
+       for n, d in enumerate(E3.local_dims)},
+    "generalized_witness f_odd values": ("f_odd", _f_witness, st.lists(
+        st.fractions(-5, 5, max_denominator=8), min_size=3, max_size=3).map(
+        lambda h: np.array([0, *h, *(-x for x in reversed(h))], dtype=float)), "real"),
+}
+
+
+def _with_last(a, value):
+    b = a.astype(np.result_type(a, value))
+    b.flat[-1] = value
+    return b
+
+
+def _ragged(a):
+    rows = a.tolist()
+    rows[-1] = rows[-1][:-1] if a.ndim > 1 else [rows[-1], rows[-1]]
+    return rows
+
+
+# np.isfinite raised numpy's TypeError on string and object arrays; bool arrays were read as 0 and 1, and
+# product_state and assert_hermitian parsed string arrays into numbers
+NOT_NUMBER_ARRAYS = {
+    "bool": lambda a: a != 0,
+    "string": lambda a: a.astype(str),
+    "None": lambda a: _with_last(a.astype(object), None),
+    "Fraction": lambda a: np.array([Fraction(x) for x in a.flat], dtype=object).reshape(a.shape),
+    "ragged": _ragged,
+    "nan": lambda a: _with_last(a, math.nan),
+    "inf": lambda a: _with_last(a, math.inf),
+    "-inf": lambda a: _with_last(a, -math.inf),
+    "complex nan": lambda a: _with_last(a, complex(0, math.nan)),
+}
+
+ARRAY_FORMS = {"int": lambda a: a.astype(np.int64).tolist(), "float": lambda a: a,
+               "complex": lambda a: a.astype(complex).tolist()}
+VALUE_FORMS = {"int": lambda a: [int(x) for x in a], "float": lambda a: a.tolist(), "np.float64": list,
+               "Fraction": lambda a: [Fraction(x) for x in a]}
+
+
+@pytest.mark.parametrize("argument", sorted(ARRAY_ARGUMENTS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_array_argument_takes_one_rule(argument, data):
+    name, call, valid, rule = ARRAY_ARGUMENTS[argument]
+    a = data.draw(valid, label="array")
+    bad, forms, reference = dict(NOT_NUMBER_ARRAYS), ARRAY_FORMS, a.astype(complex)
+    if rule == "real":
+        del bad["Fraction"]
+        bad["complex"] = lambda a: a.astype(complex)
+        forms, reference = VALUE_FORMS, a.tolist()
+    for label, make in bad.items():
+        with pytest.raises(ValueError, match=re.escape(name)):
+            call(make(a))
+    expected = _bits(call(reference))
+    for label, form in forms.items():
+        if label != "int" or np.array_equal(a, np.round(a)):
+            assert _bits(call(form(a))) == expected, label

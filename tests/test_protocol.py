@@ -268,7 +268,7 @@ def test_samplers_eigensolve_single_particles_only(monkeypatch, sample, form):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     sample(st, 1_000, 0)
-    assert calls == [(2, 2), (3, 3), (3, 3)]
+    assert calls == [(2, 2), (3, 3)]  # one solve per spin value
 
 
 # Mixed-spin ensembles with odd K and dim <= 64, each with a partition of its

@@ -103,6 +103,7 @@ class TestSpinEnsemble:
         e = SpinEnsemble((0.5, 1, 1))
         bases = e.jx_eigenbases
         assert e.jx_eigenbases is bases
+        assert bases[1] is bases[2]  # one solve per spin value, shared by its particles
         assert e == SpinEnsemble((0.5, 1, 1)) and hash(e) == hash(SpinEnsemble((0.5, 1, 1)))
         for v, j in zip(bases, e.spins):
             d = round(2 * j + 1)

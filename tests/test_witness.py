@@ -178,7 +178,7 @@ def test_direct_route_never_reads_the_binomial(monkeypatch):
 @pytest.mark.parametrize(
     "route, expected",
     [
-        (lambda e: build_qk_direct(e, 0.3), [(2, 2), (3, 3), (3, 3)]),
+        (lambda e: build_qk_direct(e, 0.3), [(2, 2), (3, 3)]),  # one solve per spin value
         (lambda e: generalized_witness(e, 0.5, _F_ODD_CHOICES["sign"]), []),  # reads K alone
     ],
     ids=["direct", "generalized"],
