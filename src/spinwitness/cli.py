@@ -42,7 +42,7 @@ from .linalg import _max_over_row_blocks
 from .noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
 from .protocol import _positive_mass, _sample_signs, outcome_table
 from .seesaw import enumerate_bipartitions, seesaw_maximize
-from .spin import ROUND_LIMIT, SEED_LIMIT, SpinEnsemble
+from .spin import ROUND_LIMIT, SEED_LIMIT, SpinEnsemble, _reduced_angle, level_weights
 from .states import ghz_like, product_state
 from .witness import (
     build_qk_closed_form,
@@ -55,9 +55,10 @@ from .witness import (
 
 SCHEMA_VERSION = 1
 
-# Largest ensemble dimension any command accepts: verify, seesaw and noise-sweep hold a dense dim x dim matrix
-# (64 MiB at 2048); simulate and general-witness hold none.  General-witness reads K alone but takes the cap through
-# the shared --spins type; ROADMAP item 7 lifts simulate's cap, and its "Caps" step general-witness's.
+# Largest ensemble dimension a dense command accepts: verify, seesaw and noise-sweep hold a dense dim x dim matrix
+# (64 MiB at 2048).  General-witness reads K alone but keeps the cap; ROADMAP item 7's "Caps" step lifts it.
+# simulate holds nothing of size dim, so it takes no ensemble cap, only this one on each particle's dimension:
+# a particle's Jx is eigensolved densely.
 MAX_DIM = 2048
 
 # Most points a noise-sweep grid may have; each point runs one dense channel.
@@ -140,23 +141,39 @@ def _writable(path: str) -> bool:
             and not os.path.isdir(path) and not os.path.isdir(path + ".manifest.json"))
 
 
+_exact_k = _odd_k(MAX_TABLE_K, "for exact printing")
+
 _out_path = _checked(str, _writable, "a file path in an existing, writable directory, "
                                      "with no directory at it or at its .manifest.json")
 
 
-def _spins(text: str) -> tuple[float, ...]:
-    """An argparse type: the spins of a valid ensemble of dimension at most MAX_DIM."""
-    try:
-        spins = [float(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected e.g. '0.5,0.5,0.5'")
-    try:
-        ensemble = SpinEnsemble(spins)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if ensemble.dim > MAX_DIM:
-        raise argparse.ArgumentTypeError(f"ensemble dimension {ensemble.dim} exceeds the dense limit of {MAX_DIM}")
-    return ensemble.spins
+def _spins(max_dim: int | None):
+    """An argparse type: the spins of a valid ensemble of dimension at most max_dim (None: any dimension).
+
+    Every ensemble also has K at most MAX_TABLE_K, since each command prints an exact P_sep, and particles of
+    dimension at most MAX_DIM; a dimension of at most MAX_DIM implies both.
+    """
+
+    def convert(text: str) -> tuple[float, ...]:
+        try:
+            spins = [float(part) for part in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected e.g. '0.5,0.5,0.5'")
+        try:
+            ensemble = SpinEnsemble(spins)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if max_dim is not None and (dim := ensemble.dim) > max_dim:
+            shown = dim if dim < 2**64 else "above 2^64"  # 2^14291 has more digits than an int may print
+            raise argparse.ArgumentTypeError(f"ensemble dimension {shown} exceeds the dense limit of {max_dim}")
+        if ensemble.K > MAX_TABLE_K:
+            raise argparse.ArgumentTypeError(f"K = {ensemble.K} exceeds the limit of {MAX_TABLE_K} for exact printing")
+        if max(ensemble.local_dims) > MAX_DIM:
+            raise argparse.ArgumentTypeError(f"particle dimension {max(ensemble.local_dims)} exceeds the limit of "
+                                             f"{MAX_DIM} for one particle's eigensolve")
+        return ensemble.spins
+
+    return convert
 
 
 def _grid(text: str) -> list[float]:
@@ -180,6 +197,9 @@ def _grid(text: str) -> list[float]:
     if not values or not all(0 <= p <= 1 for p in values):
         raise argparse.ArgumentTypeError(f"{text!r} must give one or more values, each in [0, 1]")
     return values
+
+
+_dense_spins = _spins(MAX_DIM)
 
 
 # --subensembles: groups of 1-based particle numbers split by '|', parsed to sorted 0-based groups
@@ -386,15 +406,21 @@ def cmd_simulate(args) -> int:
     K = ensemble.K
     phi = args.phi if args.phi is not None else _detected_phi(K)
     theta = phase_for_ghz(phi, K)
-    # The sampler reads only the state's outcome table, which a subensemble split cannot change (see
-    # `protocol`).  The mixture's table is the mean of the phi = 0 and pi tables.
-    phis = (0.0, np.pi) if args.state == "mixture" else (phi,)
-    table = np.mean([outcome_table(ghz_like(ensemble, phi=f), theta) for f in phis], axis=0)
-    if args.p is not None:
-        model = (_uniform_model(args.model or "global", args.p[0], ensemble.N) if len(args.p) == 1
-                 else NoiseModel(p_locals=tuple(args.p)))
-        table = depolarize_table(table, model)
-    estimate = _sample_signs(_positive_mass(table, ensemble), args.rounds, args.seed)
+    # Only the |up><down| corner of a GHZ-like state moves a direction's positive probability, by
+    # <up| pos(J_k) |down> = S e^{-i K a_k}, S the sum of the level weights over M > 0; the rest scores 1/2.
+    # Noise scales the corner by the model's survival, and the mixture has none.  K a_k = 2 pi k + K theta, so
+    # every direction has q = 1/2 + s S cos(K theta - phi): no ket, no outcome table, nothing of size dim.  A
+    # subensemble split cannot change q (see `protocol`).
+    if args.state == "mixture":
+        survival = 0.0
+    elif args.p is None:
+        survival = 1.0
+    else:
+        survival = (_uniform_model(args.model or "global", args.p[0], ensemble.N) if len(args.p) == 1
+                    else NoiseModel(p_locals=tuple(args.p))).survival
+    corner = level_weights(ensemble)[: (K + 1) // 2].sum()
+    q = 0.5 + survival * corner * np.cos(K * theta - _reduced_angle(phi, "phi"))
+    estimate = _sample_signs(np.full(K, q), args.rounds, args.seed)
     rep = witness_report(K)
     verdict = "GME-detected" if estimate.ci_low > float(rep.P_sep) else "inconclusive"
     obj = {
@@ -488,25 +514,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
 
     p = command("table", "exact bound table per K", cmd_table)
-    p.add_argument("--K", type=_odd_k(MAX_TABLE_K, "for exact printing"), nargs="+", required=True)
+    p.add_argument("--K", type=_exact_k, nargs="+", required=True)
     output(p, fmt_default="csv")
 
     p = command("verify", "self-verification suite for one ensemble", cmd_verify)
-    p.add_argument("--spins", type=_spins, required=True)
+    p.add_argument("--spins", type=_dense_spins, required=True)
     p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p)
 
     p = command("noise-sweep", "noisy scores across a grid", cmd_noise_sweep)
-    p.add_argument("--spins", type=_spins, required=True)
+    p.add_argument("--spins", type=_dense_spins, required=True)
     p.add_argument("--model", choices=["global", "local"], default="global")
     p.add_argument("--grid", type=_grid, default="0:1:0.05")
     output(p, fmt_default="csv")
 
     p = command("simulate", "Monte-Carlo protocol run", cmd_simulate)
     ensemble = p.add_mutually_exclusive_group(required=True)
-    ensemble.add_argument("--spins", type=_spins)
-    ensemble.add_argument("--K", type=_odd_k(int(math.log2(MAX_DIM)), f"(dimension 2^K, dense limit of {MAX_DIM})"))
+    ensemble.add_argument("--spins", type=_spins(None))
+    ensemble.add_argument("--K", type=_exact_k)
     p.add_argument("--phi", type=_finite, default=None)
     p.add_argument("--state", choices=["ghz", "mixture"], default="ghz")
     p.add_argument("--rounds", type=_rounds, default=100_000)
@@ -517,13 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
     output(p)
 
     p = command("seesaw", "bipartition product-state maximization", cmd_seesaw)
-    p.add_argument("--spins", type=_spins, required=True)
+    p.add_argument("--spins", type=_dense_spins, required=True)
     p.add_argument("--restarts", type=_restarts, default=32, help=RESTARTS_HELP)
     p.add_argument("--seed", type=_seed, default=0)
     output(p, fmt_default="json")
 
     p = command("general-witness", "odd-function witness bound", cmd_general_witness)
-    p.add_argument("--spins", type=_spins, required=True)
+    p.add_argument("--spins", type=_dense_spins, required=True)
     p.add_argument("--f0", type=_finite, default=0.5)
     p.add_argument("--f-odd", dest="f_odd", choices=sorted(_F_ODD_CHOICES), default="half-sign")
     output(p, fmt_default="json")

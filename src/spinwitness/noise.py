@@ -17,7 +17,10 @@ measurements after local z-rotations (the table of `protocol.outcome_table`),
 and depolarizing commutes with local unitaries, so on that table the channel
 is the stochastic map `depolarize_table`: (1 - p_n) t + p_n mean_n(t) along
 each slot's axis, or (1 - p) t + p / dim globally.  `verify` scores its noise
-grid and `simulate` samples its noisy states that way, with no density matrix.
+grid that way, with no density matrix.  On a GHZ-like state every model
+scales the |up><down| corner by its `survival` and leaves the rest mirror
+symmetric under the level flip, which scores 1/2, so `simulate` reads its
+noisy states through that one number.
 """
 
 from __future__ import annotations
@@ -61,13 +64,24 @@ class NoiseModel:
         if self.p_locals is None:
             object.__setattr__(self, "p_global", _check_prob(self.p_global, "p_global"))
         else:
-            ps = tuple(_check_prob(p, f"p_locals[{i}]") for i, p in enumerate(self.p_locals))
-            object.__setattr__(self, "p_locals", ps)
+            try:  # a string would be read one character at a time, and a scalar has no entries
+                ps = () if isinstance(self.p_locals, (str, bytes)) else tuple(self.p_locals)
+            except TypeError:
+                ps = ()
+            if not ps:
+                raise ValueError(f"p_locals must be a nonempty sequence of probabilities, got {self.p_locals!r}")
+            object.__setattr__(self, "p_locals", tuple(_check_prob(p, f"p_locals[{i}]") for i, p in enumerate(ps)))
 
     @property
     def kind(self) -> str:
         """Which probability field is given: "global" or "local"."""
         return "global" if self.p_global is not None else "local"
+
+    @property
+    def survival(self) -> float:
+        """The factor the channel scales the |up><down| corner by: 1 - p globally, prod(1 - p_n) locally."""
+        ps = (self.p_global,) if self.p_locals is None else self.p_locals
+        return float(np.prod([1 - p for p in ps]))
 
 
 def _check_fits(model: NoiseModel, n: int) -> None:
@@ -126,13 +140,10 @@ def depolarize_table(table: np.ndarray, model: NoiseModel) -> np.ndarray:
 def noisy_score(ensemble: SpinEnsemble, model: NoiseModel) -> float:
     """Closed-form witness score of the phase-matched GHZ-like state after the model's channel.
 
-    score = 1/2 + 2 survival (P_sep - 1/2), with survival the product of 1 - p
-    over the model's probabilities: 1 - p globally, prod(1 - p_n) locally.
+    score = 1/2 + 2 survival (P_sep - 1/2), with the model's `survival`.
     """
     _check_fits(model, ensemble.N)
-    ps = (model.p_global,) if model.p_locals is None else model.p_locals
-    survival = float(np.prod([1 - p for p in ps]))
-    return 0.5 + 2 * survival * (float(witness_report(ensemble.K).P_sep) - 0.5)
+    return 0.5 + 2 * model.survival * (float(witness_report(ensemble.K).P_sep) - 0.5)
 
 
 def detection_thresholds(ensemble: SpinEnsemble) -> tuple[float, float, Fraction]:

@@ -12,10 +12,9 @@ positive round (`_positive_probabilities`) and draws the tallies from them
 (`_sample_signs(probs, rounds, seed)`, the one sampler every path runs and the
 one place rounds and seed are checked).  For a ket, q_k is the m > 0 mass
 (`_positive_mass`) of `outcome_table`, the Born probabilities of every
-product Jx outcome along every direction.  `simulate` samples only such
-tables: `noise.depolarize_table` of one under noise, and for the even mixture
-of the two stretched products the mean of the GHZ-like tables at phi = 0 and
-pi, whose interference terms cancel.  A round reports
+product Jx outcome along every direction.  `simulate` builds neither: its
+GHZ-like states, noisy or mixed, share one q_k for every direction, read from
+`spin.level_weights` and the noise model's survival.  A round reports
 only a sign, so drawing it from q_k is the same per-round distribution as
 drawing the full measurement outcome and taking its sign.  A partition into
 subensembles cannot change q_k: along direction k the one-body components

@@ -10,7 +10,8 @@ Jx and Jz are real symmetric in this basis; only Jy is complex.  Jx is a sum
 of one-body terms, so Jx = V diag(m) V^T with V = (x) v_n real orthogonal
 (`SpinEnsemble.jx_eigenbases`) and m the Jz diagonal (`SpinEnsemble.jz_diagonal`),
 both computed once per ensemble: the library's only route to the spectrum of
-Jx.  The dense `collective_operator` and `rotate_about_z` are not exported:
+Jx.  `level_weights` reads the corner of each spectral projector from the
+same bases, with nothing of size dim.  The dense `collective_operator` and `rotate_about_z` are not exported:
 they are the references the tests compare against.
 """
 
@@ -29,6 +30,7 @@ __all__ = [
     "spin_matrices",
     "jx_function",
     "direction_phases",
+    "level_weights",
 ]
 
 
@@ -219,6 +221,17 @@ def direction_phases(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> np.nd
     """
     angles = 2 * np.pi * np.arange(ensemble.K) / ensemble.K + _reduced_angle(theta_offset, "theta_offset")
     return np.exp(-1j * np.outer(angles, ensemble.jz_diagonal))
+
+
+def level_weights(ensemble: SpinEnsemble) -> np.ndarray:
+    """The corner weights W(M) = <up| P_M |down> for the collective Jx levels M = K/2 - i, i = 0..K: K + 1 reals.
+
+    P_M projects on total Jx = M, and |up>, |down> are the two stretched products.  One particle's weight at its
+    level j - i is v[0, i] v[-1, i], column i of its `jx_eigenbases` (a product within one column, so eigh's sign
+    choice cannot move it), and the levels of the particles add, so W is the convolution of their weights: O(K^2)
+    at most, nothing of size dim, and no binomial read.  <up| pos(Jx) |down> is the sum of W over M > 0.
+    """
+    return reduce(np.convolve, [v[0] * v[-1] for v in ensemble.jx_eigenbases])
 
 
 def _apply_slot_bases(x: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:

@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState, ghz_like, ghz_mixture
 from spinwitness.witness import phase_for_ghz
 from spinwitness.cli import (
-    MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, _deviation, _grid, _spins, main,
+    MAX_DIM, MAX_GRID_POINTS, MAX_TABLE_K, _dense_spins, _deviation, _grid, main,
 )
 from test_seesaw import split_ensembles
 
@@ -339,13 +341,16 @@ def test_verify_builds_no_density_matrix(capsys, monkeypatch):
 
 
 def test_simulate_builds_no_density_matrix(capsys, monkeypatch):
-    # every simulate state, noisy or mixed, is an outcome table: no channel output, no projector, no rho to validate
+    # every simulate state, noisy or mixed, is read through the level weights and the model's survival: no
+    # channel output, no projector, no rho to validate, and no ket or outcome table either
     def forbidden(*args, **kwargs):
-        raise AssertionError("simulate built a density matrix")
+        raise AssertionError("simulate built a density matrix, a ket or an outcome table")
 
     monkeypatch.setattr(cli, "apply_depolarizing", forbidden)
     monkeypatch.setattr(QuantumState, "density", forbidden)
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    for name in ("ghz_like", "outcome_table", "depolarize_table"):
+        monkeypatch.setattr(cli, name, forbidden)
     for state in ("ghz", "mixture"):
         for noise in ((), ("--p", "0.2"), ("--model", "local", "--p", "0.2"), ("--p", "0.1,0.2,0.3")):
             argv = ("simulate", "--spins", "0.5,1,1", "--state", state, "--rounds", "1000", *noise)
@@ -375,8 +380,8 @@ def simulate_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(simulate_inputs())
 def test_simulate_table_route_matches_dense_route(inputs):
-    # the probabilities simulate samples from its outcome tables equal tr(rho pos(J_k)) of the dense channel's
-    # output (the noiseless run goes through the channel at p = 0), on the density-matrix branch
+    # the probabilities simulate samples from the level weights and the survival equal tr(rho pos(J_k)) of the
+    # dense channel's output (the noiseless run goes through the channel at p = 0), on the density-matrix branch
     ensemble, state, phi, model, argv = inputs
     seen = []
     sample = cli._sample_signs
@@ -473,21 +478,58 @@ def test_simulate_usage_errors(capsys):
     assert run(capsys, "simulate", "--spins", "0.5,0.5,0.5", "--p", "0.1,0.2")[0] == 2
 
 
-def test_simulate_rejects_k_above_dense_limit(capsys):
-    for k in ("13", "21", "65"):
+def test_simulate_rejects_k_above_exact_print_limit(capsys):
+    # simulate holds nothing of size dim, so its one cap is table's: P_sep prints as an exact fraction
+    for k in (str(MAX_TABLE_K + 2), "65537"):
         rc, out, err = run(capsys, "simulate", "--K", k, "--rounds", "10")
         assert rc == 2
         assert out == ""
-        assert f"argument --K: '{k}'" in err and f"dense limit of {MAX_DIM}" in err
+        assert f"argument --K: '{k}'" in err and f"limit of {MAX_TABLE_K}" in err
+    rc, out, err = run(capsys, "simulate", "--spins", ",".join(["0.5"] * (MAX_TABLE_K + 2)))
+    assert rc == 2 and out == ""
+    assert f"K = {MAX_TABLE_K + 2} exceeds the limit of {MAX_TABLE_K}" in err
+    # each particle's Jx is eigensolved densely, so a particle keeps the dense limit
+    rc, out, err = run(capsys, "simulate", "--spins", "1024.5")
+    assert rc == 2 and out == ""
+    assert f"particle dimension 2050 exceeds the limit of {MAX_DIM}" in err
 
 
 def test_spins_above_dense_limit_are_usage_errors(capsys):
     thirteen = ",".join(["0.5"] * 13)
-    for command in ("verify", "simulate", "seesaw", "noise-sweep", "general-witness"):
+    for command in ("verify", "seesaw", "noise-sweep", "general-witness"):
         rc, _, err = run(capsys, command, "--spins", thirteen)
         assert rc == 2
         assert "dimension 8192" in err and f"limit of {MAX_DIM}" in err
-    assert SpinEnsemble(_spins(",".join(["0.5"] * 11))).dim == 2048 == MAX_DIM
+    assert SpinEnsemble(_dense_spins(",".join(["0.5"] * 11))).dim == 2048 == MAX_DIM
+    # 2^14291 has 4303 digits, above Python's limit on int-to-str conversion: the error read "invalid _spins value"
+    rc, _, err = run(capsys, "verify", "--spins", ",".join(["0.5"] * MAX_TABLE_K))
+    assert rc == 2 and f"ensemble dimension above 2^64 exceeds the dense limit of {MAX_DIM}" in err
+
+
+@pytest.mark.parametrize("argv, K", [
+    (("--spins", ",".join(["0.5"] * 13)), 13),  # dimension 8192, above the dense limit
+    (("--K", "1001"), 1001),  # dimension 2^1001
+])
+def test_simulate_reaches_above_the_dense_limit(capsys, monkeypatch, argv, K):
+    # neither the ensemble's dimension nor its Jz diagonal is read, so nothing of size dim is built; the traced
+    # peak, mostly the JSON text of the K tallies, stays under 2 MiB (a first call also pays one-off set-up)
+    def forbidden(self):
+        raise AssertionError("simulate read the ensemble's dimension")
+
+    assert run(capsys, "simulate", "--K", "3", "--rounds", "10")[0] == 0
+    monkeypatch.setattr(SpinEnsemble, "dim", property(forbidden))
+    monkeypatch.setattr(SpinEnsemble, "jz_diagonal", property(forbidden))
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, "simulate", *argv, "--rounds", "1000000", "--seed", "11")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and peak < 2 * 2**20
+    obj = json.loads(out)
+    assert obj["K"] == K and len(obj["per_k_counts"]) == K and obj["verdict"] == "GME-detected"
+    q = float(Fraction(1, 2) + Fraction(math.comb(K - 1, (K - 1) // 2), 2**K))  # P_max, apart from the package
+    assert abs(obj["p_hat"] - q) <= 5 * math.sqrt(q * (1 - q) / 1_000_000)
 
 
 # --- seesaw and general-witness ---
@@ -661,7 +703,7 @@ def test_csv_cells_equal_json_values(capsys, argv):
     (("simulate", "--spins", "0.5,1,1", "--p", "0.1,x,0"), "--p"),
     (("simulate", "--spins", "0.5,1,1", "--p", "0.1,1.2,0"), "--p"),
     (("simulate", "--K", "4"), "--K"),
-    (("simulate", "--K", "13"), "--K"),
+    (("simulate", "--K", "14293"), "--K"),
     # a repeated flag, even at the same value: plain store kept only the last one
     (("table", "--K", "3", "--K", "5"), "--K"),
     (("simulate", "--K", "3", "--p", "0.1", "--p", "0.9"), "--p"),
@@ -712,6 +754,7 @@ def test_simulate_checks_its_flags_before_building_the_state(capsys, monkeypatch
         raise AssertionError("state built before the flags were checked")
 
     monkeypatch.setattr("spinwitness.cli.ghz_like", no_state)
+    monkeypatch.setattr("spinwitness.cli.level_weights", no_state)
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--subensembles", "1|2")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--p", "0.1,0.2")[0] == 2
     assert run(capsys, "simulate", "--spins", "0.5,1,1", "--model", "global", "--p", "0.1,0.2,0.3")[0] == 2

@@ -246,6 +246,8 @@ def test_one_survival_product_is_bit_identical_to_two_branches(model, n):
     ensemble = SpinEnsemble((0.5,) + (1,) * (n - 1))  # K = 2n - 1 is odd
     got, want = noisy_score(ensemble, model), two_branch_noisy_score(ensemble, model)
     assert type(got) is float and got == want
+    ps = (model.p_global,) if model.p_locals is None else model.p_locals
+    assert type(model.survival) is float and model.survival == float(np.prod([1 - p for p in ps]))
 
 
 GRID = [0.0, 0.1, 0.25, 0.5, 0.9]
@@ -352,6 +354,12 @@ def test_noise_model_validation():
     for p in (1, 0, np.float64(0.25), np.float32(0.5), np.int64(1), Fraction(1, 3)):
         assert NoiseModel(p_global=p).p_global == float(p)
         assert NoiseModel(p_locals=(p, 0.5)).p_locals == (float(p), 0.5)
+    # a scalar raised a TypeError, a string was read one character at a time, and () gave survival 1
+    for p_locals in (0.1, np.float64(0.1), "0", "0.1,0.2", b"0", (), [], np.array([])):
+        with pytest.raises(ValueError, match="^p_locals must be a nonempty sequence"):
+            NoiseModel(p_locals=p_locals)
+    assert NoiseModel(p_locals=np.array([0.1, 0.2])).p_locals == (0.1, 0.2)
+    assert NoiseModel(p_locals=[0.1]).p_locals == (0.1,)
     with pytest.raises(ValueError, match="local model has"):
         apply_depolarizing(ghz_like(E3), NoiseModel(p_locals=(0.1, 0.2)))
     with pytest.raises(ValueError, match="local model has"):

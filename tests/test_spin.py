@@ -10,9 +10,11 @@ from spinwitness.spin import (
     collective_operator,
     direction_phases,
     jx_function,
+    level_weights,
     rotate_about_z,
     spin_matrices,
 )
+from spinwitness.witness import witness_report
 
 SQ2 = np.sqrt(2)
 
@@ -242,3 +244,26 @@ def test_exact_symmetry_maps_equal_the_spectral_rotations(spins):
     assert np.abs(reversed_h - h).max() > 0.1 and np.abs(phased_h - h).max() > 0.1
     np.testing.assert_allclose(rotate_about_z(h, J.Jx, np.pi), reversed_h, atol=1e-12)
     np.testing.assert_allclose(rotate_about_z(h, J.Jz, 2 * np.pi / e.K), phased_h, atol=1e-12)
+
+
+@pytest.mark.parametrize("spins", [
+    *[(0.5,) * K for K in (3, 11, 101, 1001)],
+    (0.5, 1, 1), (1.5,) * 3, (2.5,) * 3, (0.5, 1, 1, 1.5, 2, 2.5, 3),
+])
+def test_positive_level_weight_is_p_max_less_half(spins):
+    # the level weights from the per-particle eigenbases against the closed form's P_max: |S| = P_max - 1/2
+    e = SpinEnsemble(spins)
+    w = level_weights(e)
+    assert w.shape == (e.K + 1,)
+    want = float(witness_report(e.K).P_max) - 0.5
+    assert abs(abs(w[: (e.K + 1) // 2].sum()) - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5), (0.5, 1, 1), (1.5, 1), (0.5, 1.5, 1.5)])
+def test_level_weights_are_the_corners_of_the_dense_level_projectors(spins):
+    # W(M) = <up| P_M |down>, P_M the projector on the dense collective Jx's eigenspace at level M
+    e = SpinEnsemble(spins)
+    values, vectors = np.linalg.eigh(collective_operator(e).Jx)
+    levels = e.K / 2 - np.arange(e.K + 1)
+    want = [(vectors[0] * vectors[-1].conj())[np.abs(values - M) < 1e-9].sum().real for M in levels]
+    np.testing.assert_allclose(level_weights(e), want, rtol=0, atol=1e-12)
