@@ -23,8 +23,10 @@ A_s[a, c] = <a c|P_s>, they give the operator conditioned on a ket c as
 span{previous ket, u_1 .. u_r}.  So a half-step is one matrix-vector product
 for the u_s, one QR of a d x (r+1) matrix and one (r+1)x(r+1) eigh; the next
 ket is the previous one projected on the top eigenvalue cluster.  The
-winner's kets are rescored against the dense Q, so the reported value is a
-product-state value of Q itself.
+winner's value is read from the same matrices, less the factors' residual:
+for unit kets the factor model misses <a c|Q|a c> by at most the spectral
+norm of what the factors miss, which the Frobenius residual bounds, so the
+reported value is a certified lower bound on a product-state value of Q.
 
 The same matrices bound the bipartition from above.  For unit kets a and c,
 |a^dag A_s c^*|^2 <= sigma_max(A_s)^2, the largest Schmidt coefficient of P_s
@@ -104,7 +106,7 @@ class Bipartition:
 @dataclass(frozen=True)
 class SeeSawResult:
     bipartition: Bipartition
-    best_value: float
+    best_value: float  # the winner's factor-model value less the residual: no more than its value of Q
     upper_bound: float  # no state separable across the bipartition scores above it
     best_kets: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (subset_J side, complement side)
     iterations: int
@@ -138,14 +140,6 @@ def _side_layout(vectors: np.ndarray, bipartition: Bipartition) -> np.ndarray:
     d_c = bipartition.side_dim(bipartition.complement)
     tensor = vectors.T.reshape((vectors.shape[1],) + ensemble.local_dims).transpose((0,) + tuple(1 + i for i in order))
     return np.ascontiguousarray(tensor).reshape(-1, d_j, d_c)
-
-
-def _product_ket(psi_j: np.ndarray, psi_c: np.ndarray, bipartition: Bipartition) -> np.ndarray:
-    """psi_J (x) psi_C with each side's factors moved back into its own (possibly interleaved) slots."""
-    dims = bipartition.ensemble.local_dims
-    order = bipartition.subset_J + bipartition.complement
-    tensor = np.multiply.outer(psi_j, psi_c).reshape(tuple(dims[i] for i in order))
-    return tensor.transpose(np.argsort(order)).reshape(-1)
 
 
 def _half_step(layout: np.ndarray, weights: np.ndarray, ket: np.ndarray, previous: np.ndarray):
@@ -254,12 +248,12 @@ def seesaw_maximize(
     (`iterations` 1).  The call stops at the first restart within `TOL` of
     that bound, since no later restart can beat it by more than `TOL`, and
     `restarts_run` counts the restarts that ran.  The winner is the first
-    maximum in restart order.  Its product ket is scored against the dense
-    Q, so the returned value is a certified lower bound on the true
-    bipartition maximum.  A bipartition of another ensemble, a restart count
-    that is not an integer in [1, 2^63), a seed that is not an integer in
-    [0, 2^128), and a witness whose factors leave a Frobenius residual above
-    FACTOR_TOL are ValueErrors.
+    maximum in restart order.  Its value is its factor-model value less the
+    factors' residual, a certified lower bound on the true bipartition
+    maximum; the dense Q is never read.  A bipartition of another ensemble,
+    a restart count that is not an integer in [1, 2^63), a seed that is not
+    an integer in [0, 2^128), and a witness whose factors leave a Frobenius
+    residual above FACTOR_TOL are ValueErrors.
     """
     if bipartition.ensemble != witness.ensemble:
         raise ValueError(f"bipartition spins {bipartition.ensemble.spins} do not match "
@@ -274,7 +268,8 @@ def seesaw_maximize(
     schmidt = np.linalg.svd(layout[positive], compute_uv=False)[:, 0] ** 2
     factor_bound = 0.5 + float(factors.values[positive] @ schmidt)
     values, iterations, converged, best, best_kets = _run_restarts(layout, factors.values, restarts, seed, factor_bound)
-    product = _product_ket(*best_kets, bipartition)
-    value = float(np.vdot(product, witness.Q @ product).real)
+    psi_j, psi_c = best_kets
+    amplitudes = layout @ psi_c.conj() @ psi_j.conj()  # a^dag A_s c^*
+    value = 0.5 + float(factors.values @ np.abs(amplitudes) ** 2) - factors.residual
     return SeeSawResult(bipartition, value, factor_bound + factors.residual, best_kets,
                         iterations[best], converged[best], len(values))

@@ -107,8 +107,9 @@ class SpinEnsemble:
     """Ordered list of spins {j_n} with half-integer total spin sum(j_n) = K/2.
 
     The witness construction needs odd K, i.e. the total spin must be a
-    half-integer; integer total spin is rejected at construction (the sign
-    measurement then has a zero outcome that breaks the eigenvalue analysis).
+    half-integer; integer total spin is rejected at construction.  For even
+    K the witness is trivial: the directions pair as a and a + pi, J_{a+pi} =
+    -J_a and pos(-J) = 1 - pos(J), so Q = 1/2 exactly.
     """
 
     spins: tuple[float, ...]
@@ -153,7 +154,7 @@ class SpinEnsemble:
         Each distinct spin is solved once, in order of first appearance, and its particles share that one array:
         read-only, since every caller of this ensemble shares them.
         """
-        solved = {j: np.linalg.eigh(spin_matrices(j)[0])[1][:, ::-1] for j in dict.fromkeys(self.spins)}
+        solved = {j: np.linalg.eigh(_jx(j))[1][:, ::-1] for j in dict.fromkeys(self.spins)}
         for v in solved.values():
             v.flags.writeable = False
         return tuple(solved[j] for j in self.spins)
@@ -169,22 +170,22 @@ class SpinEnsemble:
         return m
 
 
-def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) for a single spin j, basis ordered m = j, j-1, ..., -j.
+def _jx(j: float) -> np.ndarray:
+    """Jx = (J+ + J+^T) / 2 of a checked spin j, from the real ladder <j, m+1| J+ |j, m> = sqrt(j(j+1) - m(m+1))."""
+    m = j - np.arange(1, round(2 * j + 1))
+    jplus = np.diag(np.sqrt(j * (j + 1) - m * (m + 1)), 1)
+    return (jplus + jplus.T) / 2
 
-    Built from the real ladder operators, <j, m+1| J+ |j, m> = sqrt(j(j+1) - m(m+1)): Jx, Jz real, Jy imaginary.
+
+def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jx, Jy, Jz) for a single spin j, basis ordered m = j, j-1, ..., -j: Jx, Jz real, Jy imaginary.
+
     j = 0 is permitted and yields 1x1 zero matrices (a trivial tensor factor).
     """
     j = _check_half_integer(j)
-    d = round(2 * j + 1)
-    m = j - np.arange(d)
-    jz = np.diag(m)
-    jplus = np.zeros((d, d))
-    for i in range(1, d):
-        jplus[i - 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-    jx = (jplus + jplus.T) / 2
-    jy = (jplus - jplus.T) / 2j
-    return jx, jy, jz
+    jx = _jx(j)
+    jplus = 2 * np.triu(jx)  # J+ again, exactly: halving and doubling move no bits
+    return jx, (jplus - jplus.T) / 2j, np.diag(j - np.arange(len(jx)))
 
 
 # perfbench/tracer.py's TRACED looks up collective_operator, whose return type this is; ROADMAP item 6 deletes both.

@@ -1,6 +1,7 @@
-"""Test references: a partial trace and a direction operator (the package has neither), and a dense Born table."""
+"""Test references: a partial trace, a collective operator and a direction operator (outside `SpinEnsemble`), and a dense Born table."""
 
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,6 +20,17 @@ def partial_trace_reference(op, dims, keep):
     d_rest = int(np.prod([dims[i] for i in traced]))
     block = tensor.reshape(d_keep, d_rest, d_keep, d_rest)
     return np.einsum("arbr->ab", block)
+
+
+def collective_reference(spins):
+    """Jx, Jy, Jz of sum_n J^(j_n), each one-body `spin_matrices` embedded by kron: any spins, integer total spin too."""
+    dims = [round(2 * j + 1) for j in spins]
+    total = [0, 0, 0]
+    for slot, j in enumerate(spins):
+        left, right = np.eye(int(np.prod(dims[:slot]))), np.eye(int(np.prod(dims[slot + 1:])))
+        for comp, mat in enumerate(spin_matrices(j)):
+            total[comp] = total[comp] + np.kron(np.kron(left, mat), right)
+    return SimpleNamespace(Jx=total[0], Jy=total[1], Jz=total[2])
 
 
 def direction_operator(J, k, K, theta=0.0):

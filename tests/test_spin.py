@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from linalg_reference import direction_operator
+from linalg_reference import collective_reference, direction_operator
 from spinwitness.spin import (
     SpinEnsemble,
     collective_operator,
@@ -14,6 +14,7 @@ from spinwitness.spin import (
     rotate_about_z,
     spin_matrices,
 )
+from spinwitness.spin import _jx
 from spinwitness.witness import witness_report
 
 SQ2 = np.sqrt(2)
@@ -49,6 +50,38 @@ def test_spin_zero_is_trivial():
     for m in (jx, jy, jz):
         assert m.shape == (1, 1)
         assert m[0, 0] == 0
+
+
+def ladder_loop_reference(j):
+    """(Jx, Jy, Jz) with the ladder filled one superdiagonal entry per loop step."""
+    d = round(2 * j + 1)
+    m = j - np.arange(d)
+    jplus = np.zeros((d, d))
+    for i in range(1, d):
+        jplus[i - 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
+    return (jplus + jplus.T) / 2, (jplus - jplus.T) / 2j, np.diag(m)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.5, 3.5, 1023.5])
+def test_vectorized_ladder_is_bit_identical_to_the_loop(j):
+    # the eigenbases, and so every eigh downstream, read Jx from _jx: the same bits as spin_matrices'
+    np.testing.assert_array_equal(_jx(j), spin_matrices(j)[0])
+    for got, want in zip(spin_matrices(j), ladder_loop_reference(j)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("spins", [(0.5,) * 2, (0.5,) * 4, (1, 1), (0.5, 0.5, 1)])
+def test_even_k_sign_average_is_one_half(spins):
+    # directions a and a + pi pair, J_{a+pi} = -J_a and pos(-J) = 1 - pos(J) (the zero level weighted 1/2),
+    # so the even-K average that SpinEnsemble rejects is 1/2 exactly; built here from the one-body matrices
+    with pytest.raises(ValueError, match="even"):
+        SpinEnsemble(spins)
+    J, K = collective_reference(spins), round(2 * sum(spins))
+    q = 0
+    for k in range(K):
+        w, v = np.linalg.eigh(direction_operator(J, k, K))
+        q = q + (v * np.where(w > 1e-9, 1.0, np.where(w < -1e-9, 0.0, 0.5))) @ v.conj().T / K
+    np.testing.assert_allclose(q, np.eye(len(q)) / 2, rtol=0, atol=1e-12)
 
 
 def test_spin_matrices_reject_non_half_integer():
