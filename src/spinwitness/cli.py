@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import _max_over_row_blocks
-from .noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
+from .noise import NoiseModel, _depolarize, apply_depolarizing, depolarize_table, noisy_score
 from .protocol import _positive_mass, _sample_signs, outcome_table
 from .seesaw import enumerate_bipartitions, seesaw_maximize
 from .spin import ROUND_LIMIT, SEED_LIMIT, SpinEnsemble, _reduced_angle, level_weights
@@ -303,11 +303,11 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     the direct Q.  seesaw: every bipartition's see-saw value and Schmidt bound
     against P_sep.  noise-closed-form: `noisy_score` against the detected GHZ
     ket's outcome table under each model's stochastic map, at five p per
-    model, and each slot's outcome marginal of a product probe under unequal
-    local noise against the one-slot channel's closed form.  No line builds or
-    validates a density matrix, and the deviations of the dense Q are reduced
-    block by block (`_max_over_row_blocks`), so the direct Q and one scratch
-    buffer are the largest arrays held.
+    model in one channel call, and each slot's outcome marginal of a product
+    probe under unequal local noise against the one-slot channel's closed
+    form.  No line builds or validates a density matrix, and the deviations
+    of the dense Q are reduced block by block (`_max_over_row_blocks`), so
+    the direct Q and one scratch buffer are the largest arrays held.
     """
     checks = []
     rep = witness_report(ensemble.K)
@@ -343,13 +343,15 @@ def _verify_checks(ensemble: SpinEnsemble, restarts: int, seed: int) -> list[tup
     # The witness reads a state only through the Jx outcome probabilities along its K directions, and
     # depolarizing commutes with the local rotations and measurements, so each noisy score is the
     # detected GHZ ket's outcome table under the model's stochastic map: no density matrix is built.
+    # The table is stacked once per level, and one channel call per kind maps every row at its own level.
     table = outcome_table(ghz_like(ensemble, phi=_detected_phi(ensemble.K)))
+    levels = (0.0, 0.1, 0.25, 0.5, 0.9)
+    stack, column = np.broadcast_to(table, (len(levels), *table.shape)), np.array(levels)[:, None]
     worst = 0.0
     for kind in ("global", "local"):
-        for p in (0.0, 0.1, 0.25, 0.5, 0.9):
-            model = _uniform_model(kind, p, ensemble.N)
-            table_score = float(_positive_mass(depolarize_table(table, model), ensemble).sum() / ensemble.K)
-            worst = max(worst, abs(noisy_score(ensemble, model) - table_score))
+        noisy = _depolarize(stack, column if kind == "global" else (column,) * ensemble.N, ensemble.N)
+        for p, table_score in zip(levels, _positive_mass(noisy, ensemble).sum(axis=-1) / ensemble.K):
+            worst = max(worst, abs(noisy_score(ensemble, _uniform_model(kind, p, ensemble.N)) - float(table_score)))
     # A score cannot tell which slot a local channel hit: depolarizing slot n at p_n maps any score s to
     # (1 - p_n) s + p_n/2 whatever n is.  A slot's outcome marginal can: under the channel it must become
     # (1 - p_n) marginal + p_n/d_n.  The probe is a product of Jx eigenstates, whose marginals along the

@@ -17,10 +17,11 @@ measurements after local z-rotations (the table of `protocol.outcome_table`),
 and depolarizing commutes with local unitaries, so on that table the channel
 is the stochastic map `depolarize_table`: (1 - p_n) t + p_n mean_n(t) along
 each slot's axis, or (1 - p) t + p / dim globally.  `verify` scores its noise
-grid that way, with no density matrix.  On a GHZ-like state every model
-scales the |up><down| corner by its `survival` and leaves the rest mirror
-symmetric under the level flip, which scores 1/2, so `simulate` reads its
-noisy states through that one number.
+grid that way, with no density matrix: its kernel `_depolarize` maps a stack
+of tables at one level per row, so each model's grid is one call.  On a
+GHZ-like state every model scales the |up><down| corner by its `survival` and
+leaves the rest mirror symmetric under the level flip, which scores 1/2, so
+`simulate` reads its noisy states through that one number.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class NoiseModel:
     def survival(self) -> float:
         """The factor the channel scales the |up><down| corner by: 1 - p globally, prod(1 - p_n) locally."""
         ps = (self.p_global,) if self.p_locals is None else self.p_locals
-        return float(np.prod([1 - p for p in ps]))
+        return math.prod(1 - p for p in ps)
 
 
 def _check_fits(model: NoiseModel, n: int) -> None:
@@ -121,6 +122,27 @@ def apply_depolarizing(state: QuantumState, model: NoiseModel) -> QuantumState:
     return QuantumState(ensemble, rho=out)
 
 
+def _depolarize(tables: np.ndarray, levels, n: int) -> np.ndarray:
+    """The depolarizing map on the last n axes of tables, one axis per slot: the kernel of `depolarize_table`.
+
+    levels is one global level or a tuple of one level per slot.  Each level is
+    a float or an array broadcast over the leading axes, so one call maps a
+    stack of tables at one level per row.  Slot by slot the table becomes
+    (1 - p_n) t + p_n mean_n(t) along the slot's axis; globally it becomes
+    (1 - p) t + p / dim.
+    """
+    def spread(p):
+        return np.reshape(p, np.shape(p) + (1,) * n)
+
+    if not isinstance(levels, tuple):
+        p = spread(levels)
+        return (1 - p) * tables + p / math.prod(tables.shape[tables.ndim - n:])
+    for axis, p in enumerate(levels, start=tables.ndim - n):
+        p = spread(p)
+        tables = (1 - p) * tables + p * (tables.sum(axis=axis, keepdims=True) / tables.shape[axis])
+    return tables
+
+
 def depolarize_table(table: np.ndarray, model: NoiseModel) -> np.ndarray:
     """The model's channel on a (K, *local_dims) outcome table of `protocol.outcome_table`.
 
@@ -128,13 +150,9 @@ def depolarize_table(table: np.ndarray, model: NoiseModel) -> np.ndarray:
     uniform one, so the table becomes (1 - p_n) t + p_n mean_n(t) along the
     slot's axis; globally it becomes (1 - p) t + p / dim.
     """
-    dims = table.shape[1:]
-    _check_fits(model, len(dims))
-    if model.kind == "global":
-        return (1 - model.p_global) * table + model.p_global / math.prod(dims)
-    for axis, p in enumerate(model.p_locals, start=1):
-        table = (1 - p) * table + p * (table.sum(axis=axis, keepdims=True) / table.shape[axis])
-    return table
+    n = table.ndim - 1
+    _check_fits(model, n)
+    return _depolarize(table, model.p_global if model.kind == "global" else model.p_locals, n)
 
 
 def noisy_score(ensemble: SpinEnsemble, model: NoiseModel) -> float:

@@ -118,8 +118,11 @@ def outcome_table(state: QuantumState, theta_offset: float = 0.0) -> np.ndarray:
 
 
 def _positive_mass(table: np.ndarray, ensemble: SpinEnsemble) -> np.ndarray:
-    """Each direction's probability of a positive total m: the m > 0 mass of every row of an outcome table."""
-    return table.reshape(ensemble.K, -1) @ (ensemble.jz_diagonal > 0)
+    """Each direction's probability of a positive total m: the m > 0 mass of every row of an outcome table.
+
+    Axes before the table's last N + 1, (K, *local_dims), are kept: a stack of tables gives a stack of rows.
+    """
+    return table.reshape(*table.shape[:table.ndim - ensemble.N], -1) @ (ensemble.jz_diagonal > 0)
 
 
 def _positive_probabilities(state: QuantumState, theta_offset: float) -> np.ndarray:

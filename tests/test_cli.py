@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinwitness import cli, seesaw
+from spinwitness import cli, noise, seesaw
 from spinwitness.noise import NoiseModel, apply_depolarizing, depolarize_table, noisy_score
 from spinwitness.protocol import _positive_probabilities, outcome_table
 from spinwitness.spin import SpinEnsemble
@@ -313,7 +313,8 @@ def test_verify_noise_line_reads_the_noise_sweep_rows(capsys, monkeypatch, shift
 
 def test_verify_noise_line_sees_a_channel_on_the_wrong_slot(capsys, monkeypatch):
     # depolarizing slot n maps every score s to (1 - p_n) s + p_n/2 whatever n is, so the scores alone
-    # pass a channel that always averages the first slot's axis; the product probe's marginals do not
+    # pass a channel that always averages the first slot's axis; the product probe's marginals do not.
+    # The grid's stacks go through cli._depolarize, so this patch reaches the probe alone
     def first_axis_only(table, model):
         if model.kind == "global":
             return depolarize_table(table, model)
@@ -322,6 +323,21 @@ def test_verify_noise_line_sees_a_channel_on_the_wrong_slot(capsys, monkeypatch)
         return table
 
     monkeypatch.setattr(cli, "depolarize_table", first_axis_only)
+    rc, out, _ = run(capsys, "verify", "--spins", "0.5,1,1")
+    (line,) = [line for line in out.splitlines() if "noise-closed-form" in line]
+    assert line.startswith("FAIL  noise-closed-form: max closed-form vs channel deviation ")
+    assert rc == 1 and out.count("PASS") == 4
+
+
+def test_verify_noise_line_sees_a_level_on_the_wrong_row(capsys, monkeypatch):
+    # verify maps its noise grid as one stack per kind, one level per row: a kernel that hands the
+    # rows their levels in reverse order still applies every level, and only the row-by-row match
+    # with the closed form shows it; the probe reaches the kernel through depolarize_table, unpatched
+    def reversed_rows(tables, levels, n):
+        flip = tuple(p[::-1] for p in levels) if isinstance(levels, tuple) else levels[::-1]
+        return noise._depolarize(tables, flip, n)
+
+    monkeypatch.setattr(cli, "_depolarize", reversed_rows)
     rc, out, _ = run(capsys, "verify", "--spins", "0.5,1,1")
     (line,) = [line for line in out.splitlines() if "noise-closed-form" in line]
     assert line.startswith("FAIL  noise-closed-form: max closed-form vs channel deviation ")

@@ -16,13 +16,14 @@ from linalg_reference import outcome_table_reference, partial_trace_reference
 from spinwitness import linalg, noise, protocol, witness
 from spinwitness.noise import (
     NoiseModel,
+    _depolarize,
     _depolarize_slot,
     apply_depolarizing,
     depolarize_table,
     detection_thresholds,
     noisy_score,
 )
-from spinwitness.protocol import outcome_table
+from spinwitness.protocol import _positive_mass, outcome_table
 from spinwitness.spin import SpinEnsemble
 from spinwitness.states import QuantumState, ghz_like, random_ket
 from spinwitness.witness import build_qk_direct, score, witness_report
@@ -241,7 +242,8 @@ def two_branch_noisy_score(ensemble, model):
 @example(NoiseModel(p_global=0.1), 3)
 @example(NoiseModel(p_locals=(0.1,)), 1)
 def test_one_survival_product_is_bit_identical_to_two_branches(model, n):
-    # np.prod of one float is that float, so the global score keeps every bit
+    # a product of one float is that float, so the global score keeps every bit; math.prod multiplies in
+    # the order np.prod does, so the local one does too
     n = n if model.p_locals is None else len(model.p_locals)
     ensemble = SpinEnsemble((0.5,) + (1,) * (n - 1))  # K = 2n - 1 is odd
     got, want = noisy_score(ensemble, model), two_branch_noisy_score(ensemble, model)
@@ -251,6 +253,46 @@ def test_one_survival_product_is_bit_identical_to_two_branches(model, n):
 
 
 GRID = [0.0, 0.1, 0.25, 0.5, 0.9]
+
+# the ensembles of the certify benchmark workload, whose verify runs score GRID as one stack per kind
+CERTIFY_SHAPES = [(0.5, 1, 1), (1.5, 1.5, 1.5), (0.5, 1, 1, 1), (0.5, 1, 1.5, 1.5), (0.5,) * 5, (2.5, 2.5, 2.5),
+                  (0.5,) * 7]
+
+
+@pytest.mark.parametrize("kind", ["global", "local"])
+@pytest.mark.parametrize("spins", CERTIFY_SHAPES)
+def test_one_stacked_channel_call_keeps_every_bit_of_one_call_per_level(spins, kind):
+    # verify maps the detected GHZ ket's table at all of GRID in one call, one level per row, and
+    # scores the rows with one mask product: each row and each score is the one-level call's, bit for bit
+    ensemble = SpinEnsemble(spins)
+    table = outcome_table(ghz_like(ensemble, phi=np.pi * (ensemble.K - 1) / 2))
+    column = np.array(GRID)[:, None]
+    stack = _depolarize(np.broadcast_to(table, (len(GRID), *table.shape)),
+                        column if kind == "global" else (column,) * ensemble.N, ensemble.N)
+    masses = _positive_mass(stack, ensemble)
+    assert stack.shape == (len(GRID), *table.shape) and masses.shape == (len(GRID), ensemble.K)
+    for p, row, mass in zip(GRID, stack, masses):
+        model = NoiseModel(p_global=p) if kind == "global" else NoiseModel(p_locals=(p,) * ensemble.N)
+        one = depolarize_table(table, model)
+        assert np.array_equal(row, one), p
+        assert np.array_equal(mass, _positive_mass(one, ensemble)), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 7), st.integers(1, 5),
+       st.integers(0, 2**32 - 1), st.data())
+def test_stacked_channel_matches_the_table_channel_row_by_row(dims, directions, rows, seed, data):
+    # random tables, each direction's outcomes summing to 1, each row with its own levels in [0, 1]
+    n = len(dims)
+    tables = np.random.default_rng(seed).random((rows, directions, *dims))
+    tables /= tables.sum(axis=tuple(range(2, n + 2)), keepdims=True)
+    levels = st.lists(st.floats(0, 1), min_size=rows, max_size=rows)
+    p_global, p_locals = np.array(data.draw(levels)), np.array([data.draw(levels) for _ in range(n)])
+    by_global = _depolarize(tables, p_global[:, None], n)
+    by_slot = _depolarize(tables, tuple(p[:, None] for p in p_locals), n)
+    for b, table in enumerate(tables):
+        assert np.array_equal(by_global[b], depolarize_table(table, NoiseModel(p_global=p_global[b])))
+        assert np.array_equal(by_slot[b], depolarize_table(table, NoiseModel(p_locals=tuple(p_locals[:, b]))))
 
 
 @pytest.mark.parametrize("ensemble", [E3, SpinEnsemble((0.5,) * 5)])

@@ -356,9 +356,14 @@ def test_factor_value_is_within_the_residual_of_the_dense_value(split, seed, ran
         q = build_qk_direct(ensemble, rng.uniform(0, 2 * np.pi)).Q
     if perturbed:  # full rank, below the residual gate: the factors miss it
         noise = random_hermitian(seed, ensemble.dim)
-        q = q + 1e-10 * noise / np.linalg.norm(noise)
+        q = q + 4e-10 * noise / np.linalg.norm(noise)
     w = low_rank_witness(ensemble, q)
     factors = w.factors
+    # the best Frobenius fit of the kept rank drops the smallest eigenvalues of Q - 1/2 (Eckart-Young);
+    # under a perturbation one factor pass can miss it by a few times, and the second meets it, up to rounding
+    squares = np.sort(np.linalg.eigvalsh(q - np.eye(ensemble.dim) / 2) ** 2)
+    best_fit = np.sqrt(squares[: ensemble.dim - len(factors.values)].sum())
+    assert factors.residual <= 1.01 * best_fit + 1e-13
     assert factors.residual < FACTOR_TOL
     for bip in enumerate_bipartitions(ensemble):
         layout = _side_layout(factors.vectors, bip)

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import direction_operator
+from spinwitness import witness
 from spinwitness.cli import _F_ODD_CHOICES
 from spinwitness.linalg import binomial_exact
 from spinwitness.spin import (
@@ -189,6 +190,18 @@ def test_witness_routes_eigensolve_single_particles_only(monkeypatch, route, exp
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     route(SpinEnsemble((0.5, 1, 1)))
     assert calls == expected
+
+
+@pytest.mark.parametrize("spins", [(0.5, 1, 1), (1.5, 1.5, 1.5), (0.5, 1, 1, 1), (0.5, 1, 1.5, 1.5), (0.5,) * 5,
+                                   (2.5, 2.5, 2.5), (0.5,) * 7, (0.5,) * 9])
+def test_the_sign_witness_takes_one_factor_pass(monkeypatch, spins):
+    # its first pass leaves rounding alone, below the refinement threshold, so verify pays one projected eigh
+    w = build_qk_direct(SpinEnsemble(spins), 0.3)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    assert w.factors.residual < witness._REFINE_TOL
+    assert calls == [(6, 6)]
 
 
 def test_witness_is_half_identity_plus_corner_coupling():
