@@ -9,7 +9,6 @@ Wilson confidence intervals.
 """
 
 from .classical import classical_score, classical_sweep_max
-from .linalg import assert_hermitian, binomial_exact
 from .noise import (
     NoiseModel,
     apply_depolarizing,
@@ -29,12 +28,13 @@ from .seesaw import (
     enumerate_bipartitions,
     seesaw_maximize,
 )
-from .spin import SpinEnsemble, spin_matrices
+from .spin import SpinEnsemble, assert_hermitian, spin_matrices
 from .states import QuantumState, ghz_like, ghz_mixture, product_state, random_ket
 from .witness import (
     GeneralizedWitness,
     WitnessOperator,
     WitnessReport,
+    binomial_exact,
     build_qk_closed_form,
     build_qk_direct,
     generalized_witness,

@@ -38,13 +38,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .linalg import _max_over_row_blocks
 from .noise import NoiseModel, _depolarize, apply_depolarizing, depolarize_table, noisy_score
 from .protocol import _positive_mass, _sample_signs, outcome_table
 from .seesaw import enumerate_bipartitions, seesaw_maximize
-from .spin import ROUND_LIMIT, SEED_LIMIT, SpinEnsemble, _reduced_angle, level_weights
+from .spin import ROUND_LIMIT, SEED_LIMIT, SpinEnsemble, _max_over_row_blocks, _reduced_angle, level_weights
 from .states import ghz_like, product_state
 from .witness import (
+    _detected_phi,
     build_qk_closed_form,
     build_qk_direct,
     generalized_witness,
@@ -135,16 +135,22 @@ def _odd_k(limit: int, why: str):
 
 
 def _writable(path: str) -> bool:
-    """A nonempty path in a writable directory, with no directory at it or at its sibling manifest."""
-    parent = os.path.dirname(os.path.abspath(path))
-    return (path != "" and os.path.isdir(parent) and os.access(parent, os.W_OK)
-            and not os.path.isdir(path) and not os.path.isdir(path + ".manifest.json"))
+    """A nonempty path whose file and sibling manifest resolve (symlinks followed, as the writes follow them) to two
+    paths, each in an existing, writable directory and, if present, a writable file."""
+    def ok(real: str) -> bool:
+        parent = os.path.dirname(real)
+        return (os.path.isdir(parent) and os.access(parent, os.W_OK)
+                and (not os.path.lexists(real) or os.path.isfile(real) and os.access(real, os.W_OK)))
+
+    reals = {os.path.realpath(p) for p in (path, path + ".manifest.json")}
+    return path != "" and len(reals) == 2 and all(map(ok, reals))
 
 
 _exact_k = _odd_k(MAX_TABLE_K, "for exact printing")
 
-_out_path = _checked(str, _writable, "a file path in an existing, writable directory, "
-                                     "with no directory at it or at its .manifest.json")
+_out_path = _checked(str, _writable, "a file path in an existing, writable directory, with nothing but a "
+                                     "writable file at it and at its .manifest.json, two files once symlinks "
+                                     "are followed")
 
 
 def _spins(max_dim: int | None):
@@ -266,11 +272,6 @@ def cmd_table(args) -> int:
 def _uniform_model(kind: str, p: float, n: int) -> NoiseModel:
     """The global channel at p, or one local channel at p on each of n particles."""
     return NoiseModel(p_global=p) if kind == "global" else NoiseModel(p_locals=(p,) * n)
-
-
-def _detected_phi(K: int) -> float:
-    """The phase of the GHZ-like state that the zero-offset witness detects."""
-    return np.pi * (K - 1) / 2
 
 
 def _deviation(x: float) -> str:

@@ -13,6 +13,9 @@ both computed once per ensemble: the library's only route to the spectrum of
 Jx.  `level_weights` reads the corner of each spectral projector from the
 same bases, with nothing of size dim.  The dense `collective_operator` and `rotate_about_z` are not exported:
 they are the references the tests compare against.
+
+The input rules live here too: `_integer`, `_real` and `_array` for one
+argument each, and `assert_hermitian` for a caller's matrix (rho, Q).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "SpinEnsemble",
+    "assert_hermitian",
     "spin_matrices",
     "jx_function",
     "direction_phases",
@@ -90,13 +94,42 @@ def _array(x, name: str) -> np.ndarray:
     return a
 
 
+HERMITICITY_TOL = 1e-12
+
+
+def assert_hermitian(op: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity (max-entry norm) and return the operator as complex.
+
+    The operator is an `_array` named "matrix": finite integers, floats or complex numbers, so the deviation
+    is never NaN.  A density matrix and a witness's Q are checked here.
+    """
+    op = _array(op, "matrix")
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {op.shape}")
+    dev = _max_over_row_blocks(lambda rows: op[rows] - op[:, rows].conj().T, len(op))
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
+    return op
+
+
+def _max_over_row_blocks(deviation, n: int) -> float:
+    """max |deviation(rows)| over the blocks of 64 rows of an n-row matrix, one block's entries at a time.
+
+    The block maxima are reduced by np.max, which keeps a NaN from any block: Python's max drops one that is not first.
+    """
+    return float(np.max([np.abs(deviation(slice(i, i + 64))).max() for i in range(0, n, 64)]))
+
+
 def _reduced_angle(angle: float, name: str) -> float:
     """A `_real` angle modulo 2 pi, in [-pi, pi], read off e^{i angle}: np.exp reduces exactly, so no phase is lost."""
     return float(np.angle(np.exp(1j * _real(angle, name))))
 
 
 def _check_half_integer(j) -> float:
+    """A `_real` j as the nearest half-integer, if 2j is a finite float within 1e-12 of a nonnegative integer."""
     two_j = 2 * _real(j, "half-integer spin")
+    if not math.isfinite(two_j):
+        raise ValueError(f"spin {j!r} is beyond the float range once doubled")
     if abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:
         raise ValueError(f"spin must be a nonnegative half-integer, got {j}")
     return round(two_j) / 2
@@ -120,28 +153,28 @@ class SpinEnsemble:
             raise ValueError("ensemble needs at least one particle")
         if any(j == 0 for j in spins):
             raise ValueError("spin-0 particles carry no angular momentum; drop them")
-        two_total = round(2 * sum(spins))
-        if two_total % 2 == 0:
+        object.__setattr__(self, "spins", spins)
+        if self.K % 2 == 0:
             raise ValueError(
-                f"total spin {sum(spins)} is integer (K = {two_total} even); "
+                f"total spin {self.K // 2} is integer (K = {self.K} even); "
                 "the witness requires half-integer total spin (odd K)"
             )
-        object.__setattr__(self, "spins", spins)
 
     @property
     def N(self) -> int:
         return len(self.spins)
 
-    @property
-    def K(self) -> int:
-        """Odd integer with sum(j_n) = K/2."""
-        return round(2 * sum(self.spins))
-
     # computed once per ensemble: cached_property writes the instance __dict__, which the frozen
     # dataclass's __setattr__ does not guard, and equality and hashing read `spins` alone
     @cached_property
     def local_dims(self) -> tuple[int, ...]:
-        return tuple(round(2 * j + 1) for j in self.spins)
+        """2 j_n + 1 from the exact integer 2 j_n: a float 2 j_n + 1 rounds above 2^53."""
+        return tuple(round(2 * j) + 1 for j in self.spins)
+
+    @cached_property
+    def K(self) -> int:
+        """Odd integer with sum(j_n) = K/2, from the exact integers 2 j_n: a float sum rounds above 2^53."""
+        return sum(d - 1 for d in self.local_dims)
 
     @cached_property
     def dim(self) -> int:
@@ -165,7 +198,7 @@ class SpinEnsemble:
 
         Read-only, as `jx_eigenbases` is.
         """
-        m = reduce(np.add.outer, [j - np.arange(round(2 * j + 1)) for j in self.spins]).reshape(-1)
+        m = reduce(np.add.outer, [j - np.arange(d) for j, d in zip(self.spins, self.local_dims)]).reshape(-1)
         m.flags.writeable = False
         return m
 
@@ -261,8 +294,6 @@ def rotate_about_z(op: np.ndarray, jz: np.ndarray, angle: float) -> np.ndarray:
     also rotate about Jx).  The result is re-symmetrized to kill the last-bit
     Hermiticity drift of the triple product.
     """
-    from .linalg import assert_hermitian  # linalg reads `_integer`, so this reference reaches it at call time
-
     op = _array(op, "operator")
     jz = assert_hermitian(jz)
     if op.shape != jz.shape:

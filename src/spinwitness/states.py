@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import assert_hermitian
-from .spin import SEED_LIMIT, SpinEnsemble, _array, _integer, _real
+from .spin import SEED_LIMIT, SpinEnsemble, _array, _integer, _real, assert_hermitian
 
 __all__ = ["QuantumState", "ghz_like", "ghz_mixture", "product_state", "random_ket"]
 

@@ -12,11 +12,13 @@ both routes independently; the direct route reads Jx through the factored kernel
 in `spin`, and `generalized_witness` reads K alone.  `WitnessOperator.factors` reads
 the low-rank part of Q - 1/2 back from Q itself, for the see-saw and for the
 spectrum check of `verify`, so no caller eigensolves a dense Q.  All scalar
-bounds come from `witness_report` in exact rational arithmetic.
+bounds come from `witness_report` in exact rational arithmetic.  `binomial_exact`
+and `_binomial_row` are the closed forms' only binomials; the direct route reads neither.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,8 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import _binomial_row, assert_hermitian, binomial_exact
-from .spin import SpinEnsemble, _check_odd_k, _real, _reduced_angle, direction_phases, jx_function
+from .spin import (SpinEnsemble, _check_odd_k, _integer, _real, _reduced_angle, assert_hermitian,
+                   direction_phases, jx_function)
 from .states import QuantumState
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "score",
     "phase_for_ghz",
     "generalized_witness",
+    "binomial_exact",
 ]
 
 # Eigenvalues this close to zero count as zero for the dense pos().  Far above
@@ -128,6 +131,22 @@ class WitnessOperator:
         remainder -= self.Q
         remainder[np.diag_indices(self.dim)] += 0.5
         return WitnessFactors(vectors, values, float(np.linalg.norm(remainder)))
+
+
+def binomial_exact(n: int, k: int) -> int:
+    """Exact C(n, k) as an arbitrary-precision integer; n and k are `spin._integer`s with 0 <= k <= n."""
+    n, k = _integer(n, "n"), _integer(k, "k")
+    if k > n:
+        raise ValueError(f"binomial_exact requires k <= n, got n={n}, k={k}")
+    return math.comb(n, k)
+
+
+def _binomial_row(n: int) -> list[int]:
+    """[C(n, 0), ..., C(n, n)] as exact ints, each from the one before: C(n, i + 1) = C(n, i) (n - i) / (i + 1)."""
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
 
 
 def build_qk_direct(ensemble: SpinEnsemble, theta_offset: float = 0.0) -> WitnessOperator:
@@ -220,19 +239,24 @@ def score(state: QuantumState, witness: WitnessOperator) -> float:
     return float(np.real(np.sum(state.rho * witness.Q.T)))
 
 
+def _detected_phi(K: int) -> float:
+    """The phase of the GHZ-like state that the zero-offset witness detects."""
+    return np.pi * (K - 1) / 2
+
+
 def phase_for_ghz(phi: float, K: int) -> float:
     """Direction offset that makes the phase-phi GHZ-like state score P_max.
 
     The witness with offset theta has top eigenvector
     |up> + (-1)^((K-1)/2) e^{i K theta} |down> (up to normalization), so
-    matching the phase e^{i phi} gives theta = (2 phi - (K-1) pi)/(2K).
+    matching the phase e^{i phi} gives theta = (phi - (K-1) pi/2)/K, the phase `_detected_phi` subtracted.
     phi is reduced modulo 2 pi through e^{i phi} first, as in `ghz_like`, so any finite phi keeps
     its phase; anything but a finite real number is rejected.  Offsets matter modulo 2 pi/K (a shift relabels the K
     directions): the value returned lies in [0, 2 pi/K), a remainder rounding up to 2 pi/K reading 0.
     """
     K = _check_odd_k(K)
     period = 2 * np.pi / K
-    theta = (_reduced_angle(phi, "phi") - (K - 1) * np.pi / 2) / K % period
+    theta = (_reduced_angle(phi, "phi") - _detected_phi(K)) / K % period
     return 0.0 if theta == period else theta
 
 
@@ -251,7 +275,7 @@ def generalized_witness(ensemble: SpinEnsemble, f0: float, f_odd: Callable[[floa
     M_i = K/2 - i; it is evaluated once on each, every value it returns is a `spin._real` named f_odd, and oddness is
     checked to 1e-12.  One particle's corner weights <j|P_m|-j> are (-1)^i C(2j, i) / 4^j at m = j - i, so by
     Vandermonde the ensemble's are (-1)^i C(K, i) / 2^K at M_i, and f_K = |sum_i (-1)^i C(K, i) f(M_i)| / 2^K: the
-    K-th central difference of f, exact, rounded once.  The row C(K, i) is `linalg._binomial_row`.
+    K-th central difference of f, exact, rounded once.  The row C(K, i) is `_binomial_row`.
     """
     f0 = _real(f0, "f0")
     K = ensemble.K

@@ -757,6 +757,7 @@ def test_argparse_rejects_bad_values(capsys, argv, flag):
     (("simulate", "--spins", "0.5,1,1", "--model", "local", "--p", "0.1,0.2,0.3,0.4"), "--p takes 1 value or 3"),
     (("simulate", "--K", "3", "--subensembles", ""), "--subensembles"),  # ran unsplit
     (("seesaw", "--spins", "1.5"), "at least two particles"),
+    (("verify", "--spins", "1e308"), "argument --spins"),  # 2j overflowed: OverflowError, exit 1
 ])
 def test_usage_errors_name_the_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -804,6 +805,33 @@ def test_out_whose_manifest_is_a_directory_is_a_usage_error(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert "argument --out" in err and "Traceback" not in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("dangling", ["t.csv", "t.csv.manifest.json"])
+def test_out_through_a_dangling_symlink_is_a_usage_error(tmp_path, capsys, dangling):
+    # the directory holding the link was checked, not its target's: open raised FileNotFoundError with exit 1,
+    # after writing t.csv when only the manifest's link dangled
+    (tmp_path / dangling).symlink_to(tmp_path / "missing" / "x")
+    rc, out, err = run(capsys, "table", "--K", "3", "--out", str(tmp_path / "t.csv"))
+    assert (rc, out) == (2, "")
+    assert "argument --out" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [dangling]
+
+
+def test_out_whose_manifest_links_to_it_is_a_usage_error(tmp_path, capsys):
+    # the manifest was written over the table through the link, with exit 0
+    (tmp_path / "t.csv.manifest.json").symlink_to(tmp_path / "t.csv")
+    rc, out, err = run(capsys, "table", "--K", "3", "--out", str(tmp_path / "t.csv"))
+    assert (rc, out) == (2, "")
+    assert "argument --out" in err and not (tmp_path / "t.csv").exists()
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "t.csv").symlink_to(tmp_path / "dir" / "x.csv")
+    assert run(capsys, "table", "--K", "3", "5", "--out", str(tmp_path / "t.csv"))[0] == 0
+    assert (tmp_path / "dir" / "x.csv").read_text() == GOLDEN_TABLE_CSV
+    assert (tmp_path / "t.csv.manifest.json").is_file()
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from linalg_reference import partial_trace_reference
-from spinwitness.linalg import _binomial_row, assert_hermitian, binomial_exact
+from spinwitness.spin import assert_hermitian
+from spinwitness.witness import _binomial_row, binomial_exact
 
 
 def random_hermitian(dim, seed):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import outcome_table_reference, partial_trace_reference
-from spinwitness import linalg, noise, protocol, witness
+from spinwitness import noise, protocol, witness
 from spinwitness.noise import (
     NoiseModel,
     _depolarize,
@@ -209,7 +209,7 @@ def test_outcome_table_under_noise_matches_the_channel(case, seed, theta):
     brute = score(noisy, build_qk_direct(ensemble, theta))
     with pytest.MonkeyPatch.context() as mp:
         for module, name in [(protocol, "witness_report"), (noise, "witness_report"), (noise, "noisy_score"),
-                             (witness, "witness_report"), (witness, "binomial_exact"), (linalg, "binomial_exact")]:
+                             (witness, "witness_report"), (witness, "binomial_exact")]:
             mp.setattr(module, name, _forbidden)
         table = depolarize_table(outcome_table(state, theta), model)
         via_table = float(np.mean(table.reshape(ensemble.K, -1) @ (ensemble.jz_diagonal > 0)))

@@ -1,5 +1,6 @@
 """The package's public surface: what `spinwitness` exports is what its commands and demos run."""
 
+import ast
 import math
 import re
 from fractions import Fraction
@@ -39,7 +40,8 @@ from spinwitness import (
 )
 from spinwitness.spin import direction_phases
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 # Dense references the tests compare against and a sampler identical to `run_protocol`: not exported.
 NOT_EXPORTED = (
@@ -60,6 +62,16 @@ def test_every_exported_name_resolves():
 def test_test_only_references_are_not_exported():
     assert [name for name in NOT_EXPORTED if hasattr(spinwitness, name)] == []
     assert set(NOT_EXPORTED).isdisjoint(spinwitness.__all__)
+
+
+def test_no_module_imports_inside_a_function():
+    # rotate_about_z imported assert_hermitian at call time, around a spin <-> linalg import cycle
+    functions = [(path.name, node) for path in sorted((ROOT / "src" / "spinwitness").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert len(functions) > 100
+    assert [f"{name}:{f.name}" for name, f in functions
+            if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(f))] == []
 
 
 def test_protocol_runs_take_their_values_directly():

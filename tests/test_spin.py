@@ -119,6 +119,20 @@ class TestSpinEnsemble:
         assert SpinEnsemble((0.5,) * 63).dim == 2**63
         assert SpinEnsemble((0.5,) * 65).dim == 2**65
 
+    def test_k_and_dimensions_are_exact_past_float_precision(self):
+        # K came from a float sum and 2j + 1 from a float: both round above 2^53, and these odd K read as even
+        e = SpinEnsemble((2**51 + 0.5,) * 3)
+        assert e.K == 3 * 2**52 + 3 and e.local_dims == (2**52 + 2,) * 3
+        e = SpinEnsemble((2.0**52 + 1, 0.5))
+        assert e.K == 2**53 + 3 and e.local_dims == (2**53 + 3, 2)
+        assert "K" in vars(e)  # cached once, as the dimensions are
+
+    def test_a_spin_whose_double_overflows_is_a_value_error(self):
+        # 2j became inf, and round(inf) raised OverflowError
+        for call in (lambda: SpinEnsemble((1e308,)), lambda: spin_matrices(1e308)):
+            with pytest.raises(ValueError, match=r"spin 1e\+308 is beyond the float range"):
+                call()
+
     def test_frozen_and_hashable(self):
         e = SpinEnsemble((0.5, 0.5, 0.5))
         assert e == SpinEnsemble([0.5, 0.5, 0.5])

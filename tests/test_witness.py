@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from linalg_reference import direction_operator
 from spinwitness import witness
 from spinwitness.cli import _F_ODD_CHOICES
-from spinwitness.linalg import binomial_exact
 from spinwitness.spin import (
     SpinEnsemble,
     collective_operator,
@@ -22,6 +21,7 @@ from spinwitness.states import QuantumState, ghz_like, ghz_mixture, product_stat
 from spinwitness.witness import (
     ZERO_EIGENVALUE_TOL,
     WitnessOperator,
+    binomial_exact,
     build_qk_closed_form,
     build_qk_direct,
     generalized_witness,
